@@ -74,6 +74,8 @@ _MISSING = object()
 
 
 def _field(req: Mapping, *names: str, default=_MISSING):
+    if not isinstance(req, Mapping):
+        raise UsageError(f"expected an object with field {names[0]!r}, got {req!r}")
     for name in names:
         if name in req:
             return req[name]
@@ -316,7 +318,10 @@ def _cmd_verify(req: Mapping) -> object:
     kwargs = {}
     for key, kwarg in _SUITE_KWARGS[theorem].items():
         if key in req:
-            kwargs[kwarg] = _int_field(req, key)
+            value = _int_field(req, key)
+            if value < 1:
+                raise UsageError(f"field {key!r} must be at least 1: {value}")
+            kwargs[kwarg] = value
     result = SUITES[theorem](**kwargs)
     if "seed" in req:
         result["parameters"]["seed"] = req["seed"]

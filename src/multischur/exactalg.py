@@ -300,11 +300,13 @@ def scalar_from_json(data: Iterable[Mapping]) -> Scalar:
     for item in data:
         coeff = Fraction(str(item["coefficient"]))
         mono_map = item.get("monomial", {})
+        if not isinstance(mono_map, Mapping):
+            raise TypeError(f"a monomial must map names to exponents: {mono_map!r}")
         for name, e in mono_map.items():
             if not isinstance(name, str) or not name:
                 raise ValueError("monomial names must be nonempty strings")
-            if int(e) <= 0:
-                raise ValueError("serialized exponents must be positive")
-        mono = tuple(sorted((name, int(e)) for name, e in mono_map.items()))
+            if isinstance(e, bool) or not isinstance(e, int) or e <= 0:
+                raise ValueError(f"serialized exponents must be positive integers: {e!r}")
+        mono = tuple(sorted(mono_map.items()))
         terms[mono] = terms.get(mono, _F0) + coeff
     return Scalar(terms)

@@ -23,8 +23,10 @@ from .shapes import (
     Alphabet,
     AlphabetSequence,
     Partition,
+    StabilityError,
     as_alphabet,
     empty_sequence,
+    horizontal_strips,
     negate_alphabet,
     partitions_up_to_weight,
     refined_alphabet,
@@ -36,10 +38,6 @@ from .supersym import e_elem, h_complete, h_super
 
 _ZERO = Scalar.zero()
 _ONE = Scalar.one()
-
-
-class StabilityError(ValueError):
-    """An alphabet sequence does not have the stable growth an operation needs."""
 
 
 class TruncationError(ValueError):
@@ -400,29 +398,6 @@ def skew_function(
 # -- Schur-basis arithmetic -------------------------------------------
 
 
-def _horizontal_strips(mu: Partition, n: int) -> Iterator[Partition]:
-    """All nu >= mu where nu/mu is a horizontal strip of n cells."""
-    k = len(mu)
-    parts: list[int] = []
-
-    def rec(i: int, remaining: int):
-        if i == k + 1:
-            if remaining == 0:
-                trimmed = parts[:]
-                while trimmed and trimmed[-1] == 0:
-                    trimmed.pop()
-                yield Partition(trimmed)
-            return
-        base = mu[i] if i < k else 0
-        cap = remaining if i == 0 else min(remaining, mu[i - 1] - base)
-        for a in range(cap, -1, -1):
-            parts.append(base + a)
-            yield from rec(i + 1, remaining - a)
-            parts.pop()
-
-    yield from rec(0, n)
-
-
 def pieri_mult_h(f: SymFunc, n: int) -> SymFunc:
     """Multiply by h_n(X): each s_mu spreads over horizontal n-strips."""
     if n < 0:
@@ -431,7 +406,7 @@ def pieri_mult_h(f: SymFunc, n: int) -> SymFunc:
         return f
     coeffs: dict[Partition, Scalar] = {}
     for mu, c in f.terms():
-        for nu in _horizontal_strips(mu, n):
+        for nu in horizontal_strips(mu, n):
             acc = coeffs.get(nu)
             coeffs[nu] = c if acc is None else acc + c
     return SymFunc(coeffs, f.truncation)

@@ -11,24 +11,33 @@ The operators:
   * psi_m / psi*_m       add or remove the particle at level m,
   * a_m                  moves one particle from level u to u - m,
                          summed over all legal u,
-  * e^{s H(x/y)}         with H(x/y) = sum_n p_n(x/y)/n a_n; finite on
-                         any vector because a_n with n > 0 strictly
-                         lowers the total excitation weight,
+  * e^{s H(x/y)}         with H(x/y) = sum_n p_n(x/y)/n a_n.  The modes
+                         a_n, n > 0, commute, so the exponential factors
+                         into one-letter steps: e^{H(x_i)} for each
+                         letter of x and e^{-H(y_j)} for each letter of
+                         y (all inverted when s = -1).  In closed form,
+                         e^{H(t)}|lam> = sum t^{|lam/mu|} |mu> over the
+                         horizontal strips lam/mu, and e^{-H(t)} sums
+                         (-t)^{|lam/mu|} |mu> over the vertical strips:
+                         the one-letter branching rule for skew Schur
+                         functions (Macdonald I.5), in vertex-operator
+                         form.  The charge is untouched,
   * dressed fermions     e^{H} psi_m e^{-H} = sum_i h_i(x/y) psi_{m-i}
                          and its psi* counterpart.
 
-Everything is linear over exact Scalars and charge-homogeneous.
+Everything is linear over exact Scalars and charge-homogeneous.  Apart
+from wick_expectation, which is a determinant by definition, no
+operator here evaluates one.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .exactalg import DimensionError, Scalar, ScalarLike, coerce_scalar, det_over_ring
-from .shapes import Alphabet, Partition, as_alphabet
-from .supersym import h_super, p_power
+from .shapes import Alphabet, Partition, StabilityError, as_alphabet, horizontal_strips
+from .supersym import h_super
 
 PSI = "psi"
 PSI_STAR = "psi_star"
@@ -237,31 +246,42 @@ def apply_heisenberg(m: int, v: FockVector) -> FockVector:
     return FockVector(out)
 
 
-def _apply_H(x: Alphabet, y: Alphabet, v: FockVector) -> FockVector:
-    total = FockVector()
-    top = v.max_energy()
-    for n in range(1, top + 1):
-        coeff = p_power(n, x, y) * Fraction(1, n)
-        if coeff:
-            total = total + apply_heisenberg(n, v).scale(coeff)
-    return total
+def _exp_letter(t: Scalar, vertical: bool, v: FockVector) -> FockVector:
+    """e^{H(t)} v, or e^{-H(t)} v when vertical: each |lam> goes to the
+    sum of t^{|lam/mu|} |mu> over horizontal strips lam/mu, or of
+    (-t)^{|lam/mu|} |mu> over vertical strips."""
+    if not t:
+        return v
+    powers = [_ONE, -t if vertical else t]
+    out: dict[MayaState, Scalar] = {}
+    for state, coeff in v.items():
+        lam = state.parts
+        n = lam.weight
+        for mu in horizontal_strips(lam.transpose() if vertical else lam):
+            if vertical:
+                mu = mu.transpose()
+            k = n - mu.weight
+            while len(powers) <= k:
+                powers.append(powers[-1] * powers[1])
+            add = coeff * powers[k] if k else coeff
+            new = MayaState(state.charge, mu)
+            acc = out.get(new)
+            out[new] = add if acc is None else acc + add
+    return FockVector(out)
 
 
 def apply_exp_H(x: Iterable, y: Iterable, sign: int, v: FockVector) -> FockVector:
-    """e^{sign * H(x/y)} v; terminates because every H application
-    strictly lowers the maximal excitation weight."""
+    """e^{sign * H(x/y)} v as a product of one-letter steps: each letter
+    of x applies horizontal strips when sign = +1 and vertical strips
+    when sign = -1, each letter of y the opposite kind.  Every step
+    keeps the charge and never raises the excitation weight."""
     if sign not in (1, -1):
         raise ValueError(f"sign must be +1 or -1: {sign}")
-    xs = as_alphabet(x)
-    ys = as_alphabet(y)
-    result = v
-    term = v
-    k = 0
-    while term:
-        k += 1
-        term = _apply_H(xs, ys, term).scale(Fraction(sign, k))
-        result = result + term
-    return result
+    for t in as_alphabet(x):
+        v = _exp_letter(t, sign < 0, v)
+    for t in as_alphabet(y):
+        v = _exp_letter(t, sign > 0, v)
+    return v
 
 
 def apply_dressed_fermion(mode: str, m: int, x: Iterable, y: Iterable, v: FockVector) -> FockVector:
@@ -339,7 +359,7 @@ def bra_refined_pair(mu: Sequence[int], t: Sequence, v: FockVector, *, check_sta
     """Pair the refined bra for mu against a charge-0 vector: apply
     psi*_{mu_1 - 1}, e^{-H(t_1)}, psi*_{mu_2 - 2}, ... and read off the
     coefficient of |-r>.  The answer is r-stable; check_stability
-    recomputes at r + 1 and compares."""
+    recomputes at r + 1 and raises StabilityError when they differ."""
     mu = Partition(mu)
     if v.charge not in (None, 0):
         raise ChargeError(f"refined bras pair with charge 0, got {v.charge}")
@@ -347,7 +367,7 @@ def bra_refined_pair(mu: Sequence[int], t: Sequence, v: FockVector, *, check_sta
     r = max(len(mu), internal) + 1
     value = _bra_apply(mu, t, v, r)
     if check_stability and value != _bra_apply(mu, t, v, r + 1):
-        raise AssertionError(f"pairing not r-stable at r={r} for {mu}")
+        raise StabilityError(f"pairing not r-stable at r={r} for {mu}")
     return value
 
 

@@ -19,11 +19,18 @@ Tail rules:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
 from typing import Iterable, Iterator, Sequence, Union
 
 from .exactalg import Scalar, coerce_scalar
 
 Alphabet = tuple[Scalar, ...]
+
+
+class StabilityError(ValueError):
+    """A result that should settle does not: an alphabet sequence lacks
+    the stable growth an operation needs, or a pairing changes with the
+    number of rows."""
 
 
 class Partition(tuple):
@@ -120,6 +127,30 @@ def superpartitions(lam: Sequence[int], max_weight: int, max_length: int | None 
         for mu in partitions_up_to_weight(max_weight, max_length)
         if mu.contains(lam)
     ]
+
+
+def horizontal_strips(lam: Sequence[int], grow: int | None = None) -> Iterator[Partition]:
+    """Partitions that differ from lam by a horizontal strip, i.e. by at
+    most one cell in each column.
+
+    With grow=None: every mu inside lam with lam/mu a horizontal strip,
+    that is lam_1 >= mu_1 >= lam_2 >= mu_2 >= ...  With grow=n: every nu
+    containing lam with nu/lam a horizontal strip of n cells.  Each row
+    ranges between the neighbouring parts of lam independently of the
+    others, so the strips form a box of row choices; they are yielded
+    with the rows compared entrywise descending.  lam/mu is a vertical
+    strip iff lam'/mu' is a horizontal one.
+    """
+    lam = Partition(lam)
+    if grow is None:
+        rows = [range(lam[i], lam.part(i + 2) - 1, -1) for i in range(len(lam))]
+        yield from (Partition(parts) for parts in product(*rows))
+        return
+    first = lam.part(1)
+    rows = [range(first + grow, first - 1, -1)]
+    rows += [range(lam[i - 1], lam.part(i + 1) - 1, -1) for i in range(1, len(lam) + 1)]
+    target = lam.weight + grow
+    yield from (Partition(parts) for parts in product(*rows) if sum(parts) == target)
 
 
 # -- alphabets --------------------------------------------------------

@@ -1,11 +1,13 @@
 """Complete, elementary, and power sums in a pair of alphabets.
 
 h_super(n, x, y) is the degree n coefficient of
-prod_j (1 + y_j z) / prod_i (1 - x_i z), so
+prod_j (1 - y_j z) / prod_i (1 - x_i z), so
 
-    h_n(x/y) = sum_k e_k(y) h_{n-k}(x).
+    h_n(x/y) = sum_k (-1)^k e_k(y) h_{n-k}(x).
 
-Setting y = () recovers h_n(x); setting x = () gives e_n(y).  The
+Setting y = () recovers h_n(x); setting x = () gives
+(-1)^n e_n(y) = e_n(-y).  p_n(x/y) = p_n(x) - p_n(y) follows the same
+sign convention.  The
 determinant of h_{lam_i - i + j}(x/y) is the supersymmetric Schur
 function.
 

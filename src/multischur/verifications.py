@@ -6,6 +6,9 @@ scale and returns a summary dict:
     {"theorem": name, "parameters": {...}, "passed": bool,
      "cases": int, "failures": [str, ...]}
 
+A suite whose parameters leave it no case to check raises ValueError
+rather than passing vacuously.
+
 The two computation routes (closed-form determinants and the fermion
 engine) are kept independent so a suite that compares them is a real
 cross-check, not a tautology.
@@ -56,6 +59,8 @@ def _vars(stem: str, n: int) -> tuple[Scalar, ...]:
 
 
 def _suite(theorem: str, parameters: dict, cases: int, failures: list[str]) -> dict:
+    if not cases:
+        raise ValueError(f"suite {theorem} checked no cases at {parameters}")
     return {
         "theorem": theorem,
         "parameters": parameters,

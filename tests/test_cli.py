@@ -223,6 +223,41 @@ def test_stability_error_exit_one(monkeypatch, capsys):
     assert set(json.loads(out)["error"]) == {"type", "operation", "message"}
 
 
+def _assert_usage_error(monkeypatch, capsys, req):
+    code, out = _invoke(monkeypatch, capsys, req)
+    assert out.count("\n") == 1
+    assert code == 2, out
+    assert json.loads(out)["error"]["type"] == "usage"
+
+
+def test_non_object_shorthand_spec_rejected(monkeypatch, capsys):
+    for f in ({"refined": 5}, {"stable": [1]}, {"refined": "t1"}):
+        _assert_usage_error(monkeypatch, capsys, {"command": "inner", "f": f, "g": {"schur": [1]}})
+
+
+def test_non_integer_exponent_rejected(monkeypatch, capsys):
+    for e in (1.5, True, "2", 0):
+        letter = {"coefficient": "1", "monomial": {"x1": e}}
+        _assert_usage_error(monkeypatch, capsys, {"command": "multischur", "lambda": [1], "bx": [[letter]]})
+
+
+def test_verify_parameters_below_one_rejected(monkeypatch, capsys):
+    for theorem, key, value in [
+        ("orthonormality", "maxWeight", -1),
+        ("orthonormality", "maxWeight", 0),
+        ("classical", "window", -5),
+        ("classical", "pairingRows", 0),
+        ("hall-duality", "truncation", 0),
+        ("truncation-stability", "maxRows", -2),
+        ("beta-chain", "maxDualWeight", 0),
+        ("branching", "generalMaxWeight", 0),
+    ]:
+        req = {"command": "verify", "theorem": theorem, key: value}
+        _assert_usage_error(monkeypatch, capsys, req)
+    code, _ = _invoke(monkeypatch, capsys, {"command": "verify", "theorem": "orthonormality"}, argv=["--max-weight", "0"])
+    assert code == 2
+
+
 def test_thread_env_validated(monkeypatch, capsys):
     monkeypatch.setenv("MULTISCHUR_THREADS", "2")
     code, _ = _invoke(monkeypatch, capsys, MULTISCHUR_REQ)

@@ -91,6 +91,16 @@ def test_json_rejects_bad_exponent():
         scalar_from_json([{"coefficient": "1", "monomial": {"x": 0}}])
 
 
+def test_json_rejects_non_integer_exponent():
+    # 1.5 used to be truncated to 1 by int()
+    for e in (1.5, 2.0, True, "2", None):
+        with pytest.raises(ValueError):
+            scalar_from_json([{"coefficient": "1", "monomial": {"x": e}}])
+    with pytest.raises(TypeError):
+        scalar_from_json([{"coefficient": "1", "monomial": [["x", 1]]}])
+    assert scalar_from_json([{"coefficient": "3/4", "monomial": {"x": 2}}]) == x**2 * Fraction(3, 4)
+
+
 def test_eval_exact():
     p = (x + y) ** 2
     assert scalar_eval(p, {"x": Fraction(1, 2), "y": Fraction(3)}) == Fraction(49, 4)

@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from multischur import fock
 from multischur.exactalg import Scalar, variables
 from multischur.fock import (
     PSI,
@@ -23,11 +24,14 @@ from multischur.fock import (
 )
 from multischur.shapes import (
     Partition,
+    StabilityError,
+    as_alphabet,
     empty_sequence,
+    partitions_up_to_weight,
     prefix_sequence,
     refined_sequence,
 )
-from multischur.supersym import h_super, supersym_schur
+from multischur.supersym import h_super, p_power, supersym_schur
 
 t1, t2, t3, t4 = variables("t1 t2 t3 t4")
 x1, x2 = variables("x1 x2")
@@ -166,6 +170,77 @@ def test_exp_H_inverse(v):
     assert w == v
 
 
+class SeriesExpH:
+    """Reference for apply_exp_H(x, y, sign, v): the exponential series
+    sum_k (sign H(x/y))^k / k! v with H(x/y) = sum_n p_n(x/y)/n a_n,
+    summed until a power of H kills v.  H is memoised on basis states,
+    so one instance serves many vectors."""
+
+    def __init__(self, x, y):
+        self.x, self.y = as_alphabet(x), as_alphabet(y)
+        self.on_state = {}
+
+    def H(self, w):
+        total = ZERO_VECTOR
+        for state, c in w.items():
+            if state not in self.on_state:
+                basis = FockVector({state: Scalar.one()})
+                h = ZERO_VECTOR
+                for n in range(1, state.energy + 1):
+                    coeff = p_power(n, self.x, self.y) * Fraction(1, n)
+                    if coeff:
+                        h = h + apply_heisenberg(n, basis).scale(coeff)
+                self.on_state[state] = h
+            total = total + self.on_state[state].scale(c)
+        return total
+
+    def powers(self, v):
+        """[v, H v, H^2 v, ...] up to the last nonzero power."""
+        out = [v]
+        while out[-1]:
+            out.append(self.H(out[-1]))
+        return out[:-1]
+
+    def __call__(self, sign, v, powers=None):
+        result = ZERO_VECTOR
+        factor = Fraction(1)
+        for k, term in enumerate(powers or self.powers(v)):
+            if k:
+                factor *= Fraction(sign, k)
+            result = result + term.scale(factor)
+        return result
+
+
+beta = Scalar.variable("beta")
+ORACLE_ALPHABETS = [
+    ((t1,), ()),
+    ((x1, x2), ()),
+    ((), (y1,)),
+    ((x1,), (y1,)),
+    ((-beta, x2), (y1, x1)),
+]
+
+
+@given(fock_vectors(), st.sampled_from(ORACLE_ALPHABETS), st.sampled_from((1, -1)))
+@settings(max_examples=40, deadline=None)
+def test_exp_H_matches_series(v, alphabets, sign):
+    x, y = alphabets
+    assert apply_exp_H(x, y, sign, v) == SeriesExpH(x, y)(sign, v)
+
+
+def test_exp_H_matches_series_exhaustively():
+    # pins the strip kinds, the signs and the charge independence
+    for x, y in ORACLE_ALPHABETS:
+        series = SeriesExpH(x, y)
+        for charge in (-3, 0, 2):
+            for lam in partitions_up_to_weight(6):
+                v = FockVector({MayaState(charge, lam): Scalar.one()})
+                powers = series.powers(v)
+                for sign in (1, -1):
+                    want = series(sign, v, powers)
+                    assert apply_exp_H(x, y, sign, v) == want, (charge, lam, x, y, sign)
+
+
 def test_exp_H_sign_validation():
     with pytest.raises(ValueError):
         apply_exp_H((), (), 2, vacuum_ket(0))
@@ -265,6 +340,21 @@ def test_bra_refined_pair_orthonormality():
 
 def test_bra_refined_pair_vacuum():
     assert bra_refined_pair(Partition(()), (t1,), vacuum_ket(0)) == Scalar.one()
+
+
+def test_bra_refined_pair_stability_error(monkeypatch):
+    ts = (t1, t2, t3, t4)
+    v = ket_refined(Partition((1,)), ts, 1)
+    exact = fock._bra_apply
+
+    def drifting(mu, t, w, r):
+        value = exact(mu, t, w, r)
+        return value + Scalar.one() if r == 3 else value
+
+    monkeypatch.setattr(fock, "_bra_apply", drifting)
+    assert bra_refined_pair(Partition((1,)), ts, v) == Scalar.one()
+    with pytest.raises(StabilityError, match="r=2"):
+        bra_refined_pair(Partition((1,)), ts, v, check_stability=True)
 
 
 def test_bra_refined_pair_charge_guard():

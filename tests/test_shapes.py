@@ -12,6 +12,7 @@ from multischur.shapes import (
     constant_sequence,
     contains,
     empty_sequence,
+    horizontal_strips,
     motegi_scrimshaw_sequence,
     partitions_of_weight,
     partitions_up_to_weight,
@@ -207,3 +208,17 @@ def test_motegi_scrimshaw():
 def test_tail_rule_validation():
     with pytest.raises(ValueError):
         AlphabetSequence(((x1,),), EmptyTail()).alphabet(-1)
+
+
+def test_horizontal_strips_below_interlace():
+    for lam in partitions_up_to_weight(6):
+        got = list(horizontal_strips(lam))
+        want = [
+            mu
+            for mu in subpartitions(lam)
+            if all(mu.part(i) >= lam.part(i + 1) for i in range(1, len(lam) + 1))
+        ]
+        assert len(set(got)) == len(got)
+        assert sorted(got) == sorted(want)
+    assert list(horizontal_strips((2, 1))) == [(2, 1), (2,), (1, 1), (1,)]
+

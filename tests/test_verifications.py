@@ -1,6 +1,8 @@
 """Verification suites at reduced sizes: every suite must pass and
 report the documented summary shape."""
 
+import pytest
+
 from multischur.verifications import (
     SUITES,
     beta_chain,
@@ -44,6 +46,13 @@ def test_orthonormality_small():
     # 7 shapes up to weight 3, all pairs
     assert summary["cases"] == 49
     assert summary["parameters"] == {"maxWeight": 3}
+
+
+def test_suite_without_cases_raises():
+    with pytest.raises(ValueError, match="no cases"):
+        orthonormality(max_weight=-1)
+    with pytest.raises(ValueError, match="no cases"):
+        dual_engine(max_weight=-1)
 
 
 def test_dual_engine_small():
