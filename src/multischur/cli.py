@@ -57,7 +57,6 @@ from .shapes import (
     Partition,
     RefinedTail,
     constant_sequence,
-    empty_sequence,
     prefix_sequence,
     refined_sequence,
 )
@@ -138,6 +137,12 @@ def parse_alphabet(value) -> tuple[Scalar, ...]:
     return tuple(parse_scalar(v) for v in value)
 
 
+def _alphabet_rows(value, name: str) -> tuple[tuple[Scalar, ...], ...]:
+    if not isinstance(value, list):
+        raise UsageError(f"{name} must be a list of alphabets: {value!r}")
+    return tuple(parse_alphabet(row) for row in value)
+
+
 def parse_sequence(value) -> AlphabetSequence:
     """Alphabet sequences: {"prefix": [...], "tail": {...}}, the
     shorthands {"refined": [t...]} / {"constant": [letters]}, or a bare
@@ -150,7 +155,7 @@ def parse_sequence(value) -> AlphabetSequence:
         return refined_sequence(parse_alphabet(value["refined"]))
     if "constant" in value:
         return constant_sequence(parse_alphabet(value["constant"]))
-    prefix = tuple(parse_alphabet(row) for row in value.get("prefix", []))
+    prefix = _alphabet_rows(value.get("prefix", []), "prefix")
     tail_spec = value.get("tail", {"kind": "empty"})
     kind = tail_spec.get("kind") if isinstance(tail_spec, Mapping) else None
     if kind == "empty":
@@ -161,7 +166,7 @@ def parse_sequence(value) -> AlphabetSequence:
         if "t" in tail_spec:
             increments = tuple((x,) for x in parse_alphabet(tail_spec["t"]))
         else:
-            increments = tuple(parse_alphabet(b) for b in tail_spec.get("increments", []))
+            increments = _alphabet_rows(tail_spec.get("increments", []), "increments")
         tail = RefinedTail(parse_alphabet(tail_spec.get("base", [])), increments)
     else:
         raise UsageError(f"bad tail rule: {tail_spec!r}")
@@ -194,11 +199,9 @@ def parse_symfunc(value) -> SymFunc:
         )
     if "stable" in value:
         spec = value["stable"]
-        return stable_grothendieck_schur(
-            _partition(spec, "lambda", "λ"),
-            parse_alphabet(_field(spec, "t")),
-            _int_field(spec, "D", "truncation"),
-        )
+        lam = _partition(spec, "lambda", "λ")
+        t = parse_alphabet(_field(spec, "t"))
+        return stable_grothendieck_schur(lam, t, _degree_bound(spec, lam))
     raise UsageError(f"bad symmetric function: {value!r}")
 
 
@@ -211,15 +214,11 @@ def _int_field(req: Mapping, *names: str, default=_MISSING) -> int:
     return raw
 
 
-def _coeff_terms_json(coeffs: Mapping[Partition, Scalar], basis: str, truncation) -> dict:
-    items = sorted(coeffs.items(), key=lambda kv: (sum(kv[0]), tuple(-p for p in kv[0])))
-    return {
-        "basis": basis,
-        "truncation": truncation,
-        "terms": [
-            {"partition": list(mu), "coeff": scalar_to_json(c)} for mu, c in items if c
-        ],
-    }
+def _degree_bound(req: Mapping, lam: Partition) -> int:
+    D = _int_field(req, "D", "truncation")
+    if D < lam.weight:
+        raise UsageError(f"degree bound {D} is below |lambda| = {lam.weight}")
+    return D
 
 
 # -- commands ---------------------------------------------------------
@@ -252,22 +251,25 @@ def _cmd_expand(req: Mapping) -> object:
         if "bx" in req:
             bx = parse_sequence(req["bx"])
             by = parse_sequence(_field(req, "by", default=None) or [])
-            return _coeff_terms_json(expand_in_refined_basis(lam, bx, by, t), "refined", None)
+            coeffs = expand_in_refined_basis(lam, bx, by, t)
+            return {**symfunc_to_json(SymFunc(coeffs)), "basis": "refined"}
         return symfunc_to_json(refined_dual_grothendieck(lam, t))
     if basis == "truncated":
         bx = parse_sequence(_field(req, "bx"))
         r = _int_field(req, "r")
-        D = _int_field(req, "D", "truncation")
+        if r < len(lam):
+            raise UsageError(f"need r >= {len(lam)} rows for lambda {list(lam)}, got {r}")
+        D = _degree_bound(req, lam)
         return symfunc_to_json(truncated_dual_expansion(lam, bx, r, D))
     if basis == "stable":
         t = parse_alphabet(_field(req, "t"))
-        D = _int_field(req, "D", "truncation")
+        D = _degree_bound(req, lam)
         return symfunc_to_json(stable_grothendieck_schur(lam, t, D))
     if basis == "stable-dual":
         bx = parse_sequence(_field(req, "bx"))
         t = parse_alphabet(_field(req, "t"))
-        D = _int_field(req, "D", "truncation")
-        return _coeff_terms_json(stable_dual_in_G(lam, bx, t, D), "stable", D)
+        D = _degree_bound(req, lam)
+        return {**symfunc_to_json(SymFunc(stable_dual_in_G(lam, bx, t, D), D)), "basis": "stable"}
     raise UsageError(f"unknown basis {basis!r}")
 
 

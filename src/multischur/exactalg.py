@@ -215,10 +215,6 @@ def variables(names: Union[str, Iterable[str]]) -> tuple[Scalar, ...]:
     return tuple(Scalar.variable(n) for n in names)
 
 
-def scalar_mul(a: ScalarLike, b: ScalarLike) -> Scalar:
-    return coerce_scalar(a) * coerce_scalar(b)
-
-
 def scalar_eval(p: Scalar, assignment: Mapping[str, Union[int, Fraction]]) -> Fraction:
     """Evaluate at a full rational assignment.
 

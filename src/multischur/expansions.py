@@ -8,17 +8,18 @@ ring).
 
 The expansion operations all reduce to Jacobi-Trudi style determinants
 whose entries are supersymmetric h or e polynomials in row- and
-column-dependent alphabets; the skew expansion also carries the
-h_n(X) generators through the determinant and folds them into the Schur
-basis by Pieri multiplication.
+column-dependent alphabets, built by the one kernel `supersym._jt` from
+an entry function; the skew expansion also carries the h_n(X)
+generators through the determinant and folds them into the Schur basis
+by Pieri multiplication.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
-from .exactalg import Scalar, ScalarLike, coerce_scalar, det_over_ring
+from .exactalg import Scalar, ScalarLike, coerce_scalar
 from .shapes import (
     Alphabet,
     AlphabetSequence,
@@ -28,13 +29,12 @@ from .shapes import (
     empty_sequence,
     horizontal_strips,
     negate_alphabet,
-    partitions_up_to_weight,
     refined_alphabet,
     refined_sequence,
     subpartitions,
     superpartitions,
 )
-from .supersym import e_elem, h_complete, h_super
+from .supersym import _jt, e_elem, h_complete, h_super
 
 _ZERO = Scalar.zero()
 _ONE = Scalar.one()
@@ -140,13 +140,7 @@ def sym_schur(mu: Sequence[int]) -> SymFunc:
 
 def multi_schur(lam: Sequence[int], bx: AlphabetSequence, by: AlphabetSequence) -> Scalar:
     """det( h_{lam_i - i + j}(x^(i)/y^(i)) ), size len(lam)."""
-    lam = Partition(lam)
-    r = len(lam)
-    rows = []
-    for i in range(1, r + 1):
-        x, y = bx.alphabet(i), by.alphabet(i)
-        rows.append([h_super(lam[i - 1] - i + j, x, y) for j in range(1, r + 1)])
-    return det_over_ring(rows)
+    return skew_multi_schur(lam, (), bx, by)
 
 
 def flagged_schur(lam: Sequence[int], flag: Sequence[int], vars: Sequence) -> Scalar:
@@ -162,12 +156,8 @@ def flagged_schur(lam: Sequence[int], flag: Sequence[int], vars: Sequence) -> Sc
     xs = as_alphabet(vars)
     if flag and flag[-1] > len(xs):
         raise ValueError(f"flag {flag} exceeds the {len(xs)} given variables")
-    r = len(lam)
-    rows = [
-        [h_complete(lam[i - 1] - i + j, xs[: flag[i - 1]]) for j in range(1, r + 1)]
-        for i in range(1, r + 1)
-    ]
-    return det_over_ring(rows)
+    rows = [xs[:f] for f in flag]
+    return _jt(lam, Partition(), len(lam), lambda k, i, j: h_complete(k, rows[i - 1]))
 
 
 def schur_expand_multischur(lam: Sequence[int], bx: AlphabetSequence, by: AlphabetSequence) -> SymFunc:
@@ -175,17 +165,9 @@ def schur_expand_multischur(lam: Sequence[int], bx: AlphabetSequence, by: Alphab
     det( h_{lam_i - mu_j - i + j}(x^(i)/y^(i)) )."""
     lam = Partition(lam)
     r = len(lam)
-    alphabets = [(bx.alphabet(i), by.alphabet(i)) for i in range(1, r + 1)]
-    coeffs: dict[Partition, Scalar] = {}
-    for mu in subpartitions(lam):
-        rows = []
-        for i in range(1, r + 1):
-            x, y = alphabets[i - 1]
-            rows.append([h_super(lam[i - 1] - mu.part(j) - i + j, x, y) for j in range(1, r + 1)])
-        c = det_over_ring(rows)
-        if c:
-            coeffs[mu] = c
-    return SymFunc(coeffs)
+    rows = [(bx.alphabet(i), by.alphabet(i)) for i in range(1, r + 1)]
+    entry = lambda k, i, j: h_super(k, *rows[i - 1])
+    return SymFunc({mu: c for mu in subpartitions(lam) if (c := _jt(lam, mu, r, entry))})
 
 
 def refined_dual_grothendieck(lam: Sequence[int], t: Sequence) -> SymFunc:
@@ -205,19 +187,8 @@ def expand_in_refined_basis(
     xs = [bx.alphabet(i) for i in range(1, r + 1)]
     ys = [by.alphabet(i) for i in range(1, r + 1)]
     ts = [refined_alphabet(t, j) for j in range(1, r + 1)]
-    out: dict[Partition, Scalar] = {}
-    for mu in subpartitions(lam):
-        rows = [
-            [
-                h_super(lam[i - 1] - mu.part(j) - i + j, xs[i - 1], ys[i - 1] + ts[j - 1])
-                for j in range(1, r + 1)
-            ]
-            for i in range(1, r + 1)
-        ]
-        c = det_over_ring(rows)
-        if c:
-            out[mu] = c
-    return out
+    entry = lambda k, i, j: h_super(k, xs[i - 1], ys[i - 1] + ts[j - 1])
+    return {mu: c for mu in subpartitions(lam) if (c := _jt(lam, mu, r, entry))}
 
 
 def truncated_dual_expansion(lam: Sequence[int], bx: AlphabetSequence, r: int, D: int) -> SymFunc:
@@ -229,16 +200,9 @@ def truncated_dual_expansion(lam: Sequence[int], bx: AlphabetSequence, r: int, D
     if D < lam.weight:
         raise ValueError(f"degree bound {D} is below |lam| = {lam.weight}")
     neg = [negate_alphabet(bx.alphabet(i)) for i in range(1, r + 1)]
-    coeffs: dict[Partition, Scalar] = {}
-    for mu in superpartitions(lam, D, max_length=r):
-        rows = [
-            [e_elem(-lam.part(i) + mu.part(j) + i - j, neg[i - 1]) for j in range(1, r + 1)]
-            for i in range(1, r + 1)
-        ]
-        c = det_over_ring(rows)
-        if c:
-            coeffs[mu] = c
-    return SymFunc(coeffs, truncation=D)
+    entry = lambda k, i, j: e_elem(-k, neg[i - 1])
+    shapes = superpartitions(lam, D, max_length=r)
+    return SymFunc({mu: c for mu in shapes if (c := _jt(lam, mu, r, entry))}, D)
 
 
 def stable_dual_in_G(
@@ -254,20 +218,8 @@ def stable_dual_in_G(
     R, _ = st
     if D < lam.weight:
         raise ValueError(f"degree bound {D} is below |lam| = {lam.weight}")
-    out: dict[Partition, Scalar] = {}
-    for mu in superpartitions(lam, D):
-        S = max(R, len(mu))
-        rows = [
-            [
-                h_super(-lam.part(i) + mu.part(j) + i - j, refined_alphabet(t, j), bx.alphabet(i))
-                for j in range(1, S + 1)
-            ]
-            for i in range(1, S + 1)
-        ]
-        c = det_over_ring(rows)
-        if c:
-            out[mu] = c
-    return out
+    entry = lambda k, i, j: h_super(-k, refined_alphabet(t, j), bx.alphabet(i))
+    return {mu: c for mu in superpartitions(lam, D) if (c := _jt(lam, mu, max(R, len(mu)), entry))}
 
 
 def stable_grothendieck_schur(lam: Sequence[int], t: Sequence, D: int) -> SymFunc:
@@ -277,20 +229,9 @@ def stable_grothendieck_schur(lam: Sequence[int], t: Sequence, D: int) -> SymFun
     lam = Partition(lam)
     if D < lam.weight:
         raise ValueError(f"degree bound {D} is below |lam| = {lam.weight}")
-    coeffs: dict[Partition, Scalar] = {}
-    for mu in superpartitions(lam, D):
-        r = max(len(mu), len(lam))
-        rows = [
-            [
-                e_elem(-lam.part(i) + mu.part(j) + i - j, negate_alphabet(refined_alphabet(t, i)))
-                for j in range(1, r + 1)
-            ]
-            for i in range(1, r + 1)
-        ]
-        c = det_over_ring(rows)
-        if c:
-            coeffs[mu] = c
-    return SymFunc(coeffs, truncation=D)
+    entry = lambda k, i, j: e_elem(-k, negate_alphabet(refined_alphabet(t, i)))
+    shapes = superpartitions(lam, D)
+    return SymFunc({mu: c for mu in shapes if (c := _jt(lam, mu, max(len(mu), len(lam)), entry))}, D)
 
 
 def skew_multi_schur(
@@ -300,11 +241,8 @@ def skew_multi_schur(
     vanishes unless mu fits inside lam."""
     lam, mu = Partition(lam), Partition(mu)
     r = max(len(lam), len(mu))
-    rows = []
-    for i in range(1, r + 1):
-        x, y = bx.alphabet(i), by.alphabet(i)
-        rows.append([h_super(lam.part(i) - mu.part(j) - i + j, x, y) for j in range(1, r + 1)])
-    return det_over_ring(rows)
+    rows = [(bx.alphabet(i), by.alphabet(i)) for i in range(1, r + 1)]
+    return _jt(lam, mu, r, lambda k, i, j: h_super(k, *rows[i - 1]))
 
 
 # -- h-generator polynomials (internal to skew_function) --------------
@@ -376,19 +314,14 @@ def skew_function(
     if bp.stable_tail() is None:
         raise StabilityError("bp does not grow one letter per row from any point on")
     r = max(len(lam), len(mu))
-    rows = []
-    for i in range(1, r + 1):
-        x, y = bx.alphabet(i), by.alphabet(i)
-        row = []
-        for j in range(1, r + 1):
-            k = lam.part(i) - mu.part(j) - i + j
-            yp = y + bp.alphabet(j)
-            entry = _HPoly(
-                {(n,) if n else (): h_super(k - n, x, yp) for n in range(0, max(k, 0) + 1)}
-            )
-            row.append(entry)
-        rows.append(row)
-    det = det_over_ring(rows, zero=_HPoly.zero(), one=_HPoly.one())
+    rows = [(bx.alphabet(i), by.alphabet(i)) for i in range(1, r + 1)]
+
+    def entry(k: int, i: int, j: int) -> _HPoly:
+        x, y = rows[i - 1]
+        yp = y + bp.alphabet(j)
+        return _HPoly({(n,) if n else (): h_super(k - n, x, yp) for n in range(0, max(k, 0) + 1)})
+
+    det = _jt(lam, mu, r, entry, zero=_HPoly.zero(), one=_HPoly.one())
     out = sym_zero()
     for word, c in det.terms.items():
         out = out + _h_word_schur(word).scale(c)
@@ -435,12 +368,7 @@ def hall_inner(f: SymFunc, g: SymFunc) -> Scalar:
 
 @lru_cache(maxsize=None)
 def _jacobi_trudi(mu: Partition, vals: Alphabet) -> Scalar:
-    n = len(mu)
-    rows = [
-        [h_complete(mu[i - 1] - i + j, vals) for j in range(1, n + 1)]
-        for i in range(1, n + 1)
-    ]
-    return det_over_ring(rows)
+    return _jt(mu, Partition(), len(mu), lambda k, i, j: h_complete(k, vals))
 
 
 def eval_symfunc(f: SymFunc, vals: Sequence) -> Scalar:
@@ -515,83 +443,6 @@ def flagged_tableau_oracle(lam: Sequence[int], flag: Sequence[int], vals: Sequen
         raise TractabilityError(f"oracle bounds are 6 variables, weight 8: got {len(xs)}, {lam.weight}")
     caps = [min(flag[i], len(xs)) for i in range(len(lam))]
     return _ssyt_monomials(lam, xs, caps)
-
-
-# -- theorem verifiers ------------------------------------------------
-
-
-def _fresh_vars(stem: str, count: int) -> Alphabet:
-    return tuple(Scalar.variable(f"{stem}{i}") for i in range(1, count + 1))
-
-
-def verify_branching(
-    lam: Sequence[int],
-    t: Sequence,
-    n: int,
-    m: int,
-    bx: AlphabetSequence | None = None,
-    by: AlphabetSequence | None = None,
-) -> bool:
-    """Split the variable set: the expansion in n + m variables must equal
-    the sum over inner shapes of (skew part in the first n) times (refined
-    dual part in the last m)."""
-    lam = Partition(lam)
-    if n > 4 or m > 4:
-        raise TractabilityError(f"variable counts are capped at 4: got {n}, {m}")
-    if lam.weight > 6:
-        raise TractabilityError(f"weight is capped at 6: got {lam.weight}")
-    if bx is None:
-        bx = refined_sequence(t)
-    if by is None:
-        by = empty_sequence()
-    xs = _fresh_vars("X", n)
-    ys = _fresh_vars("Y", m)
-    lhs = eval_symfunc(schur_expand_multischur(lam, bx, by), xs + ys)
-    bp = refined_sequence(t)
-    rhs = _ZERO
-    for mu in subpartitions(lam):
-        left = eval_symfunc(skew_function(lam, mu, bx, by, bp), xs)
-        if not left:
-            continue
-        rhs = rhs + left * eval_symfunc(refined_dual_grothendieck(mu, t), ys)
-    return lhs == rhs
-
-
-def _degree_in(mono, names: frozenset[str]) -> int:
-    return sum(e for name, e in mono if name in names)
-
-
-def _truncate_in(p: Scalar, names: frozenset[str], D: int) -> Scalar:
-    kept = {mono: c for mono, c in p.terms() if _degree_in(mono, names) <= D}
-    return Scalar(kept)
-
-
-def verify_cauchy(t: Sequence, D: int, n: int, m: int) -> bool:
-    """Sum over |lam| <= D of (dual element in X) times (stable element
-    in Y) against the product of geometric series, compared in all
-    monomials of Y-degree <= D."""
-    if D > 6:
-        raise TractabilityError(f"degree bound is capped at 6: got {D}")
-    if n > 3 or m > 3:
-        raise TractabilityError(f"variable counts are capped at 3: got {n}, {m}")
-    xs = _fresh_vars("X", n)
-    ys = _fresh_vars("Y", m)
-    ynames = frozenset(f"Y{j}" for j in range(1, m + 1))
-    lhs = _ZERO
-    for lam in partitions_up_to_weight(D):
-        a = eval_symfunc(refined_dual_grothendieck(lam, t), xs)
-        if not a:
-            continue
-        b = eval_symfunc(stable_grothendieck_schur(lam, t, D), ys)
-        lhs = lhs + a * b
-    rhs = _ONE
-    for x in xs:
-        for y in ys:
-            geom = _ZERO
-            for k in range(D + 1):
-                geom = geom + (x * y) ** k
-            rhs = _truncate_in(rhs * geom, ynames, D)
-    return _truncate_in(lhs, ynames, D) == rhs
 
 
 # -- serialization ----------------------------------------------------

@@ -297,10 +297,6 @@ def _alphabet_difference(big: Alphabet, small: Alphabet) -> Alphabet | None:
     return tuple(pool)
 
 
-def stable_tail(bx: AlphabetSequence) -> tuple[int, tuple[Scalar, ...]] | None:
-    return bx.stable_tail()
-
-
 # -- constructors -----------------------------------------------------
 
 

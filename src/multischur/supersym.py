@@ -9,7 +9,8 @@ Setting y = () recovers h_n(x); setting x = () gives
 (-1)^n e_n(y) = e_n(-y).  p_n(x/y) = p_n(x) - p_n(y) follows the same
 sign convention.  The
 determinant of h_{lam_i - i + j}(x/y) is the supersymmetric Schur
-function.
+function; `_jt` builds that determinant, and every Jacobi-Trudi
+determinant of `expansions`, from an entry function.
 
 All values are computed by one-letter-at-a-time recurrences and cached
 on the sorted alphabet, so repeated determinant entries are cheap.
@@ -89,11 +90,20 @@ def p_power(n: int, x: Iterable, y: Iterable) -> Scalar:
     return total
 
 
+def _jt(lam: Partition, mu: Partition, n: int, entry, **ring):
+    """det( entry(lam_i - mu_j - i + j, i, j) ) over i, j = 1..n; `ring`
+    passes `zero`/`one` on for entries that are not Scalars."""
+    cols = [mu.part(j) - j for j in range(1, n + 1)]
+    rows = []
+    for i in range(1, n + 1):
+        a = lam.part(i) - i
+        rows.append([entry(a - c, i, j) for j, c in enumerate(cols, 1)])
+    return det_over_ring(rows, **ring)
+
+
 def supersym_schur(lam: Sequence[int], x: Iterable, y: Iterable) -> Scalar:
     """det( h_{lam_i - i + j}(x/y) ) over i, j = 1..len(lam)."""
     lam = Partition(lam)
     xs = as_alphabet(x)
     ys = as_alphabet(y)
-    n = len(lam)
-    rows = [[h_super(lam[i] - (i + 1) + (j + 1), xs, ys) for j in range(n)] for i in range(n)]
-    return det_over_ring(rows)
+    return _jt(lam, Partition(), len(lam), lambda k, i, j: h_super(k, xs, ys))

@@ -7,7 +7,9 @@ scale and returns a summary dict:
      "cases": int, "failures": [str, ...]}
 
 A suite whose parameters leave it no case to check raises ValueError
-rather than passing vacuously.
+rather than passing vacuously.  `verify_branching` and `verify_cauchy`
+check one instance of the branching and Cauchy identities; the
+`branching` and `cauchy` suites run them over their cases.
 
 The two computation routes (closed-form determinants and the fermion
 engine) are kept independent so a suite that compares them is a real
@@ -18,6 +20,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import comb
+from typing import Sequence
 
 from .exactalg import Scalar, det_over_ring
 from .fock import (
@@ -34,20 +37,29 @@ from .fock import (
     ket_refined,
     vacuum_ket,
 )
-from .shapes import Partition, partitions_up_to_weight, prefix_sequence, refined_sequence, subpartitions, superpartitions
+from .shapes import (
+    AlphabetSequence,
+    Partition,
+    empty_sequence,
+    partitions_up_to_weight,
+    prefix_sequence,
+    refined_sequence,
+    subpartitions,
+    superpartitions,
+)
 from .supersym import supersym_schur
 from .expansions import (
-    SymFunc,
+    TractabilityError,
     eval_symfunc,
     expand_in_refined_basis,
     hall_inner,
     refined_dual_grothendieck,
+    schur_expand_multischur,
     schur_tableau_oracle,
+    skew_function,
     stable_grothendieck_schur,
     sym_schur,
     truncated_dual_expansion,
-    verify_branching,
-    verify_cauchy,
 )
 
 _ZERO = Scalar.zero()
@@ -68,6 +80,76 @@ def _suite(theorem: str, parameters: dict, cases: int, failures: list[str]) -> d
         "cases": cases,
         "failures": failures,
     }
+
+
+def verify_branching(
+    lam: Sequence[int],
+    t: Sequence,
+    n: int,
+    m: int,
+    bx: AlphabetSequence | None = None,
+    by: AlphabetSequence | None = None,
+) -> bool:
+    """Split the variable set: the expansion in n + m variables must equal
+    the sum over inner shapes of (skew part in the first n) times (refined
+    dual part in the last m)."""
+    lam = Partition(lam)
+    if n > 4 or m > 4:
+        raise TractabilityError(f"variable counts are capped at 4: got {n}, {m}")
+    if lam.weight > 6:
+        raise TractabilityError(f"weight is capped at 6: got {lam.weight}")
+    if bx is None:
+        bx = refined_sequence(t)
+    if by is None:
+        by = empty_sequence()
+    xs = _vars("X", n)
+    ys = _vars("Y", m)
+    lhs = eval_symfunc(schur_expand_multischur(lam, bx, by), xs + ys)
+    bp = refined_sequence(t)
+    rhs = _ZERO
+    for mu in subpartitions(lam):
+        left = eval_symfunc(skew_function(lam, mu, bx, by, bp), xs)
+        if not left:
+            continue
+        rhs = rhs + left * eval_symfunc(refined_dual_grothendieck(mu, t), ys)
+    return lhs == rhs
+
+
+def _degree_in(mono, names: frozenset[str]) -> int:
+    return sum(e for name, e in mono if name in names)
+
+
+def _truncate_in(p: Scalar, names: frozenset[str], D: int) -> Scalar:
+    kept = {mono: c for mono, c in p.terms() if _degree_in(mono, names) <= D}
+    return Scalar(kept)
+
+
+def verify_cauchy(t: Sequence, D: int, n: int, m: int) -> bool:
+    """Sum over |lam| <= D of (dual element in X) times (stable element
+    in Y) against the product of geometric series, compared in all
+    monomials of Y-degree <= D."""
+    if D > 6:
+        raise TractabilityError(f"degree bound is capped at 6: got {D}")
+    if n > 3 or m > 3:
+        raise TractabilityError(f"variable counts are capped at 3: got {n}, {m}")
+    xs = _vars("X", n)
+    ys = _vars("Y", m)
+    ynames = frozenset(f"Y{j}" for j in range(1, m + 1))
+    lhs = _ZERO
+    for lam in partitions_up_to_weight(D):
+        a = eval_symfunc(refined_dual_grothendieck(lam, t), xs)
+        if not a:
+            continue
+        b = eval_symfunc(stable_grothendieck_schur(lam, t, D), ys)
+        lhs = lhs + a * b
+    rhs = _ONE
+    for x in xs:
+        for y in ys:
+            geom = _ZERO
+            for k in range(D + 1):
+                geom = geom + (x * y) ** k
+            rhs = _truncate_in(rhs * geom, ynames, D)
+    return _truncate_in(lhs, ynames, D) == rhs
 
 
 def orthonormality(max_weight: int = 5) -> dict:

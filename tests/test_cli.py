@@ -5,6 +5,7 @@ JSON on stdout, machine-readable errors with exit status 2 (usage) or
 import io
 import json
 import sys
+from pathlib import Path
 
 from multischur.cli import main
 from multischur.exactalg import Scalar, scalar_from_json
@@ -258,6 +259,25 @@ def test_verify_parameters_below_one_rejected(monkeypatch, capsys):
     assert code == 2
 
 
+def test_non_list_sequence_rows_rejected(monkeypatch, capsys):
+    for bx in ({"prefix": 5}, {"tail": {"kind": "refined", "increments": 5}}):
+        _assert_usage_error(monkeypatch, capsys, {"command": "multischur", "lambda": [1], "bx": bx})
+
+
+def test_degree_and_row_bounds_rejected(monkeypatch, capsys):
+    refined = {"refined": ["t1", "t2", "t3"]}
+    for req in [
+        {"command": "expand", "basis": "stable", "lambda": [1], "t": ["t1"], "D": -3},
+        {"command": "expand", "basis": "stable", "lambda": [2, 1], "t": ["t1", "t2"], "D": 2},
+        {"command": "expand", "basis": "truncated", "lambda": [2], "bx": refined, "r": 1, "D": 1},
+        {"command": "expand", "basis": "truncated", "lambda": [1, 1], "bx": refined, "r": 1, "D": 3},
+        {"command": "expand", "basis": "stable-dual", "lambda": [2], "bx": refined, "t": ["t1"], "D": 1},
+        {"command": "inner", "f": {"stable": {"lambda": [2], "t": ["t1"], "D": 1}}, "g": {"schur": [1]}},
+        {"command": "eval", "f": {"stable": {"lambda": [1], "t": ["t1"], "D": 0}}, "vars": ["x1"]},
+    ]:
+        _assert_usage_error(monkeypatch, capsys, req)
+
+
 def test_thread_env_validated(monkeypatch, capsys):
     monkeypatch.setenv("MULTISCHUR_THREADS", "2")
     code, _ = _invoke(monkeypatch, capsys, MULTISCHUR_REQ)
@@ -267,3 +287,15 @@ def test_thread_env_validated(monkeypatch, capsys):
         code, out = _invoke(monkeypatch, capsys, MULTISCHUR_REQ)
         assert code == 2
         assert json.loads(out)["error"]["type"] == "usage"
+
+
+GOLDEN = Path(__file__).parent / "data" / "cli_golden.jsonl"
+
+
+def test_golden_responses(monkeypatch, capsys):
+    """Every request of the golden file gives the recorded stdout and exit
+    code byte for byte."""
+    for line in GOLDEN.read_text(encoding="utf-8").splitlines():
+        case = json.loads(line)
+        code, out = _invoke(monkeypatch, capsys, case["request"])
+        assert (code, out) == (case["exit"], case["stdout"]), case["request"]

@@ -27,8 +27,6 @@ from multischur.expansions import (
     symfunc_from_json,
     symfunc_to_json,
     truncated_dual_expansion,
-    verify_branching,
-    verify_cauchy,
 )
 from multischur.fock import bra_refined_pair, ket_general
 from multischur.shapes import (
@@ -40,6 +38,7 @@ from multischur.shapes import (
     subpartitions,
 )
 from multischur.supersym import e_elem, h_complete, supersym_schur
+from multischur.verifications import verify_branching, verify_cauchy
 
 t = variables("t1 t2 t3 t4 t5")
 t1, t2 = t[0], t[1]

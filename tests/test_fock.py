@@ -1,9 +1,10 @@
+import sys
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from multischur import fock
+from multischur import fock, verifications
 from multischur.exactalg import Scalar, variables
 from multischur.fock import (
     PSI,
@@ -399,3 +400,24 @@ def test_fock_vector_scale_and_sub():
     assert v - v == ZERO_VECTOR
     assert (v + v) == v.scale(Scalar.from_rational(2))
     assert v.coefficient(MayaState(0, Partition((1,)))) == Scalar.zero()
+
+
+def test_fermion_route_calls_no_determinant(monkeypatch):
+    """The fermion route must stay independent of the determinant route,
+    so the cross-check suites compare two computations, not one."""
+
+    def no_det(*args, **kwargs):
+        raise AssertionError("the fermion route called a determinant")
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "multischur" and hasattr(module, "det_over_ring"):
+            monkeypatch.setattr(module, "det_over_ring", no_det)
+    with pytest.raises(AssertionError):
+        supersym_schur((1,), (x1,), ())
+    lam, t = Partition((2, 1)), (t1, t2, t3)
+    ket = ket_refined(lam, t, 2)
+    assert bra_refined_pair(lam, t, ket) == Scalar.one()
+    general = ket_general(lam, prefix_sequence((x1,), (x2,)), prefix_sequence((y1,)), 2)
+    assert apply_exp_H((x1, x2), (y1,), +1, general)
+    assert apply_dressed_fermion(PSI, 1, (x1,), (y1,), ket)
+    assert verifications.orthonormality(3)["passed"]
