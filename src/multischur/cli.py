@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import re
 import sys
 from fractions import Fraction
@@ -233,7 +232,11 @@ def _cmd_multischur(req: Mapping) -> object:
         ):
             raise UsageError(f"flag must be a list of integers: {flag!r}")
         vars_ = parse_alphabet(_field(req, "vars"))
-        return scalar_to_json(flagged_schur(lam, flag, vars_))
+        try:
+            value = flagged_schur(lam, flag, vars_)
+        except ValueError as e:  # every ValueError of flagged_schur is a malformed flag
+            raise UsageError(f"bad flag: {e}") from e
+        return scalar_to_json(value)
     bx = parse_sequence(_field(req, "bx"))
     by = parse_sequence(_field(req, "by", default=None) or [])
     return scalar_to_json(multi_schur(lam, bx, by))
@@ -381,10 +384,6 @@ def main(argv: Sequence[str] | None = None) -> int:
 
     operation = "parse"
     try:
-        threads = os.environ.get("MULTISCHUR_THREADS")
-        if threads is not None:
-            if not threads.isdigit() or int(threads) < 1:
-                raise UsageError(f"MULTISCHUR_THREADS must be a positive integer: {threads!r}")
         if args.input is not None:
             with open(args.input, "r", encoding="utf-8") as fh:
                 text = fh.read()
@@ -421,7 +420,10 @@ def main(argv: Sequence[str] | None = None) -> int:
     except OSError as e:
         _emit({"error": {"type": "io", "operation": operation, "message": str(e)}})
         return 1
-    return 1
+    except Exception as e:  # every request gets one JSON outcome, never a traceback
+        message = f"{type(e).__name__}: {e}"
+        _emit({"error": {"type": "internal", "operation": operation, "message": message}})
+        return 1
 
 
 if __name__ == "__main__":

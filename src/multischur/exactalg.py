@@ -208,6 +208,24 @@ def coerce_scalar(value: ScalarLike) -> Scalar:
     raise TypeError(f"cannot interpret {value!r} as a Scalar")
 
 
+def collect(pairs: Iterable[tuple]) -> dict:
+    """Sum the coefficients of equal keys as Scalars, keeping keys in
+    order of first appearance and dropping every key whose sum is zero.
+    The one summation rule of every sparse combination: SymFunc,
+    FockVector and the h-polynomials of the skew expansion."""
+    out: dict = {}
+    for key, coeff in pairs:
+        coeff = coerce_scalar(coeff)
+        acc = out.get(key)
+        if acc is not None:
+            coeff = acc + coeff
+        if coeff:
+            out[key] = coeff
+        elif acc is not None:
+            del out[key]
+    return out
+
+
 def variables(names: Union[str, Iterable[str]]) -> tuple[Scalar, ...]:
     """Scalar indeterminates from a space separated string or an iterable."""
     if isinstance(names, str):
@@ -294,7 +312,10 @@ def scalar_to_json(p: Scalar) -> list[dict]:
 def scalar_from_json(data: Iterable[Mapping]) -> Scalar:
     terms: dict[Monomial, Fraction] = {}
     for item in data:
-        coeff = Fraction(str(item["coefficient"]))
+        try:
+            coeff = Fraction(str(item["coefficient"]))
+        except ZeroDivisionError as e:
+            raise ValueError(f"zero denominator in coefficient {item['coefficient']!r}") from e
         mono_map = item.get("monomial", {})
         if not isinstance(mono_map, Mapping):
             raise TypeError(f"a monomial must map names to exponents: {mono_map!r}")

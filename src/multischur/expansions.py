@@ -17,9 +17,10 @@ by Pieri multiplication.
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Iterator, Mapping, Sequence
+from itertools import chain
+from typing import Iterable, Iterator, Mapping, Sequence
 
-from .exactalg import Scalar, ScalarLike, coerce_scalar
+from .exactalg import Scalar, ScalarLike, coerce_scalar, collect
 from .shapes import (
     Alphabet,
     AlphabetSequence,
@@ -61,21 +62,22 @@ def _min_trunc(a: int | None, b: int | None) -> int | None:
 
 
 class SymFunc:
-    """Schur-basis element; optionally truncated above degree `truncation`."""
+    """Schur-basis element; optionally truncated above degree `truncation`.
+
+    Built from a mapping or an iterable of (partition, coefficient) pairs:
+    coefficients of equal partitions are summed (`exactalg.collect`), so a
+    mapping with keys (1,) and (1, 0) holds their sum, and partitions
+    whose sum is zero or whose weight exceeds `truncation` are dropped.
+    """
 
     __slots__ = ("_coeffs", "truncation")
 
-    def __init__(self, coeffs: Mapping = (), truncation: int | None = None):
-        clean: dict[Partition, Scalar] = {}
-        for mu, c in dict(coeffs).items():
-            mu = Partition(mu)
-            c = coerce_scalar(c)
-            if not c:
-                continue
-            if truncation is not None and mu.weight > truncation:
-                continue
-            clean[mu] = c
-        self._coeffs = clean
+    def __init__(self, coeffs: Mapping | Iterable[tuple] = (), truncation: int | None = None):
+        pairs = coeffs.items() if hasattr(coeffs, "items") else coeffs
+        pairs = ((mu if isinstance(mu, Partition) else Partition(mu), c) for mu, c in pairs)
+        if truncation is not None:
+            pairs = ((mu, c) for mu, c in pairs if mu.weight <= truncation)
+        self._coeffs = collect(pairs)
         self.truncation = truncation
 
     def coefficient(self, mu: Sequence[int]) -> Scalar:
@@ -96,11 +98,8 @@ class SymFunc:
     def __add__(self, other: "SymFunc") -> "SymFunc":
         if not isinstance(other, SymFunc):
             return NotImplemented
-        coeffs = dict(self._coeffs)
-        for mu, c in other._coeffs.items():
-            acc = coeffs.get(mu)
-            coeffs[mu] = c if acc is None else acc + c
-        return SymFunc(coeffs, _min_trunc(self.truncation, other.truncation))
+        pairs = chain(self._coeffs.items(), other._coeffs.items())
+        return SymFunc(pairs, _min_trunc(self.truncation, other.truncation))
 
     def __sub__(self, other: "SymFunc") -> "SymFunc":
         return self + other.scale(-1)
@@ -108,9 +107,6 @@ class SymFunc:
     def scale(self, factor: ScalarLike) -> "SymFunc":
         factor = coerce_scalar(factor)
         return SymFunc({mu: c * factor for mu, c in self._coeffs.items()}, self.truncation)
-
-    def truncate(self, D: int) -> "SymFunc":
-        return SymFunc(self._coeffs, _min_trunc(self.truncation, D))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, SymFunc):
@@ -218,8 +214,12 @@ def stable_dual_in_G(
     R, _ = st
     if D < lam.weight:
         raise ValueError(f"degree bound {D} is below |lam| = {lam.weight}")
-    entry = lambda k, i, j: h_super(-k, refined_alphabet(t, j), bx.alphabet(i))
-    return {mu: c for mu in superpartitions(lam, D) if (c := _jt(lam, mu, max(R, len(mu)), entry))}
+    shapes = superpartitions(lam, D)
+    n = max(R, max(map(len, shapes)))
+    ts = [refined_alphabet(t, j) for j in range(1, n + 1)]
+    xs = [bx.alphabet(i) for i in range(1, n + 1)]
+    entry = lambda k, i, j: h_super(-k, ts[j - 1], xs[i - 1])
+    return {mu: c for mu in shapes if (c := _jt(lam, mu, max(R, len(mu)), entry))}
 
 
 def stable_grothendieck_schur(lam: Sequence[int], t: Sequence, D: int) -> SymFunc:
@@ -229,8 +229,9 @@ def stable_grothendieck_schur(lam: Sequence[int], t: Sequence, D: int) -> SymFun
     lam = Partition(lam)
     if D < lam.weight:
         raise ValueError(f"degree bound {D} is below |lam| = {lam.weight}")
-    entry = lambda k, i, j: e_elem(-k, negate_alphabet(refined_alphabet(t, i)))
     shapes = superpartitions(lam, D)
+    neg = [negate_alphabet(refined_alphabet(t, i)) for i in range(1, max(map(len, shapes)) + 1)]
+    entry = lambda k, i, j: e_elem(-k, neg[i - 1])
     return SymFunc({mu: c for mu in shapes if (c := _jt(lam, mu, max(len(mu), len(lam)), entry))}, D)
 
 
@@ -254,8 +255,8 @@ class _HPoly:
 
     __slots__ = ("terms",)
 
-    def __init__(self, terms: Mapping[tuple[int, ...], Scalar] = ()):
-        self.terms = {k: v for k, v in dict(terms).items() if v}
+    def __init__(self, terms: Mapping | Iterable[tuple] = ()):
+        self.terms = collect(terms.items() if hasattr(terms, "items") else terms)
 
     @classmethod
     def zero(cls) -> "_HPoly":
@@ -269,27 +270,20 @@ class _HPoly:
         return bool(self.terms)
 
     def __add__(self, other: "_HPoly") -> "_HPoly":
-        terms = dict(self.terms)
-        for k, v in other.terms.items():
-            acc = terms.get(k)
-            terms[k] = v if acc is None else acc + v
-        return _HPoly(terms)
+        return _HPoly(chain(self.terms.items(), other.terms.items()))
 
     def __neg__(self) -> "_HPoly":
-        return _HPoly({k: -v for k, v in self.terms.items()})
+        return _HPoly((k, -v) for k, v in self.terms.items())
 
     def __sub__(self, other: "_HPoly") -> "_HPoly":
         return self + (-other)
 
     def __mul__(self, other: "_HPoly") -> "_HPoly":
-        terms: dict[tuple[int, ...], Scalar] = {}
-        for k1, v1 in self.terms.items():
-            for k2, v2 in other.terms.items():
-                k = tuple(sorted(k1 + k2))
-                v = v1 * v2
-                acc = terms.get(k)
-                terms[k] = v if acc is None else acc + v
-        return _HPoly(terms)
+        return _HPoly(
+            (tuple(sorted(k1 + k2)), v1 * v2)
+            for k1, v1 in self.terms.items()
+            for k2, v2 in other.terms.items()
+        )
 
 
 @lru_cache(maxsize=None)
@@ -322,10 +316,9 @@ def skew_function(
         return _HPoly({(n,) if n else (): h_super(k - n, x, yp) for n in range(0, max(k, 0) + 1)})
 
     det = _jt(lam, mu, r, entry, zero=_HPoly.zero(), one=_HPoly.one())
-    out = sym_zero()
-    for word, c in det.terms.items():
-        out = out + _h_word_schur(word).scale(c)
-    return out
+    return SymFunc(
+        (nu, a * c) for word, c in det.terms.items() for nu, a in _h_word_schur(word)._coeffs.items()
+    )
 
 
 # -- Schur-basis arithmetic -------------------------------------------
@@ -337,12 +330,7 @@ def pieri_mult_h(f: SymFunc, n: int) -> SymFunc:
         raise ValueError(f"h index must be >= 0: {n}")
     if n == 0:
         return f
-    coeffs: dict[Partition, Scalar] = {}
-    for mu, c in f.terms():
-        for nu in horizontal_strips(mu, n):
-            acc = coeffs.get(nu)
-            coeffs[nu] = c if acc is None else acc + c
-    return SymFunc(coeffs, f.truncation)
+    return SymFunc(((nu, c) for mu, c in f.terms() for nu in horizontal_strips(mu, n)), f.truncation)
 
 
 def hall_inner(f: SymFunc, g: SymFunc) -> Scalar:
@@ -465,8 +453,8 @@ def symfunc_from_json(data: Mapping) -> SymFunc:
 
     if data.get("basis", "schur") != "schur":
         raise ValueError(f"unsupported basis: {data.get('basis')!r}")
-    coeffs: dict[Partition, Scalar] = {}
-    for item in data.get("terms", ()):
-        mu = Partition(item["partition"])
-        coeffs[mu] = coeffs.get(mu, _ZERO) + scalar_from_json(item["coeff"])
-    return SymFunc(coeffs, data.get("truncation"))
+    D = data.get("truncation")
+    if D is not None and (isinstance(D, bool) or not isinstance(D, int) or D < 0):
+        raise ValueError(f"truncation must be null or an integer >= 0: {D!r}")
+    terms = data.get("terms", ())
+    return SymFunc(((item["partition"], scalar_from_json(item["coeff"])) for item in terms), D)

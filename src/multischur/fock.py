@@ -33,9 +33,10 @@ operator here evaluates one.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from typing import Iterable, Mapping, Sequence
 
-from .exactalg import DimensionError, Scalar, ScalarLike, coerce_scalar, det_over_ring
+from .exactalg import DimensionError, Scalar, ScalarLike, coerce_scalar, collect, det_over_ring
 from .shapes import Alphabet, Partition, StabilityError, as_alphabet, horizontal_strips
 from .supersym import h_super
 
@@ -99,12 +100,6 @@ class MayaState:
         return f"{word} {ket}" if word else ket
 
 
-def _strip_zeros(parts: list[int]) -> Partition:
-    while parts and parts[-1] == 0:
-        parts.pop()
-    return Partition(parts)
-
-
 def _create(state: MayaState, m: int) -> tuple[int, MayaState] | None:
     """psi_m on a basis state: None when level m is already occupied."""
     c, lam = state.charge, state.parts
@@ -115,7 +110,7 @@ def _create(state: MayaState, m: int) -> tuple[int, MayaState] | None:
     if j < len(levels) and levels[j] == m:
         return None
     parts = [lam[i] - 1 for i in range(j)] + [m - c + j] + list(lam[j:])
-    return ((-1) ** j, MayaState(c + 1, _strip_zeros(parts)))
+    return ((-1) ** j, MayaState(c + 1, Partition(parts)))
 
 
 def _annihilate(state: MayaState, m: int) -> tuple[int, MayaState] | None:
@@ -135,23 +130,24 @@ def _annihilate(state: MayaState, m: int) -> tuple[int, MayaState] | None:
 
 
 class FockVector:
-    """Finite Scalar combination of MayaStates of one common charge."""
+    """Finite Scalar combination of MayaStates of one common charge.
+
+    Built from a mapping or an iterable of (state, coefficient) pairs:
+    coefficients of equal states are summed (`exactalg.collect`) and
+    states whose sum is zero are dropped.  Surviving states of different
+    charges raise ChargeError.
+    """
 
     __slots__ = ("_terms",)
 
-    def __init__(self, terms: Mapping[MayaState, ScalarLike] = ()):
-        clean: dict[MayaState, Scalar] = {}
-        charge: int | None = None
-        for state, coeff in dict(terms).items():
-            coeff = coerce_scalar(coeff)
-            if not coeff:
-                continue
-            if charge is None:
-                charge = state.charge
-            elif state.charge != charge:
-                raise ChargeError(f"mixed charges {charge} and {state.charge} in one vector")
-            clean[state] = coeff
-        self._terms = clean
+    def __init__(self, terms: Mapping[MayaState, ScalarLike] | Iterable[tuple] = ()):
+        pairs = terms.items() if hasattr(terms, "items") else terms
+        self._terms = collect(pairs)
+        states = iter(self._terms)
+        first = next(states, None)
+        for state in states:
+            if state.charge != first.charge:
+                raise ChargeError(f"mixed charges {first.charge} and {state.charge} in one vector")
 
     @property
     def charge(self) -> int | None:
@@ -169,23 +165,13 @@ class FockVector:
     def coefficient(self, state: MayaState) -> Scalar:
         return self._terms.get(state, Scalar.zero())
 
-    def max_energy(self) -> int:
-        return max((s.energy for s in self._terms), default=0)
-
     def __bool__(self) -> bool:
         return bool(self._terms)
 
     def __add__(self, other: "FockVector") -> "FockVector":
         if not isinstance(other, FockVector):
             return NotImplemented
-        a, b = self.charge, other.charge
-        if a is not None and b is not None and a != b:
-            raise ChargeError(f"cannot add vectors of charges {a} and {b}")
-        terms = dict(self._terms)
-        for state, coeff in other._terms.items():
-            acc = terms.get(state)
-            terms[state] = coeff if acc is None else acc + coeff
-        return FockVector(terms)
+        return FockVector(chain(self._terms.items(), other._terms.items()))
 
     def __sub__(self, other: "FockVector") -> "FockVector":
         return self + other.scale(-1)
@@ -216,34 +202,33 @@ def vacuum_ket(charge: int = 0) -> FockVector:
 def apply_fermion(mode: str, m: int, v: FockVector) -> FockVector:
     mode = _normalize_mode(mode)
     act = _create if mode == PSI else _annihilate
-    out: dict[MayaState, Scalar] = {}
-    for state, coeff in v.items():
-        hit = act(state, m)
-        if hit is None:
-            continue
-        sign, new = hit
-        add = coeff if sign > 0 else -coeff
-        acc = out.get(new)
-        out[new] = add if acc is None else acc + add
-    return FockVector(out)
+
+    def pairs():
+        for state, coeff in v.items():
+            hit = act(state, m)
+            if hit is not None:
+                sign, new = hit
+                yield new, coeff if sign > 0 else -coeff
+
+    return FockVector(pairs())
 
 
 def apply_heisenberg(m: int, v: FockVector) -> FockVector:
     """a_m: all single-particle moves u -> u - m; energy changes by -m."""
     if m == 0:
         raise ValueError("a_0 is excluded; only nonzero modes act")
-    out: dict[MayaState, Scalar] = {}
-    for state, coeff in v.items():
-        lo = state.sea_top - abs(m)
-        for u in range(lo, state.top_level + 1):
-            if not state.occupied(u) or state.occupied(u - m):
-                continue
-            s1, mid = _annihilate(state, u)
-            s2, new = _create(mid, u - m)
-            add = coeff if s1 * s2 > 0 else -coeff
-            acc = out.get(new)
-            out[new] = add if acc is None else acc + add
-    return FockVector(out)
+
+    def pairs():
+        for state, coeff in v.items():
+            lo = state.sea_top - abs(m)
+            for u in range(lo, state.top_level + 1):
+                if not state.occupied(u) or state.occupied(u - m):
+                    continue
+                s1, mid = _annihilate(state, u)
+                s2, new = _create(mid, u - m)
+                yield new, coeff if s1 * s2 > 0 else -coeff
+
+    return FockVector(pairs())
 
 
 def _exp_letter(t: Scalar, vertical: bool, v: FockVector) -> FockVector:
@@ -253,21 +238,20 @@ def _exp_letter(t: Scalar, vertical: bool, v: FockVector) -> FockVector:
     if not t:
         return v
     powers = [_ONE, -t if vertical else t]
-    out: dict[MayaState, Scalar] = {}
-    for state, coeff in v.items():
-        lam = state.parts
-        n = lam.weight
-        for mu in horizontal_strips(lam.transpose() if vertical else lam):
-            if vertical:
-                mu = mu.transpose()
-            k = n - mu.weight
-            while len(powers) <= k:
-                powers.append(powers[-1] * powers[1])
-            add = coeff * powers[k] if k else coeff
-            new = MayaState(state.charge, mu)
-            acc = out.get(new)
-            out[new] = add if acc is None else acc + add
-    return FockVector(out)
+
+    def pairs():
+        for state, coeff in v.items():
+            lam = state.parts
+            n = lam.weight
+            for mu in horizontal_strips(lam.transpose() if vertical else lam):
+                if vertical:
+                    mu = mu.transpose()
+                k = n - mu.weight
+                while len(powers) <= k:
+                    powers.append(powers[-1] * powers[1])
+                yield MayaState(state.charge, mu), coeff * powers[k] if k else coeff
+
+    return FockVector(pairs())
 
 
 def apply_exp_H(x: Iterable, y: Iterable, sign: int, v: FockVector) -> FockVector:
@@ -305,13 +289,12 @@ def apply_dressed_fermion(mode: str, m: int, x: Iterable, y: Iterable, v: FockVe
             cap = min(cap, len(xs))
         coeff_alphabets = (ys, xs)
         step = +1
-    out = FockVector()
-    for i in range(max(cap, -1) + 1):
-        h = h_super(i, *coeff_alphabets)
-        if not h:
-            continue
-        out = out + apply_fermion(mode, m + step * i, v).scale(h)
-    return out
+    return FockVector(
+        (state, c * h)
+        for i in range(max(cap, -1) + 1)
+        if (h := h_super(i, *coeff_alphabets))
+        for state, c in apply_fermion(mode, m + step * i, v).items()
+    )
 
 
 # -- basis kets and bras ----------------------------------------------

@@ -19,6 +19,7 @@ cross-check, not a tautology.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import combinations
 from math import comb
 from typing import Sequence
 
@@ -335,20 +336,6 @@ def _test_vectors() -> list[FockVector]:
     ]
 
 
-def _decreasing_tuples(window: int, r: int) -> list[tuple[int, ...]]:
-    values = list(range(window, -r - 1, -1))
-
-    def rec(start: int, left: int):
-        if left == 0:
-            yield ()
-            return
-        for k in range(start, len(values) - left + 1):
-            for rest in rec(k + 1, left - 1):
-                yield (values[k],) + rest
-
-    return list(rec(0, r))
-
-
 def classical(max_weight: int = 6, window: int = 3, pairing_rows: int = 3) -> dict:
     """Ground-truth checks: tableau sums, transpose duality, fermion and
     Heisenberg relations over the index window, and the shifted-vacuum
@@ -423,7 +410,7 @@ def classical(max_weight: int = 6, window: int = 3, pairing_rows: int = 3) -> di
                     failures.append(f"[a_m, a_n] failed: m={m}, n={n}, v#{k}")
 
     for r in range(1, pairing_rows + 1):
-        tuples = _decreasing_tuples(window, r)
+        tuples = list(combinations(range(window, -r - 1, -1), r))
         end = MayaState(-r, Partition())
         for ns in tuples:
             ket = vacuum_ket(-r)

@@ -7,6 +7,7 @@ import json
 import sys
 from pathlib import Path
 
+from multischur import cli
 from multischur.cli import main
 from multischur.exactalg import Scalar, scalar_from_json
 from multischur.expansions import refined_dual_grothendieck, symfunc_from_json, symfunc_to_json
@@ -278,15 +279,36 @@ def test_degree_and_row_bounds_rejected(monkeypatch, capsys):
         _assert_usage_error(monkeypatch, capsys, req)
 
 
-def test_thread_env_validated(monkeypatch, capsys):
-    monkeypatch.setenv("MULTISCHUR_THREADS", "2")
-    code, _ = _invoke(monkeypatch, capsys, MULTISCHUR_REQ)
-    assert code == 0
-    for bad in ("0", "-1", "many"):
-        monkeypatch.setenv("MULTISCHUR_THREADS", bad)
-        code, out = _invoke(monkeypatch, capsys, MULTISCHUR_REQ)
-        assert code == 2
-        assert json.loads(out)["error"]["type"] == "usage"
+def test_zero_denominator_rejected(monkeypatch, capsys):
+    letter = {"coefficient": "1/0", "monomial": {"x1": 1}}
+    _assert_usage_error(monkeypatch, capsys, {"command": "multischur", "lambda": [1], "bx": [[letter]]})
+    f = {"terms": [{"partition": [1], "coeff": [{"coefficient": "1/0"}]}]}
+    _assert_usage_error(monkeypatch, capsys, {"command": "eval", "f": f, "vars": ["x1"]})
+    _assert_usage_error(monkeypatch, capsys, {"command": "inner", "f": f, "g": {"schur": [1]}})
+
+
+def test_bad_truncation_rejected(monkeypatch, capsys):
+    for D in (True, 1.5, "a", -1):
+        f = {"terms": [{"partition": [1], "coeff": [{"coefficient": "1"}]}], "truncation": D}
+        _assert_usage_error(monkeypatch, capsys, {"command": "inner", "f": f, "g": {"schur": [1]}})
+
+
+def test_malformed_flag_rejected(monkeypatch, capsys):
+    for flag, vars_ in [([0], ["x1"]), ([2, 1], ["x1", "x2"]), ([3], ["x1"])]:
+        req = {"command": "multischur", "lambda": [1], "flag": flag, "vars": vars_}
+        _assert_usage_error(monkeypatch, capsys, req)
+
+
+def test_unexpected_exception_is_internal_error(monkeypatch, capsys):
+    def broken(req):
+        raise RuntimeError("boom")
+
+    monkeypatch.setitem(cli._COMMANDS, "multischur", broken)
+    code, out = _invoke(monkeypatch, capsys, MULTISCHUR_REQ)
+    assert code == 1
+    assert out.count("\n") == 1
+    err = json.loads(out)["error"]
+    assert err == {"type": "internal", "operation": "multischur", "message": "RuntimeError: boom"}
 
 
 GOLDEN = Path(__file__).parent / "data" / "cli_golden.jsonl"

@@ -8,6 +8,7 @@ from multischur.exactalg import (
     DimensionError,
     Scalar,
     UnboundIndeterminateError,
+    collect,
     det_over_ring,
     scalar_eval,
     scalar_from_json,
@@ -99,6 +100,18 @@ def test_json_rejects_non_integer_exponent():
     with pytest.raises(TypeError):
         scalar_from_json([{"coefficient": "1", "monomial": [["x", 1]]}])
     assert scalar_from_json([{"coefficient": "3/4", "monomial": {"x": 2}}]) == x**2 * Fraction(3, 4)
+
+
+def test_json_rejects_zero_denominator():
+    with pytest.raises(ValueError):
+        scalar_from_json([{"coefficient": "1/0", "monomial": {"x": 1}}])
+
+
+def test_collect_sums_equal_keys_and_drops_zeros():
+    got = collect([("b", x), ("a", 1), ("c", 0), ("b", x), ("a", -1), ("d", y), ("d", -y), ("d", z)])
+    assert got == {"b": 2 * x, "d": z}
+    assert list(got) == ["b", "d"]
+    assert collect([]) == {}
 
 
 def test_eval_exact():

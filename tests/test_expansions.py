@@ -3,9 +3,11 @@ from fractions import Fraction
 import pytest
 
 from multischur.exactalg import Scalar, scalar_eval, variables
+from multischur import expansions
 from multischur.expansions import (
     StabilityError,
     SymFunc,
+    _HPoly,
     TractabilityError,
     TruncationError,
     eval_symfunc,
@@ -34,6 +36,7 @@ from multischur.shapes import (
     constant_sequence,
     empty_sequence,
     prefix_sequence,
+    refined_alphabet,
     refined_sequence,
     subpartitions,
 )
@@ -367,6 +370,36 @@ def test_symfunc_drops_zeros_and_truncates():
     assert g.truncation == 2
 
 
+def test_symfunc_sums_equal_keys():
+    f = SymFunc([((1,), t1), ((2,), 1), ((1, 0), t1), ((2,), -1)])
+    assert f.terms() == ((Partition((1,)), 2 * t1),)
+    # keys that normalise to one partition are summed, not overwritten
+    assert SymFunc({(1,): 1, (1, 0): 2}) == SymFunc({(1,): 3})
+    assert SymFunc([((3,), 1), ((1,), 1), ((1,), -1)], truncation=2) == SymFunc({}, truncation=2)
+
+
+def test_hpoly_sums_equal_keys():
+    h1, h2 = _HPoly([((1,), Scalar.one())]), _HPoly([((2,), Scalar.one())])
+    assert _HPoly([((1,), t1), ((2,), t2), ((1,), -t1)]).terms == {(2,): t2}
+    assert ((h1 + h2) * (h1 - h2)).terms == {(1, 1): Scalar.one(), (2, 2): -Scalar.one()}
+    assert (h1 - h1).terms == {}
+
+
+def test_row_alphabets_built_once_per_call(monkeypatch):
+    calls = []
+
+    def counting(t, i):
+        calls.append(i)
+        return refined_alphabet(t, i)
+
+    monkeypatch.setattr(expansions, "refined_alphabet", counting)
+    stable_grothendieck_schur(Partition((2, 1)), t, 6)
+    assert sorted(calls) == [1, 2, 3, 4, 5]
+    calls.clear()
+    stable_dual_in_G(Partition((1,)), refined_sequence(t), t, 4)
+    assert len(calls) == len(set(calls))
+
+
 def test_symfunc_add_takes_min_truncation():
     f = SymFunc({Partition((1,)): Scalar.one()}, truncation=4)
     g = SymFunc({Partition((1,)): Scalar.one()})
@@ -393,6 +426,10 @@ def test_symfunc_json_term_order():
 def test_symfunc_json_validation():
     with pytest.raises(ValueError):
         symfunc_from_json({"basis": "monomial", "truncation": None, "terms": []})
+    for D in (True, 1.5, "a", -1):
+        with pytest.raises(ValueError):
+            symfunc_from_json({"truncation": D, "terms": []})
+    assert symfunc_from_json({"truncation": 0, "terms": []}) == sym_zero(0)
 
 
 # -- theorem verifiers ------------------------------------------------

@@ -65,6 +65,15 @@ def test_fock_vector_charge_homogeneity():
         vacuum_ket(0) + vacuum_ket(1)
 
 
+def test_fock_vector_sums_equal_keys():
+    a = MayaState(0, Partition(()))
+    b = MayaState(0, Partition((1,)))
+    v = FockVector([(b, t1), (a, 1), (b, t1), (a, -1)])
+    assert v.items() == ((b, 2 * t1),)
+    assert v == FockVector({b: 2 * t1})
+    assert vacuum_ket(0) - vacuum_ket(0) == ZERO_VECTOR
+
+
 def test_fermion_on_shifted_vacuum():
     for r in range(4):
         got = apply_fermion(PSI, -r, vacuum_ket(-r))
