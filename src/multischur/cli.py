@@ -32,6 +32,7 @@ from .expansions import (
     SymFunc,
     TractabilityError,
     TruncationError,
+    check_degree_bound,
     eval_symfunc,
     expand_in_refined_basis,
     flagged_schur,
@@ -193,14 +194,13 @@ def parse_symfunc(value) -> SymFunc:
             raise UsageError(f"bad partition in schur shorthand: {e}") from e
     if "refined" in value:
         spec = value["refined"]
-        return refined_dual_grothendieck(
-            _partition(spec, "lambda", "λ"), parse_alphabet(_field(spec, "t"))
-        )
+        lam = _partition(spec, "lambda", "λ")
+        return refined_dual_grothendieck(lam, _letters(spec, len(lam)))
     if "stable" in value:
         spec = value["stable"]
         lam = _partition(spec, "lambda", "λ")
-        t = parse_alphabet(_field(spec, "t"))
-        return stable_grothendieck_schur(lam, t, _degree_bound(spec, lam))
+        D = _degree_bound(spec, lam)
+        return stable_grothendieck_schur(lam, _letters(spec, _stable_rows(lam, D)), D)
     raise UsageError(f"bad symmetric function: {value!r}")
 
 
@@ -214,10 +214,26 @@ def _int_field(req: Mapping, *names: str, default=_MISSING) -> int:
 
 
 def _degree_bound(req: Mapping, lam: Partition) -> int:
+    """D >= |lambda|, else a usage error; a TractabilityError past the budget."""
     D = _int_field(req, "D", "truncation")
     if D < lam.weight:
         raise UsageError(f"degree bound {D} is below |lambda| = {lam.weight}")
+    check_degree_bound(lam, D)
     return D
+
+
+def _stable_rows(lam: Partition, D: int) -> int:
+    """The most rows of a shape containing lambda of weight at most D."""
+    return len(lam) + D - lam.weight
+
+
+def _letters(req: Mapping, rows: int) -> tuple[Scalar, ...]:
+    """The letters t, enough for the row alphabets (t_1, ..., t_{i-1})
+    of rows 1..rows; too few is a usage error."""
+    t = parse_alphabet(_field(req, "t"))
+    if len(t) < rows - 1:
+        raise UsageError(f"{rows} rows need {rows - 1} letters in t, got {len(t)}")
+    return t
 
 
 # -- commands ---------------------------------------------------------
@@ -250,7 +266,7 @@ def _cmd_expand(req: Mapping) -> object:
         by = parse_sequence(_field(req, "by", default=None) or [])
         return symfunc_to_json(schur_expand_multischur(lam, bx, by))
     if basis == "refined":
-        t = parse_alphabet(_field(req, "t"))
+        t = _letters(req, len(lam))
         if "bx" in req:
             bx = parse_sequence(req["bx"])
             by = parse_sequence(_field(req, "by", default=None) or [])
@@ -265,13 +281,14 @@ def _cmd_expand(req: Mapping) -> object:
         D = _degree_bound(req, lam)
         return symfunc_to_json(truncated_dual_expansion(lam, bx, r, D))
     if basis == "stable":
-        t = parse_alphabet(_field(req, "t"))
         D = _degree_bound(req, lam)
+        t = _letters(req, _stable_rows(lam, D))
         return symfunc_to_json(stable_grothendieck_schur(lam, t, D))
     if basis == "stable-dual":
         bx = parse_sequence(_field(req, "bx"))
-        t = parse_alphabet(_field(req, "t"))
         D = _degree_bound(req, lam)
+        st = bx.stable_tail()  # None is refused as a StabilityError by stable_dual_in_G
+        t = _letters(req, max(_stable_rows(lam, D), st[0] if st else 0))
         return {**symfunc_to_json(SymFunc(stable_dual_in_G(lam, bx, t, D), D)), "basis": "stable"}
     raise UsageError(f"unknown basis {basis!r}")
 
@@ -370,17 +387,20 @@ def _emit(payload: object) -> None:
     sys.stdout.write(json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n")
 
 
+# Built once: parse_args returns a fresh namespace on every call.
+_PARSER = argparse.ArgumentParser(
+    prog="multischur",
+    description="Exact expansions, inner products, and verification suites.",
+)
+_PARSER.add_argument("--command", help="override or supply the request command")
+_PARSER.add_argument("--input", help="read the JSON request from a file instead of stdin")
+_PARSER.add_argument("--max-weight", type=int, help="default maxWeight for verify requests")
+_PARSER.add_argument("--truncation", type=int, help="default D for expand requests")
+_PARSER.add_argument("--seed", type=int, help="recorded in verify output; suites are exhaustive")
+
+
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="multischur",
-        description="Exact expansions, inner products, and verification suites.",
-    )
-    parser.add_argument("--command", help="override or supply the request command")
-    parser.add_argument("--input", help="read the JSON request from a file instead of stdin")
-    parser.add_argument("--max-weight", type=int, help="default maxWeight for verify requests")
-    parser.add_argument("--truncation", type=int, help="default D for expand requests")
-    parser.add_argument("--seed", type=int, help="recorded in verify output; suites are exhaustive")
-    args = parser.parse_args(argv)
+    args = _PARSER.parse_args(argv)
 
     operation = "parse"
     try:

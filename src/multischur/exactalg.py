@@ -1,15 +1,19 @@
 """Exact sparse multivariate polynomials over the rationals.
 
-A Scalar is an immutable polynomial with `fractions.Fraction` coefficients
-in named commuting indeterminates.  It is the coefficient ring for every
+A Scalar is an immutable polynomial with rational coefficients in named
+commuting indeterminates.  It is the coefficient ring for every
 expansion in this package: beta, t_i, x_j, y_j all live here as ring
 elements, and all arithmetic is exact.
 
 Representation.  A monomial is a tuple of (name, exponent) pairs, sorted
 by name, with every exponent positive; the empty tuple is the constant
-monomial.  A Scalar stores a mapping from monomials to nonzero Fractions.
+monomial.  A Scalar stores a mapping from monomials to nonzero
+coefficients, each an `int` when its denominator is 1 and a
+`fractions.Fraction` otherwise; every operation turns an integral
+Fraction back into an `int`, so almost all arithmetic stays on ints.
 Zero is the empty mapping, and equality is structural on this canonical
-form.
+form.  The public constructor validates its coefficients; the ring
+operations build their results through the unchecked `Scalar._trusted`.
 
 Term order.  Names are ordered by plain string comparison; that order is
 fixed across the package.  Serialized terms are listed in graded
@@ -23,6 +27,7 @@ from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, Sequence, Union
 
 Monomial = tuple[tuple[str, int], ...]
+Coefficient = Union[int, Fraction]
 ScalarLike = Union["Scalar", int, Fraction]
 
 
@@ -43,14 +48,24 @@ class Scalar:
 
     __slots__ = ("_terms", "_hash")
 
-    def __init__(self, terms: Mapping[Monomial, Fraction] = ()):
-        clean: dict[Monomial, Fraction] = {}
+    def __init__(self, terms: Mapping[Monomial, Coefficient] = ()):
+        clean: dict[Monomial, Coefficient] = {}
         for mono, coeff in dict(terms).items():
             coeff = Fraction(coeff)
             if coeff:
-                clean[mono] = coeff
+                clean[mono] = coeff.numerator if coeff.denominator == 1 else coeff
         self._terms = clean
         self._hash: int | None = None
+
+    @classmethod
+    def _trusted(cls, terms: dict[Monomial, Coefficient]) -> "Scalar":
+        """Wrap `terms` without checking it: every coefficient nonzero, an
+        int or a Fraction with denominator > 1.  Only for the ring
+        operations of this module, whose results are canonical."""
+        self = object.__new__(cls)
+        self._terms = terms
+        self._hash = None
+        return self
 
     # -- constructors -------------------------------------------------
 
@@ -64,13 +79,17 @@ class Scalar:
 
     @classmethod
     def from_rational(cls, value: Union[int, Fraction]) -> "Scalar":
-        return cls({(): Fraction(value)})
+        if type(value) is not int:  # a Fraction, or anything Fraction() accepts
+            value = Fraction(value)
+            if value.denominator == 1:
+                value = value.numerator
+        return cls._trusted({(): value} if value else {})
 
     @classmethod
     def variable(cls, name: str) -> "Scalar":
         if not name:
             raise ValueError("indeterminate name must be nonempty")
-        return cls({((name, 1),): Fraction(1)})
+        return cls._trusted({((name, 1),): 1})
 
     # -- ring structure -----------------------------------------------
 
@@ -78,17 +97,21 @@ class Scalar:
         other = coerce_scalar(other)
         terms = dict(self._terms)
         for mono, coeff in other._terms.items():
-            acc = terms.get(mono, _F0) + coeff
-            if acc:
-                terms[mono] = acc
-            else:
-                terms.pop(mono, None)
-        return Scalar(terms)
+            acc = terms.get(mono)
+            if acc is None:
+                terms[mono] = coeff
+                continue
+            acc += coeff
+            if not acc:
+                del terms[mono]
+            else:  # an integral Fraction goes back to int
+                terms[mono] = acc if type(acc) is int or acc.denominator != 1 else acc.numerator
+        return Scalar._trusted(terms)
 
     __radd__ = __add__
 
     def __neg__(self) -> "Scalar":
-        return Scalar({m: -c for m, c in self._terms.items()})
+        return Scalar._trusted({m: -c for m, c in self._terms.items()})
 
     def __sub__(self, other: ScalarLike) -> "Scalar":
         return self + (-coerce_scalar(other))
@@ -98,16 +121,17 @@ class Scalar:
 
     def __mul__(self, other: ScalarLike) -> "Scalar":
         other = coerce_scalar(other)
-        terms: dict[Monomial, Fraction] = {}
+        terms: dict[Monomial, Coefficient] = {}
         for m1, c1 in self._terms.items():
             for m2, c2 in other._terms.items():
-                mono = _merge_monomials(m1, m2)
-                acc = terms.get(mono, _F0) + c1 * c2
-                if acc:
-                    terms[mono] = acc
+                mono = _merge_monomials(m1, m2) if m1 and m2 else m1 or m2
+                acc = terms.get(mono)
+                acc = c1 * c2 if acc is None else acc + c1 * c2
+                if not acc:
+                    del terms[mono]
                 else:
-                    terms.pop(mono, None)
-        return Scalar(terms)
+                    terms[mono] = acc if type(acc) is int or acc.denominator != 1 else acc.numerator
+        return Scalar._trusted(terms)
 
     __rmul__ = __mul__
 
@@ -163,9 +187,9 @@ class Scalar:
     def as_rational(self) -> Fraction:
         if not self.is_constant():
             raise ValueError(f"not a constant: {self!r}")
-        return self._terms.get((), _F0)
+        return Fraction(self._terms.get((), 0))
 
-    def terms(self) -> Iterator[tuple[Monomial, Fraction]]:
+    def terms(self) -> Iterator[tuple[Monomial, Coefficient]]:
         return iter(sorted(self._terms.items(), key=lambda t: _monomial_sort_key(t[0])))
 
     def __repr__(self) -> str:
@@ -189,8 +213,8 @@ class Scalar:
 
 
 _F0 = Fraction(0)
-_ZERO = Scalar()
-_ONE = Scalar({(): Fraction(1)})
+_ZERO = Scalar._trusted({})
+_ONE = Scalar._trusted({(): 1})
 
 
 def _merge_monomials(a: Monomial, b: Monomial) -> Monomial:

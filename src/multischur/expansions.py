@@ -49,6 +49,21 @@ class TractabilityError(ValueError):
     """Requested size is beyond the supported brute-force bounds."""
 
 
+# The largest degree bound D of the series-valued expansions (truncated,
+# stable, stable-dual).  Their cost grows with the number of partitions of
+# weight <= D: the truncated expansion of lambda = (1) takes about half a
+# second at D = 30.  The stable ones also grow with the number of letters.
+MAX_DEGREE_BOUND = 30
+
+
+def check_degree_bound(lam: Partition, D: int) -> None:
+    """ValueError when D is below |lam|, TractabilityError past the budget."""
+    if D < lam.weight:
+        raise ValueError(f"degree bound {D} is below |lam| = {lam.weight}")
+    if D > MAX_DEGREE_BOUND:
+        raise TractabilityError(f"degree bound is capped at {MAX_DEGREE_BOUND}: got {D}")
+
+
 def _mu_key(mu: Partition) -> tuple:
     return (sum(mu), tuple(-p for p in mu))
 
@@ -193,8 +208,7 @@ def truncated_dual_expansion(lam: Sequence[int], bx: AlphabetSequence, r: int, D
     lam = Partition(lam)
     if r < len(lam):
         raise ValueError(f"need r >= {len(lam)} for {lam}, got {r}")
-    if D < lam.weight:
-        raise ValueError(f"degree bound {D} is below |lam| = {lam.weight}")
+    check_degree_bound(lam, D)
     neg = [negate_alphabet(bx.alphabet(i)) for i in range(1, r + 1)]
     entry = lambda k, i, j: e_elem(-k, neg[i - 1])
     shapes = superpartitions(lam, D, max_length=r)
@@ -212,8 +226,7 @@ def stable_dual_in_G(
     if st is None:
         raise StabilityError("bx does not grow one letter per row from any point on")
     R, _ = st
-    if D < lam.weight:
-        raise ValueError(f"degree bound {D} is below |lam| = {lam.weight}")
+    check_degree_bound(lam, D)
     shapes = superpartitions(lam, D)
     n = max(R, max(map(len, shapes)))
     ts = [refined_alphabet(t, j) for j in range(1, n + 1)]
@@ -227,8 +240,7 @@ def stable_grothendieck_schur(lam: Sequence[int], t: Sequence, D: int) -> SymFun
     s_mu is det( e_{-lam_i + mu_j + i - j}(-(t_1..t_{i-1})) ), size
     max(len(mu), len(lam))."""
     lam = Partition(lam)
-    if D < lam.weight:
-        raise ValueError(f"degree bound {D} is below |lam| = {lam.weight}")
+    check_degree_bound(lam, D)
     shapes = superpartitions(lam, D)
     neg = [negate_alphabet(refined_alphabet(t, i)) for i in range(1, max(map(len, shapes)) + 1)]
     entry = lambda k, i, j: e_elem(-k, neg[i - 1])

@@ -33,6 +33,7 @@ operator here evaluates one.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import chain
 from typing import Iterable, Mapping, Sequence
 
@@ -88,8 +89,12 @@ class MayaState:
         c = self.charge
         return [self.parts[i] + c - (i + 1) for i in range(len(self.parts))]
 
+    @cached_property
+    def _level_set(self) -> frozenset[int]:
+        return frozenset(self.excited_levels())
+
     def occupied(self, m: int) -> bool:
-        return m <= self.sea_top or m in self.excited_levels()
+        return m <= self.sea_top or m in self._level_set
 
     def render(self) -> str:
         r = len(self.parts)

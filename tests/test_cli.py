@@ -5,6 +5,7 @@ JSON on stdout, machine-readable errors with exit status 2 (usage) or
 import io
 import json
 import sys
+import time
 from pathlib import Path
 
 from multischur import cli
@@ -100,6 +101,16 @@ def test_verify_seed_recorded(monkeypatch, capsys):
     code, out = _invoke(monkeypatch, capsys, req, argv=["--seed", "9"])
     assert code == 0
     assert json.loads(out)["parameters"]["seed"] == 9
+
+
+def test_flags_do_not_leak_between_calls(monkeypatch, capsys):
+    req = {"command": "verify", "theorem": "orthonormality", "maxWeight": 1}
+    code, out = _invoke(monkeypatch, capsys, req, argv=["--seed", "5"])
+    assert code == 0
+    assert json.loads(out)["parameters"] == {"maxWeight": 1, "seed": 5}
+    code, out = _invoke(monkeypatch, capsys, req)
+    assert code == 0
+    assert json.loads(out)["parameters"] == {"maxWeight": 1}
 
 
 def test_max_weight_flag_merges(monkeypatch, capsys):
@@ -277,6 +288,39 @@ def test_degree_and_row_bounds_rejected(monkeypatch, capsys):
         {"command": "eval", "f": {"stable": {"lambda": [1], "t": ["t1"], "D": 0}}, "vars": ["x1"]},
     ]:
         _assert_usage_error(monkeypatch, capsys, req)
+
+
+def test_too_few_letters_rejected(monkeypatch, capsys):
+    refined = {"refined": ["t1", "t2"]}
+    for req in [
+        {"command": "expand", "basis": "refined", "lambda": [2, 1], "t": []},
+        {"command": "expand", "basis": "refined", "lambda": [1, 1, 1], "t": ["t1"], "bx": refined},
+        {"command": "expand", "basis": "stable", "lambda": [1, 1, 1], "t": ["t1"], "D": 3},
+        {"command": "expand", "basis": "stable", "lambda": [1], "t": ["t1"], "D": 3},
+        {"command": "expand", "basis": "stable-dual", "lambda": [1], "bx": refined, "t": ["t1"], "D": 3},
+        {"command": "inner", "f": {"refined": {"lambda": [1, 1], "t": []}}, "g": {"schur": [1]}},
+        {"command": "eval", "f": {"stable": {"lambda": [1], "t": [], "D": 2}}, "vars": ["x1"]},
+    ]:
+        _assert_usage_error(monkeypatch, capsys, req)
+    # exactly enough letters: rows 1..3 use (t1, t2)
+    req = {"command": "expand", "basis": "stable", "lambda": [1, 1, 1], "t": ["t1", "t2"], "D": 3}
+    code, out = _invoke(monkeypatch, capsys, req)
+    assert code == 0, out
+
+
+def test_degree_bound_budget(monkeypatch, capsys):
+    refined = {"refined": ["t1", "t2"]}
+    for req in [
+        {"command": "expand", "basis": "truncated", "lambda": [1], "bx": [["x1"]], "r": 1, "D": 300},
+        {"command": "expand", "basis": "stable", "lambda": [1], "t": ["t1"], "D": 31},
+        {"command": "expand", "basis": "stable-dual", "lambda": [1], "bx": refined, "t": ["t1"], "D": 31},
+        {"command": "inner", "f": {"stable": {"lambda": [1], "t": [], "D": 300}}, "g": {"schur": [1]}},
+    ]:
+        t0 = time.perf_counter()
+        code, out = _invoke(monkeypatch, capsys, req)
+        assert time.perf_counter() - t0 < 1.0
+        assert code == 1, out
+        assert json.loads(out)["error"]["type"] == "tractability"
 
 
 def test_zero_denominator_rejected(monkeypatch, capsys):

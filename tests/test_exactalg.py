@@ -2,12 +2,13 @@ from fractions import Fraction
 from itertools import permutations
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from multischur.exactalg import (
     DimensionError,
     Scalar,
     UnboundIndeterminateError,
+    coerce_scalar,
     collect,
     det_over_ring,
     scalar_eval,
@@ -179,3 +180,122 @@ def test_det_commutes_with_eval():
 def test_repr_is_stable():
     assert repr(x + y) == repr(y + x)
     assert repr((x + y) ** 2) == "2*x*y + x^2 + y^2"
+
+
+# -- the integer-first core against a Fraction-only oracle ------------
+
+_F0 = Fraction(0)
+_HALVES = [Fraction(1, 2), Fraction(-1, 2), Fraction(3, 2), Fraction(1, 3), Fraction(2, 3)]
+
+
+def _oracle_merge(m1, m2):
+    exps = dict(m1)
+    for name, e in m2:
+        exps[name] = exps.get(name, 0) + e
+    return tuple(sorted(exps.items()))
+
+
+def _oracle_add(a, b):
+    out = dict(a)
+    for mono, c in b.items():
+        out[mono] = out.get(mono, _F0) + c
+    return {mono: c for mono, c in out.items() if c}
+
+
+def _oracle_mul(a, b):
+    out = {}
+    for m1, c1 in a.items():
+        for m2, c2 in b.items():
+            mono = _oracle_merge(m1, m2)
+            out[mono] = out.get(mono, _F0) + c1 * c2
+    return {mono: c for mono, c in out.items() if c}
+
+
+def _oracle_eval(a, env):
+    total = _F0
+    for mono, c in a.items():
+        for name, e in mono:
+            c *= env[name] ** e
+        total += c
+    return total
+
+
+def _canonical(p: Scalar) -> dict:
+    """The terms of p as Fractions, after checking the stored form: every
+    coefficient nonzero, an int, or a Fraction with denominator > 1."""
+    for c in p._terms.values():
+        assert c
+        assert type(c) is int or (type(c) is Fraction and c.denominator > 1), repr(c)
+    return {mono: Fraction(c) for mono, c in p._terms.items()}
+
+
+@st.composite
+def oracle_pairs(draw):
+    """A Scalar built from singleton terms with +, and the same polynomial
+    as a dict of Fractions; the coefficients are often halves and thirds,
+    whose sums and products come out integral."""
+    coeff = st.one_of(st.sampled_from(_HALVES), st.integers(-3, 3).map(Fraction))
+    mono = st.lists(st.sampled_from(["x", "y", "z"]), max_size=3).map(
+        lambda names: _oracle_merge((), [(n, 1) for n in names])
+    )
+    pairs = draw(st.lists(st.tuples(mono, coeff), max_size=5))
+    p, oracle = Scalar.zero(), {}
+    for m, c in pairs:
+        p = p + Scalar({m: c})
+        oracle = _oracle_add(oracle, {m: c} if c else {})
+    return p, oracle
+
+
+@example((Scalar({(): Fraction(1, 2)}), {(): Fraction(1, 2)}), (Scalar({(): Fraction(1, 2)}), {(): Fraction(1, 2)}))
+@example(
+    (Scalar({(("x", 1),): Fraction(3, 2)}), {(("x", 1),): Fraction(3, 2)}),
+    (Scalar({(): Fraction(2, 3)}), {(): Fraction(2, 3)}),
+)
+@given(oracle_pairs(), oracle_pairs())
+@settings(max_examples=100, deadline=None)
+def test_ring_operations_match_fraction_oracle(pa, pb):
+    (a, oa), (b, ob) = pa, pb
+    assert _canonical(a) == oa
+    assert _canonical(b) == ob
+    assert _canonical(a + b) == _oracle_add(oa, ob)
+    assert _canonical(a - b) == _oracle_add(oa, {m: -c for m, c in ob.items()})
+    assert _canonical(-a) == {m: -c for m, c in oa.items()}
+    assert _canonical(a * b) == _oracle_mul(oa, ob)
+    power = {(): Fraction(1)}
+    for k in range(4):
+        assert _canonical(a**k) == power
+        power = _oracle_mul(power, oa)
+    env = {"x": Fraction(1, 2), "y": Fraction(-3), "z": Fraction(2, 3)}
+    assert scalar_eval(a * b, env) == _oracle_eval(_oracle_mul(oa, ob), env)
+    assert scalar_eval(a + b, env) == _oracle_eval(_oracle_add(oa, ob), env)
+
+
+def test_canonical_form_stores_integers_as_int():
+    half = Scalar.from_rational(Fraction(1, 2))
+    assert (half + half)._terms == {(): 1}
+    assert type((half + half)._terms[()]) is int
+    assert type((2 * half)._terms[()]) is int
+    assert type((x / 2 + x / 2)._terms[(("x", 1),)]) is int
+    three = Scalar({(): Fraction(3)})
+    assert type(three._terms[()]) is int
+    assert three == Scalar.from_rational(3)
+    assert hash(three) == hash(Scalar.from_rational(3))
+    assert Scalar({(): Fraction(6, 2), (("x", 1),): 0}) == Scalar.from_rational(3)
+    assert Scalar({(): "1/2"}) == half
+    assert Scalar.from_rational(Fraction(4, 2))._terms == {(): 2}
+    assert not Scalar.from_rational(Fraction(0, 5))._terms
+    assert coerce_scalar(True) == Scalar.one()
+    assert type(coerce_scalar(True)._terms[()]) is int
+    with pytest.raises(ValueError):
+        Scalar({(): "not a number"})
+    with pytest.raises(TypeError):
+        Scalar({(): object()})
+
+
+def test_rational_results_are_fractions():
+    for p in (Scalar.zero(), Scalar.from_rational(3), Scalar.from_rational(Fraction(1, 2))):
+        assert type(p.as_rational()) is Fraction
+        assert type(scalar_eval(p, {})) is Fraction
+    assert type(scalar_eval(2 * x, {"x": 3})) is Fraction
+    assert scalar_eval(2 * x, {"x": 3}) == 6
+    assert Scalar.from_rational(3).as_rational() == Fraction(3)

@@ -10,6 +10,7 @@ from multischur.expansions import (
     _HPoly,
     TractabilityError,
     TruncationError,
+    check_degree_bound,
     eval_symfunc,
     expand_in_refined_basis,
     flagged_schur,
@@ -466,3 +467,19 @@ def test_verify_cauchy_caps():
         verify_cauchy(t, 7, 2, 2)
     with pytest.raises(TractabilityError):
         verify_cauchy(t, 3, 4, 2)
+
+
+def test_degree_bound_budget():
+    lam = Partition((1,))
+    check_degree_bound(lam, 30)
+    with pytest.raises(TractabilityError):
+        check_degree_bound(lam, 31)
+    with pytest.raises(ValueError):
+        check_degree_bound(Partition((2,)), 1)
+    bx = refined_sequence(t)
+    with pytest.raises(TractabilityError):
+        truncated_dual_expansion(lam, bx, 1, 300)
+    with pytest.raises(TractabilityError):
+        stable_grothendieck_schur(lam, t, 31)
+    with pytest.raises(TractabilityError):
+        stable_dual_in_G(lam, bx, t, 31)
