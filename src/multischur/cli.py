@@ -151,6 +151,9 @@ def parse_sequence(value) -> AlphabetSequence:
         return prefix_sequence(*[parse_alphabet(row) for row in value])
     if not isinstance(value, Mapping):
         raise UsageError(f"bad alphabet sequence: {value!r}")
+    general = "prefix" in value or "tail" in value
+    if ("refined" in value) + ("constant" in value) + general > 1:
+        raise UsageError(f"alphabet sequence mixes refined, constant and prefix/tail: {value!r}")
     if "refined" in value:
         return refined_sequence(parse_alphabet(value["refined"]))
     if "constant" in value:
@@ -171,6 +174,12 @@ def parse_sequence(value) -> AlphabetSequence:
     else:
         raise UsageError(f"bad tail rule: {tail_spec!r}")
     return AlphabetSequence(prefix, tail)
+
+
+def _by(req: Mapping) -> AlphabetSequence:
+    """The optional `by`: missing or null means empty rows."""
+    by = _field(req, "by", default=None)
+    return parse_sequence([] if by is None else by)
 
 
 def parse_symfunc(value) -> SymFunc:
@@ -254,7 +263,7 @@ def _cmd_multischur(req: Mapping) -> object:
             raise UsageError(f"bad flag: {e}") from e
         return scalar_to_json(value)
     bx = parse_sequence(_field(req, "bx"))
-    by = parse_sequence(_field(req, "by", default=None) or [])
+    by = _by(req)
     return scalar_to_json(multi_schur(lam, bx, by))
 
 
@@ -263,13 +272,13 @@ def _cmd_expand(req: Mapping) -> object:
     basis = _field(req, "basis", default="schur")
     if basis == "schur":
         bx = parse_sequence(_field(req, "bx"))
-        by = parse_sequence(_field(req, "by", default=None) or [])
+        by = _by(req)
         return symfunc_to_json(schur_expand_multischur(lam, bx, by))
     if basis == "refined":
         t = _letters(req, len(lam))
         if "bx" in req:
             bx = parse_sequence(req["bx"])
-            by = parse_sequence(_field(req, "by", default=None) or [])
+            by = _by(req)
             coeffs = expand_in_refined_basis(lam, bx, by, t)
             return {**symfunc_to_json(SymFunc(coeffs)), "basis": "refined"}
         return symfunc_to_json(refined_dual_grothendieck(lam, t))
@@ -297,7 +306,7 @@ def _cmd_skew(req: Mapping) -> object:
     lam = _partition(req, "lambda", "λ")
     mu = _partition(req, "mu", "μ", default=())
     bx = parse_sequence(_field(req, "bx"))
-    by = parse_sequence(_field(req, "by", default=None) or [])
+    by = _by(req)
     if "bp" in req:
         bp = parse_sequence(req["bp"])
         return symfunc_to_json(skew_function(lam, mu, bx, by, bp))
@@ -316,19 +325,25 @@ def _cmd_eval(req: Mapping) -> object:
     return scalar_to_json(eval_symfunc(f, vars_))
 
 
+# Request field -> (keyword, cap) per suite.  With every field at its cap a
+# suite answers in at most 0.6 s (2-core host); past a cap, tractability.
 _SUITE_KWARGS = {
-    "orthonormality": {"maxWeight": "max_weight"},
-    "dual-engine": {"maxWeight": "max_weight"},
-    "hall-duality": {"maxWeight": "max_weight", "truncation": "truncation"},
+    "orthonormality": {"maxWeight": ("max_weight", 8)},
+    "dual-engine": {"maxWeight": ("max_weight", 7)},
+    "hall-duality": {"maxWeight": ("max_weight", 9), "truncation": ("truncation", 9)},
     "cauchy": {},
-    "branching": {"maxWeight": "max_weight", "generalMaxWeight": "general_max_weight"},
+    "branching": {"maxWeight": ("max_weight", 6), "generalMaxWeight": ("general_max_weight", 6)},
     "truncation-stability": {
-        "maxWeight": "max_weight",
-        "maxRows": "max_rows",
-        "maxTruncation": "max_truncation",
+        "maxWeight": ("max_weight", 5),
+        "maxRows": ("max_rows", 5),
+        "maxTruncation": ("max_truncation", 7),
     },
-    "beta-chain": {"maxWeight": "max_weight", "maxDualWeight": "max_dual_weight"},
-    "classical": {"maxWeight": "max_weight", "window": "window", "pairingRows": "pairing_rows"},
+    "beta-chain": {"maxWeight": ("max_weight", 7), "maxDualWeight": ("max_dual_weight", 8)},
+    "classical": {
+        "maxWeight": ("max_weight", 8),
+        "window": ("window", 4),
+        "pairingRows": ("pairing_rows", 4),
+    },
 }
 
 
@@ -338,11 +353,13 @@ def _cmd_verify(req: Mapping) -> object:
         known = ", ".join(sorted(SUITES))
         raise UsageError(f"unknown theorem {theorem!r}; known suites: {known}")
     kwargs = {}
-    for key, kwarg in _SUITE_KWARGS[theorem].items():
+    for key, (kwarg, cap) in _SUITE_KWARGS[theorem].items():
         if key in req:
             value = _int_field(req, key)
             if value < 1:
                 raise UsageError(f"field {key!r} must be at least 1: {value}")
+            if value > cap:
+                raise TractabilityError(f"{theorem} caps {key!r} at {cap}: got {value}")
             kwargs[kwarg] = value
     result = SUITES[theorem](**kwargs)
     if "seed" in req:

@@ -168,10 +168,6 @@ class Scalar:
             self._hash = hash(frozenset(self._terms.items()))
         return self._hash
 
-    def sort_key(self):
-        """Total order on Scalars, used for canonical alphabet multisets."""
-        return tuple(sorted(self._terms.items()))
-
     def degree(self) -> int:
         """Total degree; 0 for constants including zero."""
         if not self._terms:

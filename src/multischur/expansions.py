@@ -9,9 +9,11 @@ ring).
 The expansion operations all reduce to Jacobi-Trudi style determinants
 whose entries are supersymmetric h or e polynomials in row- and
 column-dependent alphabets, built by the one kernel `supersym._jt` from
-an entry function; the skew expansion also carries the h_n(X)
-generators through the determinant and folds them into the Schur basis
-by Pieri multiplication.
+an entry function.  Each call builds one `supersym.h_series` per row
+(or per cell, where the alphabet also depends on the column), up to the
+largest index its matrices read.  The skew expansion also carries the
+h_n(X) generators through the determinant and folds them into the Schur
+basis by Pieri multiplication.
 """
 
 from __future__ import annotations
@@ -29,13 +31,12 @@ from .shapes import (
     as_alphabet,
     empty_sequence,
     horizontal_strips,
-    negate_alphabet,
     refined_alphabet,
     refined_sequence,
     subpartitions,
     superpartitions,
 )
-from .supersym import _jt, e_elem, h_complete, h_super
+from .supersym import _at, _jt, h_series, supersym_schur
 
 _ZERO = Scalar.zero()
 _ONE = Scalar.one()
@@ -167,8 +168,9 @@ def flagged_schur(lam: Sequence[int], flag: Sequence[int], vars: Sequence) -> Sc
     xs = as_alphabet(vars)
     if flag and flag[-1] > len(xs):
         raise ValueError(f"flag {flag} exceeds the {len(xs)} given variables")
-    rows = [xs[:f] for f in flag]
-    return _jt(lam, Partition(), len(lam), lambda k, i, j: h_complete(k, rows[i - 1]))
+    n = len(lam)
+    rows = [h_series(lam.part(i) - i + n, xs[: flag[i - 1]]) for i in range(1, n + 1)]
+    return _jt(lam, Partition(), n, lambda k, i, j: _at(rows[i - 1], k))
 
 
 def schur_expand_multischur(lam: Sequence[int], bx: AlphabetSequence, by: AlphabetSequence) -> SymFunc:
@@ -176,8 +178,8 @@ def schur_expand_multischur(lam: Sequence[int], bx: AlphabetSequence, by: Alphab
     det( h_{lam_i - mu_j - i + j}(x^(i)/y^(i)) )."""
     lam = Partition(lam)
     r = len(lam)
-    rows = [(bx.alphabet(i), by.alphabet(i)) for i in range(1, r + 1)]
-    entry = lambda k, i, j: h_super(k, *rows[i - 1])
+    rows = [h_series(lam.part(i) - i + r, bx.alphabet(i), by.alphabet(i)) for i in range(1, r + 1)]
+    entry = lambda k, i, j: _at(rows[i - 1], k)
     return SymFunc({mu: c for mu in subpartitions(lam) if (c := _jt(lam, mu, r, entry))})
 
 
@@ -195,10 +197,12 @@ def expand_in_refined_basis(
     det( h_{lam_i - mu_j - i + j}(x^(i) / (y^(i) u (t_1..t_{j-1}))) )."""
     lam = Partition(lam)
     r = len(lam)
-    xs = [bx.alphabet(i) for i in range(1, r + 1)]
-    ys = [by.alphabet(i) for i in range(1, r + 1)]
     ts = [refined_alphabet(t, j) for j in range(1, r + 1)]
-    entry = lambda k, i, j: h_super(k, xs[i - 1], ys[i - 1] + ts[j - 1])
+    cells = [
+        [h_series(lam.part(i) - i + j, bx.alphabet(i), by.alphabet(i) + tj) for j, tj in enumerate(ts, 1)]
+        for i in range(1, r + 1)
+    ]
+    entry = lambda k, i, j: _at(cells[i - 1][j - 1], k)
     return {mu: c for mu in subpartitions(lam) if (c := _jt(lam, mu, r, entry))}
 
 
@@ -209,9 +213,13 @@ def truncated_dual_expansion(lam: Sequence[int], bx: AlphabetSequence, r: int, D
     if r < len(lam):
         raise ValueError(f"need r >= {len(lam)} for {lam}, got {r}")
     check_degree_bound(lam, D)
-    neg = [negate_alphabet(bx.alphabet(i)) for i in range(1, r + 1)]
-    entry = lambda k, i, j: e_elem(-k, neg[i - 1])
     shapes = superpartitions(lam, D, max_length=r)
+    # e_m(-x) = h_m(()/x), a polynomial of degree len(x); the largest m
+    # a row reads is max mu_1 - 1 - lam_i + i
+    top = max(mu.part(1) for mu in shapes) - 1
+    xs = [bx.alphabet(i) for i in range(1, r + 1)]
+    rows = [h_series(min(len(x), top - lam.part(i) + i), (), x) for i, x in enumerate(xs, 1)]
+    entry = lambda k, i, j: _at(rows[i - 1], -k)
     return SymFunc({mu: c for mu in shapes if (c := _jt(lam, mu, r, entry))}, D)
 
 
@@ -231,7 +239,13 @@ def stable_dual_in_G(
     n = max(R, max(map(len, shapes)))
     ts = [refined_alphabet(t, j) for j in range(1, n + 1)]
     xs = [bx.alphabet(i) for i in range(1, n + 1)]
-    entry = lambda k, i, j: h_super(-k, ts[j - 1], xs[i - 1])
+    # the largest mu_j of a shape whose matrix has row i and column j
+    reach = lambda i, j: max(mu.part(j) for mu in shapes if max(R, len(mu)) >= max(i, j))
+    cells = [
+        [h_series(reach(i, j) - j - lam.part(i) + i, ts[j - 1], x) for j in range(1, n + 1)]
+        for i, x in enumerate(xs, 1)
+    ]
+    entry = lambda k, i, j: _at(cells[i - 1][j - 1], -k)
     return {mu: c for mu in shapes if (c := _jt(lam, mu, max(R, len(mu)), entry))}
 
 
@@ -242,8 +256,9 @@ def stable_grothendieck_schur(lam: Sequence[int], t: Sequence, D: int) -> SymFun
     lam = Partition(lam)
     check_degree_bound(lam, D)
     shapes = superpartitions(lam, D)
-    neg = [negate_alphabet(refined_alphabet(t, i)) for i in range(1, max(map(len, shapes)) + 1)]
-    entry = lambda k, i, j: e_elem(-k, neg[i - 1])
+    # e_m(-(t_1..t_{i-1})) = h_m(()/(t_1..t_{i-1})), a polynomial of degree i - 1
+    rows = [h_series(i - 1, (), refined_alphabet(t, i)) for i in range(1, max(map(len, shapes)) + 1)]
+    entry = lambda k, i, j: _at(rows[i - 1], -k)
     return SymFunc({mu: c for mu in shapes if (c := _jt(lam, mu, max(len(mu), len(lam)), entry))}, D)
 
 
@@ -254,8 +269,9 @@ def skew_multi_schur(
     vanishes unless mu fits inside lam."""
     lam, mu = Partition(lam), Partition(mu)
     r = max(len(lam), len(mu))
-    rows = [(bx.alphabet(i), by.alphabet(i)) for i in range(1, r + 1)]
-    return _jt(lam, mu, r, lambda k, i, j: h_super(k, *rows[i - 1]))
+    low = min((mu.part(j) - j for j in range(1, r + 1)), default=0)  # smallest column value
+    rows = [h_series(lam.part(i) - i - low, bx.alphabet(i), by.alphabet(i)) for i in range(1, r + 1)]
+    return _jt(lam, mu, r, lambda k, i, j: _at(rows[i - 1], k))
 
 
 # -- h-generator polynomials (internal to skew_function) --------------
@@ -320,12 +336,11 @@ def skew_function(
     if bp.stable_tail() is None:
         raise StabilityError("bp does not grow one letter per row from any point on")
     r = max(len(lam), len(mu))
-    rows = [(bx.alphabet(i), by.alphabet(i)) for i in range(1, r + 1)]
 
     def entry(k: int, i: int, j: int) -> _HPoly:
-        x, y = rows[i - 1]
-        yp = y + bp.alphabet(j)
-        return _HPoly({(n,) if n else (): h_super(k - n, x, yp) for n in range(0, max(k, 0) + 1)})
+        # one determinant reads each cell once, so each cell series is built here
+        s = h_series(k, bx.alphabet(i), by.alphabet(i) + bp.alphabet(j))
+        return _HPoly({(n,) if n else (): s[k - n] for n in range(k + 1)})
 
     det = _jt(lam, mu, r, entry, zero=_HPoly.zero(), one=_HPoly.one())
     return SymFunc(
@@ -368,19 +383,18 @@ def hall_inner(f: SymFunc, g: SymFunc) -> Scalar:
 
 @lru_cache(maxsize=None)
 def _jacobi_trudi(mu: Partition, vals: Alphabet) -> Scalar:
-    return _jt(mu, Partition(), len(mu), lambda k, i, j: h_complete(k, vals))
+    return supersym_schur(mu, vals, ())
 
 
 def eval_symfunc(f: SymFunc, vals: Sequence) -> Scalar:
     """Specialize to finitely many variables; s_mu vanishes when mu has
     more rows than there are variables."""
     xs = as_alphabet(vals)
-    key = tuple(sorted(xs, key=Scalar.sort_key))
     total = _ZERO
     for mu, c in f.terms():
         if len(mu) > len(xs):
             continue
-        total = total + c * _jacobi_trudi(mu, key)
+        total = total + c * _jacobi_trudi(mu, xs)
     return total
 
 

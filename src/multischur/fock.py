@@ -39,7 +39,7 @@ from typing import Iterable, Mapping, Sequence
 
 from .exactalg import DimensionError, Scalar, ScalarLike, coerce_scalar, collect, det_over_ring
 from .shapes import Alphabet, Partition, StabilityError, as_alphabet, horizontal_strips
-from .supersym import h_super
+from .supersym import h_series
 
 PSI = "psi"
 PSI_STAR = "psi_star"
@@ -296,8 +296,8 @@ def apply_dressed_fermion(mode: str, m: int, x: Iterable, y: Iterable, v: FockVe
         step = +1
     return FockVector(
         (state, c * h)
-        for i in range(max(cap, -1) + 1)
-        if (h := h_super(i, *coeff_alphabets))
+        for i, h in enumerate(h_series(cap, *coeff_alphabets))
+        if h
         for state, c in apply_fermion(mode, m + step * i, v).items()
     )
 

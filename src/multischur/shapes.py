@@ -18,6 +18,7 @@ Tail rules:
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from itertools import product
 from typing import Iterable, Iterator, Sequence, Union
@@ -164,13 +165,9 @@ def negate_alphabet(letters: Iterable) -> Alphabet:
     return tuple(-coerce_scalar(x) for x in letters)
 
 
-def _alphabet_key(letters: Alphabet) -> tuple:
-    return tuple(sorted(x.sort_key() for x in letters))
-
-
 def alphabets_equal(a: Iterable, b: Iterable) -> bool:
     """Multiset equality of letters."""
-    return _alphabet_key(as_alphabet(a)) == _alphabet_key(as_alphabet(b))
+    return Counter(as_alphabet(a)) == Counter(as_alphabet(b))
 
 
 def refined_alphabet(t: Sequence, i: int) -> Alphabet:
@@ -256,10 +253,10 @@ class AlphabetSequence:
                 return None
             return (1, ())
         if isinstance(self.tail, ConstantTail):
-            const_key = _alphabet_key(self.tail.letters)
+            const = Counter(self.tail.letters)
             R = 1
             for i in range(L, 0, -1):
-                if _alphabet_key(self.prefix[i - 1]) != const_key:
+                if Counter(self.prefix[i - 1]) != const:
                     R = i + 1
                     break
             return (R, ())
@@ -286,15 +283,9 @@ class AlphabetSequence:
 
 def _alphabet_difference(big: Alphabet, small: Alphabet) -> Alphabet | None:
     """big minus small as multisets, or None when small is not contained."""
-    pool = list(big)
-    for x in small:
-        for k, y in enumerate(pool):
-            if x == y:
-                del pool[k]
-                break
-        else:
-            return None
-    return tuple(pool)
+    pool = Counter(big)
+    pool.subtract(small)
+    return None if any(c < 0 for c in pool.values()) else tuple(pool.elements())
 
 
 # -- constructors -----------------------------------------------------

@@ -7,75 +7,59 @@ prod_j (1 - y_j z) / prod_i (1 - x_i z), so
 
 Setting y = () recovers h_n(x); setting x = () gives
 (-1)^n e_n(y) = e_n(-y).  p_n(x/y) = p_n(x) - p_n(y) follows the same
-sign convention.  The
-determinant of h_{lam_i - i + j}(x/y) is the supersymmetric Schur
-function; `_jt` builds that determinant, and every Jacobi-Trudi
-determinant of `expansions`, from an entry function.
+sign convention.  The determinant of h_{lam_i - i + j}(x/y) is the
+supersymmetric Schur function; `_jt` builds that determinant, and every
+Jacobi-Trudi determinant of `expansions`, from an entry function.
 
-All values are computed by one-letter-at-a-time recurrences and cached
-on the sorted alphabet, so repeated determinant entries are cheap.
+`h_series` computes the series truncated after z^n, one letter at a
+time (Macdonald, Symmetric Functions and Hall Polynomials, I.2).  A
+determinant builds one series per row or cell alphabet and reads its
+entries by index; nothing here is cached.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
 from typing import Iterable, Sequence
 
 from .exactalg import Scalar, det_over_ring
-from .shapes import Alphabet, Partition, as_alphabet
+from .shapes import Partition, as_alphabet, negate_alphabet
 
 _ZERO = Scalar.zero()
 _ONE = Scalar.one()
 
 
-def _canonical(letters: Alphabet) -> Alphabet:
-    return tuple(sorted(letters, key=Scalar.sort_key))
+def h_series(n: int, x: Iterable, y: Iterable = ()) -> list[Scalar]:
+    """[h_0(x/y), ..., h_n(x/y)]; the empty list when n < 0."""
+    out = [_ONE] + [_ZERO] * n if n >= 0 else []
+    for b in as_alphabet(y):  # times (1 - b z), high degrees first
+        for k in range(n, 0, -1):
+            if out[k - 1]:
+                out[k] = out[k] - b * out[k - 1]
+    for a in as_alphabet(x):  # times 1/(1 - a z) = 1 + a z + a^2 z^2 + ...
+        for k in range(1, n + 1):
+            out[k] = out[k] + a * out[k - 1]
+    return out
 
 
-@lru_cache(maxsize=None)
-def _h(n: int, letters: Alphabet) -> Scalar:
-    if n == 0:
-        return _ONE
-    if n < 0 or not letters:
-        return _ZERO
-    head, last = letters[:-1], letters[-1]
-    # h_n(a, b) = h_n(a) + b * h_{n-1}(a, b)
-    return _h(n, head) + last * _h(n - 1, letters)
-
-
-@lru_cache(maxsize=None)
-def _e(n: int, letters: Alphabet) -> Scalar:
-    if n == 0:
-        return _ONE
-    if n < 0 or n > len(letters):
-        return _ZERO
-    head, last = letters[:-1], letters[-1]
-    # e_n(a, b) = e_n(a) + b * e_{n-1}(a)
-    return _e(n, head) + last * _e(n - 1, head)
+def _at(series: Sequence[Scalar], k: int) -> Scalar:
+    """Entry k of a series, zero outside the computed range; reading past
+    the end is only right for a polynomial such as h(()/y)."""
+    return series[k] if 0 <= k < len(series) else _ZERO
 
 
 def h_complete(n: int, x: Iterable) -> Scalar:
-    return _h(n, _canonical(as_alphabet(x)))
+    return _at(h_series(n, x), n)
 
 
 def e_elem(n: int, x: Iterable) -> Scalar:
-    return _e(n, _canonical(as_alphabet(x)))
+    """e_n(x) = h_n(()/-x)."""
+    return _at(h_series(n, (), negate_alphabet(x)), n)
 
 
 def h_super(n: int, x: Iterable, y: Iterable) -> Scalar:
     """h_n(x/y) = sum_k (-1)^k e_k(y) h_{n-k}(x); equals h_n(x) when y is
     empty and e_n(-y) when x is empty."""
-    xs = _canonical(as_alphabet(x))
-    ys = _canonical(as_alphabet(y))
-    if n < 0:
-        return _ZERO
-    if not ys:
-        return _h(n, xs)
-    total = _ZERO
-    for k in range(min(n, len(ys)) + 1):
-        term = _e(k, ys) * _h(n - k, xs)
-        total = total - term if k % 2 else total + term
-    return total
+    return _at(h_series(n, x, y), n)
 
 
 def p_power(n: int, x: Iterable, y: Iterable) -> Scalar:
@@ -104,6 +88,5 @@ def _jt(lam: Partition, mu: Partition, n: int, entry, **ring):
 def supersym_schur(lam: Sequence[int], x: Iterable, y: Iterable) -> Scalar:
     """det( h_{lam_i - i + j}(x/y) ) over i, j = 1..len(lam)."""
     lam = Partition(lam)
-    xs = as_alphabet(x)
-    ys = as_alphabet(y)
-    return _jt(lam, Partition(), len(lam), lambda k, i, j: h_super(k, xs, ys))
+    s = h_series(lam.part(1) - 1 + len(lam), x, y)
+    return _jt(lam, Partition(), len(lam), lambda k, i, j: _at(s, k))

@@ -272,8 +272,55 @@ def test_verify_parameters_below_one_rejected(monkeypatch, capsys):
 
 
 def test_non_list_sequence_rows_rejected(monkeypatch, capsys):
-    for bx in ({"prefix": 5}, {"tail": {"kind": "refined", "increments": 5}}):
+    mixed = ({"refined": ["t1"], "constant": ["x1"]}, {"refined": ["t1"], "prefix": [["x1"]]})
+    for bx in ({"prefix": 5}, {"tail": {"kind": "refined", "increments": 5}}, *mixed):
         _assert_usage_error(monkeypatch, capsys, {"command": "multischur", "lambda": [1], "bx": bx})
+
+
+def test_by_must_be_a_sequence(monkeypatch, capsys):
+    base = {"lambda": [1], "bx": [["x1"]]}
+    for command, extra in [("multischur", {}), ("skew", {}), ("expand", {"basis": "schur"})]:
+        req = {"command": command, **base, **extra}
+        _, want = _invoke(monkeypatch, capsys, req)
+        assert _invoke(monkeypatch, capsys, {**req, "by": None}) == (0, want)
+        for by in (0, False, ""):
+            _assert_usage_error(monkeypatch, capsys, {**req, "by": by})
+    refined = {"command": "expand", "basis": "refined", "lambda": [1], "t": [], "bx": [["x1"]], "by": 0}
+    _assert_usage_error(monkeypatch, capsys, refined)
+
+
+def test_verify_caps(monkeypatch, capsys):
+    """Every suite field has a cap that admits the documented sizes; past
+    it the request is refused as tractability before the suite runs."""
+    ran = []
+
+    def stub(**kwargs):
+        ran.append(kwargs)
+        return {"parameters": {}, "passed": True}
+
+    sizes = {
+        "orthonormality": {"maxWeight": 8},
+        "dual-engine": {"maxWeight": 7},
+        "hall-duality": {"maxWeight": 9, "truncation": 9},
+        "branching": {"maxWeight": 6, "generalMaxWeight": 6},
+        "truncation-stability": {"maxWeight": 5, "maxRows": 5, "maxTruncation": 7},
+        "beta-chain": {"maxWeight": 7, "maxDualWeight": 8},
+        "classical": {"maxWeight": 8, "window": 4, "pairingRows": 4},
+    }
+    for theorem, fields in sizes.items():
+        monkeypatch.setitem(cli.SUITES, theorem, stub)
+        code, out = _invoke(monkeypatch, capsys, {"command": "verify", "theorem": theorem, **fields})
+        assert code == 0, out
+        for key, value in fields.items():
+            ran.clear()
+            req = {"command": "verify", "theorem": theorem, **fields, key: value + 1}
+            code, out = _invoke(monkeypatch, capsys, req)
+            assert code == 1, out
+            assert json.loads(out)["error"]["type"] == "tractability"
+            assert ran == []
+    req = {"command": "verify", "theorem": "orthonormality"}
+    code, out = _invoke(monkeypatch, capsys, req, argv=["--max-weight", "9"])
+    assert code == 1 and json.loads(out)["error"]["type"] == "tractability"
 
 
 def test_degree_and_row_bounds_rejected(monkeypatch, capsys):

@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from multischur.exactalg import Scalar, scalar_eval, variables
+from multischur.exactalg import Scalar, det_over_ring, scalar_eval, variables
 from multischur import expansions
 from multischur.expansions import (
     StabilityError,
@@ -33,15 +33,20 @@ from multischur.expansions import (
 )
 from multischur.fock import bra_refined_pair, ket_general
 from multischur.shapes import (
+    AlphabetSequence,
+    ConstantTail,
     Partition,
     constant_sequence,
     empty_sequence,
+    negate_alphabet,
+    partitions_up_to_weight,
     prefix_sequence,
     refined_alphabet,
     refined_sequence,
     subpartitions,
+    superpartitions,
 )
-from multischur.supersym import e_elem, h_complete, supersym_schur
+from multischur.supersym import e_elem, h_complete, h_super, supersym_schur
 from multischur.verifications import verify_branching, verify_cauchy
 
 t = variables("t1 t2 t3 t4 t5")
@@ -483,3 +488,79 @@ def test_degree_bound_budget():
         stable_grothendieck_schur(lam, t, 31)
     with pytest.raises(TractabilityError):
         stable_dual_in_G(lam, bx, t, 31)
+
+
+# -- per-entry oracle for the row and cell series ---------------------
+
+
+class PerEntryJT:
+    """Reference for the per-mu expansions: every matrix entry is its own
+    h_super/e_elem call on its row or cell alphabet, straight from the
+    closed forms in the docstrings, so no series or top is shared."""
+
+    @staticmethod
+    def det(lam, mu, n, entry):
+        cells = range(1, n + 1)
+        return det_over_ring([[entry(lam.part(i) - i - mu.part(j) + j, i, j) for j in cells] for i in cells])
+
+    @classmethod
+    def coeffs(cls, lam, shapes, size, entry):
+        return {mu: c for mu in shapes if (c := cls.det(lam, mu, size(mu), entry))}
+
+    @classmethod
+    def schur(cls, lam, bx, by):
+        entry = lambda k, i, j: h_super(k, bx.alphabet(i), by.alphabet(i))
+        return SymFunc(cls.coeffs(lam, subpartitions(lam), lambda mu: len(lam), entry))
+
+    @classmethod
+    def refined(cls, lam, bx, by, t):
+        entry = lambda k, i, j: h_super(k, bx.alphabet(i), by.alphabet(i) + refined_alphabet(t, j))
+        return cls.coeffs(lam, subpartitions(lam), lambda mu: len(lam), entry)
+
+    @classmethod
+    def truncated(cls, lam, bx, r, D):
+        entry = lambda k, i, j: e_elem(-k, negate_alphabet(bx.alphabet(i)))
+        return SymFunc(cls.coeffs(lam, superpartitions(lam, D, max_length=r), lambda mu: r, entry), D)
+
+    @classmethod
+    def stable_dual(cls, lam, bx, t, D):
+        R, _ = bx.stable_tail()
+        entry = lambda k, i, j: h_super(-k, refined_alphabet(t, j), bx.alphabet(i))
+        return cls.coeffs(lam, superpartitions(lam, D), lambda mu: max(R, len(mu)), entry)
+
+    @classmethod
+    def stable(cls, lam, t, D):
+        entry = lambda k, i, j: e_elem(-k, negate_alphabet(refined_alphabet(t, i)))
+        size = lambda mu: max(len(mu), len(lam))
+        return SymFunc(cls.coeffs(lam, superpartitions(lam, D), size, entry), D)
+
+
+HALF, MINUS_ONE, ZERO = Scalar.from_rational(Fraction(1, 2)), Scalar.from_rational(-1), Scalar.zero()
+# repeated letters, numbers, a letter shared with t, and a stable row (4)
+# past the length of every small shape
+SWEEP_BX = [
+    prefix_sequence((x1, x1), (x2, ZERO), (HALF, MINUS_ONE, x1)),
+    refined_sequence((a, b, x1)),
+    constant_sequence((x1, HALF)),
+    AlphabetSequence(((a,), (b,), (x1,)), ConstantTail((x2,))),
+]
+SWEEP_BY = [EMPTY, prefix_sequence((x1,), (a, x2)), constant_sequence((MINUS_ONE,))]
+SWEEP_T = (t1, x1, t1, HALF, t2)
+
+
+def test_per_mu_expansions_match_per_entry_oracle():
+    for lam in partitions_up_to_weight(3):
+        D = lam.weight + 2
+        assert stable_grothendieck_schur(lam, SWEEP_T, D) == PerEntryJT.stable(lam, SWEEP_T, D), lam
+        for bx in SWEEP_BX:
+            for by in SWEEP_BY:
+                want = PerEntryJT.schur(lam, bx, by)
+                assert schur_expand_multischur(lam, bx, by) == want, (lam, bx, by)
+                want = PerEntryJT.refined(lam, bx, by, SWEEP_T)
+                assert expand_in_refined_basis(lam, bx, by, SWEEP_T) == want, (lam, bx, by)
+            for r in (len(lam), len(lam) + 2):
+                want = PerEntryJT.truncated(lam, bx, r, D)
+                assert truncated_dual_expansion(lam, bx, r, D) == want, (lam, bx, r)
+            if bx.stable_tail() is not None:
+                want = PerEntryJT.stable_dual(lam, bx, SWEEP_T, D)
+                assert stable_dual_in_G(lam, bx, SWEEP_T, D) == want, (lam, bx)

@@ -1,9 +1,11 @@
+from fractions import Fraction
+
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from multischur.exactalg import Scalar, variables
 from multischur.shapes import Partition, negate_alphabet, transpose
-from multischur.supersym import e_elem, h_complete, h_super, p_power, supersym_schur
+from multischur.supersym import e_elem, h_complete, h_series, h_super, p_power, supersym_schur
 
 x1, x2, x3 = variables("x1 x2 x3")
 y1, y2 = variables("y1 y2")
@@ -96,3 +98,57 @@ def test_supersym_schur_transpose_duality():
         lhs = supersym_schur(lam, (x1, x2), (y1,))
         rhs = sign * supersym_schur(transpose(lam), (y1,), (x1, x2))
         assert lhs == rhs
+
+
+# -- reference recurrences --------------------------------------------
+#
+# The recursions on the last letter that h_complete/e_elem/h_super once
+# used through process-wide caches, kept uncached as the oracle for the
+# one-letter series.
+
+
+def _h_ref(n, letters):
+    if n == 0:
+        return Scalar.one()
+    if n < 0 or not letters:
+        return Scalar.zero()
+    # h_n(a, b) = h_n(a) + b * h_{n-1}(a, b)
+    return _h_ref(n, letters[:-1]) + letters[-1] * _h_ref(n - 1, letters)
+
+
+def _e_ref(n, letters):
+    if n == 0:
+        return Scalar.one()
+    if n < 0 or n > len(letters):
+        return Scalar.zero()
+    # e_n(a, b) = e_n(a) + b * e_{n-1}(a)
+    return _e_ref(n, letters[:-1]) + letters[-1] * _e_ref(n - 1, letters[:-1])
+
+
+def _h_super_ref(n, x, y):
+    total = Scalar.zero()
+    for k in range(min(n, len(y)) + 1):
+        term = _e_ref(k, y) * _h_ref(n - k, x)
+        total = total - term if k % 2 else total + term
+    return total
+
+
+# shared symbols and numbers, so draws repeat letters within an alphabet
+# and put one letter on both sides
+ZERO, MINUS_ONE, HALF = Scalar.zero(), Scalar.from_rational(-1), Scalar.from_rational(Fraction(1, 2))
+LETTERS = (x1, x2, y1, ZERO, MINUS_ONE, HALF)
+alphabets = st.lists(st.sampled_from(LETTERS), max_size=4).map(tuple)
+
+
+@given(st.integers(min_value=-2, max_value=6), alphabets, alphabets)
+@example(4, (x1, x1, x2), (x1,))
+@example(3, (ZERO, MINUS_ONE, HALF), (MINUS_ONE,))
+@example(5, (), (y1, y1, x2))
+@settings(max_examples=60, deadline=None)
+def test_series_matches_reference_recurrences(n, x, y):
+    assert h_series(n, x, y) == [_h_super_ref(k, x, y) for k in range(n + 1)]
+    assert h_series(n, x) == [_h_ref(k, x) for k in range(n + 1)]
+    assert h_super(n, x, y) == _h_super_ref(n, x, y)
+    assert h_complete(n, x) == _h_ref(n, x)
+    assert e_elem(n, x) == _e_ref(n, x)
+    assert e_elem(n, y) == _e_ref(n, y)
