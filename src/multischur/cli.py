@@ -302,9 +302,17 @@ def _cmd_expand(req: Mapping) -> object:
     raise UsageError(f"unknown basis {basis!r}")
 
 
+# The budget of `skew`: |lambda| + |mu| bounds the size max(len(lambda),
+# len(mu)) of its determinant and the degree of every entry, but not the
+# number of letters.  Past it, tractability.
+_SKEW_CAP = 9
+
+
 def _cmd_skew(req: Mapping) -> object:
     lam = _partition(req, "lambda", "λ")
     mu = _partition(req, "mu", "μ", default=())
+    if lam.weight + mu.weight > _SKEW_CAP:
+        raise TractabilityError(f"skew caps |lambda| + |mu| at {_SKEW_CAP}: got {lam.weight + mu.weight}")
     bx = parse_sequence(_field(req, "bx"))
     by = _by(req)
     if "bp" in req:

@@ -65,6 +65,14 @@ def check_degree_bound(lam: Partition, D: int) -> None:
         raise TractabilityError(f"degree bound is capped at {MAX_DEGREE_BOUND}: got {D}")
 
 
+# Entries kept by each of the two memo caches below.  A round of varied
+# requests (the cli-requests benchmark) reads about 50 Jacobi-Trudi values
+# and 7 h-words, and the truncation-stability suite at its caps about 120
+# values, so a long-lived process stays at a fixed size without refilling
+# the cache inside one round.
+CACHE_SIZE = 256
+
+
 def _mu_key(mu: Partition) -> tuple:
     return (sum(mu), tuple(-p for p in mu))
 
@@ -314,7 +322,7 @@ class _HPoly:
         )
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CACHE_SIZE)
 def _h_word_schur(word: tuple[int, ...]) -> SymFunc:
     """h_{n_1} h_{n_2} ... as a Schur-basis element."""
     f = sym_schur(())
@@ -381,7 +389,7 @@ def hall_inner(f: SymFunc, g: SymFunc) -> Scalar:
     return total
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CACHE_SIZE)
 def _jacobi_trudi(mu: Partition, vals: Alphabet) -> Scalar:
     return supersym_schur(mu, vals, ())
 

@@ -21,9 +21,18 @@ The operators:
                          (-t)^{|lam/mu|} |mu> over the vertical strips:
                          the one-letter branching rule for skew Schur
                          functions (Macdonald I.5), in vertex-operator
-                         form.  The charge is untouched,
+                         form.  Both kinds of strip are enumerated
+                         directly (shapes.horizontal_strips and
+                         shapes.vertical_strips), with no transposes.
+                         The charge is untouched,
   * dressed fermions     e^{H} psi_m e^{-H} = sum_i h_i(x/y) psi_{m-i}
                          and its psi* counterpart.
+
+The refined bra <mu| pairs with a charge-0 vector by applying
+psi*_{mu_1 - 1}, e^{-H(t_1)}, psi*_{mu_2 - 2}, ... and reading one
+coefficient.  bra_refined_pairs pairs many bras in one depth-first walk:
+the bras that agree on mu_1..mu_i share their first i steps, and a
+branch whose vector has become zero stops there.
 
 Everything is linear over exact Scalars and charge-homogeneous.  Apart
 from wick_expectation, which is a determinant by definition, no
@@ -38,7 +47,7 @@ from itertools import chain
 from typing import Iterable, Mapping, Sequence
 
 from .exactalg import DimensionError, Scalar, ScalarLike, coerce_scalar, collect, det_over_ring
-from .shapes import Alphabet, Partition, StabilityError, as_alphabet, horizontal_strips
+from .shapes import Alphabet, Partition, StabilityError, as_alphabet, horizontal_strips, vertical_strips
 from .supersym import h_series
 
 PSI = "psi"
@@ -243,14 +252,12 @@ def _exp_letter(t: Scalar, vertical: bool, v: FockVector) -> FockVector:
     if not t:
         return v
     powers = [_ONE, -t if vertical else t]
+    strips = vertical_strips if vertical else horizontal_strips
 
     def pairs():
         for state, coeff in v.items():
-            lam = state.parts
-            n = lam.weight
-            for mu in horizontal_strips(lam.transpose() if vertical else lam):
-                if vertical:
-                    mu = mu.transpose()
+            n = state.parts.weight
+            for mu in strips(state.parts):
                 k = n - mu.weight
                 while len(powers) <= k:
                     powers.append(powers[-1] * powers[1])
@@ -349,25 +356,60 @@ def bra_refined_pair(mu: Sequence[int], t: Sequence, v: FockVector, *, check_sta
     coefficient of |-r>.  The answer is r-stable; check_stability
     recomputes at r + 1 and raises StabilityError when they differ."""
     mu = Partition(mu)
-    if v.charge not in (None, 0):
-        raise ChargeError(f"refined bras pair with charge 0, got {v.charge}")
-    internal = max((len(s.parts) for s in v.states()), default=0)
-    r = max(len(mu), internal) + 1
+    r = _bra_rows([mu], v)[mu]
     value = _bra_apply(mu, t, v, r)
     if check_stability and value != _bra_apply(mu, t, v, r + 1):
         raise StabilityError(f"pairing not r-stable at r={r} for {mu}")
     return value
 
 
+def bra_refined_pairs(mus: Iterable[Sequence[int]], t: Sequence, v: FockVector) -> dict[Partition, Scalar]:
+    """bra_refined_pair(mu, t, v) for every mu, keyed by Partition in the
+    order given, from one walk in which the bras of all mu that agree on
+    mu_1..mu_i share their first i steps.  Raises what bra_refined_pair
+    raises, before any step."""
+    return _bra_walk(_bra_rows([Partition(mu) for mu in mus], v), t, v)
+
+
+def _bra_rows(mus: list[Partition], v: FockVector) -> dict[Partition, int]:
+    """The row count r = max(len(mu), longest state of v) + 1 of each bra."""
+    if v.charge not in (None, 0):
+        raise ChargeError(f"refined bras pair with charge 0, got {v.charge}")
+    internal = max((len(s.parts) for s in v.states()), default=0)
+    return {mu: max(len(mu), internal) + 1 for mu in mus}
+
+
 def _bra_apply(mu: Partition, t: Sequence, v: FockVector, r: int) -> Scalar:
+    return _bra_walk({mu: r}, t, v)[mu]
+
+
+def _bra_walk(rows: Mapping[Partition, int], t: Sequence, v: FockVector) -> dict[Partition, Scalar]:
+    """Apply psi*_{mu_i - i} then e^{-H(t_i)} for i = 1..r to v, and read
+    the coefficient of |-r>, for every mu with its r = rows[mu].  Depth
+    first: at step i the bras are grouped by mu_i, so each step runs once
+    per distinct prefix mu_1..mu_i, and a branch whose vector is zero
+    gives zero to all its bras without stepping further."""
     t = as_alphabet(t)
-    if len(t) < r:
-        raise ValueError(f"refined sequence needs {r} letters, got {len(t)}")
-    w = v
-    for i in range(1, r + 1):
-        w = apply_fermion(PSI_STAR, mu.part(i) - i, w)
-        w = apply_exp_H((t[i - 1],), (), -1, w)
-    return w.coefficient(MayaState(-r, Partition()))
+    need = max(rows.values(), default=0)
+    if len(t) < need:
+        raise ValueError(f"refined sequence needs {need} letters, got {len(t)}")
+    out = dict.fromkeys(rows)  # in the order of rows
+    stack = [(list(rows), 1, v)]  # bras that share steps 1..i-1, and w after them
+    while stack:
+        mus, i, w = stack.pop()
+        if not w:
+            out.update(dict.fromkeys(mus, Scalar.zero()))
+            continue
+        branches: dict[int, list[Partition]] = {}
+        for mu in mus:
+            if rows[mu] < i:
+                out[mu] = w.coefficient(MayaState(1 - i, Partition()))
+            else:
+                branches.setdefault(mu.part(i), []).append(mu)
+        for part, group in branches.items():
+            step = apply_fermion(PSI_STAR, part - i, w)
+            stack.append((group, i + 1, apply_exp_H((t[i - 1],), (), -1, step)))
+    return out
 
 
 # -- expectation values -----------------------------------------------

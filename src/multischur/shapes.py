@@ -154,6 +154,35 @@ def horizontal_strips(lam: Sequence[int], grow: int | None = None) -> Iterator[P
     yield from (Partition(parts) for parts in product(*rows) if sum(parts) == target)
 
 
+def vertical_strips(lam: Sequence[int]) -> Iterator[Partition]:
+    """Every mu inside lam with lam/mu a vertical strip, i.e. at most one
+    cell removed from each row: mu_i in {lam_i, lam_i - 1}, weakly
+    decreasing.
+
+    Within a run of equal parts the removed cells sit at the bottom of
+    the run, and the runs choose independently how many to remove.  The
+    strips are yielded in the order of transpose . horizontal_strips .
+    transpose: the run of the smallest part varies slowest, the run of
+    the largest part fastest, and each run removes 0, 1, ... cells.
+    """
+    lam = Partition(lam)
+    # runs of equal parts as (first row, end row), 0-indexed, the bottom run first
+    runs = []
+    end = len(lam)
+    while end:
+        start = end - 1
+        while start and lam[start - 1] == lam[end - 1]:
+            start -= 1
+        runs.append((start, end))
+        end = start
+    for removed in product(*(range(end - start + 1) for start, end in runs)):
+        parts = list(lam)
+        for (start, end), k in zip(runs, removed):
+            for i in range(end - k, end):
+                parts[i] -= 1
+        yield Partition(parts)
+
+
 # -- alphabets --------------------------------------------------------
 
 

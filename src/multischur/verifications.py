@@ -32,7 +32,7 @@ from .fock import (
     apply_exp_H,
     apply_fermion,
     apply_heisenberg,
-    bra_refined_pair,
+    bra_refined_pairs,
     ket_general,
     ket_partition,
     ket_refined,
@@ -160,9 +160,8 @@ def orthonormality(max_weight: int = 5) -> dict:
     failures: list[str] = []
     shapes = partitions_up_to_weight(max_weight)
     for lam in shapes:
-        ket = ket_refined(lam, t, len(lam))
-        for mu in shapes:
-            val = bra_refined_pair(mu, t, ket)
+        pairs = bra_refined_pairs(shapes, t, ket_refined(lam, t, len(lam)))
+        for mu, val in pairs.items():
             want = _ONE if mu == lam else _ZERO
             cases += 1
             if val != want:
@@ -183,10 +182,9 @@ def dual_engine(max_weight: int = 4) -> dict:
     failures: list[str] = []
     for lam in partitions_up_to_weight(max_weight):
         coeffs = expand_in_refined_basis(lam, bx, by, t)
-        ket = ket_general(lam, bx, by, len(lam))
-        for mu in subpartitions(lam):
+        pairs = bra_refined_pairs(subpartitions(lam), t, ket_general(lam, bx, by, len(lam)))
+        for mu, pair in pairs.items():
             det = coeffs.get(mu, _ZERO)
-            pair = bra_refined_pair(mu, t, ket)
             cases += 1
             if det != pair:
                 failures.append(f"coefficient {list(mu)} of {list(lam)}: det != pairing")

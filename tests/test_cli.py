@@ -8,7 +8,7 @@ import sys
 import time
 from pathlib import Path
 
-from multischur import cli
+from multischur import cli, expansions
 from multischur.cli import main
 from multischur.exactalg import Scalar, scalar_from_json
 from multischur.expansions import refined_dual_grothendieck, symfunc_from_json, symfunc_to_json
@@ -412,3 +412,39 @@ def test_golden_responses(monkeypatch, capsys):
         case = json.loads(line)
         code, out = _invoke(monkeypatch, capsys, case["request"])
         assert (code, out) == (case["exit"], case["stdout"]), case["request"]
+
+
+def test_eval_caches_stay_bounded(monkeypatch, capsys):
+    # more distinct (shape, values) keys than the memo holds
+    memo = expansions._jacobi_trudi
+    misses = memo.cache_info().misses
+    letters = ["x1", "x2", "x3", "x4", "t1"]
+    sizes = []
+    for n in range(1, len(letters) + 1):
+        for start in range(len(letters)):
+            vars_ = (letters[start:] + letters[:start])[:n]
+            for lam in ([1], [2], [1, 1], [3], [2, 1], [1, 1, 1]):
+                for coeff in ("1", "2", "-1/2"):
+                    req = {"command": "eval", "f": {"schur": lam}, "vars": vars_ + [coeff]}
+                    code, _ = _invoke(monkeypatch, capsys, req)
+                    assert code == 0
+                    sizes.append(memo.cache_info().currsize)
+    assert memo.cache_info().misses - misses > expansions.CACHE_SIZE
+    assert max(sizes) <= expansions.CACHE_SIZE
+    assert expansions._h_word_schur.cache_info().maxsize == expansions.CACHE_SIZE
+
+
+def test_skew_budget(monkeypatch, capsys):
+    cap = cli._SKEW_CAP
+    rows = {"refined": ["t1", "t2", "t3"]}
+    at_cap = {"command": "skew", "lambda": [cap - 2, 1], "mu": [1], "bx": [["x1"], ["x2"]]}
+    code, out = _invoke(monkeypatch, capsys, at_cap)
+    assert code == 0, out
+    for lam, mu in [([cap - 1, 1], [1]), ([5] * 4, [1]), ([1] * (cap + 1), []), ([1], [1] * cap)]:
+        for extra in ({}, {"bp": rows}):
+            req = {"command": "skew", "lambda": lam, "mu": mu, "bx": rows, **extra}
+            t0 = time.perf_counter()
+            code, out = _invoke(monkeypatch, capsys, req)
+            assert time.perf_counter() - t0 < 1.0
+            assert code == 1, out
+            assert json.loads(out)["error"]["type"] == "tractability"

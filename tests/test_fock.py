@@ -17,6 +17,7 @@ from multischur.fock import (
     apply_fermion,
     apply_heisenberg,
     bra_refined_pair,
+    bra_refined_pairs,
     ket_general,
     ket_partition,
     ket_refined,
@@ -34,7 +35,7 @@ from multischur.shapes import (
 )
 from multischur.supersym import h_super, p_power, supersym_schur
 
-t1, t2, t3, t4 = variables("t1 t2 t3 t4")
+t1, t2, t3, t4, t5, t6 = variables("t1 t2 t3 t4 t5 t6")
 x1, x2 = variables("x1 x2")
 y1 = Scalar.variable("y1")
 
@@ -372,6 +373,86 @@ def test_bra_refined_pair_charge_guard():
         bra_refined_pair(Partition(()), (t1,), vacuum_ket(1))
 
 
+def per_mu_bra_pair(mu, t, v):
+    """Reference for bra_refined_pairs: one walk per mu, every step taken
+    even on the zero vector."""
+    mu = Partition(mu)
+    internal = max((len(s.parts) for s in v.states()), default=0)
+    r = max(len(mu), internal) + 1
+    t = as_alphabet(t)
+    if len(t) < r:
+        raise ValueError(f"refined sequence needs {r} letters, got {len(t)}")
+    w = v
+    for i in range(1, r + 1):
+        w = apply_fermion(PSI_STAR, mu.part(i) - i, w)
+        w = apply_exp_H((t[i - 1],), (), -1, w)
+    return w.coefficient(MayaState(-r, Partition()))
+
+
+def test_bra_refined_pairs_match_per_mu_oracle():
+    ts = (t1, t2, t3, t4, t5, t6)
+    mus = partitions_up_to_weight(5)  # longer than every ket state below
+    bx, by = prefix_sequence((x1,), (x2, t1)), prefix_sequence((y1,), ())
+    kets = {"vacuum": vacuum_ket(0), "zero": ZERO_VECTOR}
+    for lam in partitions_up_to_weight(3):
+        refined, general = ket_refined(lam, ts, len(lam)), ket_general(lam, bx, by, len(lam))
+        kets.update({("refined", lam): refined, ("general", lam): general, ("sum", lam): refined + general})
+    for name, v in kets.items():
+        got = bra_refined_pairs(mus, ts, v)
+        assert list(got) == mus
+        for mu in mus:
+            assert got[mu] == per_mu_bra_pair(mu, ts, v), (name, mu)
+            assert got[mu] == bra_refined_pair(mu, ts, v), (name, mu)
+    assert bra_refined_pairs([], ts, kets["refined", (2, 1)]) == {}
+    assert bra_refined_pairs([(1,), [1, 0]], ts, vacuum_ket(0)) == {Partition((1,)): Scalar.zero()}
+
+
+def test_bra_refined_pairs_share_prefixes_and_stop_at_zero(monkeypatch):
+    ts = (t1, t2, t3, t4, t5, t6)
+    mus = partitions_up_to_weight(4)
+    v = ket_refined(Partition((2, 1)), ts, 2)
+    steps = []
+
+    def counting(mode, m, w):
+        steps.append(m)
+        return apply_fermion(mode, m, w)
+
+    monkeypatch.setattr(fock, "apply_fermion", counting)
+    assert bra_refined_pairs(mus, ts, v) == {mu: per_mu_bra_pair(mu, ts, v) for mu in mus}
+    walked = len(steps)
+    steps.clear()
+    for mu in mus:
+        bra_refined_pair(mu, ts, v)
+    assert walked < len(steps)  # shared prefixes
+    assert 2 * len(steps) < sum(max(len(mu), 2) + 1 for mu in mus)  # early exits
+    steps.clear()
+    assert bra_refined_pairs(mus, ts, ZERO_VECTOR) == dict.fromkeys(mus, Scalar.zero())
+    assert steps == []
+
+
+def test_bra_refined_pairs_errors_match_single_pairs(monkeypatch):
+    def no_step(*args):
+        raise AssertionError("a step ran before the arguments were checked")
+
+    short = (t1,)
+    v = ket_refined(Partition((1,)), (t1, t2, t3), 1)
+    charged = [vacuum_ket(1), apply_fermion(PSI_STAR, -1, vacuum_ket(0))]
+    monkeypatch.setattr(fock, "apply_fermion", no_step)
+    for mu in [Partition(()), Partition((2,)), Partition((1, 1))]:
+        with pytest.raises(ValueError) as single:
+            bra_refined_pair(mu, short, v)
+        with pytest.raises(ValueError) as walk:
+            bra_refined_pairs([Partition(()), mu], short, v)
+        assert str(walk.value) == str(single.value)
+        assert "refined sequence needs" in str(walk.value)
+    for w in charged:
+        with pytest.raises(ChargeError) as single:
+            bra_refined_pair(Partition(()), (t1,), w)
+        with pytest.raises(ChargeError) as walk:
+            bra_refined_pairs([Partition(())], (t1,), w)
+        assert str(walk.value) == str(single.value)
+
+
 def test_wick_simple_pairings():
     assert wick_expectation([-1], [-1]) == Scalar.one()
     assert wick_expectation([0], [0]) == Scalar.zero()
@@ -426,7 +507,11 @@ def test_fermion_route_calls_no_determinant(monkeypatch):
     lam, t = Partition((2, 1)), (t1, t2, t3)
     ket = ket_refined(lam, t, 2)
     assert bra_refined_pair(lam, t, ket) == Scalar.one()
+    shapes = partitions_up_to_weight(3)
+    pairs = bra_refined_pairs(shapes, t + (t1,), ket)
+    assert pairs == {mu: Scalar.one() if mu == lam else Scalar.zero() for mu in shapes}
     general = ket_general(lam, prefix_sequence((x1,), (x2,)), prefix_sequence((y1,)), 2)
     assert apply_exp_H((x1, x2), (y1,), +1, general)
+    assert apply_exp_H((x1, x2), (y1,), -1, general)
     assert apply_dressed_fermion(PSI, 1, (x1,), (y1,), ket)
     assert verifications.orthonormality(3)["passed"]

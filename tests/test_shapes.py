@@ -22,6 +22,7 @@ from multischur.shapes import (
     subpartitions,
     superpartitions,
     transpose,
+    vertical_strips,
 )
 
 t1, t2, t3 = variables("t1 t2 t3")
@@ -222,3 +223,11 @@ def test_horizontal_strips_below_interlace():
         assert sorted(got) == sorted(want)
     assert list(horizontal_strips((2, 1))) == [(2, 1), (2,), (1, 1), (1,)]
 
+
+def test_vertical_strips_are_transposed_horizontal_strips():
+    # same strips, same order
+    for lam in partitions_up_to_weight(8):
+        want = [transpose(mu) for mu in horizontal_strips(transpose(lam))]
+        assert list(vertical_strips(lam)) == want, lam
+    assert list(vertical_strips(())) == [()]
+    assert list(vertical_strips((2, 2, 1))) == [(2, 2, 1), (2, 1, 1), (1, 1, 1), (2, 2), (2, 1), (1, 1)]
