@@ -167,6 +167,7 @@ def parse_sequence(value) -> AlphabetSequence:
         tail = ConstantTail(parse_alphabet(tail_spec.get("letters", [])))
     elif kind == "refined":
         if "t" in tail_spec:
+            _unread(tail_spec, "a refined tail with t", "increments")
             increments = tuple((x,) for x in parse_alphabet(tail_spec["t"]))
         else:
             increments = _alphabet_rows(tail_spec.get("increments", []), "increments")
@@ -174,6 +175,14 @@ def parse_sequence(value) -> AlphabetSequence:
     else:
         raise UsageError(f"bad tail rule: {tail_spec!r}")
     return AlphabetSequence(prefix, tail)
+
+
+def _unread(req: Mapping, form: str, *names: str) -> None:
+    """A usage error for a field that `form` does not read, since the
+    request would otherwise be answered as if the field were absent."""
+    for name in names:
+        if name in req:
+            raise UsageError(f"{form} does not read field {name!r}")
 
 
 def _by(req: Mapping) -> AlphabetSequence:
@@ -209,7 +218,7 @@ def parse_symfunc(value) -> SymFunc:
         spec = value["stable"]
         lam = _partition(spec, "lambda", "λ")
         D = _degree_bound(spec, lam)
-        return stable_grothendieck_schur(lam, _letters(spec, _stable_rows(lam, D)), D)
+        return stable_grothendieck_schur(lam, _stable_letters(spec, lam, D), D)
     raise UsageError(f"bad symmetric function: {value!r}")
 
 
@@ -231,9 +240,22 @@ def _degree_bound(req: Mapping, lam: Partition) -> int:
     return D
 
 
-def _stable_rows(lam: Partition, D: int) -> int:
-    """The most rows of a shape containing lambda of weight at most D."""
-    return len(lam) + D - lam.weight
+# The budgets of `stable` and `stable-dual`: the size of their largest
+# matrix, len(lambda) + D - |lambda| (the most rows of a shape containing
+# lambda of weight at most D), or for `stable-dual` the stable row of bx
+# if that is larger.  It bounds the number of t letters read, not the
+# letters of bx.  Past it, tractability.
+_STABLE_CAP = 11
+_STABLE_DUAL_CAP = 8
+
+
+def _stable_letters(req: Mapping, lam: Partition, D: int, cap: int = _STABLE_CAP, rows: int = 0):
+    """The letters t of a stable expansion whose largest matrix has
+    max(rows, len(lam) + D - |lam|) rows, at most `cap`."""
+    rows = max(rows, len(lam) + D - lam.weight)
+    if rows > cap:
+        raise TractabilityError(f"this expansion caps its matrix size at {cap} rows: got {rows}")
+    return _letters(req, rows)
 
 
 def _letters(req: Mapping, rows: int) -> tuple[Scalar, ...]:
@@ -248,9 +270,19 @@ def _letters(req: Mapping, rows: int) -> tuple[Scalar, ...]:
 # -- commands ---------------------------------------------------------
 
 
+# The budget of `skew`, and of `multischur`, the same determinant with
+# mu = (): |lambda| + |mu| bounds the size max(len(lambda), len(mu)) of
+# its determinant and the degree of every entry, but not the number of
+# letters.  Past it, tractability.
+_SKEW_CAP = 9
+
+
 def _cmd_multischur(req: Mapping) -> object:
     lam = _partition(req, "lambda", "λ")
+    if lam.weight > _SKEW_CAP:
+        raise TractabilityError(f"multischur caps |lambda| at {_SKEW_CAP}: got {lam.weight}")
     if "flag" in req:
+        _unread(req, "multischur with a flag", "bx", "by")
         flag = req["flag"]
         if not isinstance(flag, list) or not all(
             isinstance(b, int) and not isinstance(b, bool) for b in flag
@@ -262,6 +294,7 @@ def _cmd_multischur(req: Mapping) -> object:
         except ValueError as e:  # every ValueError of flagged_schur is a malformed flag
             raise UsageError(f"bad flag: {e}") from e
         return scalar_to_json(value)
+    _unread(req, "multischur without a flag", "vars")
     bx = parse_sequence(_field(req, "bx"))
     by = _by(req)
     return scalar_to_json(multi_schur(lam, bx, by))
@@ -281,8 +314,10 @@ def _cmd_expand(req: Mapping) -> object:
             by = _by(req)
             coeffs = expand_in_refined_basis(lam, bx, by, t)
             return {**symfunc_to_json(SymFunc(coeffs)), "basis": "refined"}
+        _unread(req, "expand refined without bx", "by")
         return symfunc_to_json(refined_dual_grothendieck(lam, t))
     if basis == "truncated":
+        _unread(req, "expand truncated", "by")
         bx = parse_sequence(_field(req, "bx"))
         r = _int_field(req, "r")
         if r < len(lam):
@@ -290,22 +325,18 @@ def _cmd_expand(req: Mapping) -> object:
         D = _degree_bound(req, lam)
         return symfunc_to_json(truncated_dual_expansion(lam, bx, r, D))
     if basis == "stable":
+        _unread(req, "expand stable", "bx", "by")
         D = _degree_bound(req, lam)
-        t = _letters(req, _stable_rows(lam, D))
+        t = _stable_letters(req, lam, D)
         return symfunc_to_json(stable_grothendieck_schur(lam, t, D))
     if basis == "stable-dual":
+        _unread(req, "expand stable-dual", "by")
         bx = parse_sequence(_field(req, "bx"))
         D = _degree_bound(req, lam)
         st = bx.stable_tail()  # None is refused as a StabilityError by stable_dual_in_G
-        t = _letters(req, max(_stable_rows(lam, D), st[0] if st else 0))
+        t = _stable_letters(req, lam, D, _STABLE_DUAL_CAP, st[0] if st else 0)
         return {**symfunc_to_json(SymFunc(stable_dual_in_G(lam, bx, t, D), D)), "basis": "stable"}
     raise UsageError(f"unknown basis {basis!r}")
-
-
-# The budget of `skew`: |lambda| + |mu| bounds the size max(len(lambda),
-# len(mu)) of its determinant and the degree of every entry, but not the
-# number of letters.  Past it, tractability.
-_SKEW_CAP = 9
 
 
 def _cmd_skew(req: Mapping) -> object:

@@ -270,52 +270,31 @@ def scalar_eval(p: Scalar, assignment: Mapping[str, Union[int, Fraction]]) -> Fr
     return total
 
 
-def det_over_ring(rows: Sequence[Sequence], *, zero=None, one=None):
-    """Determinant over a commutative ring, division-free.
+def _laplace(cols: tuple, entry, memo: dict, zero):
+    """The minor over rows 1..k = len(cols) and the columns keyed `cols`,
+    expanded along row k: the sum over positions p of
+    (-1)^(k-1-p) entry(k, cols[p]) times the minor without column p.
+    `memo` maps key tuples to minors and holds the ring's one at ()."""
+    minor = memo.get(cols)
+    if minor is None:
+        k, minor = len(cols), zero
+        for p, key in enumerate(cols):
+            e = entry(k, key)
+            sub = e and _laplace(cols[:p] + cols[p + 1 :], entry, memo, zero)
+            if sub:
+                minor = minor + e * sub if (k - p) % 2 else minor - e * sub
+        memo[cols] = minor
+    return minor
 
-    Cofactor expansion along successive rows, memoized on the surviving
-    column subset, so the cost is O(2^n * n) ring operations.  Entries
-    only need +, -, * and truthiness; `zero`/`one` default to Scalar
-    constants and must be supplied for other rings.  The 0x0 determinant
-    is `one`.
-    """
+
+def det_over_ring(rows: Sequence[Sequence]) -> Scalar:
+    """Determinant of a square matrix of Scalars, division-free, by
+    `_laplace` over all columns: O(2^n * n) ring operations."""
     n = len(rows)
     for row in rows:
         if len(row) != n:
             raise DimensionError(f"matrix is not square: {n} rows, a row of width {len(row)}")
-    if zero is None:
-        zero = _ZERO
-    if one is None:
-        one = _ONE
-    if n == 0:
-        return one
-    cache: dict[int, object] = {}
-
-    def expand(mask: int):
-        if mask in cache:
-            return cache[mask]
-        i = n - bin(mask).count("1")
-        cols = [j for j in range(n) if mask >> j & 1]
-        if len(cols) == 1:
-            return rows[i][cols[0]]
-        acc = None
-        for pos, j in enumerate(cols):
-            entry = rows[i][j]
-            if not entry:
-                continue
-            term = entry * expand(mask & ~(1 << j))
-            if acc is None:
-                acc = term if pos % 2 == 0 else -term
-            elif pos % 2 == 0:
-                acc = acc + term
-            else:
-                acc = acc - term
-        if acc is None:
-            acc = zero
-        cache[mask] = acc
-        return acc
-
-    return expand((1 << n) - 1)
+    return _laplace(tuple(range(n)), lambda i, j: rows[i - 1][j], {(): _ONE}, _ZERO)
 
 
 # -- serialization ----------------------------------------------------

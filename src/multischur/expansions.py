@@ -9,11 +9,13 @@ ring).
 The expansion operations all reduce to Jacobi-Trudi style determinants
 whose entries are supersymmetric h or e polynomials in row- and
 column-dependent alphabets, built by the one kernel `supersym._jt` from
-an entry function.  Each call builds one `supersym.h_series` per row
-(or per cell, where the alphabet also depends on the column), up to the
-largest index its matrices read.  The skew expansion also carries the
-h_n(X) generators through the determinant and folds them into the Schur
-basis by Pieri multiplication.
+an entry function; the determinants of one call share their minors.
+Each call builds one `supersym.h_series` per row (or per cell, where the
+alphabet also depends on the column, and the columns are then keyed on
+(mu_j - j, j) instead of mu_j - j), up to the largest index its matrices
+read.  The skew expansion also carries the h_n(X) generators through
+the determinant and folds them into the Schur basis by Pieri
+multiplication.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ from .shapes import (
     subpartitions,
     superpartitions,
 )
-from .supersym import _at, _jt, h_series, supersym_schur
+from .supersym import _at, _cells, _jt, h_series, supersym_schur
 
 _ZERO = Scalar.zero()
 _ONE = Scalar.one()
@@ -178,7 +180,7 @@ def flagged_schur(lam: Sequence[int], flag: Sequence[int], vars: Sequence) -> Sc
         raise ValueError(f"flag {flag} exceeds the {len(xs)} given variables")
     n = len(lam)
     rows = [h_series(lam.part(i) - i + n, xs[: flag[i - 1]]) for i in range(1, n + 1)]
-    return _jt(lam, Partition(), n, lambda k, i, j: _at(rows[i - 1], k))
+    return _jt(lam, lambda k, i: _at(rows[i - 1], k))(Partition(), n)
 
 
 def schur_expand_multischur(lam: Sequence[int], bx: AlphabetSequence, by: AlphabetSequence) -> SymFunc:
@@ -187,8 +189,8 @@ def schur_expand_multischur(lam: Sequence[int], bx: AlphabetSequence, by: Alphab
     lam = Partition(lam)
     r = len(lam)
     rows = [h_series(lam.part(i) - i + r, bx.alphabet(i), by.alphabet(i)) for i in range(1, r + 1)]
-    entry = lambda k, i, j: _at(rows[i - 1], k)
-    return SymFunc({mu: c for mu in subpartitions(lam) if (c := _jt(lam, mu, r, entry))})
+    det = _jt(lam, lambda k, i: _at(rows[i - 1], k))
+    return SymFunc({mu: c for mu in subpartitions(lam) if (c := det(mu, r))})
 
 
 def refined_dual_grothendieck(lam: Sequence[int], t: Sequence) -> SymFunc:
@@ -210,8 +212,8 @@ def expand_in_refined_basis(
         [h_series(lam.part(i) - i + j, bx.alphabet(i), by.alphabet(i) + tj) for j, tj in enumerate(ts, 1)]
         for i in range(1, r + 1)
     ]
-    entry = lambda k, i, j: _at(cells[i - 1][j - 1], k)
-    return {mu: c for mu in subpartitions(lam) if (c := _jt(lam, mu, r, entry))}
+    det = _jt(lam, lambda k, i, j: _at(cells[i - 1][j - 1], k), _cells)
+    return {mu: c for mu in subpartitions(lam) if (c := det(mu, r))}
 
 
 def truncated_dual_expansion(lam: Sequence[int], bx: AlphabetSequence, r: int, D: int) -> SymFunc:
@@ -227,8 +229,8 @@ def truncated_dual_expansion(lam: Sequence[int], bx: AlphabetSequence, r: int, D
     top = max(mu.part(1) for mu in shapes) - 1
     xs = [bx.alphabet(i) for i in range(1, r + 1)]
     rows = [h_series(min(len(x), top - lam.part(i) + i), (), x) for i, x in enumerate(xs, 1)]
-    entry = lambda k, i, j: _at(rows[i - 1], -k)
-    return SymFunc({mu: c for mu in shapes if (c := _jt(lam, mu, r, entry))}, D)
+    det = _jt(lam, lambda k, i: _at(rows[i - 1], -k))
+    return SymFunc({mu: c for mu in shapes if (c := det(mu, r))}, D)
 
 
 def stable_dual_in_G(
@@ -253,8 +255,8 @@ def stable_dual_in_G(
         [h_series(reach(i, j) - j - lam.part(i) + i, ts[j - 1], x) for j in range(1, n + 1)]
         for i, x in enumerate(xs, 1)
     ]
-    entry = lambda k, i, j: _at(cells[i - 1][j - 1], -k)
-    return {mu: c for mu in shapes if (c := _jt(lam, mu, max(R, len(mu)), entry))}
+    det = _jt(lam, lambda k, i, j: _at(cells[i - 1][j - 1], -k), _cells)
+    return {mu: c for mu in shapes if (c := det(mu, max(R, len(mu))))}
 
 
 def stable_grothendieck_schur(lam: Sequence[int], t: Sequence, D: int) -> SymFunc:
@@ -266,8 +268,8 @@ def stable_grothendieck_schur(lam: Sequence[int], t: Sequence, D: int) -> SymFun
     shapes = superpartitions(lam, D)
     # e_m(-(t_1..t_{i-1})) = h_m(()/(t_1..t_{i-1})), a polynomial of degree i - 1
     rows = [h_series(i - 1, (), refined_alphabet(t, i)) for i in range(1, max(map(len, shapes)) + 1)]
-    entry = lambda k, i, j: _at(rows[i - 1], -k)
-    return SymFunc({mu: c for mu in shapes if (c := _jt(lam, mu, max(len(mu), len(lam)), entry))}, D)
+    det = _jt(lam, lambda k, i: _at(rows[i - 1], -k))
+    return SymFunc({mu: c for mu in shapes if (c := det(mu, max(len(mu), len(lam))))}, D)
 
 
 def skew_multi_schur(
@@ -279,7 +281,7 @@ def skew_multi_schur(
     r = max(len(lam), len(mu))
     low = min((mu.part(j) - j for j in range(1, r + 1)), default=0)  # smallest column value
     rows = [h_series(lam.part(i) - i - low, bx.alphabet(i), by.alphabet(i)) for i in range(1, r + 1)]
-    return _jt(lam, mu, r, lambda k, i, j: _at(rows[i - 1], k))
+    return _jt(lam, lambda k, i: _at(rows[i - 1], k))(mu, r)
 
 
 # -- h-generator polynomials (internal to skew_function) --------------
@@ -293,14 +295,6 @@ class _HPoly:
 
     def __init__(self, terms: Mapping | Iterable[tuple] = ()):
         self.terms = collect(terms.items() if hasattr(terms, "items") else terms)
-
-    @classmethod
-    def zero(cls) -> "_HPoly":
-        return cls()
-
-    @classmethod
-    def one(cls) -> "_HPoly":
-        return cls({(): _ONE})
 
     def __bool__(self) -> bool:
         return bool(self.terms)
@@ -346,11 +340,11 @@ def skew_function(
     r = max(len(lam), len(mu))
 
     def entry(k: int, i: int, j: int) -> _HPoly:
-        # one determinant reads each cell once, so each cell series is built here
+        # `_jt` computes each cell once, so each cell series is built here
         s = h_series(k, bx.alphabet(i), by.alphabet(i) + bp.alphabet(j))
         return _HPoly({(n,) if n else (): s[k - n] for n in range(k + 1)})
 
-    det = _jt(lam, mu, r, entry, zero=_HPoly.zero(), one=_HPoly.one())
+    det = _jt(lam, entry, _cells, _HPoly(), _HPoly({(): _ONE}))(mu, r)
     return SymFunc(
         (nu, a * c) for word, c in det.terms.items() for nu, a in _h_word_schur(word)._coeffs.items()
     )

@@ -9,19 +9,24 @@ Setting y = () recovers h_n(x); setting x = () gives
 (-1)^n e_n(y) = e_n(-y).  p_n(x/y) = p_n(x) - p_n(y) follows the same
 sign convention.  The determinant of h_{lam_i - i + j}(x/y) is the
 supersymmetric Schur function; `_jt` builds that determinant, and every
-Jacobi-Trudi determinant of `expansions`, from an entry function.
+Jacobi-Trudi determinant of `expansions`, from an entry function.  For a
+fixed lam, the matrix of each mu is a choice of columns c_j = mu_j - j
+of one matrix indexed by (i, c), so its determinant is a minor of that
+matrix (Fulton, Young Tableaux, ch. 9): the determinants of one `_jt`
+share their minors over rows 1..k.
 
 `h_series` computes the series truncated after z^n, one letter at a
 time (Macdonald, Symmetric Functions and Hall Polynomials, I.2).  A
 determinant builds one series per row or cell alphabet and reads its
-entries by index; nothing here is cached.
+entries by index; nothing here is cached beyond one `_jt`.
 """
 
 from __future__ import annotations
 
+from functools import cache
 from typing import Iterable, Sequence
 
-from .exactalg import Scalar, det_over_ring
+from .exactalg import Scalar, _laplace
 from .shapes import Partition, as_alphabet, negate_alphabet
 
 _ZERO = Scalar.zero()
@@ -74,19 +79,27 @@ def p_power(n: int, x: Iterable, y: Iterable) -> Scalar:
     return total
 
 
-def _jt(lam: Partition, mu: Partition, n: int, entry, **ring):
-    """det( entry(lam_i - mu_j - i + j, i, j) ) over i, j = 1..n; `ring`
-    passes `zero`/`one` on for entries that are not Scalars."""
-    cols = [mu.part(j) - j for j in range(1, n + 1)]
-    rows = []
-    for i in range(1, n + 1):
-        a = lam.part(i) - i
-        rows.append([entry(a - c, i, j) for j, c in enumerate(cols, 1)])
-    return det_over_ring(rows, **ring)
+def _values(mu: Partition, n: int) -> tuple:
+    """Column keys (mu_j - j,), for entries that ignore the column j."""
+    return tuple((mu.part(j) - j,) for j in range(1, n + 1))
+
+
+def _cells(mu: Partition, n: int) -> tuple:
+    """Column keys (mu_j - j, j), for entries that read j."""
+    return tuple((mu.part(j) - j, j) for j in range(1, n + 1))
+
+
+def _jt(lam: Partition, entry, keys=_values, zero=_ZERO, one=_ONE):
+    """det(mu, n) = det( entry(lam_i - i - c_j, i, *rest_j) ), i, j = 1..n,
+    for the column keys (c_j, *rest_j) = keys(mu, n).  The determinants
+    share one memo of minors and compute each entry once."""
+    at = cache(lambda i, key: entry(lam.part(i) - i - key[0], i, *key[1:]))
+    memo = {(): one}
+    return lambda mu, n: _laplace(keys(mu, n), at, memo, zero)
 
 
 def supersym_schur(lam: Sequence[int], x: Iterable, y: Iterable) -> Scalar:
     """det( h_{lam_i - i + j}(x/y) ) over i, j = 1..len(lam)."""
     lam = Partition(lam)
     s = h_series(lam.part(1) - 1 + len(lam), x, y)
-    return _jt(lam, Partition(), len(lam), lambda k, i, j: _at(s, k))
+    return _jt(lam, lambda k, i: _at(s, k))(Partition(), len(lam))

@@ -448,3 +448,74 @@ def test_skew_budget(monkeypatch, capsys):
             assert time.perf_counter() - t0 < 1.0
             assert code == 1, out
             assert json.loads(out)["error"]["type"] == "tractability"
+
+
+def _assert_tractability_within_a_second(monkeypatch, capsys, req):
+    t0 = time.perf_counter()
+    code, out = _invoke(monkeypatch, capsys, req)
+    assert time.perf_counter() - t0 < 1.0
+    assert code == 1, out
+    assert json.loads(out)["error"]["type"] == "tractability"
+
+
+def test_multischur_budget(monkeypatch, capsys):
+    cap = cli._SKEW_CAP
+    at_cap = {"command": "multischur", "lambda": [cap], "bx": [["x1"]]}
+    code, out = _invoke(monkeypatch, capsys, at_cap)
+    assert code == 0, out
+    assert scalar_from_json(json.loads(out)) == x1**cap
+    rows = {"constant": ["x1", "x2", "x3", "x4"]}
+    for lam in ([cap + 1], [1] * (cap + 1), [3, 3, 3, 1, 1, 1]):
+        _assert_tractability_within_a_second(monkeypatch, capsys, {"command": "multischur", "lambda": lam, "bx": rows})
+        req = {"command": "multischur", "lambda": lam, "flag": [4] * len(lam), "vars": ["x1", "x2", "x3", "x4"]}
+        _assert_tractability_within_a_second(monkeypatch, capsys, req)
+
+
+def test_unread_fields_rejected(monkeypatch, capsys):
+    rows, refined = [["x1"], ["x2"]], {"refined": ["t1", "t2", "t3"]}
+    t = ["t1", "t2", "t3"]
+    for req in [
+        {"command": "expand", "basis": "refined", "lambda": [2, 1], "t": t, "by": rows},
+        {"command": "expand", "basis": "truncated", "lambda": [1], "bx": rows, "r": 2, "D": 2, "by": rows},
+        {"command": "expand", "basis": "stable-dual", "lambda": [1], "bx": refined, "t": t, "D": 2, "by": rows},
+        {"command": "expand", "basis": "stable", "lambda": [1], "t": t, "D": 2, "bx": rows},
+        {"command": "expand", "basis": "stable", "lambda": [1], "t": t, "D": 2, "by": rows},
+        {"command": "multischur", "lambda": [1], "flag": [1], "vars": ["x1"], "bx": rows},
+        {"command": "multischur", "lambda": [1], "flag": [1], "vars": ["x1"], "by": rows},
+        {"command": "multischur", "lambda": [1], "bx": rows, "vars": ["x1"]},
+        {
+            "command": "multischur",
+            "lambda": [2, 1],
+            "bx": {"tail": {"kind": "refined", "t": ["t1"], "increments": [["x1", "x2"]]}},
+        },
+    ]:
+        _assert_usage_error(monkeypatch, capsys, req)
+    # the same requests without the unread field are answered
+    for req in [
+        {"command": "expand", "basis": "refined", "lambda": [2, 1], "t": t, "bx": [], "by": rows},
+        {"command": "multischur", "lambda": [2, 1], "bx": {"tail": {"kind": "refined", "t": ["t1"]}}},
+        {"command": "multischur", "lambda": [1], "flag": [1], "vars": ["x1"]},
+    ]:
+        code, out = _invoke(monkeypatch, capsys, req)
+        assert code == 0, out
+
+
+def test_stable_budgets(monkeypatch, capsys):
+    t = [f"t{i}" for i in range(1, 40)]
+    for basis, cap, extra in [
+        ("stable", cli._STABLE_CAP, {}),
+        ("stable-dual", cli._STABLE_DUAL_CAP, {"bx": {"refined": ["s1"]}}),
+    ]:
+        # lambda = () has a matrix of D rows
+        code, out = _invoke(monkeypatch, capsys, {"command": "expand", "basis": basis, "lambda": [], "t": t, "D": cap, **extra})
+        assert code == 0, out
+        for lam, D in [([], cap + 1), ([1], cap + 1), ([4, 3, 2, 1], cap + 7), ([2], cap + 2)]:
+            req = {"command": "expand", "basis": basis, "lambda": lam, "t": t, "D": D, **extra}
+            _assert_tractability_within_a_second(monkeypatch, capsys, req)
+    # a stable row of bx past the cap
+    bx = {"prefix": [["x1"]] * cli._STABLE_DUAL_CAP, "tail": {"kind": "refined", "base": ["x1"], "t": ["s1"]}}
+    req = {"command": "expand", "basis": "stable-dual", "lambda": [1], "bx": bx, "t": t, "D": 1}
+    _assert_tractability_within_a_second(monkeypatch, capsys, req)
+    f = {"stable": {"lambda": [1], "t": t, "D": cli._STABLE_CAP + 1}}
+    for req in ({"command": "inner", "f": f, "g": {"schur": [1]}}, {"command": "eval", "f": f, "vars": ["x1"]}):
+        _assert_tractability_within_a_second(monkeypatch, capsys, req)

@@ -1,0 +1,161 @@
+"""Property test of the request boundary: every request, well-formed or
+not, gets exactly one JSON document on stdout, an exit status of 0, 1 or
+2, and nothing on stderr.  The requests are built from the fields of every
+command, each filled with a valid value or with junk, at small sizes."""
+
+import contextlib
+import io
+import json
+import sys
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from multischur import cli
+
+JUNK = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-3, 3),
+    st.floats(),
+    st.text(max_size=3),
+    st.lists(st.one_of(st.none(), st.integers(-1, 3), st.text(max_size=2)), max_size=3),
+    st.lists(st.lists(st.integers(-1, 2), max_size=2), max_size=2),
+    st.dictionaries(st.sampled_from(["kind", "t", "refined", "lambda", "terms"]), st.integers(-1, 2), max_size=2),
+    # letters that do not parse: reserved, a zero denominator, not a name
+    st.lists(st.sampled_from(["beta", "1/0", "x 1", "x1^2"]), min_size=1, max_size=2),
+)
+
+TERM = st.fixed_dictionaries(
+    {"coefficient": st.sampled_from(["1", "-2", "1/3"]), "monomial": st.sampled_from([{}, {"x1": 2}, {"t1": 1}])}
+)
+LETTER = st.one_of(st.sampled_from(["x1", "x2", "y1", "t1", "t2", "-t1", "1/2", "-1", "0"]), st.integers(-2, 2), TERM)
+LETTERS = st.lists(LETTER, max_size=7)
+ROWS = st.lists(st.lists(LETTER, max_size=3), max_size=4)
+
+
+@st.composite
+def partitions(draw, weight=4):
+    parts, left = [], draw(st.integers(0, weight))
+    while left:
+        p = draw(st.integers(1, min(left, parts[-1] if parts else left)))
+        parts.append(p)
+        left -= p
+    return parts
+
+
+TAIL = st.one_of(
+    st.fixed_dictionaries({"kind": st.just("empty")}),
+    st.fixed_dictionaries({"kind": st.just("constant")}, optional={"letters": LETTERS}),
+    st.fixed_dictionaries(
+        {"kind": st.just("refined")}, optional={"base": LETTERS, "t": LETTERS, "increments": ROWS}
+    ),
+    JUNK,
+)
+SEQUENCE = st.one_of(
+    ROWS,
+    st.fixed_dictionaries({"refined": LETTERS}),
+    st.fixed_dictionaries({"constant": LETTERS}),
+    st.fixed_dictionaries({}, optional={"prefix": ROWS, "tail": TAIL, "refined": LETTERS}),
+)
+SMALL = st.integers(-1, 6)
+
+
+def _or_junk(valid):
+    """A valid value three times in four, else junk."""
+    return st.one_of(valid, valid, valid, JUNK)
+
+
+SPEC = st.fixed_dictionaries({"lambda": partitions(), "t": LETTERS}, optional={"D": SMALL})
+SYMFUNC = st.one_of(
+    st.fixed_dictionaries({"schur": _or_junk(partitions())}),
+    st.fixed_dictionaries({"refined": _or_junk(SPEC)}),
+    st.fixed_dictionaries({"stable": _or_junk(SPEC)}),
+    st.fixed_dictionaries(
+        {"basis": st.sampled_from(["schur", "schur", "stable"])},
+        optional={
+            "truncation": _or_junk(SMALL),
+            "terms": st.lists(
+                st.fixed_dictionaries({"partition": _or_junk(partitions()), "coeff": _or_junk(st.lists(TERM, max_size=2))}),
+                max_size=3,
+            ),
+        },
+    ),
+)
+
+FIELDS = {
+    "lambda": partitions(),
+    "mu": partitions(2),
+    "bx": SEQUENCE,
+    "by": SEQUENCE,
+    "bp": SEQUENCE,
+    "flag": st.lists(st.integers(0, 4), max_size=4),
+    "vars": LETTERS,
+    "basis": st.sampled_from(["schur", "refined", "truncated", "stable", "stable-dual", "other"]),
+    "t": LETTERS,
+    "r": SMALL,
+    "D": SMALL,
+    "f": SYMFUNC,
+    "g": SYMFUNC,
+}
+# The fields each form of a command reads; `basis` picks the form of `expand`.
+FORMS = {
+    "multischur": [("lambda", "bx"), ("lambda", "bx", "by"), ("lambda", "flag", "vars")],
+    "expand": [
+        ("lambda", "basis=schur", "bx", "by"),
+        ("lambda", "basis=refined", "t"),
+        ("lambda", "basis=refined", "t", "bx", "by"),
+        ("lambda", "basis=truncated", "bx", "r", "D"),
+        ("lambda", "basis=stable", "t", "D"),
+        ("lambda", "basis=stable-dual", "bx", "t", "D"),
+    ],
+    "skew": [("lambda", "mu", "bx", "by"), ("lambda", "mu", "bx", "bp")],
+    "inner": [("f", "g")],
+    "eval": [("f", "vars")],
+    "other": [("lambda",)],
+}
+
+
+@st.composite
+def requests(draw):
+    """A well-formed request of some form, then half of the time one
+    field replaced by junk, dropped, or added from another form."""
+    command = draw(st.sampled_from(sorted(FORMS) + ["verify"]))
+    if command == "verify":
+        theorem = draw(st.sampled_from(sorted(cli._SUITE_KWARGS) + ["other"]))
+        # every size field is present, so no suite runs at its default
+        # sizes (cauchy has none and fixed cases)
+        sizes = {key: draw(_or_junk(st.integers(1, 3))) for key in cli._SUITE_KWARGS.get(theorem, {})}
+        return {"command": command, "theorem": theorem, **sizes}
+    req = {"command": command}
+    for name in draw(st.sampled_from(FORMS[command])):
+        name, _, value = name.partition("=")
+        req[name] = value or draw(FIELDS[name])
+    change = draw(st.sampled_from(["none", "none", "none", "junk", "drop", "add"]))
+    names = sorted({name.partition("=")[0] for form in FORMS[command] for name in form})
+    name = draw(st.sampled_from(names))
+    if change == "junk":
+        req[name] = draw(JUNK)
+    elif change == "drop":
+        req.pop(name, None)
+    elif change == "add":
+        req[name] = draw(FIELDS[name])
+    return req
+
+
+@given(requests())
+@settings(max_examples=150, deadline=None)
+def test_every_request_gets_one_json_outcome(request):
+    stdout, stderr, stdin = io.StringIO(), io.StringIO(), sys.stdin
+    sys.stdin = io.StringIO(json.dumps(request))
+    try:
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            code = cli.main([])
+    finally:
+        sys.stdin = stdin
+    out = stdout.getvalue()
+    assert code in (0, 1, 2), (request, out)
+    assert out.endswith("\n") and out.count("\n") == 1, (request, out)
+    doc = json.loads(out)
+    assert (code == 0) != (isinstance(doc, dict) and "error" in doc), (request, out)
+    assert stderr.getvalue() == ""

@@ -564,3 +564,19 @@ def test_per_mu_expansions_match_per_entry_oracle():
             if bx.stable_tail() is not None:
                 want = PerEntryJT.stable_dual(lam, bx, SWEEP_T, D)
                 assert stable_dual_in_G(lam, bx, SWEEP_T, D) == want, (lam, bx)
+
+
+def test_stable_expansions_share_minors_across_sizes():
+    """The stable expansions at every D that SWEEP_T has letters for: one
+    call's matrices then range in size from len(lam) to
+    len(lam) + D - |lam| rows, so the memo of one call serves several
+    sizes, each checked against one det_over_ring per mu."""
+    rows = len(SWEEP_T) + 1
+    for lam in partitions_up_to_weight(3):
+        for D in range(lam.weight, lam.weight + rows - len(lam) + 1):
+            assert stable_grothendieck_schur(lam, SWEEP_T, D) == PerEntryJT.stable(lam, SWEEP_T, D), (lam, D)
+            for bx in SWEEP_BX:
+                st = bx.stable_tail()
+                if st is not None and st[0] <= rows:
+                    want = PerEntryJT.stable_dual(lam, bx, SWEEP_T, D)
+                    assert stable_dual_in_G(lam, bx, SWEEP_T, D) == want, (lam, bx, D)
