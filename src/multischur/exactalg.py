@@ -275,15 +275,19 @@ def _laplace(cols: tuple, entry, memo: dict, zero):
     expanded along row k: the sum over positions p of
     (-1)^(k-1-p) entry(k, cols[p]) times the minor without column p.
     `memo` maps key tuples to minors and holds the ring's one at ()."""
-    minor = memo.get(cols)
-    if minor is None:
-        k, minor = len(cols), zero
-        for p, key in enumerate(cols):
-            e = entry(k, key)
-            sub = e and _laplace(cols[:p] + cols[p + 1 :], entry, memo, zero)
-            if sub:
-                minor = minor + e * sub if (k - p) % 2 else minor - e * sub
-        memo[cols] = minor
+    if cols in memo:
+        return memo[cols]
+    if len(cols) == 1:  # the entry itself, not a product with one
+        return entry(1, cols[0])
+    k, minor = len(cols), None
+    for p, key in enumerate(cols):
+        e = entry(k, key)
+        sub = e and _laplace(cols[:p] + cols[p + 1 :], entry, memo, zero)
+        if sub:
+            term = e * sub if (k - p) % 2 else -(e * sub)
+            # the first term is kept as is: zero + term would copy it
+            minor = term if minor is None else minor + term
+    memo[cols] = minor = zero if minor is None else minor
     return minor
 
 
