@@ -14,6 +14,7 @@ single deterministic JSON document on stdout; errors are reported as
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import re
 import sys
@@ -275,6 +276,11 @@ def _letters(req: Mapping, rows: int) -> tuple[Scalar, ...]:
 # its determinant and the degree of every entry, but not the number of
 # letters.  Past it, tractability.
 _SKEW_CAP = 9
+# The letter budget of `skew` with `bp`: the sizes of the bx, by and bp
+# alphabets summed over the rows 1..max(len(lambda), len(mu)) of its
+# determinant.  At the cap the slowest request found is lambda = (9) with
+# all nine letters in the first row of bx.  Past it, tractability.
+_SKEW_LETTER_CAP = 9
 
 
 def _cmd_multischur(req: Mapping) -> object:
@@ -348,6 +354,10 @@ def _cmd_skew(req: Mapping) -> object:
     by = _by(req)
     if "bp" in req:
         bp = parse_sequence(req["bp"])
+        rows = range(1, max(len(lam), len(mu)) + 1)
+        letters = sum(len(seq.alphabet(i)) for seq in (bx, by, bp) for i in rows)
+        if letters > _SKEW_LETTER_CAP:
+            raise TractabilityError(f"skew with bp caps the letters of its rows at {_SKEW_LETTER_CAP}: got {letters}")
         return symfunc_to_json(skew_function(lam, mu, bx, by, bp))
     return scalar_to_json(skew_multi_schur(lam, mu, bx, by))
 
@@ -386,6 +396,23 @@ _SUITE_KWARGS = {
 }
 
 
+# Pairs (low, high) of fields that a suite needs with low <= high, since it
+# expands every shape of weight up to `low` at degree `high`; a field left
+# out takes the suite's default.  Else the request is malformed.
+_SUITE_ORDER = {
+    "hall-duality": ("maxWeight", "truncation"),
+    "beta-chain": ("maxWeight", "maxDualWeight"),
+}
+
+
+def _suite_size(theorem: str, key: str, kwargs: Mapping) -> int:
+    """The size `key` that the suite runs with: the request's, else its default."""
+    kwarg = _SUITE_KWARGS[theorem][key][0]
+    if kwarg in kwargs:
+        return kwargs[kwarg]
+    return inspect.signature(SUITES[theorem]).parameters[kwarg].default
+
+
 def _cmd_verify(req: Mapping) -> object:
     theorem = _field(req, "theorem")
     if theorem not in SUITES:
@@ -400,6 +427,11 @@ def _cmd_verify(req: Mapping) -> object:
             if value > cap:
                 raise TractabilityError(f"{theorem} caps {key!r} at {cap}: got {value}")
             kwargs[kwarg] = value
+    if theorem in _SUITE_ORDER:
+        low, high = _SUITE_ORDER[theorem]
+        a, b = _suite_size(theorem, low, kwargs), _suite_size(theorem, high, kwargs)
+        if a > b:
+            raise UsageError(f"{theorem} needs {high!r} >= {low!r} (a missing field takes its default): got {b} < {a}")
     result = SUITES[theorem](**kwargs)
     if "seed" in req:
         result["parameters"]["seed"] = req["seed"]

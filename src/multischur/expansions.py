@@ -100,7 +100,7 @@ class SymFunc:
 
     def __init__(self, coeffs: Mapping | Iterable[tuple] = (), truncation: int | None = None):
         pairs = coeffs.items() if hasattr(coeffs, "items") else coeffs
-        pairs = ((mu if isinstance(mu, Partition) else Partition(mu), c) for mu, c in pairs)
+        pairs = ((Partition(mu), c) for mu, c in pairs)
         if truncation is not None:
             pairs = ((mu, c) for mu, c in pairs if mu.weight <= truncation)
         self._coeffs = collect(pairs)

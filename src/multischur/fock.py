@@ -124,7 +124,11 @@ def _create(state: MayaState, m: int) -> tuple[int, MayaState] | None:
     if j < len(levels) and levels[j] == m:
         return None
     parts = [lam[i] - 1 for i in range(j)] + [m - c + j] + list(lam[j:])
-    return ((-1) ** j, MayaState(c + 1, Partition(parts)))
+    # m just above the sea with every excited level above it: the new part
+    # is 0, and so is every lam_i - 1 before it that came from lam_i = 1
+    while parts and not parts[-1]:
+        parts.pop()
+    return ((-1) ** j, MayaState(c + 1, Partition._trusted(parts)))
 
 
 def _annihilate(state: MayaState, m: int) -> tuple[int, MayaState] | None:
@@ -140,7 +144,7 @@ def _annihilate(state: MayaState, m: int) -> tuple[int, MayaState] | None:
         parts = [p + 1 for p in lam] + [1] * (c - m - 1 - len(lam))
     else:
         return None
-    return ((-1) ** j, MayaState(c - 1, Partition(parts)))
+    return ((-1) ** j, MayaState(c - 1, Partition._trusted(parts)))
 
 
 class FockVector:

@@ -20,7 +20,9 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from itertools import product
+from functools import lru_cache
+from itertools import chain, product
+from operator import index
 from typing import Iterable, Iterator, Sequence, Union
 
 from .exactalg import Scalar, coerce_scalar
@@ -34,12 +36,22 @@ class StabilityError(ValueError):
     number of rows."""
 
 
+def _part(p) -> int:
+    """p as an int, through `operator.index`: a float, a string or a bool
+    is refused, never rounded or parsed."""
+    if isinstance(p, bool):
+        raise TypeError(f"a part must be an integer, not a bool: {p!r}")
+    return index(p)
+
+
 class Partition(tuple):
     """Weakly decreasing tuple of nonnegative integers; trailing zeros
-    are stripped on construction."""
+    are stripped on construction.  A Partition is returned as it is."""
 
     def __new__(cls, parts: Iterable[int] = ()):
-        parts = tuple(int(p) for p in parts)
+        if type(parts) is cls:
+            return parts
+        parts = tuple(_part(p) for p in parts)
         if any(p < 0 for p in parts):
             raise ValueError(f"parts must be nonnegative: {parts}")
         if any(parts[i] < parts[i + 1] for i in range(len(parts) - 1)):
@@ -47,6 +59,13 @@ class Partition(tuple):
         while parts and parts[-1] == 0:
             parts = parts[:-1]
         return super().__new__(cls, parts)
+
+    @classmethod
+    def _trusted(cls, parts: Iterable[int]) -> "Partition":
+        """Wrap `parts` without checking it: weakly decreasing positive
+        ints, no trailing zero.  Only for the shapes that this module's
+        enumerators and the fermion steps of `fock` build valid."""
+        return tuple.__new__(cls, parts)
 
     @property
     def weight(self) -> int:
@@ -69,7 +88,7 @@ class Partition(tuple):
 
     def contains(self, mu: "Partition") -> bool:
         """True iff mu fits inside self cell by cell."""
-        return all(mu.part(i) <= self.part(i) for i in range(1, len(mu) + 1))
+        return len(mu) <= len(self) and all(m <= p for m, p in zip(mu, self))
 
     def __repr__(self) -> str:
         return f"Partition({list(self)})"
@@ -88,6 +107,14 @@ def contains(mu: Sequence[int], lam: Sequence[int]) -> bool:
 #
 # All enumerations yield in a fixed order: weight ascending, then parts
 # compared entrywise descending, so ( ) < (1) < (2) < (1,1) < (3) < ...
+# Each weight is enumerated once, into the memo `_weight`; the public
+# enumerators return fresh lists built from it.
+
+# Weights kept by `_weight`.  The degree bound of every request
+# (expansions.MAX_DEGREE_BOUND = 30) caps the weights it enumerates, so
+# weights 0..30 all stay; weight 30 alone holds 5604 partitions.  The memo
+# is typed, so a float weight is refused, not answered from an int's entry.
+WEIGHT_CACHE_SIZE = 32
 
 
 def _partitions_of(total: int, max_part: int) -> Iterator[tuple[int, ...]]:
@@ -99,25 +126,32 @@ def _partitions_of(total: int, max_part: int) -> Iterator[tuple[int, ...]]:
             yield (first,) + rest
 
 
+@lru_cache(maxsize=WEIGHT_CACHE_SIZE, typed=True)
+def _weight(n: int) -> tuple[Partition, ...]:
+    """The partitions of n in enumeration order, built once."""
+    return tuple(Partition._trusted(p) for p in _partitions_of(n, n))
+
+
+def _up_to_weight(n: int) -> Iterator[Partition]:
+    return chain.from_iterable(_weight(w) for w in range(n + 1))
+
+
 def partitions_of_weight(n: int, max_length: int | None = None) -> list[Partition]:
-    out = [Partition(p) for p in _partitions_of(n, n if n else 1)]
-    if max_length is not None:
-        out = [p for p in out if len(p) <= max_length]
-    return out
+    if max_length is None:
+        return list(_weight(n))
+    return [p for p in _weight(n) if len(p) <= max_length]
 
 
 def partitions_up_to_weight(n: int, max_length: int | None = None) -> list[Partition]:
-    out: list[Partition] = []
-    for w in range(n + 1):
-        out.extend(partitions_of_weight(w, max_length))
-    return out
+    if max_length is None:
+        return list(_up_to_weight(n))
+    return [p for p in _up_to_weight(n) if len(p) <= max_length]
 
 
 def subpartitions(lam: Sequence[int]) -> list[Partition]:
     """All mu contained in lam, in the global enumeration order."""
     lam = Partition(lam)
-    found = [mu for mu in partitions_up_to_weight(lam.weight, len(lam)) if lam.contains(mu)]
-    return found
+    return [mu for mu in _up_to_weight(lam.weight) if lam.contains(mu)]
 
 
 def superpartitions(lam: Sequence[int], max_weight: int, max_length: int | None = None) -> list[Partition]:
@@ -125,9 +159,14 @@ def superpartitions(lam: Sequence[int], max_weight: int, max_length: int | None 
     lam = Partition(lam)
     return [
         mu
-        for mu in partitions_up_to_weight(max_weight, max_length)
-        if mu.contains(lam)
+        for mu in _up_to_weight(max_weight)
+        if mu.contains(lam) and (max_length is None or len(mu) <= max_length)
     ]
+
+
+def _strip(parts: tuple[int, ...]) -> Partition:
+    """parts without the trailing zero that a strip's last row can take."""
+    return Partition._trusted(parts[:-1] if parts and not parts[-1] else parts)
 
 
 def horizontal_strips(lam: Sequence[int], grow: int | None = None) -> Iterator[Partition]:
@@ -140,18 +179,19 @@ def horizontal_strips(lam: Sequence[int], grow: int | None = None) -> Iterator[P
     ranges between the neighbouring parts of lam independently of the
     others, so the strips form a box of row choices; they are yielded
     with the rows compared entrywise descending.  lam/mu is a vertical
-    strip iff lam'/mu' is a horizontal one.
+    strip iff lam'/mu' is a horizontal one.  Only the last row can reach
+    0, so every choice is a partition once that zero is dropped.
     """
     lam = Partition(lam)
     if grow is None:
         rows = [range(lam[i], lam.part(i + 2) - 1, -1) for i in range(len(lam))]
-        yield from (Partition(parts) for parts in product(*rows))
+        yield from map(_strip, product(*rows))
         return
     first = lam.part(1)
     rows = [range(first + grow, first - 1, -1)]
     rows += [range(lam[i - 1], lam.part(i + 1) - 1, -1) for i in range(1, len(lam) + 1)]
     target = lam.weight + grow
-    yield from (Partition(parts) for parts in product(*rows) if sum(parts) == target)
+    yield from (_strip(parts) for parts in product(*rows) if sum(parts) == target)
 
 
 def vertical_strips(lam: Sequence[int]) -> Iterator[Partition]:
@@ -175,12 +215,14 @@ def vertical_strips(lam: Sequence[int]) -> Iterator[Partition]:
             start -= 1
         runs.append((start, end))
         end = start
+    # the cells taken from a bottom run of 1s leave zeros, which are dropped
+    bottom_ones = bool(lam) and lam[-1] == 1
     for removed in product(*(range(end - start + 1) for start, end in runs)):
         parts = list(lam)
         for (start, end), k in zip(runs, removed):
             for i in range(end - k, end):
                 parts[i] -= 1
-        yield Partition(parts)
+        yield Partition._trusted(parts[: len(parts) - removed[0]] if bottom_ones else parts)
 
 
 # -- alphabets --------------------------------------------------------

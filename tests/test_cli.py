@@ -2,6 +2,7 @@
 JSON on stdout, machine-readable errors with exit status 2 (usage) or
 1 (computation)."""
 
+import functools
 import io
 import json
 import sys
@@ -519,3 +520,87 @@ def test_stable_budgets(monkeypatch, capsys):
     f = {"stable": {"lambda": [1], "t": t, "D": cli._STABLE_CAP + 1}}
     for req in ({"command": "inner", "f": f, "g": {"schur": [1]}}, {"command": "eval", "f": f, "vars": ["x1"]}):
         _assert_tractability_within_a_second(monkeypatch, capsys, req)
+
+
+# parts that the request boundary once rounded or parsed into a different question
+NON_INTEGER_PARTS = ([1.5], [2.0], "21", ["2"], [True], [2, False])
+
+
+def test_non_integer_lambda_rejected(monkeypatch, capsys):
+    for lam in NON_INTEGER_PARTS:
+        _assert_usage_error(monkeypatch, capsys, {"command": "multischur", "lambda": lam, "bx": [["x1"], ["x2"]]})
+        spec = {"lambda": lam, "t": ["t1", "t2"]}
+        _assert_usage_error(monkeypatch, capsys, {"command": "inner", "f": {"refined": spec}, "g": {"schur": [1]}})
+
+
+def test_non_integer_mu_rejected(monkeypatch, capsys):
+    for mu in NON_INTEGER_PARTS:
+        _assert_usage_error(monkeypatch, capsys, {"command": "skew", "lambda": [2, 2], "mu": mu, "bx": [["x1"], ["x2"]]})
+
+
+def test_non_integer_schur_shorthand_rejected(monkeypatch, capsys):
+    for lam in NON_INTEGER_PARTS:
+        _assert_usage_error(monkeypatch, capsys, {"command": "eval", "f": {"schur": lam}, "vars": ["x1", "x2"]})
+
+
+def test_non_integer_term_partition_rejected(monkeypatch, capsys):
+    for lam in NON_INTEGER_PARTS:
+        f = {"basis": "schur", "terms": [{"partition": lam, "coeff": [{"coefficient": "1", "monomial": {}}]}]}
+        _assert_usage_error(monkeypatch, capsys, {"command": "eval", "f": f, "vars": ["x1", "x2"]})
+
+
+def test_verify_sizes_out_of_order_rejected(monkeypatch, capsys):
+    """A suite that expands every shape up to maxWeight at a degree bound
+    needs that bound at least maxWeight, counting a missing field at its
+    default; else the request is malformed and the suite does not run."""
+    ran = []
+
+    def record(**kwargs):
+        ran.append(kwargs)
+        return {"parameters": {}, "passed": True}
+
+    for theorem, high, bad, good in [
+        ("hall-duality", "truncation", [{"maxWeight": 3, "truncation": 1}, {"maxWeight": 6}, {"truncation": 4}],
+         [{"maxWeight": 6, "truncation": 6}, {"maxWeight": 5}, {"truncation": 5}]),
+        ("beta-chain", "maxDualWeight", [{"maxWeight": 3, "maxDualWeight": 1}, {"maxWeight": 6}, {"maxDualWeight": 3}],
+         [{"maxWeight": 6, "maxDualWeight": 6}, {"maxWeight": 5}, {"maxDualWeight": 4}]),
+    ]:
+        # the stub keeps the suite's signature, so its defaults
+        monkeypatch.setitem(cli.SUITES, theorem, functools.wraps(cli.SUITES[theorem])(record))
+        for sizes in bad:
+            code, out = _invoke(monkeypatch, capsys, {"command": "verify", "theorem": theorem, **sizes})
+            assert code == 2, out
+            error = json.loads(out)["error"]
+            assert error["type"] == "usage" and high in error["message"]
+        assert ran == []
+        for sizes in good:
+            code, out = _invoke(monkeypatch, capsys, {"command": "verify", "theorem": theorem, **sizes})
+            assert code == 0, out
+        assert len(ran) == len(good)
+        ran.clear()
+
+
+def test_skew_letter_budget(monkeypatch, capsys):
+    """skew with bp caps the bx, by and bp letters summed over the rows of
+    its determinant; the first size past the cap is refused at once."""
+    cap = cli._SKEW_LETTER_CAP
+    letters = [f"x{i}" for i in range(1, cap + 2)]
+    at_cap = {"command": "skew", "lambda": [1, 1, 1], "bx": {"constant": ["x1", "x2"]}, "bp": {"constant": ["p1"]}}
+    code, out = _invoke(monkeypatch, capsys, at_cap)
+    assert code == 0, out
+    for req in [
+        # one letter past the cap: all in the one row of lambda = (9) ...
+        {"lambda": [cap], "bx": [letters], "bp": []},
+        # ... spread over the rows of bx, by and bp: 6 + 1 + 3
+        {"lambda": [3, 3, 3], "bx": {"constant": ["x1", "x2"]}, "by": [["y1"]], "bp": {"constant": ["p1"]}},
+        # ... or over rows 1..len(mu) when mu is the longer: 8 + 2
+        {"lambda": [1], "mu": [1] * 8, "bx": {"constant": ["x1"]}, "by": [["y1"], ["y2"]], "bp": []},
+        # constant rows of 4 x and 3 y letters with bp refined in 7 letters
+        {
+            "lambda": [1] * 9,
+            "bx": {"constant": letters[:4]},
+            "by": {"constant": ["y1", "y2", "y3"]},
+            "bp": {"refined": [f"p{i}" for i in range(1, 8)]},
+        },
+    ]:
+        _assert_tractability_within_a_second(monkeypatch, capsys, {"command": "skew", **req})

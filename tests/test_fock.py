@@ -518,3 +518,25 @@ def test_fermion_route_calls_no_determinant(monkeypatch):
     assert apply_exp_H((x1, x2), (y1,), -1, general)
     assert apply_dressed_fermion(PSI, 1, (x1,), (y1,), ket)
     assert verifications.orthonormality(3)["passed"]
+
+
+def test_fermion_steps_build_valid_shapes():
+    """psi, psi* and a_m build each new shape without the checking
+    constructor; every one must equal its checked copy, with no trailing
+    zero, including the steps that fill the sea up to a new vacuum."""
+    vectors = verifications._test_vectors()
+    vectors.append(ket_partition((1, 1, 1), 3))
+    seen = 0
+    for v in vectors:
+        results = [apply_fermion(mode, m, v) for mode in (PSI, PSI_STAR) for m in range(-6, 7)]
+        results += [apply_heisenberg(m, v) for m in (-3, -2, -1, 1, 2, 3)]
+        for w in results:
+            for state in w.states():
+                lam = state.parts
+                assert type(lam) is Partition
+                assert not lam or lam[-1] > 0, state
+                assert Partition(list(lam)) == lam
+                seen += 1
+    assert seen > 100
+    # psi_{-2} on the state (1,1) of charge 0 fills the sea: the vacuum of charge 1
+    assert apply_fermion(PSI, -2, ket_partition((1, 1), 2)).states() == (MayaState(1, Partition()),)

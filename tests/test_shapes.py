@@ -1,6 +1,9 @@
+from itertools import combinations_with_replacement
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from multischur import expansions, shapes
 from multischur.exactalg import Scalar, variables
 from multischur.shapes import (
     AlphabetSequence,
@@ -231,3 +234,101 @@ def test_vertical_strips_are_transposed_horizontal_strips():
         assert list(vertical_strips(lam)) == want, lam
     assert list(vertical_strips(())) == [()]
     assert list(vertical_strips((2, 2, 1))) == [(2, 2, 1), (2, 1, 1), (1, 1, 1), (2, 2), (2, 1), (1, 1)]
+
+
+def test_partition_refuses_non_integer_parts():
+    for parts in ([1.5], [2.0], "21", ["2"], [True], [2, False], [float("inf")]):
+        with pytest.raises((TypeError, ValueError)):
+            Partition(parts)
+
+
+def test_partition_of_a_partition_is_itself():
+    lam = Partition((3, 1))
+    assert Partition(lam) is lam
+    assert Partition([3, 1]) == lam and type(Partition((3, 1))) is Partition
+
+
+def _checked(shape) -> Partition:
+    """shape rebuilt through the checking constructor, which also asserts
+    that it was a Partition with no trailing zero."""
+    assert type(shape) is Partition
+    assert not shape or shape[-1] > 0, shape
+    copy = Partition(list(shape))
+    assert copy == shape
+    return copy
+
+
+def test_unchecked_shapes_match_checked_copies():
+    for lam in partitions_up_to_weight(7):
+        derived = [
+            *partitions_of_weight(lam.weight),
+            *subpartitions(lam),
+            *superpartitions(lam, 7),
+            *horizontal_strips(lam),
+            *vertical_strips(lam),
+        ]
+        for grow in range(4):
+            derived += horizontal_strips(lam, grow)
+        for shape in derived:
+            _checked(shape)
+    assert list(horizontal_strips((), 0)) == [()]
+    assert list(horizontal_strips((1,))) == [(1,), ()]
+    assert list(vertical_strips((1, 1))) == [(1, 1), (1,), ()]
+
+
+def _brute_force(max_weight: int) -> list[Partition]:
+    """Every partition of weight <= max_weight, in the documented order:
+    weight ascending, then parts compared entrywise descending."""
+    found = [()]
+    for k in range(1, max_weight + 1):
+        # drawn from a descending range, so each choice is weakly decreasing
+        found += [c for c in combinations_with_replacement(range(max_weight, 0, -1), k) if sum(c) <= max_weight]
+    found.sort(key=lambda p: (sum(p), [-q for q in p]))
+    return [Partition(p) for p in found]
+
+
+def test_sub_and_superpartitions_match_brute_force():
+    every = _brute_force(8)
+    assert partitions_up_to_weight(8) == every
+    for lam in partitions_up_to_weight(7):
+        inside = [mu for mu in every if mu.weight <= lam.weight and contains(mu, lam)]
+        assert subpartitions(lam) == inside, lam
+        for max_length in (None, len(lam) + 1):
+            outside = [
+                mu
+                for mu in every
+                if contains(lam, mu) and (max_length is None or len(mu) <= max_length)
+            ]
+            assert superpartitions(lam, 8, max_length) == outside, lam
+
+
+def test_enumerations_return_fresh_lists():
+    calls = [
+        lambda: partitions_of_weight(4),
+        lambda: partitions_of_weight(4, max_length=2),
+        lambda: partitions_up_to_weight(4),
+        lambda: subpartitions((2, 1)),
+        lambda: superpartitions((2, 1), 5),
+    ]
+    for call in calls:
+        want = list(call())
+        got = call()
+        got.append(Partition((9,)))
+        del got[0]
+        assert call() == want
+
+
+def test_weight_memo_stays_bounded():
+    # every weight that a degree bound admits stays in the memo
+    memo = shapes._weight
+    assert memo.cache_info().maxsize == shapes.WEIGHT_CACHE_SIZE > expansions.MAX_DEGREE_BOUND
+    memo.cache_clear()
+    sizes = []
+    try:
+        for n in range(shapes.WEIGHT_CACHE_SIZE + 3):
+            assert len(partitions_of_weight(n)) == len(memo(n))
+            sizes.append(memo.cache_info().currsize)
+        assert memo.cache_info().misses > shapes.WEIGHT_CACHE_SIZE
+        assert max(sizes) <= shapes.WEIGHT_CACHE_SIZE
+    finally:
+        memo.cache_clear()  # the largest weights hold about 50,000 shapes
