@@ -248,6 +248,11 @@ def _degree_bound(req: Mapping, lam: Partition) -> int:
 # letters of bx.  Past it, tractability.
 _STABLE_CAP = 11
 _STABLE_DUAL_CAP = 8
+# The letter budget of `stable-dual`: the bx alphabet sizes summed over
+# the rows of its largest matrix.  At the cap the slowest request found
+# is lambda = () with D = 8 and disjoint rows of 4, 3 and 3 letters.
+# Past it, tractability.
+_STABLE_DUAL_LETTER_CAP = 10
 
 
 def _stable_letters(req: Mapping, lam: Partition, D: int, cap: int = _STABLE_CAP, rows: int = 0):
@@ -257,6 +262,14 @@ def _stable_letters(req: Mapping, lam: Partition, D: int, cap: int = _STABLE_CAP
     if rows > cap:
         raise TractabilityError(f"this expansion caps its matrix size at {cap} rows: got {rows}")
     return _letters(req, rows)
+
+
+def _letter_budget(form: str, cap: int, seqs: Sequence[AlphabetSequence], rows: int) -> None:
+    """A TractabilityError when the alphabets of `seqs` hold more than
+    `cap` letters summed over the rows 1..rows of a determinant."""
+    letters = sum(len(seq.alphabet(i)) for seq in seqs for i in range(1, rows + 1))
+    if letters > cap:
+        raise TractabilityError(f"{form} caps the letters of its rows at {cap}: got {letters}")
 
 
 def _letters(req: Mapping, rows: int) -> tuple[Scalar, ...]:
@@ -276,10 +289,11 @@ def _letters(req: Mapping, rows: int) -> tuple[Scalar, ...]:
 # its determinant and the degree of every entry, but not the number of
 # letters.  Past it, tractability.
 _SKEW_CAP = 9
-# The letter budget of `skew` with `bp`: the sizes of the bx, by and bp
-# alphabets summed over the rows 1..max(len(lambda), len(mu)) of its
-# determinant.  At the cap the slowest request found is lambda = (9) with
-# all nine letters in the first row of bx.  Past it, tractability.
+# The letter budget of `skew`, with or without `bp`, and of `multischur`
+# without a flag: the sizes of the bx and by (and bp) alphabets summed
+# over the rows 1..max(len(lambda), len(mu)) of the determinant.  At the
+# cap the slowest request found is lambda = (9) with all nine letters in
+# the first row of bx.  Past it, tractability.
 _SKEW_LETTER_CAP = 9
 
 
@@ -303,6 +317,7 @@ def _cmd_multischur(req: Mapping) -> object:
     _unread(req, "multischur without a flag", "vars")
     bx = parse_sequence(_field(req, "bx"))
     by = _by(req)
+    _letter_budget("multischur", _SKEW_LETTER_CAP, (bx, by), len(lam))
     return scalar_to_json(multi_schur(lam, bx, by))
 
 
@@ -340,7 +355,9 @@ def _cmd_expand(req: Mapping) -> object:
         bx = parse_sequence(_field(req, "bx"))
         D = _degree_bound(req, lam)
         st = bx.stable_tail()  # None is refused as a StabilityError by stable_dual_in_G
-        t = _stable_letters(req, lam, D, _STABLE_DUAL_CAP, st[0] if st else 0)
+        rows = max(st[0] if st else 0, len(lam) + D - lam.weight)
+        t = _stable_letters(req, lam, D, _STABLE_DUAL_CAP, rows)
+        _letter_budget("expand stable-dual", _STABLE_DUAL_LETTER_CAP, (bx,), rows)
         return {**symfunc_to_json(SymFunc(stable_dual_in_G(lam, bx, t, D), D)), "basis": "stable"}
     raise UsageError(f"unknown basis {basis!r}")
 
@@ -352,13 +369,12 @@ def _cmd_skew(req: Mapping) -> object:
         raise TractabilityError(f"skew caps |lambda| + |mu| at {_SKEW_CAP}: got {lam.weight + mu.weight}")
     bx = parse_sequence(_field(req, "bx"))
     by = _by(req)
+    rows = max(len(lam), len(mu))
     if "bp" in req:
         bp = parse_sequence(req["bp"])
-        rows = range(1, max(len(lam), len(mu)) + 1)
-        letters = sum(len(seq.alphabet(i)) for seq in (bx, by, bp) for i in rows)
-        if letters > _SKEW_LETTER_CAP:
-            raise TractabilityError(f"skew with bp caps the letters of its rows at {_SKEW_LETTER_CAP}: got {letters}")
+        _letter_budget("skew with bp", _SKEW_LETTER_CAP, (bx, by, bp), rows)
         return symfunc_to_json(skew_function(lam, mu, bx, by, bp))
+    _letter_budget("skew", _SKEW_LETTER_CAP, (bx, by), rows)
     return scalar_to_json(skew_multi_schur(lam, mu, bx, by))
 
 

@@ -6,27 +6,30 @@ charge - i.  Writing the state as creation operators in strictly
 decreasing level order fixes the sign convention; inserting psi_m then
 costs (-1)^(number of occupied levels above m).
 
+A FockVector stores its charge once (None for the zero vector) and its
+terms as a dict from Partition to nonzero Scalar; MayaStates are built
+only for items() and states().  The operators build their results
+through the unchecked FockVector._trusted.  psi_m and psi*_m are
+injective on basis states (each undoes the other on every state it does
+not kill), so their terms never meet: one dict, with no sum.  The other
+operators can send two states to one; they sum through exactalg.collect.
+
 The operators:
 
-  * psi_m / psi*_m       add or remove the particle at level m,
-  * a_m                  moves one particle from level u to u - m,
-                         summed over all legal u,
-  * e^{s H(x/y)}         with H(x/y) = sum_n p_n(x/y)/n a_n.  The modes
-                         a_n, n > 0, commute, so the exponential factors
-                         into one-letter steps: e^{H(x_i)} for each
-                         letter of x and e^{-H(y_j)} for each letter of
-                         y (all inverted when s = -1).  In closed form,
-                         e^{H(t)}|lam> = sum t^{|lam/mu|} |mu> over the
-                         horizontal strips lam/mu, and e^{-H(t)} sums
-                         (-t)^{|lam/mu|} |mu> over the vertical strips:
-                         the one-letter branching rule for skew Schur
-                         functions (Macdonald I.5), in vertex-operator
-                         form.  Both kinds of strip are enumerated
-                         directly (shapes.horizontal_strips and
-                         shapes.vertical_strips), with no transposes.
-                         The charge is untouched,
-  * dressed fermions     e^{H} psi_m e^{-H} = sum_i h_i(x/y) psi_{m-i}
-                         and its psi* counterpart.
+  * psi_m / psi*_m add or remove the particle at level m;
+  * a_m moves one particle from level u to u - m, summed over all legal u;
+  * e^{s H(x/y)}, with H(x/y) = sum_n p_n(x/y)/n a_n, keeps the charge.
+    The modes a_n, n > 0, commute, so the exponential factors into
+    one-letter steps: e^{H(x_i)} for each letter of x and e^{-H(y_j)}
+    for each letter of y (all inverted when s = -1).  In closed form,
+    e^{H(t)}|lam> = sum t^{|lam/mu|} |mu> over the horizontal strips
+    lam/mu, and e^{-H(t)} sums (-t)^{|lam/mu|} |mu> over the vertical
+    strips: the one-letter branching rule for skew Schur functions
+    (Macdonald I.5), in vertex-operator form.  Both kinds of strip are
+    enumerated directly (shapes.horizontal_strips and
+    shapes.vertical_strips), with no transposes;
+  * dressed fermions e^{H} psi_m e^{-H} = sum_i h_i(x/y) psi_{m-i} and
+    its psi* counterpart.
 
 The refined bra <mu| pairs with a charge-0 vector by applying
 psi*_{mu_1 - 1}, e^{-H(t_1)}, psi*_{mu_2 - 2}, ... and reading one
@@ -42,7 +45,6 @@ operator here evaluates one.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from itertools import chain
 from typing import Iterable, Mapping, Sequence
 
@@ -52,8 +54,11 @@ from .supersym import h_series
 
 PSI = "psi"
 PSI_STAR = "psi_star"
+_MODES = {PSI: PSI, "ψ": PSI, PSI_STAR: PSI_STAR, "psi*": PSI_STAR, "ψ*": PSI_STAR}
 
 _ONE = Scalar.one()
+_ZERO = Scalar.zero()
+_EMPTY = Partition()
 
 
 class ChargeError(ValueError):
@@ -61,25 +66,22 @@ class ChargeError(ValueError):
 
 
 def _normalize_mode(mode: str) -> str:
-    aliases = {
-        PSI: PSI,
-        "ψ": PSI,
-        PSI_STAR: PSI_STAR,
-        "psi*": PSI_STAR,
-        "ψ*": PSI_STAR,
-    }
-    if mode not in aliases:
+    if mode not in _MODES:
         raise ValueError(f"unknown fermion mode: {mode!r}")
-    return aliases[mode]
+    return _MODES[mode]
 
 
 @dataclass(frozen=True)
 class MayaState:
     """Occupied levels = sea below charge - len(parts), plus the levels
-    parts[i-1] + charge - i."""
+    parts[i-1] + charge - i.  parts goes through Partition, so trailing
+    zeros are dropped and a non-partition is refused."""
 
     charge: int
     parts: Partition
+
+    def __post_init__(self):
+        object.__setattr__(self, "parts", Partition(self.parts))
 
     @property
     def energy(self) -> int:
@@ -95,93 +97,100 @@ class MayaState:
         return (self.parts[0] + self.charge - 1) if self.parts else self.charge - 1
 
     def excited_levels(self) -> list[int]:
-        c = self.charge
-        return [self.parts[i] + c - (i + 1) for i in range(len(self.parts))]
-
-    @cached_property
-    def _level_set(self) -> frozenset[int]:
-        return frozenset(self.excited_levels())
+        return [p + self.charge - i for i, p in enumerate(self.parts, 1)]
 
     def occupied(self, m: int) -> bool:
-        return m <= self.sea_top or m in self._level_set
+        return m <= self.sea_top or m in self.excited_levels()
 
     def render(self) -> str:
-        r = len(self.parts)
-        word = " ".join(
-            f"ψ_{lev}" if lev >= 0 else f"ψ_{{{lev}}}" for lev in self.excited_levels()
-        )
-        ket = f"|{self.charge - r}⟩"
+        word = " ".join(f"ψ_{lev}" if lev >= 0 else f"ψ_{{{lev}}}" for lev in self.excited_levels())
+        ket = f"|{self.charge - len(self.parts)}⟩"
         return f"{word} {ket}" if word else ket
 
 
-def _create(state: MayaState, m: int) -> tuple[int, MayaState] | None:
-    """psi_m on a basis state: None when level m is already occupied."""
-    c, lam = state.charge, state.parts
-    if m <= state.sea_top:
+def _create(c: int, lam: Partition, m: int) -> tuple[int, Partition] | None:
+    """psi_m on the basis state (c, lam): (j, new parts) with the sign
+    (-1)^j, or None when level m is already occupied.  With d = m - c + 1,
+    level m is the excited level of row j (from 0) when lam[j] - j = d,
+    and in the sea when d <= -len(lam)."""
+    d, r = m - c + 1, len(lam)
+    if d <= -r:
         return None
-    levels = state.excited_levels()
-    j = sum(1 for lev in levels if lev > m)
-    if j < len(levels) and levels[j] == m:
+    j = 0
+    while j < r and lam[j] - j > d:
+        j += 1
+    if j < r and lam[j] - j == d:
         return None
-    parts = [lam[i] - 1 for i in range(j)] + [m - c + j] + list(lam[j:])
+    parts = [p - 1 for p in lam[:j]] + [d + j - 1] + list(lam[j:])
     # m just above the sea with every excited level above it: the new part
     # is 0, and so is every lam_i - 1 before it that came from lam_i = 1
     while parts and not parts[-1]:
         parts.pop()
-    return ((-1) ** j, MayaState(c + 1, Partition._trusted(parts)))
+    return j, Partition._trusted(parts)
 
 
-def _annihilate(state: MayaState, m: int) -> tuple[int, MayaState] | None:
-    """psi*_m on a basis state: None when level m is empty."""
-    c, lam = state.charge, state.parts
-    levels = state.excited_levels()
-    j = sum(1 for lev in levels if lev > m)
-    if j < len(levels) and levels[j] == m:
-        parts = [lam[i] + 1 for i in range(j)] + list(lam[j + 1 :])
-    elif m <= state.sea_top:
-        # Sea removal: every excited level and the sea levels above m flip up.
-        j = len(lam) + (state.sea_top - m)
-        parts = [p + 1 for p in lam] + [1] * (c - m - 1 - len(lam))
+def _annihilate(c: int, lam: Partition, m: int) -> tuple[int, Partition] | None:
+    """psi*_m on the basis state (c, lam): (j, new parts) with the sign
+    (-1)^j, or None when level m is empty."""
+    d, r = m - c + 1, len(lam)
+    j = 0
+    while j < r and lam[j] - j > d:
+        j += 1
+    if j < r and lam[j] - j == d:
+        parts = [p + 1 for p in lam[:j]] + list(lam[j + 1 :])
+    elif d <= -r:  # sea removal: every excited level and the sea levels above m flip up
+        j = -d
+        parts = [p + 1 for p in lam] + [1] * (-d - r)
     else:
         return None
-    return ((-1) ** j, MayaState(c - 1, Partition._trusted(parts)))
+    return j, Partition._trusted(parts)
 
 
 class FockVector:
-    """Finite Scalar combination of MayaStates of one common charge.
+    """Finite Scalar combination of MayaStates of one common charge,
+    stored as that charge (None for the zero vector) and a dict from
+    Partition to nonzero Scalar.  Built from a mapping or an iterable of
+    (state, coefficient) pairs: coefficients of equal states are summed
+    (`exactalg.collect`), states whose sum is zero are dropped, and
+    surviving states of different charges raise ChargeError."""
 
-    Built from a mapping or an iterable of (state, coefficient) pairs:
-    coefficients of equal states are summed (`exactalg.collect`) and
-    states whose sum is zero are dropped.  Surviving states of different
-    charges raise ChargeError.
-    """
-
-    __slots__ = ("_terms",)
+    __slots__ = ("_charge", "_terms")
 
     def __init__(self, terms: Mapping[MayaState, ScalarLike] | Iterable[tuple] = ()):
         pairs = terms.items() if hasattr(terms, "items") else terms
-        self._terms = collect(pairs)
-        states = iter(self._terms)
-        first = next(states, None)
-        for state in states:
-            if state.charge != first.charge:
-                raise ChargeError(f"mixed charges {first.charge} and {state.charge} in one vector")
+        self._charge, self._terms = None, {}
+        for state, coeff in collect(pairs).items():
+            if self._charge is None:
+                self._charge = state.charge
+            elif state.charge != self._charge:
+                raise ChargeError(f"mixed charges {self._charge} and {state.charge} in one vector")
+            self._terms[state.parts] = coeff
+
+    @classmethod
+    def _trusted(cls, charge: int | None, terms: dict[Partition, Scalar]) -> "FockVector":
+        """Wrap `terms` of charge `charge` without checking them: Partition
+        keys and nonzero Scalar values.  Only for the operators of this
+        module, whose results are built valid."""
+        self = object.__new__(cls)
+        self._charge = charge if terms else None
+        self._terms = terms
+        return self
 
     @property
     def charge(self) -> int | None:
         """Common charge, or None for the zero vector."""
-        for state in self._terms:
-            return state.charge
-        return None
+        return self._charge
 
     def items(self) -> tuple[tuple[MayaState, Scalar], ...]:
-        return tuple(self._terms.items())
+        return tuple((MayaState(self._charge, lam), c) for lam, c in self._terms.items())
 
     def states(self) -> tuple[MayaState, ...]:
-        return tuple(self._terms)
+        return tuple(MayaState(self._charge, lam) for lam in self._terms)
 
     def coefficient(self, state: MayaState) -> Scalar:
-        return self._terms.get(state, Scalar.zero())
+        if state.charge != self._charge:
+            return _ZERO
+        return self._terms.get(state.parts, _ZERO)
 
     def __bool__(self) -> bool:
         return bool(self._terms)
@@ -189,7 +198,11 @@ class FockVector:
     def __add__(self, other: "FockVector") -> "FockVector":
         if not isinstance(other, FockVector):
             return NotImplemented
-        return FockVector(chain(self._terms.items(), other._terms.items()))
+        if not (self._terms and other._terms):
+            return self if self._terms else other
+        if self._charge != other._charge:
+            raise ChargeError(f"mixed charges {self._charge} and {other._charge} in one vector")
+        return FockVector._trusted(self._charge, collect(chain(self._terms.items(), other._terms.items())))
 
     def __sub__(self, other: "FockVector") -> "FockVector":
         return self + other.scale(-1)
@@ -198,76 +211,76 @@ class FockVector:
         factor = coerce_scalar(factor)
         if not factor:
             return FockVector()
-        return FockVector({s: c * factor for s, c in self._terms.items()})
+        # a product of nonzero polynomials over the rationals is nonzero
+        return FockVector._trusted(self._charge, {lam: c * factor for lam, c in self._terms.items()})
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, FockVector):
             return NotImplemented
-        return self._terms == other._terms
+        return self._charge == other._charge and self._terms == other._terms
 
     def __repr__(self) -> str:
-        if not self._terms:
-            return "0"
-        bits = [f"({coeff!r})·{state.render()}" for state, coeff in sorted(
-            self._terms.items(), key=lambda t: (t[0].energy, t[0].parts))]
-        return " + ".join(bits)
+        terms = sorted(self.items(), key=lambda t: (t[0].energy, t[0].parts))
+        return " + ".join(f"({coeff!r})·{state.render()}" for state, coeff in terms) or "0"
 
 
 def vacuum_ket(charge: int = 0) -> FockVector:
-    return FockVector({MayaState(charge, Partition()): _ONE})
+    return FockVector._trusted(charge, {_EMPTY: _ONE})
 
 
 def apply_fermion(mode: str, m: int, v: FockVector) -> FockVector:
-    mode = _normalize_mode(mode)
-    act = _create if mode == PSI else _annihilate
-
-    def pairs():
-        for state, coeff in v.items():
-            hit = act(state, m)
-            if hit is not None:
-                sign, new = hit
-                yield new, coeff if sign > 0 else -coeff
-
-    return FockVector(pairs())
+    """psi_m or psi*_m on v, one term per surviving state: no sum."""
+    act, shift = (_create, 1) if _normalize_mode(mode) == PSI else (_annihilate, -1)
+    c = v._charge
+    if c is None:
+        return v
+    terms = {}
+    for lam, coeff in v._terms.items():
+        hit = act(c, lam, m)
+        if hit is not None:
+            terms[hit[1]] = -coeff if hit[0] & 1 else coeff
+    return FockVector._trusted(c + shift, terms)
 
 
 def apply_heisenberg(m: int, v: FockVector) -> FockVector:
     """a_m: all single-particle moves u -> u - m; energy changes by -m."""
     if m == 0:
         raise ValueError("a_0 is excluded; only nonzero modes act")
+    c = v._charge
 
     def pairs():
-        for state, coeff in v.items():
-            lo = state.sea_top - abs(m)
-            for u in range(lo, state.top_level + 1):
-                if not state.occupied(u) or state.occupied(u - m):
-                    continue
-                s1, mid = _annihilate(state, u)
-                s2, new = _create(mid, u - m)
-                yield new, coeff if s1 * s2 > 0 else -coeff
+        for lam, coeff in v._terms.items():
+            sea_top = c - len(lam) - 1
+            levels = {p + c - 1 - i for i, p in enumerate(lam)}
+            for u in range(sea_top - abs(m), (lam[0] if lam else 0) + c):
+                if (u > sea_top and u not in levels) or u - m <= sea_top or u - m in levels:
+                    continue  # u empty, or u - m occupied
+                j1, mid = _annihilate(c, lam, u)
+                j2, new = _create(c - 1, mid, u - m)
+                yield new, -coeff if (j1 + j2) & 1 else coeff
 
-    return FockVector(pairs())
+    return FockVector._trusted(c, collect(pairs()))
 
 
 def _exp_letter(t: Scalar, vertical: bool, v: FockVector) -> FockVector:
     """e^{H(t)} v, or e^{-H(t)} v when vertical: each |lam> goes to the
     sum of t^{|lam/mu|} |mu> over horizontal strips lam/mu, or of
     (-t)^{|lam/mu|} |mu> over vertical strips."""
-    if not t:
+    if not t or not v:
         return v
     powers = [_ONE, -t if vertical else t]
     strips = vertical_strips if vertical else horizontal_strips
 
     def pairs():
-        for state, coeff in v.items():
-            n = state.parts.weight
-            for mu in strips(state.parts):
+        for lam, coeff in v._terms.items():
+            n = lam.weight
+            for mu in strips(lam):
                 k = n - mu.weight
                 while len(powers) <= k:
                     powers.append(powers[-1] * powers[1])
-                yield MayaState(state.charge, mu), coeff * powers[k] if k else coeff
+                yield mu, coeff * powers[k] if k else coeff
 
-    return FockVector(pairs())
+    return FockVector._trusted(v._charge, collect(pairs()))
 
 
 def apply_exp_H(x: Iterable, y: Iterable, sign: int, v: FockVector) -> FockVector:
@@ -289,69 +302,55 @@ def apply_dressed_fermion(mode: str, m: int, x: Iterable, y: Iterable, v: FockVe
     for psi*: sum_i h_i(y/x) psi*_{m+i} v.  Swapping x and y gives the
     inverse dressing."""
     mode = _normalize_mode(mode)
-    xs = as_alphabet(x)
-    ys = as_alphabet(y)
-    if not v:
+    xs, ys = as_alphabet(x), as_alphabet(y)
+    c = v._charge
+    if c is None:
         return v
-    if mode == PSI:
-        cap = max(m - s.sea_top - 1 for s in v.states())
-        if not xs:
-            cap = min(cap, len(ys))
-        coeff_alphabets = (xs, ys)
-        step = -1
-    else:
-        cap = max(s.top_level - m for s in v.states())
-        if not ys:
-            cap = min(cap, len(xs))
-        coeff_alphabets = (ys, xs)
-        step = +1
-    return FockVector(
-        (state, c * h)
-        for i, h in enumerate(h_series(cap, *coeff_alphabets))
+    if mode == PSI:  # psi_{m-i} kills every state once m - i reaches the sea
+        cap, alphabets, step = max(m - c + len(lam) for lam in v._terms), (xs, ys), -1
+    else:  # psi*_{m+i} kills every state once m + i passes the top level
+        cap, alphabets, step = max((lam[0] if lam else 0) + c - 1 - m for lam in v._terms), (ys, xs), 1
+    if not alphabets[0]:  # h_i(()/b) vanishes for i > len(b)
+        cap = min(cap, len(alphabets[1]))
+    return FockVector._trusted(c - step, collect(
+        (lam, coeff * h)
+        for i, h in enumerate(h_series(cap, *alphabets))
         if h
-        for state, c in apply_fermion(mode, m + step * i, v).items()
-    )
+        for lam, coeff in apply_fermion(mode, m + step * i, v)._terms.items()
+    ))
 
 
 # -- basis kets and bras ----------------------------------------------
 
 
-def ket_partition(lam: Sequence[int], r: int) -> FockVector:
-    """psi_{lam_1 - 1} ... psi_{lam_r - r} |-r>."""
+def _ket(lam: Sequence[int], r: int, step) -> FockVector:
+    """step(i, lam_i - i, v) on v = |-r>, for i = r, r - 1, ..., 1."""
     lam = Partition(lam)
     if r < len(lam):
         raise ValueError(f"need r >= {len(lam)} for {lam}, got {r}")
     v = vacuum_ket(-r)
     for i in range(r, 0, -1):
-        v = apply_fermion(PSI, lam.part(i) - i, v)
+        v = step(i, lam.part(i) - i, v)
     return v
+
+
+def ket_partition(lam: Sequence[int], r: int) -> FockVector:
+    """psi_{lam_1 - 1} ... psi_{lam_r - r} |-r>."""
+    return _ket(lam, r, lambda i, m, v: apply_fermion(PSI, m, v))
 
 
 def ket_general(lam: Sequence[int], bx, by, r: int) -> FockVector:
     """Dressed basis ket: the i-th fermion is conjugated by
     e^{H(x^(i)/y^(i))}; independent of r >= len(lam)."""
-    lam = Partition(lam)
-    if r < len(lam):
-        raise ValueError(f"need r >= {len(lam)} for {lam}, got {r}")
-    v = vacuum_ket(-r)
-    for i in range(r, 0, -1):
-        v = apply_dressed_fermion(PSI, lam.part(i) - i, bx.alphabet(i), by.alphabet(i), v)
-    return v
+    return _ket(lam, r, lambda i, m, v: apply_dressed_fermion(PSI, m, bx.alphabet(i), by.alphabet(i), v))
 
 
 def ket_refined(lam: Sequence[int], t: Sequence, r: int) -> FockVector:
     """psi_{lam_1-1} e^{H(t_1)} psi_{lam_2-2} e^{H(t_2)} ... |-r>."""
-    lam = Partition(lam)
-    if r < len(lam):
-        raise ValueError(f"need r >= {len(lam)} for {lam}, got {r}")
     t = as_alphabet(t)
     if len(t) < r:
         raise ValueError(f"refined sequence needs {r} letters, got {len(t)}")
-    v = vacuum_ket(-r)
-    for i in range(r, 0, -1):
-        v = apply_exp_H((t[i - 1],), (), +1, v)
-        v = apply_fermion(PSI, lam.part(i) - i, v)
-    return v
+    return _ket(lam, r, lambda i, m, v: apply_fermion(PSI, m, _exp_letter(t[i - 1], False, v)))
 
 
 def bra_refined_pair(mu: Sequence[int], t: Sequence, v: FockVector, *, check_stability: bool = False) -> Scalar:
@@ -379,7 +378,7 @@ def _bra_rows(mus: list[Partition], v: FockVector) -> dict[Partition, int]:
     """The row count r = max(len(mu), longest state of v) + 1 of each bra."""
     if v.charge not in (None, 0):
         raise ChargeError(f"refined bras pair with charge 0, got {v.charge}")
-    internal = max((len(s.parts) for s in v.states()), default=0)
+    internal = max(map(len, v._terms), default=0)
     return {mu: max(len(mu), internal) + 1 for mu in mus}
 
 
@@ -402,32 +401,28 @@ def _bra_walk(rows: Mapping[Partition, int], t: Sequence, v: FockVector) -> dict
     while stack:
         mus, i, w = stack.pop()
         if not w:
-            out.update(dict.fromkeys(mus, Scalar.zero()))
+            out.update(dict.fromkeys(mus, _ZERO))
             continue
         branches: dict[int, list[Partition]] = {}
         for mu in mus:
             if rows[mu] < i:
-                out[mu] = w.coefficient(MayaState(1 - i, Partition()))
+                out[mu] = w.coefficient(MayaState(1 - i, _EMPTY))
             else:
                 branches.setdefault(mu.part(i), []).append(mu)
         for part, group in branches.items():
             step = apply_fermion(PSI_STAR, part - i, w)
-            stack.append((group, i + 1, apply_exp_H((t[i - 1],), (), -1, step)))
+            stack.append((group, i + 1, _exp_letter(t[i - 1], True, step)))
     return out
 
 
 # -- expectation values -----------------------------------------------
-
-Dressing = tuple[Iterable, Iterable]
 
 
 def _normalize_leg(leg) -> tuple[int, Alphabet, Alphabet]:
     if isinstance(leg, int):
         return (leg, (), ())
     m, dressing = leg
-    if dressing is None:
-        return (int(m), (), ())
-    x, y = dressing
+    x, y = ((), ()) if dressing is None else dressing
     return (int(m), as_alphabet(x), as_alphabet(y))
 
 
@@ -441,15 +436,8 @@ def wick_expectation(rows: Sequence, cols: Sequence) -> Scalar:
         raise DimensionError(f"{len(rows)} rows vs {len(cols)} columns")
     rows = [_normalize_leg(leg) for leg in rows]
     cols = [_normalize_leg(leg) for leg in cols]
-    vac = MayaState(0, Partition())
-    col_vectors = [
-        apply_dressed_fermion(PSI_STAR, n, x, y, vacuum_ket(0)) for n, x, y in cols
-    ]
-    matrix = [
-        [
-            apply_dressed_fermion(PSI, m, x, y, w).coefficient(vac)
-            for w in col_vectors
-        ]
-        for m, x, y in rows
-    ]
-    return det_over_ring(matrix)
+    vac = MayaState(0, _EMPTY)
+    col_vectors = [apply_dressed_fermion(PSI_STAR, n, x, y, vacuum_ket(0)) for n, x, y in cols]
+    return det_over_ring(
+        [[apply_dressed_fermion(PSI, m, x, y, w).coefficient(vac) for w in col_vectors] for m, x, y in rows]
+    )

@@ -604,3 +604,58 @@ def test_skew_letter_budget(monkeypatch, capsys):
         },
     ]:
         _assert_tractability_within_a_second(monkeypatch, capsys, {"command": "skew", **req})
+
+
+def test_determinant_letter_budgets(monkeypatch, capsys):
+    """multischur, skew without bp and stable-dual cap the letters summed
+    over the rows of their determinant; the first size past each cap is
+    refused at once, and so are the old requests of many seconds."""
+    cap = cli._SKEW_LETTER_CAP
+    letters = [f"x{i}" for i in range(1, 40)]
+    for command in ("multischur", "skew"):
+        # at the cap: every letter in the first row, or split with by
+        for req in [{"lambda": [3], "bx": [letters[:cap]]}, {"lambda": [2, 1], "bx": [letters[:5]], "by": [[], ["y1"] * (cap - 5)]}]:
+            code, out = _invoke(monkeypatch, capsys, {"command": command, **req})
+            assert code == 0, out
+        for req in [
+            # one letter past the cap: all in the first row of bx ...
+            {"lambda": [9], "bx": [letters[: cap + 1]]},
+            # ... spread over the rows of bx and by: 3 * 3 + 1
+            {"lambda": [3, 3, 3], "bx": {"constant": letters[:3]}, "by": [["y1"]]},
+            # ... through a refined tail: 0 + 1 + ... + 4
+            {"lambda": [1] * 5, "bx": {"refined": letters[:5]}},
+            # 12 and 14 letters in one row took 4.7 s and 13.8 s
+            {"lambda": [9], "bx": [letters[:12]]},
+            {"lambda": [9], "bx": [letters[:14]]},
+        ]:
+            _assert_tractability_within_a_second(monkeypatch, capsys, {"command": command, **req})
+    # skew counts rows 1..len(mu) when mu is the longer: 8 + 2
+    req = {"command": "skew", "lambda": [1], "mu": [1] * 8, "bx": {"constant": ["x1"]}, "by": [["y1"], ["y2"]]}
+    _assert_tractability_within_a_second(monkeypatch, capsys, req)
+
+    cap = cli._STABLE_DUAL_LETTER_CAP
+    t = [f"t{i}" for i in range(1, 10)]
+
+    def stable_dual(lam, D, bx):
+        return {"command": "expand", "basis": "stable-dual", "lambda": lam, "bx": bx, "t": t, "D": D}
+
+    def rows(*sizes):  # disjoint explicit rows, then empty ones
+        bounds = [sum(sizes[:k]) for k in range(len(sizes) + 1)]
+        prefix = [letters[a:b] for a, b in zip(bounds, bounds[1:])]
+        return {"prefix": prefix, "tail": {"kind": "constant", "letters": []}}
+
+    # at the cap: 4 + 3 + 3 letters on a matrix of 3 rows, and the refined
+    # bx of lambda = (1, 1, 1) at D = 5, 0 + 1 + 2 + 3 + 4
+    for req in [stable_dual([], 3, rows(4, 3, 3)), stable_dual([1, 1, 1], 5, {"refined": letters[:5]})]:
+        code, out = _invoke(monkeypatch, capsys, req)
+        assert code == 0, out
+    for req in [
+        stable_dual([], 8, rows(4, 4, 3)),
+        stable_dual([], 8, rows(cap + 1)),
+        # a constant bx counts on every one of the 7 rows: 7 * 2
+        stable_dual([1], 7, {"constant": letters[:2]}),
+        # 8 and 12 constant letters took 5.3 s and 36 s
+        stable_dual([1], 7, {"constant": letters[:8]}),
+        stable_dual([1], 7, {"constant": letters[:12]}),
+    ]:
+        _assert_tractability_within_a_second(monkeypatch, capsys, req)

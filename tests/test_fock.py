@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from multischur import fock, verifications
+from multischur import fock, shapes, verifications
 from multischur.exactalg import Scalar, variables
 from multischur.fock import (
     PSI,
@@ -64,6 +64,10 @@ def test_fock_vector_charge_homogeneity():
         FockVector({a: Scalar.one(), b: Scalar.one()})
     with pytest.raises(ChargeError):
         vacuum_ket(0) + vacuum_ket(1)
+    with pytest.raises(ChargeError):
+        vacuum_ket(0) - apply_fermion(PSI, 0, vacuum_ket(0))
+    # a state whose coefficients cancel carries no charge
+    assert FockVector([(a, 1), (b, 1), (b, -1)]) == vacuum_ket(0)
 
 
 def test_fock_vector_sums_equal_keys():
@@ -540,3 +544,156 @@ def test_fermion_steps_build_valid_shapes():
     assert seen > 100
     # psi_{-2} on the state (1,1) of charge 0 fills the sea: the vacuum of charge 1
     assert apply_fermion(PSI, -2, ket_partition((1, 1), 2)).states() == (MayaState(1, Partition()),)
+
+
+def test_maya_state_normalizes_parts():
+    """A MayaState names one physical state whatever tuple it is given:
+    trailing zeros are dropped and a non-partition is refused."""
+    assert MayaState(0, (1, 0)) == MayaState(0, (1,))
+    assert hash(MayaState(0, [2, 1, 0, 0])) == hash(MayaState(0, Partition((2, 1))))
+    assert type(MayaState(0, [2, 1]).parts) is Partition
+    for bad in [(1, 2), (1, -1), (1.5,)]:
+        with pytest.raises((TypeError, ValueError)):
+            MayaState(0, bad)
+    # psi*_0 removes the one excited particle of |1> at charge 0
+    assert apply_fermion(PSI_STAR, 0, FockVector({MayaState(0, (1, 0)): 1})) == vacuum_ket(-1)
+
+
+def test_fock_vector_charge_rules():
+    a, b = MayaState(0, ()), MayaState(1, ())
+    assert vacuum_ket(0) != vacuum_ket(1)
+    assert FockVector().charge is None
+    assert FockVector([(a, 1), (a, -1)]).charge is None
+    assert vacuum_ket(2).charge == 2
+    for zero in [vacuum_ket(2) - vacuum_ket(2), vacuum_ket(0).scale(0), apply_fermion(PSI_STAR, 0, vacuum_ket(0))]:
+        assert zero.charge is None
+        assert zero == FockVector()
+    assert vacuum_ket(0).coefficient(b) == Scalar.zero()
+    assert vacuum_ket(1).coefficient(b) == Scalar.one()
+    assert FockVector().coefficient(a) == Scalar.zero()
+    assert vacuum_ket(0) + FockVector() == vacuum_ket(0)
+    assert FockVector() + vacuum_ket(3) == vacuum_ket(3)
+
+
+# Oracle for the operators that build their results directly: the
+# collect-based steps on MayaStates, every sum taken by the public
+# FockVector constructor and every shape checked by Partition.
+
+
+def _oracle_create(state, m):
+    c, lam = state.charge, state.parts
+    if m <= state.sea_top:
+        return None
+    levels = state.excited_levels()
+    j = sum(1 for lev in levels if lev > m)
+    if j < len(levels) and levels[j] == m:
+        return None
+    parts = [lam[i] - 1 for i in range(j)] + [m - c + j] + list(lam[j:])
+    return ((-1) ** j, MayaState(c + 1, Partition(parts)))
+
+
+def _oracle_annihilate(state, m):
+    c, lam = state.charge, state.parts
+    levels = state.excited_levels()
+    j = sum(1 for lev in levels if lev > m)
+    if j < len(levels) and levels[j] == m:
+        parts = [lam[i] + 1 for i in range(j)] + list(lam[j + 1 :])
+    elif m <= state.sea_top:
+        j = len(lam) + (state.sea_top - m)
+        parts = [p + 1 for p in lam] + [1] * (c - m - 1 - len(lam))
+    else:
+        return None
+    return ((-1) ** j, MayaState(c - 1, Partition(parts)))
+
+
+def oracle_fermion(mode, m, v):
+    act = _oracle_create if mode == PSI else _oracle_annihilate
+    pairs = []
+    for state, coeff in v.items():
+        hit = act(state, m)
+        if hit is not None:
+            sign, new = hit
+            pairs.append((new, coeff if sign > 0 else -coeff))
+    return FockVector(pairs)
+
+
+def oracle_heisenberg(m, v):
+    pairs = []
+    for state, coeff in v.items():
+        for u in range(state.sea_top - abs(m), state.top_level + 1):
+            if not state.occupied(u) or state.occupied(u - m):
+                continue
+            s1, mid = _oracle_annihilate(state, u)
+            s2, new = _oracle_create(mid, u - m)
+            pairs.append((new, coeff if s1 * s2 > 0 else -coeff))
+    return FockVector(pairs)
+
+
+def oracle_exp_letter(t, vertical, v):
+    if not t:
+        return v
+    pairs = []
+    strips = shapes.vertical_strips if vertical else shapes.horizontal_strips
+    for state, coeff in v.items():
+        for mu in strips(state.parts):
+            k = state.parts.weight - mu.weight
+            pairs.append((MayaState(state.charge, Partition(list(mu))), coeff * (-t if vertical else t) ** k))
+    return FockVector(pairs)
+
+
+ORACLE_VECTORS = st.one_of(fock_vectors(), st.sampled_from(verifications._test_vectors()))
+ORACLE_LETTERS = [t1, -beta, x1 - y1, Scalar.from_rational(2), Scalar.from_rational(Fraction(-1, 2)), Scalar.zero()]
+
+
+@given(ORACLE_VECTORS, st.integers(-6, 6), st.sampled_from([PSI, PSI_STAR]))
+@settings(max_examples=150, deadline=None)
+def test_fermion_matches_collect_oracle(v, m, mode):
+    got, want = apply_fermion(mode, m, v), oracle_fermion(mode, m, v)
+    assert got == want
+    assert got.charge == want.charge
+    assert got.items() == want.items()
+
+
+@given(ORACLE_VECTORS, st.integers(-6, 6).filter(bool))
+@settings(max_examples=100, deadline=None)
+def test_heisenberg_matches_collect_oracle(v, m):
+    assert apply_heisenberg(m, v) == oracle_heisenberg(m, v)
+
+
+@given(ORACLE_VECTORS, st.sampled_from(ORACLE_LETTERS), st.booleans())
+@settings(max_examples=100, deadline=None)
+def test_exp_letter_matches_collect_oracle(v, t, vertical):
+    got, want = fock._exp_letter(t, vertical, v), oracle_exp_letter(t, vertical, v)
+    assert got == want
+    assert got.charge == want.charge
+
+
+def test_vector_operators_match_oracles_on_test_vectors():
+    """Every test vector of the classical suite, every level -6..6, both
+    kinds of fermion and strip, and their sums and scalings."""
+    vectors = verifications._test_vectors()
+    for v in vectors:
+        for m in range(-6, 7):
+            for mode in (PSI, PSI_STAR):
+                assert apply_fermion(mode, m, v) == oracle_fermion(mode, m, v), (v, m, mode)
+            if m:
+                assert apply_heisenberg(m, v) == oracle_heisenberg(m, v), (v, m)
+        for t in ORACLE_LETTERS:
+            for vertical in (False, True):
+                assert fock._exp_letter(t, vertical, v) == oracle_exp_letter(t, vertical, v), (v, t)
+        for w in vectors:
+            if v.charge == w.charge:
+                assert v + w.scale(t1) == FockVector(list(v.items()) + [(s, c * t1) for s, c in w.items()])
+        assert v - v == FockVector() and not (v - v).items()
+
+
+def test_summing_operators_drop_cancelled_terms():
+    # e^{H(t1)} (|1> - t1 |0>) = |1> + t1 |0> - t1 |0>: the vacuum term cancels
+    v = FockVector({MayaState(0, (1,)): 1, MayaState(0, ()): -t1})
+    got = fock._exp_letter(t1, False, v)
+    assert got.items() == ((MayaState(0, (1,)), Scalar.one()),)
+    assert got == oracle_exp_letter(t1, False, v)
+    # a_1 |1,1> = a_1 |2> = |1> at charge 0, so a_1 (|1,1> - |2>) = 0
+    w = FockVector({MayaState(0, (1, 1)): 1, MayaState(0, (2,)): -1})
+    assert apply_heisenberg(1, w) == oracle_heisenberg(1, w) == FockVector()
+    assert apply_heisenberg(1, w).charge is None
