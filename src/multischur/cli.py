@@ -14,7 +14,6 @@ single deterministic JSON document on stdout; errors are reported as
 from __future__ import annotations
 
 import argparse
-import inspect
 import json
 import re
 import sys
@@ -29,11 +28,11 @@ from .exactalg import (
     scalar_to_json,
 )
 from .expansions import (
+    MAX_DEGREE_BOUND,
     StabilityError,
     SymFunc,
     TractabilityError,
     TruncationError,
-    check_degree_bound,
     eval_symfunc,
     expand_in_refined_basis,
     flagged_schur,
@@ -73,6 +72,57 @@ _NAME = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 _MISSING = object()
 
 
+# -- budgets ----------------------------------------------------------
+
+
+# Request field -> (keyword, default, cap) per suite; the default is the
+# suite's own.  With every field at its cap a suite answers in at most
+# 0.6 s (2-core host).
+_SUITE_KWARGS = {
+    "orthonormality": {"maxWeight": ("max_weight", 5, 8)},
+    "dual-engine": {"maxWeight": ("max_weight", 4, 7)},
+    "hall-duality": {"maxWeight": ("max_weight", 5, 9), "truncation": ("truncation", 5, 9)},
+    "cauchy": {},
+    "branching": {"maxWeight": ("max_weight", 5, 6), "generalMaxWeight": ("general_max_weight", 3, 6)},
+    "truncation-stability": {
+        "maxWeight": ("max_weight", 3, 5),
+        "maxRows": ("max_rows", 3, 5),
+        "maxTruncation": ("max_truncation", 5, 7),
+    },
+    "beta-chain": {"maxWeight": ("max_weight", 4, 7), "maxDualWeight": ("max_dual_weight", 5, 8)},
+    "classical": {
+        "maxWeight": ("max_weight", 6, 8),
+        "window": ("window", 3, 4),
+        "pairingRows": ("pairing_rows", 3, 4),
+    },
+}
+
+# Budget name -> cap.  Each caps one size that a request's cost grows with;
+# a request past a cap is refused as tractability before any work.  The
+# README's budget table says what each one counts and gives the timed
+# requests at and past its cap.
+_BUDGETS = {
+    "weight": 9,
+    "letters": 9,
+    "D": MAX_DEGREE_BOUND,
+    "stable rows": 11,
+    "stable-dual rows": 8,
+    "stable-dual letters": 10,
+    "truncated rows": 8,
+    "flag vars": 6,
+    "eval vars": 7,
+    "eval weight": 6,
+    **{f"{theorem} {key}": cap for theorem, fields in _SUITE_KWARGS.items() for key, (_, _, cap) in fields.items()},
+}
+
+
+def _budget(name: str, got: int) -> None:
+    """A TractabilityError when `got` is past the cap of budget `name`."""
+    cap = _BUDGETS[name]
+    if got > cap:
+        raise TractabilityError(f"budget {name!r} is capped at {cap}: got {got}")
+
+
 def _field(req: Mapping, *names: str, default=_MISSING):
     if not isinstance(req, Mapping):
         raise UsageError(f"expected an object with field {names[0]!r}, got {req!r}")
@@ -86,8 +136,6 @@ def _field(req: Mapping, *names: str, default=_MISSING):
 
 def _partition(req: Mapping, *names: str, default=_MISSING) -> Partition:
     raw = _field(req, *names, default=default)
-    if raw is _MISSING:
-        raise UsageError(f"missing request field {names[0]!r}")
     try:
         return Partition(raw if raw is not None else ())
     except (TypeError, ValueError) as e:
@@ -214,6 +262,7 @@ def parse_symfunc(value) -> SymFunc:
     if "refined" in value:
         spec = value["refined"]
         lam = _partition(spec, "lambda", "λ")
+        _budget("weight", lam.weight)
         return refined_dual_grothendieck(lam, _letters(spec, len(lam)))
     if "stable" in value:
         spec = value["stable"]
@@ -225,8 +274,6 @@ def parse_symfunc(value) -> SymFunc:
 
 def _int_field(req: Mapping, *names: str, default=_MISSING) -> int:
     raw = _field(req, *names, default=default)
-    if raw is _MISSING:
-        raise UsageError(f"missing request field {names[0]!r}")
     if isinstance(raw, bool) or not isinstance(raw, int):
         raise UsageError(f"field {names[0]!r} must be an integer: {raw!r}")
     return raw
@@ -237,39 +284,21 @@ def _degree_bound(req: Mapping, lam: Partition) -> int:
     D = _int_field(req, "D", "truncation")
     if D < lam.weight:
         raise UsageError(f"degree bound {D} is below |lambda| = {lam.weight}")
-    check_degree_bound(lam, D)
+    _budget("D", D)
     return D
 
 
-# The budgets of `stable` and `stable-dual`: the size of their largest
-# matrix, len(lambda) + D - |lambda| (the most rows of a shape containing
-# lambda of weight at most D), or for `stable-dual` the stable row of bx
-# if that is larger.  It bounds the number of t letters read, not the
-# letters of bx.  Past it, tractability.
-_STABLE_CAP = 11
-_STABLE_DUAL_CAP = 8
-# The letter budget of `stable-dual`: the bx alphabet sizes summed over
-# the rows of its largest matrix.  At the cap the slowest request found
-# is lambda = () with D = 8 and disjoint rows of 4, 3 and 3 letters.
-# Past it, tractability.
-_STABLE_DUAL_LETTER_CAP = 10
-
-
-def _stable_letters(req: Mapping, lam: Partition, D: int, cap: int = _STABLE_CAP, rows: int = 0):
+def _stable_letters(req: Mapping, lam: Partition, D: int, budget: str = "stable rows", rows: int = 0):
     """The letters t of a stable expansion whose largest matrix has
-    max(rows, len(lam) + D - |lam|) rows, at most `cap`."""
+    max(rows, len(lam) + D - |lam|) rows, within `budget`."""
     rows = max(rows, len(lam) + D - lam.weight)
-    if rows > cap:
-        raise TractabilityError(f"this expansion caps its matrix size at {cap} rows: got {rows}")
+    _budget(budget, rows)
     return _letters(req, rows)
 
 
-def _letter_budget(form: str, cap: int, seqs: Sequence[AlphabetSequence], rows: int) -> None:
-    """A TractabilityError when the alphabets of `seqs` hold more than
-    `cap` letters summed over the rows 1..rows of a determinant."""
-    letters = sum(len(seq.alphabet(i)) for seq in seqs for i in range(1, rows + 1))
-    if letters > cap:
-        raise TractabilityError(f"{form} caps the letters of its rows at {cap}: got {letters}")
+def _letter_sum(seqs: Sequence[AlphabetSequence], rows: int) -> int:
+    """The alphabet sizes of `seqs` summed over the rows 1..rows of a determinant."""
+    return sum(len(seq.alphabet(i)) for seq in seqs for i in range(1, rows + 1))
 
 
 def _letters(req: Mapping, rows: int) -> tuple[Scalar, ...]:
@@ -284,23 +313,9 @@ def _letters(req: Mapping, rows: int) -> tuple[Scalar, ...]:
 # -- commands ---------------------------------------------------------
 
 
-# The budget of `skew`, and of `multischur`, the same determinant with
-# mu = (): |lambda| + |mu| bounds the size max(len(lambda), len(mu)) of
-# its determinant and the degree of every entry, but not the number of
-# letters.  Past it, tractability.
-_SKEW_CAP = 9
-# The letter budget of `skew`, with or without `bp`, and of `multischur`
-# without a flag: the sizes of the bx and by (and bp) alphabets summed
-# over the rows 1..max(len(lambda), len(mu)) of the determinant.  At the
-# cap the slowest request found is lambda = (9) with all nine letters in
-# the first row of bx.  Past it, tractability.
-_SKEW_LETTER_CAP = 9
-
-
 def _cmd_multischur(req: Mapping) -> object:
     lam = _partition(req, "lambda", "λ")
-    if lam.weight > _SKEW_CAP:
-        raise TractabilityError(f"multischur caps |lambda| at {_SKEW_CAP}: got {lam.weight}")
+    _budget("weight", lam.weight)
     if "flag" in req:
         _unread(req, "multischur with a flag", "bx", "by")
         flag = req["flag"]
@@ -309,6 +324,7 @@ def _cmd_multischur(req: Mapping) -> object:
         ):
             raise UsageError(f"flag must be a list of integers: {flag!r}")
         vars_ = parse_alphabet(_field(req, "vars"))
+        _budget("flag vars", min(len(vars_), max(flag[: len(lam)], default=0)))
         try:
             value = flagged_schur(lam, flag, vars_)
         except ValueError as e:  # every ValueError of flagged_schur is a malformed flag
@@ -317,7 +333,7 @@ def _cmd_multischur(req: Mapping) -> object:
     _unread(req, "multischur without a flag", "vars")
     bx = parse_sequence(_field(req, "bx"))
     by = _by(req)
-    _letter_budget("multischur", _SKEW_LETTER_CAP, (bx, by), len(lam))
+    _budget("letters", _letter_sum((bx, by), len(lam)))
     return scalar_to_json(multi_schur(lam, bx, by))
 
 
@@ -325,14 +341,19 @@ def _cmd_expand(req: Mapping) -> object:
     lam = _partition(req, "lambda", "λ")
     basis = _field(req, "basis", default="schur")
     if basis == "schur":
+        _budget("weight", lam.weight)
         bx = parse_sequence(_field(req, "bx"))
         by = _by(req)
+        _budget("letters", _letter_sum((bx, by), len(lam)))
         return symfunc_to_json(schur_expand_multischur(lam, bx, by))
     if basis == "refined":
+        _budget("weight", lam.weight)
         t = _letters(req, len(lam))
         if "bx" in req:
             bx = parse_sequence(req["bx"])
             by = _by(req)
+            # column j adds the letters t_1..t_{j-1} to every row's by
+            _budget("letters", _letter_sum((bx, by), len(lam)) + max(len(lam) - 1, 0))
             coeffs = expand_in_refined_basis(lam, bx, by, t)
             return {**symfunc_to_json(SymFunc(coeffs)), "basis": "refined"}
         _unread(req, "expand refined without bx", "by")
@@ -343,7 +364,9 @@ def _cmd_expand(req: Mapping) -> object:
         r = _int_field(req, "r")
         if r < len(lam):
             raise UsageError(f"need r >= {len(lam)} rows for lambda {list(lam)}, got {r}")
+        _budget("truncated rows", r)
         D = _degree_bound(req, lam)
+        _budget("letters", _letter_sum((bx,), r))
         return symfunc_to_json(truncated_dual_expansion(lam, bx, r, D))
     if basis == "stable":
         _unread(req, "expand stable", "bx", "by")
@@ -356,8 +379,8 @@ def _cmd_expand(req: Mapping) -> object:
         D = _degree_bound(req, lam)
         st = bx.stable_tail()  # None is refused as a StabilityError by stable_dual_in_G
         rows = max(st[0] if st else 0, len(lam) + D - lam.weight)
-        t = _stable_letters(req, lam, D, _STABLE_DUAL_CAP, rows)
-        _letter_budget("expand stable-dual", _STABLE_DUAL_LETTER_CAP, (bx,), rows)
+        t = _stable_letters(req, lam, D, "stable-dual rows", rows)
+        _budget("stable-dual letters", _letter_sum((bx,), rows))
         return {**symfunc_to_json(SymFunc(stable_dual_in_G(lam, bx, t, D), D)), "basis": "stable"}
     raise UsageError(f"unknown basis {basis!r}")
 
@@ -365,16 +388,15 @@ def _cmd_expand(req: Mapping) -> object:
 def _cmd_skew(req: Mapping) -> object:
     lam = _partition(req, "lambda", "λ")
     mu = _partition(req, "mu", "μ", default=())
-    if lam.weight + mu.weight > _SKEW_CAP:
-        raise TractabilityError(f"skew caps |lambda| + |mu| at {_SKEW_CAP}: got {lam.weight + mu.weight}")
+    _budget("weight", lam.weight + mu.weight)
     bx = parse_sequence(_field(req, "bx"))
     by = _by(req)
     rows = max(len(lam), len(mu))
     if "bp" in req:
         bp = parse_sequence(req["bp"])
-        _letter_budget("skew with bp", _SKEW_LETTER_CAP, (bx, by, bp), rows)
+        _budget("letters", _letter_sum((bx, by, bp), rows))
         return symfunc_to_json(skew_function(lam, mu, bx, by, bp))
-    _letter_budget("skew", _SKEW_LETTER_CAP, (bx, by), rows)
+    _budget("letters", _letter_sum((bx, by), rows))
     return scalar_to_json(skew_multi_schur(lam, mu, bx, by))
 
 
@@ -385,31 +407,11 @@ def _cmd_inner(req: Mapping) -> object:
 
 
 def _cmd_eval(req: Mapping) -> object:
-    f = parse_symfunc(_field(req, "f"))
     vars_ = parse_alphabet(_field(req, "vars"))
+    _budget("eval vars", len(vars_))
+    f = parse_symfunc(_field(req, "f"))
+    _budget("eval weight", f.max_degree())
     return scalar_to_json(eval_symfunc(f, vars_))
-
-
-# Request field -> (keyword, cap) per suite.  With every field at its cap a
-# suite answers in at most 0.6 s (2-core host); past a cap, tractability.
-_SUITE_KWARGS = {
-    "orthonormality": {"maxWeight": ("max_weight", 8)},
-    "dual-engine": {"maxWeight": ("max_weight", 7)},
-    "hall-duality": {"maxWeight": ("max_weight", 9), "truncation": ("truncation", 9)},
-    "cauchy": {},
-    "branching": {"maxWeight": ("max_weight", 6), "generalMaxWeight": ("general_max_weight", 6)},
-    "truncation-stability": {
-        "maxWeight": ("max_weight", 5),
-        "maxRows": ("max_rows", 5),
-        "maxTruncation": ("max_truncation", 7),
-    },
-    "beta-chain": {"maxWeight": ("max_weight", 7), "maxDualWeight": ("max_dual_weight", 8)},
-    "classical": {
-        "maxWeight": ("max_weight", 8),
-        "window": ("window", 4),
-        "pairingRows": ("pairing_rows", 4),
-    },
-}
 
 
 # Pairs (low, high) of fields that a suite needs with low <= high, since it
@@ -421,34 +423,24 @@ _SUITE_ORDER = {
 }
 
 
-def _suite_size(theorem: str, key: str, kwargs: Mapping) -> int:
-    """The size `key` that the suite runs with: the request's, else its default."""
-    kwarg = _SUITE_KWARGS[theorem][key][0]
-    if kwarg in kwargs:
-        return kwargs[kwarg]
-    return inspect.signature(SUITES[theorem]).parameters[kwarg].default
-
-
 def _cmd_verify(req: Mapping) -> object:
     theorem = _field(req, "theorem")
     if theorem not in SUITES:
         known = ", ".join(sorted(SUITES))
         raise UsageError(f"unknown theorem {theorem!r}; known suites: {known}")
-    kwargs = {}
-    for key, (kwarg, cap) in _SUITE_KWARGS[theorem].items():
+    fields = _SUITE_KWARGS[theorem]
+    sizes = {key: default for key, (_, default, _) in fields.items()}
+    for key in fields:
         if key in req:
-            value = _int_field(req, key)
-            if value < 1:
-                raise UsageError(f"field {key!r} must be at least 1: {value}")
-            if value > cap:
-                raise TractabilityError(f"{theorem} caps {key!r} at {cap}: got {value}")
-            kwargs[kwarg] = value
+            sizes[key] = _int_field(req, key)
+            if sizes[key] < 1:
+                raise UsageError(f"field {key!r} must be at least 1: {sizes[key]}")
+            _budget(f"{theorem} {key}", sizes[key])
     if theorem in _SUITE_ORDER:
         low, high = _SUITE_ORDER[theorem]
-        a, b = _suite_size(theorem, low, kwargs), _suite_size(theorem, high, kwargs)
-        if a > b:
-            raise UsageError(f"{theorem} needs {high!r} >= {low!r} (a missing field takes its default): got {b} < {a}")
-    result = SUITES[theorem](**kwargs)
+        if sizes[low] > sizes[high]:
+            raise UsageError(f"{theorem} needs {high!r} >= {low!r} (a missing field takes its default): got {sizes[high]} < {sizes[low]}")
+    result = SUITES[theorem](**{fields[key][0]: size for key, size in sizes.items()})
     if "seed" in req:
         result["parameters"]["seed"] = req["seed"]
     return result

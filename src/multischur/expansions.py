@@ -33,6 +33,7 @@ from .shapes import (
     as_alphabet,
     empty_sequence,
     horizontal_strips,
+    prefix_sequence,
     refined_alphabet,
     refined_sequence,
     subpartitions,
@@ -178,9 +179,7 @@ def flagged_schur(lam: Sequence[int], flag: Sequence[int], vars: Sequence) -> Sc
     xs = as_alphabet(vars)
     if flag and flag[-1] > len(xs):
         raise ValueError(f"flag {flag} exceeds the {len(xs)} given variables")
-    n = len(lam)
-    rows = [h_series(lam.part(i) - i + n, xs[: flag[i - 1]]) for i in range(1, n + 1)]
-    return _jt(lam, lambda k, i: _at(rows[i - 1], k))(Partition(), n)
+    return multi_schur(lam, prefix_sequence(*(xs[:f] for f in flag[: len(lam)])), empty_sequence())
 
 
 def schur_expand_multischur(lam: Sequence[int], bx: AlphabetSequence, by: AlphabetSequence) -> SymFunc:

@@ -92,10 +92,6 @@ class MayaState:
         """Highest level of the unbroken sea."""
         return self.charge - len(self.parts) - 1
 
-    @property
-    def top_level(self) -> int:
-        return (self.parts[0] + self.charge - 1) if self.parts else self.charge - 1
-
     def excited_levels(self) -> list[int]:
         return [p + self.charge - i for i, p in enumerate(self.parts, 1)]
 

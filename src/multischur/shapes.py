@@ -236,11 +236,6 @@ def negate_alphabet(letters: Iterable) -> Alphabet:
     return tuple(-coerce_scalar(x) for x in letters)
 
 
-def alphabets_equal(a: Iterable, b: Iterable) -> bool:
-    """Multiset equality of letters."""
-    return Counter(as_alphabet(a)) == Counter(as_alphabet(b))
-
-
 def refined_alphabet(t: Sequence, i: int) -> Alphabet:
     """The alphabet (t_1, ..., t_{i-1}); i = 1 gives the empty alphabet."""
     t = as_alphabet(t)

@@ -3,11 +3,15 @@ JSON on stdout, machine-readable errors with exit status 2 (usage) or
 1 (computation)."""
 
 import functools
+import inspect
 import io
 import json
+import re
 import sys
 import time
 from pathlib import Path
+
+import pytest
 
 from multischur import cli, expansions
 from multischur.cli import main
@@ -436,7 +440,7 @@ def test_eval_caches_stay_bounded(monkeypatch, capsys):
 
 
 def test_skew_budget(monkeypatch, capsys):
-    cap = cli._SKEW_CAP
+    cap = cli._BUDGETS["weight"]
     rows = {"refined": ["t1", "t2", "t3"]}
     at_cap = {"command": "skew", "lambda": [cap - 2, 1], "mu": [1], "bx": [["x1"], ["x2"]]}
     code, out = _invoke(monkeypatch, capsys, at_cap)
@@ -460,7 +464,7 @@ def _assert_tractability_within_a_second(monkeypatch, capsys, req):
 
 
 def test_multischur_budget(monkeypatch, capsys):
-    cap = cli._SKEW_CAP
+    cap = cli._BUDGETS["weight"]
     at_cap = {"command": "multischur", "lambda": [cap], "bx": [["x1"]]}
     code, out = _invoke(monkeypatch, capsys, at_cap)
     assert code == 0, out
@@ -504,8 +508,8 @@ def test_unread_fields_rejected(monkeypatch, capsys):
 def test_stable_budgets(monkeypatch, capsys):
     t = [f"t{i}" for i in range(1, 40)]
     for basis, cap, extra in [
-        ("stable", cli._STABLE_CAP, {}),
-        ("stable-dual", cli._STABLE_DUAL_CAP, {"bx": {"refined": ["s1"]}}),
+        ("stable", cli._BUDGETS["stable rows"], {}),
+        ("stable-dual", cli._BUDGETS["stable-dual rows"], {"bx": {"refined": ["s1"]}}),
     ]:
         # lambda = () has a matrix of D rows
         code, out = _invoke(monkeypatch, capsys, {"command": "expand", "basis": basis, "lambda": [], "t": t, "D": cap, **extra})
@@ -514,10 +518,10 @@ def test_stable_budgets(monkeypatch, capsys):
             req = {"command": "expand", "basis": basis, "lambda": lam, "t": t, "D": D, **extra}
             _assert_tractability_within_a_second(monkeypatch, capsys, req)
     # a stable row of bx past the cap
-    bx = {"prefix": [["x1"]] * cli._STABLE_DUAL_CAP, "tail": {"kind": "refined", "base": ["x1"], "t": ["s1"]}}
+    bx = {"prefix": [["x1"]] * cli._BUDGETS["stable-dual rows"], "tail": {"kind": "refined", "base": ["x1"], "t": ["s1"]}}
     req = {"command": "expand", "basis": "stable-dual", "lambda": [1], "bx": bx, "t": t, "D": 1}
     _assert_tractability_within_a_second(monkeypatch, capsys, req)
-    f = {"stable": {"lambda": [1], "t": t, "D": cli._STABLE_CAP + 1}}
+    f = {"stable": {"lambda": [1], "t": t, "D": cli._BUDGETS["stable rows"] + 1}}
     for req in ({"command": "inner", "f": f, "g": {"schur": [1]}}, {"command": "eval", "f": f, "vars": ["x1"]}):
         _assert_tractability_within_a_second(monkeypatch, capsys, req)
 
@@ -583,7 +587,7 @@ def test_verify_sizes_out_of_order_rejected(monkeypatch, capsys):
 def test_skew_letter_budget(monkeypatch, capsys):
     """skew with bp caps the bx, by and bp letters summed over the rows of
     its determinant; the first size past the cap is refused at once."""
-    cap = cli._SKEW_LETTER_CAP
+    cap = cli._BUDGETS["letters"]
     letters = [f"x{i}" for i in range(1, cap + 2)]
     at_cap = {"command": "skew", "lambda": [1, 1, 1], "bx": {"constant": ["x1", "x2"]}, "bp": {"constant": ["p1"]}}
     code, out = _invoke(monkeypatch, capsys, at_cap)
@@ -610,7 +614,7 @@ def test_determinant_letter_budgets(monkeypatch, capsys):
     """multischur, skew without bp and stable-dual cap the letters summed
     over the rows of their determinant; the first size past each cap is
     refused at once, and so are the old requests of many seconds."""
-    cap = cli._SKEW_LETTER_CAP
+    cap = cli._BUDGETS["letters"]
     letters = [f"x{i}" for i in range(1, 40)]
     for command in ("multischur", "skew"):
         # at the cap: every letter in the first row, or split with by
@@ -633,7 +637,7 @@ def test_determinant_letter_budgets(monkeypatch, capsys):
     req = {"command": "skew", "lambda": [1], "mu": [1] * 8, "bx": {"constant": ["x1"]}, "by": [["y1"], ["y2"]]}
     _assert_tractability_within_a_second(monkeypatch, capsys, req)
 
-    cap = cli._STABLE_DUAL_LETTER_CAP
+    cap = cli._BUDGETS["stable-dual letters"]
     t = [f"t{i}" for i in range(1, 10)]
 
     def stable_dual(lam, D, bx):
@@ -659,3 +663,81 @@ def test_determinant_letter_budgets(monkeypatch, capsys):
         stable_dual([1], 7, {"constant": letters[:12]}),
     ]:
         _assert_tractability_within_a_second(monkeypatch, capsys, req)
+
+
+LETTERS = [f"x{i}" for i in range(1, 40)]
+
+
+def _verify_past(theorem, key):
+    return lambda n: [{"command": "verify", "theorem": theorem, key: n}]
+
+
+# Budget name -> requests past its cap, given n = cap + 1: a request of
+# size n, then requests that ran for seconds to minutes without the budget.
+PAST_CAP = {
+    "weight": lambda n: [
+        {"command": "multischur", "lambda": [n], "bx": [["x1"]]},
+        {"command": "expand", "basis": "refined", "lambda": [2] * 10, "t": LETTERS[:9]},
+        {"command": "expand", "basis": "refined", "lambda": [1] * 16, "t": LETTERS[:15]},
+    ],
+    "letters": lambda n: [
+        {"command": "expand", "basis": "schur", "lambda": [1], "bx": [LETTERS[:n]]},
+        {"command": "expand", "basis": "schur", "lambda": [9], "bx": [LETTERS[:14]]},
+        {"command": "expand", "basis": "truncated", "lambda": [1], "bx": {"constant": LETTERS[:5]}, "r": 6, "D": 20},
+        # t_1..t_8 join the 2 letters of bx in the columns of lambda = (1^9)
+        {"command": "expand", "basis": "refined", "lambda": [1] * 9, "t": LETTERS[:8], "bx": [["y1", "y2"]]},
+    ],
+    "D": lambda n: [{"command": "expand", "basis": "truncated", "lambda": [], "bx": [["x1"]], "r": 1, "D": n}],
+    "stable rows": lambda n: [{"command": "expand", "basis": "stable", "lambda": [], "t": LETTERS, "D": n}],
+    "stable-dual rows": lambda n: [
+        {"command": "expand", "basis": "stable-dual", "lambda": [], "bx": {"refined": ["s1"]}, "t": LETTERS, "D": n}
+    ],
+    "stable-dual letters": lambda n: [
+        {"command": "expand", "basis": "stable-dual", "lambda": [], "bx": [LETTERS[:n]], "t": [], "D": 1}
+    ],
+    "truncated rows": lambda n: [
+        {"command": "expand", "basis": "truncated", "lambda": [], "bx": [["x1"]], "r": n, "D": 1},
+        {"command": "expand", "basis": "truncated", "lambda": [1], "bx": [["x1"]], "r": 1000, "D": 3},
+        {"command": "expand", "basis": "truncated", "lambda": [1], "bx": {"refined": LETTERS}, "r": 60, "D": 10},
+    ],
+    "flag vars": lambda n: [
+        {"command": "multischur", "lambda": [1], "flag": [n], "vars": LETTERS[:n]},
+        {"command": "multischur", "lambda": [9], "flag": [14], "vars": LETTERS[:14]},
+    ],
+    "eval vars": lambda n: [
+        {"command": "eval", "f": {"schur": [1]}, "vars": LETTERS[:n]},
+        {"command": "eval", "f": {"schur": [9]}, "vars": LETTERS[:14]},
+    ],
+    "eval weight": lambda n: [
+        {"command": "eval", "f": {"schur": [n]}, "vars": ["x1"]},
+        {"command": "eval", "f": {"schur": [6, 6, 6, 6]}, "vars": LETTERS[:5]},
+        {"command": "eval", "f": {"schur": [25]}, "vars": LETTERS[:6]},
+    ],
+    **{
+        f"{theorem} {key}": _verify_past(theorem, key)
+        for theorem, fields in cli._SUITE_KWARGS.items()
+        for key in fields
+    },
+}
+
+
+@pytest.mark.parametrize("name", sorted(cli._BUDGETS))
+def test_every_budget_refuses_past_its_cap(monkeypatch, capsys, name):
+    for req in PAST_CAP[name](cli._BUDGETS[name] + 1):
+        _assert_tractability_within_a_second(monkeypatch, capsys, req)
+
+
+def test_readme_lists_every_budget():
+    caps = {}
+    for line in (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8").splitlines():
+        cells = [c.strip() for c in re.split(r"(?<!\\)\|", line.strip().strip("|"))]
+        if line.startswith("| `") and len(cells) >= 3:
+            caps[cells[0].strip("`")] = cells[2]
+    for name, cap in cli._BUDGETS.items():
+        assert caps.get(name) == str(cap), name
+
+
+def test_suite_defaults_match_signatures():
+    for theorem, fields in cli._SUITE_KWARGS.items():
+        params = inspect.signature(cli.SUITES[theorem]).parameters
+        assert {kwarg: default for kwarg, default, _ in fields.values()} == {k: p.default for k, p in params.items()}

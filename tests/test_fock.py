@@ -620,7 +620,7 @@ def oracle_fermion(mode, m, v):
 def oracle_heisenberg(m, v):
     pairs = []
     for state, coeff in v.items():
-        for u in range(state.sea_top - abs(m), state.top_level + 1):
+        for u in range(state.sea_top - abs(m), (state.parts[0] if state.parts else 0) + state.charge):
             if not state.occupied(u) or state.occupied(u - m):
                 continue
             s1, mid = _oracle_annihilate(state, u)

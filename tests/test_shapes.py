@@ -11,7 +11,6 @@ from multischur.shapes import (
     EmptyTail,
     Partition,
     RefinedTail,
-    alphabets_equal,
     constant_sequence,
     contains,
     empty_sequence,
@@ -125,11 +124,6 @@ def test_refined_alphabet():
     assert refined_alphabet(t, 3) == (t1, t2)
     with pytest.raises(ValueError):
         refined_alphabet(t, 5)
-
-
-def test_alphabets_equal_is_multiset():
-    assert alphabets_equal((x1, x2), (x2, x1))
-    assert not alphabets_equal((x1,), (x1, x1))
 
 
 def test_sequence_rows():
