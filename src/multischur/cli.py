@@ -28,6 +28,7 @@ from .exactalg import (
     scalar_to_json,
 )
 from .expansions import (
+    _ORACLE_MAX_WEIGHT,
     MAX_DEGREE_BOUND,
     StabilityError,
     SymFunc,
@@ -60,7 +61,7 @@ from .shapes import (
     prefix_sequence,
     refined_sequence,
 )
-from .verifications import SUITES
+from .verifications import _BRANCHING_MAX_WEIGHT, SUITES
 
 
 class UsageError(ValueError):
@@ -76,14 +77,17 @@ _MISSING = object()
 
 
 # Request field -> (keyword, default, cap) per suite; the default is the
-# suite's own.  With every field at its cap a suite answers in at most
-# 0.6 s (2-core host).
+# suite's own, the branching and classical weight caps their oracles'.
+# With every field at its cap a suite answers in at most 0.6 s (2-core host).
 _SUITE_KWARGS = {
     "orthonormality": {"maxWeight": ("max_weight", 5, 8)},
     "dual-engine": {"maxWeight": ("max_weight", 4, 7)},
     "hall-duality": {"maxWeight": ("max_weight", 5, 9), "truncation": ("truncation", 5, 9)},
     "cauchy": {},
-    "branching": {"maxWeight": ("max_weight", 5, 6), "generalMaxWeight": ("general_max_weight", 3, 6)},
+    "branching": {
+        "maxWeight": ("max_weight", 5, _BRANCHING_MAX_WEIGHT),
+        "generalMaxWeight": ("general_max_weight", 3, _BRANCHING_MAX_WEIGHT),
+    },
     "truncation-stability": {
         "maxWeight": ("max_weight", 3, 5),
         "maxRows": ("max_rows", 3, 5),
@@ -91,7 +95,7 @@ _SUITE_KWARGS = {
     },
     "beta-chain": {"maxWeight": ("max_weight", 4, 7), "maxDualWeight": ("max_dual_weight", 5, 8)},
     "classical": {
-        "maxWeight": ("max_weight", 6, 8),
+        "maxWeight": ("max_weight", 6, _ORACLE_MAX_WEIGHT),
         "window": ("window", 3, 4),
         "pairingRows": ("pairing_rows", 3, 4),
     },
@@ -296,9 +300,14 @@ def _stable_letters(req: Mapping, lam: Partition, D: int, budget: str = "stable 
     return _letters(req, rows)
 
 
+def _letter_count(alphabet: Sequence[Scalar]) -> int:
+    """The letters of an alphabet as the budgets count them: each entry counts its terms, at least 1."""
+    return sum(max(1, len(list(x.terms()))) for x in alphabet)
+
+
 def _letter_sum(seqs: Sequence[AlphabetSequence], rows: int) -> int:
-    """The alphabet sizes of `seqs` summed over the rows 1..rows of a determinant."""
-    return sum(len(seq.alphabet(i)) for seq in seqs for i in range(1, rows + 1))
+    """The letter counts of `seqs` summed over the rows 1..rows of a determinant."""
+    return sum(_letter_count(seq.alphabet(i)) for seq in seqs for i in range(1, rows + 1))
 
 
 def _letters(req: Mapping, rows: int) -> tuple[Scalar, ...]:
@@ -324,7 +333,7 @@ def _cmd_multischur(req: Mapping) -> object:
         ):
             raise UsageError(f"flag must be a list of integers: {flag!r}")
         vars_ = parse_alphabet(_field(req, "vars"))
-        _budget("flag vars", min(len(vars_), max(flag[: len(lam)], default=0)))
+        _budget("flag vars", _letter_count(vars_[: max([0, *flag[: len(lam)]])]))
         try:
             value = flagged_schur(lam, flag, vars_)
         except ValueError as e:  # every ValueError of flagged_schur is a malformed flag
@@ -353,7 +362,7 @@ def _cmd_expand(req: Mapping) -> object:
             bx = parse_sequence(req["bx"])
             by = _by(req)
             # column j adds the letters t_1..t_{j-1} to every row's by
-            _budget("letters", _letter_sum((bx, by), len(lam)) + max(len(lam) - 1, 0))
+            _budget("letters", _letter_sum((bx, by), len(lam)) + _letter_count(t[: max(len(lam) - 1, 0)]))
             coeffs = expand_in_refined_basis(lam, bx, by, t)
             return {**symfunc_to_json(SymFunc(coeffs)), "basis": "refined"}
         _unread(req, "expand refined without bx", "by")
@@ -408,7 +417,7 @@ def _cmd_inner(req: Mapping) -> object:
 
 def _cmd_eval(req: Mapping) -> object:
     vars_ = parse_alphabet(_field(req, "vars"))
-    _budget("eval vars", len(vars_))
+    _budget("eval vars", _letter_count(vars_))
     f = parse_symfunc(_field(req, "f"))
     _budget("eval weight", f.max_degree())
     return scalar_to_json(eval_symfunc(f, vars_))

@@ -442,11 +442,14 @@ def _ssyt_monomials(shape: Partition, vals: Alphabet, row_caps: Sequence[int]) -
     return total
 
 
+_ORACLE_MAX_WEIGHT = 8  # the tableau oracles' weight cap; cli caps classical maxWeight by it
+
+
 def schur_tableau_oracle(mu: Sequence[int], vals: Sequence) -> Scalar:
     mu = Partition(mu)
     xs = as_alphabet(vals)
-    if len(xs) > 6 or mu.weight > 8:
-        raise TractabilityError(f"oracle bounds are 6 variables, weight 8: got {len(xs)}, {mu.weight}")
+    if len(xs) > 6 or mu.weight > _ORACLE_MAX_WEIGHT:
+        raise TractabilityError(f"oracle bounds are 6 variables, weight {_ORACLE_MAX_WEIGHT}: got {len(xs)}, {mu.weight}")
     return _ssyt_monomials(mu, xs, [len(xs)] * len(mu))
 
 
@@ -454,8 +457,8 @@ def flagged_tableau_oracle(lam: Sequence[int], flag: Sequence[int], vals: Sequen
     """Row-capped semistandard generating sum: entries in row i at most flag_i."""
     lam = Partition(lam)
     xs = as_alphabet(vals)
-    if len(xs) > 6 or lam.weight > 8:
-        raise TractabilityError(f"oracle bounds are 6 variables, weight 8: got {len(xs)}, {lam.weight}")
+    if len(xs) > 6 or lam.weight > _ORACLE_MAX_WEIGHT:
+        raise TractabilityError(f"oracle bounds are 6 variables, weight {_ORACLE_MAX_WEIGHT}: got {len(xs)}, {lam.weight}")
     caps = [min(flag[i], len(xs)) for i in range(len(lam))]
     return _ssyt_monomials(lam, xs, caps)
 

@@ -6,10 +6,13 @@ scale and returns a summary dict:
     {"theorem": name, "parameters": {...}, "passed": bool,
      "cases": int, "failures": [str, ...]}
 
-A suite whose parameters leave it no case to check raises ValueError
-rather than passing vacuously.  `verify_branching` and `verify_cauchy`
-check one instance of the branching and Cauchy identities; the
-`branching` and `cauchy` suites run them over their cases.
+A failed case is reported as "<label>: got <repr>, want <repr>"; a repr
+longer than _CUT (200) characters is cut to that length, ending in
+"...".  On a passing run `failures` is [].  A suite whose parameters
+leave it no case to check raises ValueError rather than passing
+vacuously.  `verify_branching` and `verify_cauchy` check one instance of
+the branching and Cauchy identities; the `branching` and `cauchy` suites
+run them over their cases and report both sides.
 
 The two computation routes (closed-form determinants and the fermion
 engine) are kept independent so a suite that compares them is a real
@@ -71,16 +74,43 @@ def _vars(stem: str, n: int) -> tuple[Scalar, ...]:
     return tuple(Scalar.variable(f"{stem}{i}") for i in range(1, n + 1))
 
 
-def _suite(theorem: str, parameters: dict, cases: int, failures: list[str]) -> dict:
-    if not cases:
-        raise ValueError(f"suite {theorem} checked no cases at {parameters}")
-    return {
-        "theorem": theorem,
-        "parameters": parameters,
-        "passed": not failures,
-        "cases": cases,
-        "failures": failures,
-    }
+def _one_letter_rows(n: int) -> tuple[AlphabetSequence, ...]:
+    """bx and by with the rows (a_i,) and (b_i,) for i = 1..n, empty past n."""
+    return tuple(prefix_sequence(*[(u,) for u in _vars(stem, n)]) for stem in "ab")
+
+
+_CUT = 200  # characters kept of each side's repr in a failure
+
+
+class _Tally:
+    """The cases of one suite and the failing ones, each named by its
+    label and both sides."""
+
+    def __init__(self) -> None:
+        self.cases = 0
+        self.failures: list[str] = []
+
+    def check(self, got, want, label: str, *args) -> None:
+        """One case; `label % args` is formatted only if got != want."""
+        self.cases += 1
+        if got != want:
+            args = tuple(list(a) if isinstance(a, Partition) else a for a in args)
+            got, want = (r if len(r) <= _CUT else r[: _CUT - 3] + "..." for r in (repr(got), repr(want)))
+            self.failures.append(f"{label % args}: got {got}, want {want}")
+
+    def summary(self, theorem: str, parameters: dict) -> dict:
+        if not self.cases:
+            raise ValueError(f"suite {theorem} checked no cases at {parameters}")
+        return {
+            "theorem": theorem,
+            "parameters": parameters,
+            "passed": not self.failures,
+            "cases": self.cases,
+            "failures": self.failures,
+        }
+
+
+_BRANCHING_MAX_WEIGHT = 6  # verify_branching's weight cap; cli caps the branching suite by it
 
 
 def verify_branching(
@@ -94,11 +124,16 @@ def verify_branching(
     """Split the variable set: the expansion in n + m variables must equal
     the sum over inner shapes of (skew part in the first n) times (refined
     dual part in the last m)."""
+    lhs, rhs = _branching_sides(lam, t, n, m, bx, by)
+    return lhs == rhs
+
+
+def _branching_sides(lam, t, n, m, bx, by) -> tuple[Scalar, Scalar]:
     lam = Partition(lam)
     if n > 4 or m > 4:
         raise TractabilityError(f"variable counts are capped at 4: got {n}, {m}")
-    if lam.weight > 6:
-        raise TractabilityError(f"weight is capped at 6: got {lam.weight}")
+    if lam.weight > _BRANCHING_MAX_WEIGHT:
+        raise TractabilityError(f"weight is capped at {_BRANCHING_MAX_WEIGHT}: got {lam.weight}")
     if bx is None:
         bx = refined_sequence(t)
     if by is None:
@@ -113,22 +148,23 @@ def verify_branching(
         if not left:
             continue
         rhs = rhs + left * eval_symfunc(refined_dual_grothendieck(mu, t), ys)
-    return lhs == rhs
-
-
-def _degree_in(mono, names: frozenset[str]) -> int:
-    return sum(e for name, e in mono if name in names)
+    return lhs, rhs
 
 
 def _truncate_in(p: Scalar, names: frozenset[str], D: int) -> Scalar:
-    kept = {mono: c for mono, c in p.terms() if _degree_in(mono, names) <= D}
-    return Scalar(kept)
+    """The terms of p of degree at most D in the letters `names`."""
+    return Scalar({mono: c for mono, c in p.terms() if sum(e for x, e in mono if x in names) <= D})
 
 
 def verify_cauchy(t: Sequence, D: int, n: int, m: int) -> bool:
     """Sum over |lam| <= D of (dual element in X) times (stable element
     in Y) against the product of geometric series, compared in all
     monomials of Y-degree <= D."""
+    lhs, rhs = _cauchy_sides(t, D, n, m)
+    return lhs == rhs
+
+
+def _cauchy_sides(t, D, n, m) -> tuple[Scalar, Scalar]:
     if D > 6:
         raise TractabilityError(f"degree bound is capped at 6: got {D}")
     if n > 3 or m > 3:
@@ -150,45 +186,33 @@ def verify_cauchy(t: Sequence, D: int, n: int, m: int) -> bool:
             for k in range(D + 1):
                 geom = geom + (x * y) ** k
             rhs = _truncate_in(rhs * geom, ynames, D)
-    return _truncate_in(lhs, ynames, D) == rhs
+    return _truncate_in(lhs, ynames, D), rhs
 
 
 def orthonormality(max_weight: int = 5) -> dict:
     """Refined bras against refined kets: delta on all pairs."""
     t = _vars("t", max_weight + 3)
-    cases = 0
-    failures: list[str] = []
+    tally = _Tally()
     shapes = partitions_up_to_weight(max_weight)
     for lam in shapes:
         pairs = bra_refined_pairs(shapes, t, ket_refined(lam, t, len(lam)))
         for mu, val in pairs.items():
-            want = _ONE if mu == lam else _ZERO
-            cases += 1
-            if val != want:
-                failures.append(f"pair {list(mu)} | {list(lam)} gave {val!r}")
-    return _suite("orthonormality", {"maxWeight": max_weight}, cases, failures)
+            tally.check(val, _ONE if mu == lam else _ZERO, "pair %s | %s", mu, lam)
+    return tally.summary("orthonormality", {"maxWeight": max_weight})
 
 
 def dual_engine(max_weight: int = 4) -> dict:
     """Determinant coefficients equal fermion-engine pairings, with
     one-letter symbolic row alphabets and symbolic t."""
-    rows = max_weight
-    a = _vars("a", rows)
-    b = _vars("b", rows)
-    bx = prefix_sequence(*[(u,) for u in a])
-    by = prefix_sequence(*[(u,) for u in b])
+    bx, by = _one_letter_rows(max_weight)
     t = _vars("t", max_weight + 3)
-    cases = 0
-    failures: list[str] = []
+    tally = _Tally()
     for lam in partitions_up_to_weight(max_weight):
         coeffs = expand_in_refined_basis(lam, bx, by, t)
         pairs = bra_refined_pairs(subpartitions(lam), t, ket_general(lam, bx, by, len(lam)))
         for mu, pair in pairs.items():
-            det = coeffs.get(mu, _ZERO)
-            cases += 1
-            if det != pair:
-                failures.append(f"coefficient {list(mu)} of {list(lam)}: det != pairing")
-    return _suite("dual-engine", {"maxWeight": max_weight}, cases, failures)
+            tally.check(coeffs.get(mu, _ZERO), pair, "coefficient %s of %s, det against pairing", mu, lam)
+    return tally.summary("dual-engine", {"maxWeight": max_weight})
 
 
 def hall_duality(max_weight: int = 5, truncation: int = 5) -> dict:
@@ -196,63 +220,34 @@ def hall_duality(max_weight: int = 5, truncation: int = 5) -> dict:
     t = _vars("t", max_weight + 1)
     shapes = partitions_up_to_weight(max_weight)
     duals = {mu: refined_dual_grothendieck(mu, t) for mu in shapes}
-    cases = 0
-    failures: list[str] = []
+    tally = _Tally()
     for lam in shapes:
         G = stable_grothendieck_schur(lam, t, truncation)
         for mu in shapes:
-            val = hall_inner(G, duals[mu])
-            want = _ONE if mu == lam else _ZERO
-            cases += 1
-            if val != want:
-                failures.append(f"inner {list(lam)} , {list(mu)} gave {val!r}")
-    return _suite(
-        "hall-duality", {"maxWeight": max_weight, "truncation": truncation}, cases, failures
-    )
+            tally.check(hall_inner(G, duals[mu]), _ONE if mu == lam else _ZERO, "inner %s , %s", lam, mu)
+    return tally.summary("hall-duality", {"maxWeight": max_weight, "truncation": truncation})
 
 
 def cauchy() -> dict:
     """Kernel identity: symbolic t at D=3 and the all-zero t at D=4."""
-    cases = 0
-    failures: list[str] = []
-    t = _vars("t", 6)
-    cases += 1
-    if not verify_cauchy(t, 3, 2, 2):
-        failures.append("symbolic t, D=3, n=m=2")
-    cases += 1
-    if not verify_cauchy((0,) * 7, 4, 2, 2):
-        failures.append("zero t, D=4, n=m=2")
-    return _suite(
-        "cauchy",
-        {"symbolic": {"D": 3, "n": 2, "m": 2}, "zero": {"D": 4, "n": 2, "m": 2}},
-        cases,
-        failures,
-    )
+    tally = _Tally()
+    tally.check(*_cauchy_sides(_vars("t", 6), 3, 2, 2), "symbolic t, D=3, n=m=2")
+    tally.check(*_cauchy_sides((0,) * 7, 4, 2, 2), "zero t, D=4, n=m=2")
+    return tally.summary("cauchy", {"symbolic": {"D": 3, "n": 2, "m": 2}, "zero": {"D": 4, "n": 2, "m": 2}})
 
 
 def branching(max_weight: int = 5, general_max_weight: int = 3) -> dict:
     """Two-alphabet split: refined case for all shapes up to max_weight,
     then the general mixed case with distinct one-letter alphabets."""
     t = _vars("t", max_weight + 2)
-    cases = 0
-    failures: list[str] = []
+    tally = _Tally()
     for lam in partitions_up_to_weight(max_weight):
-        cases += 1
-        if not verify_branching(lam, t, 2, 2):
-            failures.append(f"refined split failed for {list(lam)}")
-    a = _vars("a", general_max_weight)
-    b = _vars("b", general_max_weight)
-    bx = prefix_sequence(*[(u,) for u in a])
-    by = prefix_sequence(*[(u,) for u in b])
+        tally.check(*_branching_sides(lam, t, 2, 2, None, None), "refined split of %s", lam)
+    bx, by = _one_letter_rows(general_max_weight)
     for lam in partitions_up_to_weight(general_max_weight):
-        cases += 1
-        if not verify_branching(lam, t, 2, 2, bx=bx, by=by):
-            failures.append(f"general split failed for {list(lam)}")
-    return _suite(
-        "branching",
-        {"maxWeight": max_weight, "generalMaxWeight": general_max_weight, "n": 2, "m": 2},
-        cases,
-        failures,
+        tally.check(*_branching_sides(lam, t, 2, 2, bx, by), "general split of %s", lam)
+    return tally.summary(
+        "branching", {"maxWeight": max_weight, "generalMaxWeight": general_max_weight, "n": 2, "m": 2}
     )
 
 
@@ -261,23 +256,15 @@ def truncation_stability(max_weight: int = 3, max_rows: int = 3, max_truncation:
     variables, for every permitted (r, D)."""
     t = _vars("t", max_truncation + 2)
     vs = _vars("v", max_rows)
-    cases = 0
-    failures: list[str] = []
+    tally = _Tally()
     for lam in partitions_up_to_weight(max_weight):
         for r in range(max(1, len(lam)), max_rows + 1):
             for D in range(lam.weight, max_truncation + 1):
                 lhs = eval_symfunc(stable_grothendieck_schur(lam, t, D), vs[:r])
-                rhs = eval_symfunc(
-                    truncated_dual_expansion(lam, refined_sequence(t), r, D), vs[:r]
-                )
-                cases += 1
-                if lhs != rhs:
-                    failures.append(f"shape {list(lam)}, r={r}, D={D}")
-    return _suite(
-        "truncation-stability",
-        {"maxWeight": max_weight, "maxRows": max_rows, "maxTruncation": max_truncation},
-        cases,
-        failures,
+                rhs = eval_symfunc(truncated_dual_expansion(lam, refined_sequence(t), r, D), vs[:r])
+                tally.check(lhs, rhs, "shape %s, r=%s, D=%s", lam, r, D)
+    return tally.summary(
+        "truncation-stability", {"maxWeight": max_weight, "maxRows": max_rows, "maxTruncation": max_truncation}
     )
 
 
@@ -289,37 +276,20 @@ def beta_chain(max_weight: int = 4, max_dual_weight: int = 5) -> dict:
     tb = tuple(-beta for _ in range(max_dual_weight + 2))
     xs = _vars("x", 2)
     vac = MayaState(0, Partition())
-    cases = 0
-    failures: list[str] = []
+    tally = _Tally()
     for lam in partitions_up_to_weight(max_weight):
         lhs = eval_symfunc(refined_dual_grothendieck(lam, tb), xs)
         ket = ket_refined(lam, tb, len(lam))
-        rhs = apply_exp_H(xs, (), +1, ket).coefficient(vac)
-        cases += 1
-        if lhs != rhs:
-            failures.append(f"fermion evaluation mismatch at {list(lam)}")
+        tally.check(lhs, apply_exp_H(xs, (), +1, ket).coefficient(vac), "fermion evaluation of %s", lam)
     for lam in partitions_up_to_weight(max_weight):
         G = stable_grothendieck_schur(lam, tb, max_dual_weight)
         for mu in superpartitions(lam, max_dual_weight):
-            r = max(len(mu), len(lam))
-            rows = []
-            for i in range(1, r + 1):
-                row = []
-                for j in range(1, r + 1):
-                    k = -lam.part(i) + mu.part(j) + i - j
-                    c = comb(i - 1, k) if 0 <= k <= i - 1 else 0
-                    row.append(beta**k * c if c else _ZERO)
-                rows.append(row)
-            want = det_over_ring(rows)
-            cases += 1
-            if G.coefficient(mu) != want:
-                failures.append(f"binomial coefficient mismatch at {list(lam)} -> {list(mu)}")
-    return _suite(
-        "beta-chain",
-        {"maxWeight": max_weight, "maxDualWeight": max_dual_weight},
-        cases,
-        failures,
-    )
+            # entry (i, j), counted from 0, is C(i, k) beta^k at k = mu_j - lam_i + i - j
+            r = range(max(len(mu), len(lam)))
+            ks = ([mu.part(j + 1) - lam.part(i + 1) + i - j for j in r] for i in r)
+            rows = [[beta**k * comb(i, k) if 0 <= k <= i else _ZERO for k in row] for i, row in enumerate(ks)]
+            tally.check(G.coefficient(mu), det_over_ring(rows), "binomial coefficient %s -> %s", lam, mu)
+    return tally.summary("beta-chain", {"maxWeight": max_weight, "maxDualWeight": max_dual_weight})
 
 
 def _test_vectors() -> list[FockVector]:
@@ -334,52 +304,38 @@ def _test_vectors() -> list[FockVector]:
     ]
 
 
+def _anticommutator(a: str, m: int, b: str, n: int, v: FockVector) -> FockVector:
+    return apply_fermion(a, m, apply_fermion(b, n, v)) + apply_fermion(b, n, apply_fermion(a, m, v))
+
+
 def classical(max_weight: int = 6, window: int = 3, pairing_rows: int = 3) -> dict:
     """Ground-truth checks: tableau sums, transpose duality, fermion and
     Heisenberg relations over the index window, and the shifted-vacuum
     pairing."""
-    cases = 0
-    failures: list[str] = []
+    tally = _Tally()
 
     vals = _vars("a", 4)
     for n in range(1, 5):
         for mu in partitions_up_to_weight(max_weight):
-            cases += 1
-            if eval_symfunc(sym_schur(mu), vals[:n]) != schur_tableau_oracle(mu, vals[:n]):
-                failures.append(f"tableau sum mismatch: {list(mu)} in {n} variables")
+            got = eval_symfunc(sym_schur(mu), vals[:n])
+            tally.check(got, schur_tableau_oracle(mu, vals[:n]), "tableau sum of %s in %s variables", mu, n)
 
     x = _vars("x", 2)
     y = _vars("y", 2)
     for lam in partitions_up_to_weight(5):
-        lhs = supersym_schur(lam, x, y)
         rhs = supersym_schur(lam.transpose(), y, x)
-        if lam.weight % 2:
-            rhs = -rhs
-        cases += 1
-        if lhs != rhs:
-            failures.append(f"transpose duality failed at {list(lam)}")
+        tally.check(supersym_schur(lam, x, y), -rhs if lam.weight % 2 else rhs, "transpose duality at %s", lam)
 
     vectors = _test_vectors()
+    zero = FockVector()
     span = range(-window, window + 1)
     for m in span:
         for n in span:
             for k, v in enumerate(vectors):
-                anti = apply_fermion(PSI, m, apply_fermion(PSI_STAR, n, v)) + apply_fermion(
-                    PSI_STAR, n, apply_fermion(PSI, m, v)
-                )
-                want = v if m == n else FockVector()
-                cases += 1
-                if anti != want:
-                    failures.append(f"psi psi* anticommutator failed: m={m}, n={n}, v#{k}")
-                both = apply_fermion(PSI, m, apply_fermion(PSI, n, v)) + apply_fermion(
-                    PSI, n, apply_fermion(PSI, m, v)
-                )
-                duals = apply_fermion(PSI_STAR, m, apply_fermion(PSI_STAR, n, v)) + apply_fermion(
-                    PSI_STAR, n, apply_fermion(PSI_STAR, m, v)
-                )
-                cases += 1
-                if both or duals:
-                    failures.append(f"like-mode anticommutator failed: m={m}, n={n}, v#{k}")
+                anti = _anticommutator(PSI, m, PSI_STAR, n, v)
+                tally.check(anti, v if m == n else zero, "psi psi* anticommutator: m=%s, n=%s, v#%s", m, n, k)
+                like = (_anticommutator(PSI, m, PSI, n, v), _anticommutator(PSI_STAR, m, PSI_STAR, n, v))
+                tally.check(like, (zero, zero), "like-mode anticommutators: m=%s, n=%s, v#%s", m, n, k)
 
     modes = [m for m in span if m]
     for m in modes:
@@ -388,24 +344,18 @@ def classical(max_weight: int = 6, window: int = 3, pairing_rows: int = 3) -> di
                 comm = apply_heisenberg(m, apply_fermion(PSI, n, v)) - apply_fermion(
                     PSI, n, apply_heisenberg(m, v)
                 )
-                cases += 1
-                if comm != apply_fermion(PSI, n - m, v):
-                    failures.append(f"[a_m, psi_n] failed: m={m}, n={n}, v#{k}")
+                tally.check(comm, apply_fermion(PSI, n - m, v), "[a_m, psi_n]: m=%s, n=%s, v#%s", m, n, k)
                 comm = apply_heisenberg(m, apply_fermion(PSI_STAR, n, v)) - apply_fermion(
                     PSI_STAR, n, apply_heisenberg(m, v)
                 )
-                cases += 1
-                if comm != apply_fermion(PSI_STAR, n + m, v).scale(-1):
-                    failures.append(f"[a_m, psi*_n] failed: m={m}, n={n}, v#{k}")
+                want = apply_fermion(PSI_STAR, n + m, v).scale(-1)
+                tally.check(comm, want, "[a_m, psi*_n]: m=%s, n=%s, v#%s", m, n, k)
         for n in modes:
             for k, v in enumerate(vectors):
                 comm = apply_heisenberg(m, apply_heisenberg(n, v)) - apply_heisenberg(
                     n, apply_heisenberg(m, v)
                 )
-                want = v.scale(m) if m + n == 0 else FockVector()
-                cases += 1
-                if comm != want:
-                    failures.append(f"[a_m, a_n] failed: m={m}, n={n}, v#{k}")
+                tally.check(comm, v.scale(m) if m + n == 0 else zero, "[a_m, a_n]: m=%s, n=%s, v#%s", m, n, k)
 
     for r in range(1, pairing_rows + 1):
         tuples = list(combinations(range(window, -r - 1, -1), r))
@@ -420,17 +370,8 @@ def classical(max_weight: int = 6, window: int = 3, pairing_rows: int = 3) -> di
                     w = apply_fermion(PSI_STAR, mi, w)
                     if not w:
                         break
-                val = w.coefficient(end)
-                want = _ONE if ms == ns else _ZERO
-                cases += 1
-                if val != want:
-                    failures.append(f"vacuum pairing failed: m={ms}, n={ns}")
-    return _suite(
-        "classical",
-        {"maxWeight": max_weight, "window": window, "pairingRows": pairing_rows},
-        cases,
-        failures,
-    )
+                tally.check(w.coefficient(end), _ONE if ms == ns else _ZERO, "vacuum pairing: m=%s, n=%s", ms, ns)
+    return tally.summary("classical", {"maxWeight": max_weight, "window": window, "pairingRows": pairing_rows})
 
 
 SUITES = {

@@ -666,6 +666,8 @@ def test_determinant_letter_budgets(monkeypatch, capsys):
 
 
 LETTERS = [f"x{i}" for i in range(1, 40)]
+# one letter x1 + ... + x14, serialized as 14 terms; the budgets count it as 14
+POLY14 = [{"coefficient": "1", "monomial": {x: 1}} for x in LETTERS[:14]]
 
 
 def _verify_past(theorem, key):
@@ -683,6 +685,8 @@ PAST_CAP = {
     "letters": lambda n: [
         {"command": "expand", "basis": "schur", "lambda": [1], "bx": [LETTERS[:n]]},
         {"command": "expand", "basis": "schur", "lambda": [9], "bx": [LETTERS[:14]]},
+        # ran past 30 s while a polynomial letter counted as one
+        {"command": "multischur", "lambda": [9], "bx": [[POLY14]]},
         {"command": "expand", "basis": "truncated", "lambda": [1], "bx": {"constant": LETTERS[:5]}, "r": 6, "D": 20},
         # t_1..t_8 join the 2 letters of bx in the columns of lambda = (1^9)
         {"command": "expand", "basis": "refined", "lambda": [1] * 9, "t": LETTERS[:8], "bx": [["y1", "y2"]]},
@@ -703,10 +707,12 @@ PAST_CAP = {
     "flag vars": lambda n: [
         {"command": "multischur", "lambda": [1], "flag": [n], "vars": LETTERS[:n]},
         {"command": "multischur", "lambda": [9], "flag": [14], "vars": LETTERS[:14]},
+        {"command": "multischur", "lambda": [6], "flag": [1], "vars": [POLY14]},
     ],
     "eval vars": lambda n: [
         {"command": "eval", "f": {"schur": [1]}, "vars": LETTERS[:n]},
         {"command": "eval", "f": {"schur": [9]}, "vars": LETTERS[:14]},
+        {"command": "eval", "f": {"schur": [6]}, "vars": [POLY14]},
     ],
     "eval weight": lambda n: [
         {"command": "eval", "f": {"schur": [n]}, "vars": ["x1"]},
@@ -719,6 +725,16 @@ PAST_CAP = {
         for key in fields
     },
 }
+
+
+def test_letter_budgets_count_terms(monkeypatch, capsys):
+    cap = cli._BUDGETS["letters"]
+    # a letter counts its terms, and the zero letter, with none, counts 1
+    for bx in ([POLY14[:cap]], ["0"] * cap, ["0"] * (cap - 2) + [POLY14[:2]]):
+        code, out = _invoke(monkeypatch, capsys, {"command": "multischur", "lambda": [1], "bx": [bx]})
+        assert code == 0, out
+    for bx in ([POLY14[: cap + 1]], ["0"] * (cap + 1), ["0"] * (cap - 1) + [POLY14[:2]]):
+        _assert_tractability_within_a_second(monkeypatch, capsys, {"command": "multischur", "lambda": [1], "bx": [bx]})
 
 
 @pytest.mark.parametrize("name", sorted(cli._BUDGETS))

@@ -1,9 +1,15 @@
 """Verification suites at reduced sizes: every suite must pass and
 report the documented summary shape."""
 
+import re
+
 import pytest
 
+from multischur import verifications
+from multischur.exactalg import Scalar
+from multischur.expansions import SymFunc
 from multischur.verifications import (
+    _CUT,
     SUITES,
     beta_chain,
     branching,
@@ -97,3 +103,63 @@ def test_classical_small():
     summary = classical(max_weight=3, window=2, pairing_rows=2)
     _check_shape(summary, "classical")
     assert summary["passed"]
+
+
+# A wrong value whose repr is longer than the cut.
+WRONG = sum((Scalar.variable(f"w{i}") for i in range(1, 80)), Scalar.zero())
+
+
+def _plus_wrong(f):
+    return lambda *args: f(*args) + WRONG
+
+
+def _pairs_plus_wrong(f):
+    return lambda *args: {mu: v + WRONG for mu, v in f(*args).items()}
+
+
+def _wrong_expansion(f):
+    return lambda *args: SymFunc({(): WRONG})
+
+
+# suite -> (small sizes, the dependency stubbed to give a wrong value,
+# the stub, the start or starts of the label of a failing case)
+BROKEN = {
+    "orthonormality": ({"max_weight": 2}, "bra_refined_pairs", _pairs_plus_wrong, "pair ["),
+    "dual-engine": ({"max_weight": 2}, "bra_refined_pairs", _pairs_plus_wrong, "coefficient ["),
+    "hall-duality": ({"max_weight": 2, "truncation": 2}, "hall_inner", _plus_wrong, "inner ["),
+    "cauchy": ({}, "eval_symfunc", _plus_wrong, ("symbolic t, D=3", "zero t, D=4")),
+    "branching": (
+        {"max_weight": 2, "general_max_weight": 1},
+        "eval_symfunc",
+        _plus_wrong,
+        ("refined split of [", "general split of ["),
+    ),
+    "truncation-stability": (
+        {"max_weight": 1, "max_rows": 2, "max_truncation": 2},
+        "truncated_dual_expansion",
+        _wrong_expansion,
+        "shape [",
+    ),
+    "beta-chain": ({"max_weight": 1, "max_dual_weight": 2}, "det_over_ring", _plus_wrong, "binomial coefficient ["),
+    "classical": ({"max_weight": 2, "window": 1, "pairing_rows": 1}, "eval_symfunc", _plus_wrong, "tableau sum of ["),
+}
+
+
+@pytest.mark.parametrize("theorem", sorted(SUITES))
+def test_every_suite_fails_naming_both_sides(monkeypatch, theorem):
+    sizes, name, stub, label = BROKEN[theorem]
+    cases = SUITES[theorem](**sizes)["cases"]
+    monkeypatch.setattr(verifications, name, stub(getattr(verifications, name)))
+    summary = SUITES[theorem](**sizes)
+    assert summary["passed"] is False
+    assert summary["cases"] == cases
+    assert summary["failures"]
+    sides = []
+    for failure in summary["failures"]:
+        m = re.fullmatch(r"(?P<label>.+): got (?P<got>.+), want (?P<want>.+)", failure)
+        assert m and m["label"].startswith(label), failure
+        assert m["got"] != m["want"]
+        sides += [m["got"], m["want"]]
+    assert all(len(side) <= _CUT for side in sides)
+    # WRONG's repr is longer than the cut, so some side was cut to it
+    assert any(len(side) == _CUT and side.endswith("...") for side in sides)
