@@ -28,9 +28,9 @@ from .exactalg import (
     scalar_to_json,
 )
 from .expansions import (
+    _BRANCHING_MAX_WEIGHT,
     _ORACLE_MAX_WEIGHT,
     MAX_DEGREE_BOUND,
-    StabilityError,
     SymFunc,
     TractabilityError,
     TruncationError,
@@ -50,18 +50,18 @@ from .expansions import (
     symfunc_to_json,
     truncated_dual_expansion,
 )
-from .fock import ChargeError
 from .shapes import (
     AlphabetSequence,
+    ChargeError,
     ConstantTail,
     EmptyTail,
     Partition,
     RefinedTail,
+    StabilityError,
     constant_sequence,
     prefix_sequence,
     refined_sequence,
 )
-from .verifications import _BRANCHING_MAX_WEIGHT, SUITES
 
 
 class UsageError(ValueError):
@@ -434,8 +434,8 @@ _SUITE_ORDER = {
 
 def _cmd_verify(req: Mapping) -> object:
     theorem = _field(req, "theorem")
-    if theorem not in SUITES:
-        known = ", ".join(sorted(SUITES))
+    if theorem not in _SUITE_KWARGS:
+        known = ", ".join(sorted(_SUITE_KWARGS))
         raise UsageError(f"unknown theorem {theorem!r}; known suites: {known}")
     fields = _SUITE_KWARGS[theorem]
     sizes = {key: default for key, (_, default, _) in fields.items()}
@@ -449,6 +449,8 @@ def _cmd_verify(req: Mapping) -> object:
         low, high = _SUITE_ORDER[theorem]
         if sizes[low] > sizes[high]:
             raise UsageError(f"{theorem} needs {high!r} >= {low!r} (a missing field takes its default): got {sizes[high]} < {sizes[low]}")
+    from .verifications import SUITES  # only verify loads the suites and the fermion engine
+
     result = SUITES[theorem](**{fields[key][0]: size for key, size in sizes.items()})
     if "seed" in req:
         result["parameters"]["seed"] = req["seed"]

@@ -24,7 +24,7 @@ from functools import lru_cache
 from itertools import chain
 from typing import Iterable, Iterator, Mapping, Sequence
 
-from .exactalg import Scalar, ScalarLike, coerce_scalar, collect
+from .exactalg import Scalar, ScalarLike, coerce_scalar, collect, scalar_from_json, scalar_to_json
 from .shapes import (
     Alphabet,
     AlphabetSequence,
@@ -237,25 +237,24 @@ def stable_dual_in_G(
 ) -> dict[Partition, Scalar]:
     """Coefficients on the stable basis indexed by mu containing lam:
     det( h_{-lam_i + mu_j + i - j}((t_1..t_{j-1}) / x^(i)) ), size
-    max(R, len(mu)) where R comes from the stable growth of bx."""
+    len(mu), for bx with stable growth."""
     lam = Partition(lam)
-    st = bx.stable_tail()
-    if st is None:
+    if bx.stable_tail() is None:
         raise StabilityError("bx does not grow one letter per row from any point on")
-    R, _ = st
     check_degree_bound(lam, D)
     shapes = superpartitions(lam, D)
-    n = max(R, max(map(len, shapes)))
+    # no padding to R = bx.stable_tail()[0] rows: past len(mu) it adds a unit triangular block
+    n = max(map(len, shapes))
     ts = [refined_alphabet(t, j) for j in range(1, n + 1)]
     xs = [bx.alphabet(i) for i in range(1, n + 1)]
     # the largest mu_j of a shape whose matrix has row i and column j
-    reach = lambda i, j: max(mu.part(j) for mu in shapes if max(R, len(mu)) >= max(i, j))
+    reach = lambda i, j: max(mu.part(j) for mu in shapes if len(mu) >= max(i, j))
     cells = [
         [h_series(reach(i, j) - j - lam.part(i) + i, ts[j - 1], x) for j in range(1, n + 1)]
         for i, x in enumerate(xs, 1)
     ]
     det = _jt(lam, lambda k, i, j: _at(cells[i - 1][j - 1], -k), _cells)
-    return {mu: c for mu in shapes if (c := det(mu, max(R, len(mu))))}
+    return {mu: c for mu in shapes if (c := det(mu, len(mu)))}
 
 
 def stable_grothendieck_schur(lam: Sequence[int], t: Sequence, D: int) -> SymFunc:
@@ -375,7 +374,7 @@ def hall_inner(f: SymFunc, g: SymFunc) -> Scalar:
             f"left has support in degree {f.max_degree()}"
         )
     total = _ZERO
-    for mu, c in f.terms():
+    for mu, c in f._coeffs.items():
         other = g.coefficient(mu)
         if other:
             total = total + c * other
@@ -392,7 +391,7 @@ def eval_symfunc(f: SymFunc, vals: Sequence) -> Scalar:
     more rows than there are variables."""
     xs = as_alphabet(vals)
     total = _ZERO
-    for mu, c in f.terms():
+    for mu, c in f._coeffs.items():
         if len(mu) > len(xs):
             continue
         total = total + c * _jacobi_trudi(mu, xs)
@@ -443,6 +442,7 @@ def _ssyt_monomials(shape: Partition, vals: Alphabet, row_caps: Sequence[int]) -
 
 
 _ORACLE_MAX_WEIGHT = 8  # the tableau oracles' weight cap; cli caps classical maxWeight by it
+_BRANCHING_MAX_WEIGHT = 6  # verify_branching's weight cap; cli caps the branching suite by it
 
 
 def schur_tableau_oracle(mu: Sequence[int], vals: Sequence) -> Scalar:
@@ -467,8 +467,6 @@ def flagged_tableau_oracle(lam: Sequence[int], flag: Sequence[int], vals: Sequen
 
 
 def symfunc_to_json(f: SymFunc) -> dict:
-    from .exactalg import scalar_to_json
-
     return {
         "basis": "schur",
         "truncation": f.truncation,
@@ -479,8 +477,6 @@ def symfunc_to_json(f: SymFunc) -> dict:
 
 
 def symfunc_from_json(data: Mapping) -> SymFunc:
-    from .exactalg import scalar_from_json
-
     if data.get("basis", "schur") != "schur":
         raise ValueError(f"unsupported basis: {data.get('basis')!r}")
     D = data.get("truncation")

@@ -44,12 +44,12 @@ operator here evaluates one.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from itertools import chain
 from typing import Iterable, Mapping, Sequence
 
 from .exactalg import DimensionError, Scalar, ScalarLike, coerce_scalar, collect, det_over_ring
-from .shapes import Alphabet, Partition, StabilityError, as_alphabet, horizontal_strips, vertical_strips
+from .shapes import Alphabet, ChargeError, Partition, StabilityError, as_alphabet, horizontal_strips, vertical_strips
 from .supersym import h_series
 
 PSI = "psi"
@@ -61,27 +61,21 @@ _ZERO = Scalar.zero()
 _EMPTY = Partition()
 
 
-class ChargeError(ValueError):
-    """States of different charges were mixed in one vector."""
-
-
 def _normalize_mode(mode: str) -> str:
     if mode not in _MODES:
         raise ValueError(f"unknown fermion mode: {mode!r}")
     return _MODES[mode]
 
 
-@dataclass(frozen=True)
-class MayaState:
+class MayaState(namedtuple("MayaState", "charge parts")):
     """Occupied levels = sea below charge - len(parts), plus the levels
     parts[i-1] + charge - i.  parts goes through Partition, so trailing
     zeros are dropped and a non-partition is refused."""
 
-    charge: int
-    parts: Partition
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "parts", Partition(self.parts))
+    def __new__(cls, charge: int, parts: Iterable[int]):
+        return super().__new__(cls, charge, Partition(parts))
 
     @property
     def energy(self) -> int:

@@ -18,8 +18,7 @@ Tail rules:
 
 from __future__ import annotations
 
-from collections import Counter
-from dataclasses import dataclass
+from collections import Counter, namedtuple
 from functools import lru_cache
 from itertools import chain, product
 from operator import index
@@ -34,6 +33,10 @@ class StabilityError(ValueError):
     """A result that should settle does not: an alphabet sequence lacks
     the stable growth an operation needs, or a pairing changes with the
     number of rows."""
+
+
+class ChargeError(ValueError):
+    """States of different charges were mixed in one vector."""
 
 
 def _part(p) -> int:
@@ -249,43 +252,41 @@ def refined_alphabet(t: Sequence, i: int) -> Alphabet:
 # -- alphabet sequences -----------------------------------------------
 
 
-@dataclass(frozen=True)
-class EmptyTail:
-    pass
+# The tail rules and AlphabetSequence are named tuples, compared and hashed by
+# value; each coerces its letters through as_alphabet on construction.
 
 
-@dataclass(frozen=True)
-class RefinedTail:
-    base: Alphabet
-    increments: tuple[Alphabet, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "base", as_alphabet(self.base))
-        object.__setattr__(self, "increments", tuple(as_alphabet(b) for b in self.increments))
+class EmptyTail(namedtuple("EmptyTail", ())):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class ConstantTail:
-    letters: Alphabet
+class RefinedTail(namedtuple("RefinedTail", "base increments")):
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "letters", as_alphabet(self.letters))
+    def __new__(cls, base: Iterable, increments: Iterable[Iterable]):
+        return super().__new__(cls, as_alphabet(base), tuple(as_alphabet(b) for b in increments))
+
+
+class ConstantTail(namedtuple("ConstantTail", "letters")):
+    __slots__ = ()
+
+    def __new__(cls, letters: Iterable):
+        return super().__new__(cls, as_alphabet(letters))
 
 
 Tail = Union[EmptyTail, RefinedTail, ConstantTail]
 
 
-@dataclass(frozen=True)
-class AlphabetSequence:
+class AlphabetSequence(namedtuple("AlphabetSequence", "prefix tail")):
     """Row indexed family of alphabets: explicit prefix, then a tail rule."""
 
-    prefix: tuple[Alphabet, ...]
-    tail: Tail
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "prefix", tuple(as_alphabet(a) for a in self.prefix))
-        if not isinstance(self.tail, (EmptyTail, RefinedTail, ConstantTail)):
-            raise TypeError(f"unknown tail rule: {self.tail!r}")
+    def __new__(cls, prefix: Iterable[Iterable], tail: Tail):
+        prefix = tuple(as_alphabet(a) for a in prefix)
+        if not isinstance(tail, (EmptyTail, RefinedTail, ConstantTail)):
+            raise TypeError(f"unknown tail rule: {tail!r}")
+        return super().__new__(cls, prefix, tail)
 
     def alphabet(self, i: int) -> Alphabet:
         """The alphabet for row i >= 1."""

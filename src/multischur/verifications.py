@@ -53,6 +53,7 @@ from .shapes import (
 )
 from .supersym import supersym_schur
 from .expansions import (
+    _BRANCHING_MAX_WEIGHT,
     TractabilityError,
     eval_symfunc,
     expand_in_refined_basis,
@@ -108,9 +109,6 @@ class _Tally:
             "cases": self.cases,
             "failures": self.failures,
         }
-
-
-_BRANCHING_MAX_WEIGHT = 6  # verify_branching's weight cap; cli caps the branching suite by it
 
 
 def verify_branching(

@@ -3,17 +3,21 @@ JSON on stdout, machine-readable errors with exit status 2 (usage) or
 1 (computation)."""
 
 import functools
+import importlib
 import inspect
 import io
 import json
+import os
 import re
+import subprocess
 import sys
 import time
 from pathlib import Path
 
 import pytest
 
-from multischur import cli, expansions
+import multischur
+from multischur import cli, expansions, verifications
 from multischur.cli import main
 from multischur.exactalg import Scalar, scalar_from_json
 from multischur.expansions import refined_dual_grothendieck, symfunc_from_json, symfunc_to_json
@@ -313,7 +317,7 @@ def test_verify_caps(monkeypatch, capsys):
         "classical": {"maxWeight": 8, "window": 4, "pairingRows": 4},
     }
     for theorem, fields in sizes.items():
-        monkeypatch.setitem(cli.SUITES, theorem, stub)
+        monkeypatch.setitem(verifications.SUITES, theorem, stub)
         code, out = _invoke(monkeypatch, capsys, {"command": "verify", "theorem": theorem, **fields})
         assert code == 0, out
         for key, value in fields.items():
@@ -570,7 +574,7 @@ def test_verify_sizes_out_of_order_rejected(monkeypatch, capsys):
          [{"maxWeight": 6, "maxDualWeight": 6}, {"maxWeight": 5}, {"maxDualWeight": 4}]),
     ]:
         # the stub keeps the suite's signature, so its defaults
-        monkeypatch.setitem(cli.SUITES, theorem, functools.wraps(cli.SUITES[theorem])(record))
+        monkeypatch.setitem(verifications.SUITES, theorem, functools.wraps(verifications.SUITES[theorem])(record))
         for sizes in bad:
             code, out = _invoke(monkeypatch, capsys, {"command": "verify", "theorem": theorem, **sizes})
             assert code == 2, out
@@ -755,5 +759,74 @@ def test_readme_lists_every_budget():
 
 def test_suite_defaults_match_signatures():
     for theorem, fields in cli._SUITE_KWARGS.items():
-        params = inspect.signature(cli.SUITES[theorem]).parameters
+        params = inspect.signature(verifications.SUITES[theorem]).parameters
         assert {kwarg: default for kwarg, default, _ in fields.values()} == {k: p.default for k, p in params.items()}
+
+
+# The public names of the package, as `from multischur import *` binds them.
+EXPORTS = """AlphabetSequence ChargeError ConstantTail DimensionError EmptyTail FockVector MayaState PSI
+    PSI_STAR Partition RefinedTail SUITES Scalar StabilityError SymFunc TractabilityError TruncationError
+    UnboundIndeterminateError apply_dressed_fermion apply_exp_H apply_fermion apply_heisenberg
+    bra_refined_pair bra_refined_pairs constant_sequence contains det_over_ring e_elem empty_sequence
+    eval_symfunc expand_in_refined_basis flagged_schur flagged_tableau_oracle h_complete h_series h_super
+    hall_inner horizontal_strips ket_general ket_partition ket_refined motegi_scrimshaw_sequence multi_schur
+    p_power partitions_of_weight partitions_up_to_weight pieri_mult_h prefix_sequence refined_alphabet
+    refined_dual_grothendieck refined_sequence scalar_eval scalar_from_json scalar_to_json
+    schur_expand_multischur schur_tableau_oracle skew_function skew_multi_schur stable_dual_in_G
+    stable_grothendieck_schur subpartitions superpartitions supersym_schur sym_schur sym_zero
+    symfunc_from_json symfunc_to_json transpose truncated_dual_expansion vacuum_ket variables
+    verify_branching verify_cauchy wick_expectation""".split()
+
+
+def _fresh(code: str) -> str:
+    """The stdout of `code` run in a fresh interpreter that imports this multischur."""
+    src = str(Path(multischur.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
+    return run.stdout
+
+
+def test_import_loads_no_module():
+    out = _fresh("import sys, multischur; print([m for m in sys.modules if m.startswith('multischur.')])")
+    assert out == "[]\n"
+
+
+def test_request_loads_only_what_it_runs():
+    child = f"""
+import io, json, sys
+import multischur.cli as cli
+
+def ask(request):
+    sys.stdin, sys.stdout = io.StringIO(json.dumps(request)), io.StringIO()
+    code, out = cli.main([]), sys.stdout.getvalue()
+    sys.stdout = sys.__stdout__
+    return [code, json.loads(out), sorted(set(sys.modules) & {{"multischur.fock", "multischur.verifications", "dataclasses"}})]
+
+print(json.dumps([ask({MULTISCHUR_REQ!r}), ask({{"command": "verify", "theorem": "cauchy"}})]))
+"""
+    (code, _, loaded), (verify_code, verify, verify_loaded) = json.loads(_fresh(child))
+    assert code == 0 and loaded == []
+    assert verify_code == 0 and verify["passed"] is True
+    assert verify_loaded == ["multischur.fock", "multischur.verifications"]
+    # the unknown-theorem check reads the suite table that cli keeps
+    assert set(cli._SUITE_KWARGS) == set(verifications.SUITES)
+
+
+def test_package_names_each_export_once(monkeypatch):
+    assert multischur.__all__ == sorted(EXPORTS)
+    for name in EXPORTS:
+        module = importlib.import_module(f"multischur.{multischur._MODULE_OF[name]}")
+        value = getattr(multischur, name)
+        assert value is getattr(module, name), name
+        if callable(value):  # a class or function: the table names the module that defines it
+            assert value.__module__ == module.__name__, name
+        assert name in dir(multischur)
+    namespace = {}
+    exec("from multischur import *", namespace)
+    assert set(namespace) - {"__builtins__"} == set(EXPORTS)
+    with pytest.raises(AttributeError):
+        multischur.no_such_name
+    # read through on every access: a name patched on its module shows through
+    monkeypatch.setattr(expansions, "hall_inner", "patched")
+    assert multischur.hall_inner == "patched"
