@@ -292,10 +292,10 @@ def _degree_bound(req: Mapping, lam: Partition) -> int:
     return D
 
 
-def _stable_letters(req: Mapping, lam: Partition, D: int, budget: str = "stable rows", rows: int = 0):
+def _stable_letters(req: Mapping, lam: Partition, D: int, budget: str = "stable rows"):
     """The letters t of a stable expansion whose largest matrix has
-    max(rows, len(lam) + D - |lam|) rows, within `budget`."""
-    rows = max(rows, len(lam) + D - lam.weight)
+    len(lam) + D - |lam| rows, within `budget`."""
+    rows = len(lam) + D - lam.weight
     _budget(budget, rows)
     return _letters(req, rows)
 
@@ -386,10 +386,8 @@ def _cmd_expand(req: Mapping) -> object:
         _unread(req, "expand stable-dual", "by")
         bx = parse_sequence(_field(req, "bx"))
         D = _degree_bound(req, lam)
-        st = bx.stable_tail()  # None is refused as a StabilityError by stable_dual_in_G
-        rows = max(st[0] if st else 0, len(lam) + D - lam.weight)
-        t = _stable_letters(req, lam, D, "stable-dual rows", rows)
-        _budget("stable-dual letters", _letter_sum((bx,), rows))
+        t = _stable_letters(req, lam, D, "stable-dual rows")
+        _budget("stable-dual letters", _letter_sum((bx,), len(lam) + D - lam.weight))
         return {**symfunc_to_json(SymFunc(stable_dual_in_G(lam, bx, t, D), D)), "basis": "stable"}
     raise UsageError(f"unknown basis {basis!r}")
 

@@ -521,9 +521,18 @@ def test_stable_budgets(monkeypatch, capsys):
         for lam, D in [([], cap + 1), ([1], cap + 1), ([4, 3, 2, 1], cap + 7), ([2], cap + 2)]:
             req = {"command": "expand", "basis": basis, "lambda": lam, "t": t, "D": D, **extra}
             _assert_tractability_within_a_second(monkeypatch, capsys, req)
-    # a stable row of bx past the cap
-    bx = {"prefix": [["x1"]] * cli._BUDGETS["stable-dual rows"], "tail": {"kind": "refined", "base": ["x1"], "t": ["s1"]}}
-    req = {"command": "expand", "basis": "stable-dual", "lambda": [1], "bx": bx, "t": t, "D": 1}
+    # bx stable only past the cap: the budgets count the rows the matrices have
+    cap = cli._BUDGETS["stable-dual rows"]
+    bx = {"prefix": [["x1"]] * cap, "tail": {"kind": "refined", "base": ["x1"], "t": ["s1"]}}
+    code, out = _invoke(monkeypatch, capsys, {"command": "expand", "basis": "stable-dual", "lambda": [], "bx": bx, "t": t, "D": 1})
+    assert code == 0, out
+    assert {tuple(term["partition"]) for term in json.loads(out)["terms"]} == {(), (1,)}
+    for lam, D in [([], cap + 1), ([1], cap + 1)]:
+        req = {"command": "expand", "basis": "stable-dual", "lambda": lam, "bx": bx, "t": t, "D": D}
+        _assert_tractability_within_a_second(monkeypatch, capsys, req)
+    letters = cli._BUDGETS["stable-dual letters"]
+    wide = {"prefix": [[f"x{i}" for i in range(letters + 1)]], "tail": {"kind": "refined", "base": ["x1"], "t": ["s1"]}}
+    req = {"command": "expand", "basis": "stable-dual", "lambda": [], "bx": wide, "t": t, "D": 1}
     _assert_tractability_within_a_second(monkeypatch, capsys, req)
     f = {"stable": {"lambda": [1], "t": t, "D": cli._BUDGETS["stable rows"] + 1}}
     for req in ({"command": "inner", "f": f, "g": {"schur": [1]}}, {"command": "eval", "f": f, "vars": ["x1"]}):

@@ -1,4 +1,5 @@
 import sys
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -666,6 +667,45 @@ def test_exp_letter_matches_collect_oracle(v, t, vertical):
     got, want = fock._exp_letter(t, vertical, v), oracle_exp_letter(t, vertical, v)
     assert got == want
     assert got.charge == want.charge
+
+
+def test_strip_tables_are_enumerated_once_per_partition_and_kind(monkeypatch):
+    calls = Counter()
+    for name in ("horizontal_strips", "vertical_strips"):
+
+        def counting(lam, name=name, enumerate_strips=getattr(fock, name)):
+            calls[name, lam] += 1
+            return enumerate_strips(lam)
+
+        monkeypatch.setattr(fock, name, counting)
+    fock._strips.cache_clear()
+    try:
+        assert verifications.orthonormality(4)["passed"]
+        assert calls and max(calls.values()) == 1
+        assert fock._strips.cache_info().hits > 5 * len(calls)  # 93 hits for 15 tables
+    finally:
+        fock._strips.cache_clear()  # drop the tables built through the counting enumerators
+
+
+def test_strip_memo_stays_bounded():
+    memo = fock._strips
+    keys = [(lam, vertical) for lam in partitions_up_to_weight(8) for vertical in (False, True)]
+    assert memo.cache_info().maxsize == fock.STRIP_CACHE_SIZE < len(keys)
+    memo.cache_clear()
+    sizes = []
+    try:
+        for lam, vertical in keys:
+            memo(lam, vertical)
+            sizes.append(memo.cache_info().currsize)
+        assert max(sizes) <= fock.STRIP_CACHE_SIZE
+        # the tables of the smallest shapes were evicted first: they are built again
+        v = FockVector({MayaState(0, lam): 1 for lam in partitions_up_to_weight(3)})
+        for vertical in (False, True):
+            assert fock._exp_letter(t1, vertical, v) == oracle_exp_letter(t1, vertical, v)
+        assert memo.cache_info().misses > len(keys)
+        assert memo.cache_info().currsize <= fock.STRIP_CACHE_SIZE
+    finally:
+        memo.cache_clear()
 
 
 def test_vector_operators_match_oracles_on_test_vectors():
