@@ -26,10 +26,10 @@ _EXPORTS = {
     "fock": """PSI PSI_STAR FockVector MayaState apply_dressed_fermion apply_exp_H apply_fermion
         apply_heisenberg bra_refined_pair bra_refined_pairs ket_general ket_partition ket_refined
         vacuum_ket wick_expectation""",
-    "shapes": """AlphabetSequence ChargeError ConstantTail EmptyTail Partition RefinedTail
-        StabilityError constant_sequence contains empty_sequence horizontal_strips
-        motegi_scrimshaw_sequence partitions_of_weight partitions_up_to_weight prefix_sequence
-        refined_alphabet refined_sequence subpartitions superpartitions transpose""",
+    "shapes": """AlphabetSequence ChargeError Partition StabilityError constant_sequence contains
+        empty_sequence horizontal_strips motegi_scrimshaw_sequence partitions_of_weight
+        partitions_up_to_weight prefix_sequence refined_alphabet refined_sequence subpartitions
+        superpartitions transpose""",
     "supersym": "e_elem h_complete h_series h_super p_power supersym_schur",
     "verifications": "SUITES verify_branching verify_cauchy",
 }

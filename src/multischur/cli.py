@@ -18,6 +18,7 @@ import json
 import re
 import sys
 from fractions import Fraction
+from itertools import accumulate
 from typing import Mapping, Sequence
 
 from .exactalg import (
@@ -53,11 +54,7 @@ from .expansions import (
 from .shapes import (
     AlphabetSequence,
     ChargeError,
-    ConstantTail,
-    EmptyTail,
     Partition,
-    RefinedTail,
-    StabilityError,
     constant_sequence,
     prefix_sequence,
     refined_sequence,
@@ -215,19 +212,23 @@ def parse_sequence(value) -> AlphabetSequence:
     tail_spec = value.get("tail", {"kind": "empty"})
     kind = tail_spec.get("kind") if isinstance(tail_spec, Mapping) else None
     if kind == "empty":
-        tail = EmptyTail()
+        _unread(tail_spec, "an empty tail", "letters", "base", "t", "increments")
+        tail = [()]
     elif kind == "constant":
-        tail = ConstantTail(parse_alphabet(tail_spec.get("letters", [])))
+        _unread(tail_spec, "a constant tail", "base", "t", "increments")
+        tail = [parse_alphabet(tail_spec.get("letters", []))]
     elif kind == "refined":
+        _unread(tail_spec, "a refined tail", "letters")
         if "t" in tail_spec:
             _unread(tail_spec, "a refined tail with t", "increments")
             increments = tuple((x,) for x in parse_alphabet(tail_spec["t"]))
         else:
             increments = _alphabet_rows(tail_spec.get("increments", []), "increments")
-        tail = RefinedTail(parse_alphabet(tail_spec.get("base", [])), increments)
+        # row k of the tail is base followed by the first k - 1 increments
+        tail = accumulate(increments, initial=parse_alphabet(tail_spec.get("base", [])))
     else:
         raise UsageError(f"bad tail rule: {tail_spec!r}")
-    return AlphabetSequence(prefix, tail)
+    return AlphabetSequence((*prefix, *tail))
 
 
 def _unread(req: Mapping, form: str, *names: str) -> None:
@@ -478,7 +479,6 @@ def run(request: Mapping) -> object:
 
 _ERROR_TYPES = [
     (UsageError, "usage"),
-    (StabilityError, "stability"),
     (TruncationError, "truncation"),
     (TractabilityError, "tractability"),
     (ChargeError, "charge"),

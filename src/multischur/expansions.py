@@ -29,7 +29,6 @@ from .shapes import (
     Alphabet,
     AlphabetSequence,
     Partition,
-    StabilityError,
     as_alphabet,
     empty_sequence,
     horizontal_strips,
@@ -237,13 +236,11 @@ def stable_dual_in_G(
 ) -> dict[Partition, Scalar]:
     """Coefficients on the stable basis indexed by mu containing lam:
     det( h_{-lam_i + mu_j + i - j}((t_1..t_{j-1}) / x^(i)) ), size
-    len(mu), for bx with stable growth."""
+    len(mu), for any bx."""
     lam = Partition(lam)
-    if bx.stable_tail() is None:
-        raise StabilityError("bx does not grow one letter per row from any point on")
     check_degree_bound(lam, D)
     shapes = superpartitions(lam, D)
-    # no padding to R = bx.stable_tail()[0] rows: past len(mu) it adds a unit triangular block
+    # no padding past len(mu) rows: more rows add a unit triangular block
     n = max(map(len, shapes))
     ts = [refined_alphabet(t, j) for j in range(1, n + 1)]
     xs = [bx.alphabet(i) for i in range(1, n + 1)]
@@ -331,10 +328,9 @@ def skew_function(
     bp: AlphabetSequence,
 ) -> SymFunc:
     """Skew expansion det( sum_{m+n = lam_i - mu_j - i + j}
-    h_m(x^(i) / (y^(i) u p^(j))) h_n(X) ), folded to the Schur basis."""
+    h_m(x^(i) / (y^(i) u p^(j))) h_n(X) ), folded to the Schur basis,
+    for any bp."""
     lam, mu = Partition(lam), Partition(mu)
-    if bp.stable_tail() is None:
-        raise StabilityError("bp does not grow one letter per row from any point on")
     r = max(len(lam), len(mu))
 
     def entry(k: int, i: int, j: int) -> _HPoly:

@@ -3,26 +3,22 @@
 A Partition is a weakly decreasing tuple of positive integers.  An
 Alphabet is a tuple of Scalars, one per letter; letters are usually
 indeterminates but any Scalar is allowed, including repeats.  An
-AlphabetSequence assigns an alphabet to every row index i >= 1 through a
-finite explicit prefix plus a tail rule covering all later rows.
-
-Tail rules:
-  * empty      -- every row past the prefix gets the empty alphabet.
-  * refined    -- row prefix_len + k gets base extended by the first
-                  increments[0..k] blocks, cumulatively; writing t for
-                  the increment letters in order, row i past the prefix
-                  sees base + (t_1, ..., t_{i - prefix_len - 1}) when
-                  each block is a single letter.
-  * constant   -- every row past the prefix gets the same alphabet.
+AlphabetSequence assigns an alphabet to every row index i >= 1, as the
+paper's tuple of alphabets (x^(1), x^(2), ...) does.  Every family in
+use is eventually constant, so the sequence holds its rows up to the
+last change: row i is rows[i - 1], every row past the last reads the
+last, and no rows means every row is empty.  A last row that repeats the
+one before it is dropped on construction, so two spellings of one family
+compare and hash equal.
 """
 
 from __future__ import annotations
 
-from collections import Counter, namedtuple
+from collections import namedtuple
 from functools import lru_cache
 from itertools import chain, product
 from operator import index
-from typing import Iterable, Iterator, Sequence, Union
+from typing import Iterable, Iterator, Sequence
 
 from .exactalg import Scalar, coerce_scalar
 
@@ -30,9 +26,8 @@ Alphabet = tuple[Scalar, ...]
 
 
 class StabilityError(ValueError):
-    """A result that should settle does not: an alphabet sequence lacks
-    the stable growth an operation needs, or a pairing changes with the
-    number of rows."""
+    """A result that should settle does not: a pairing changes with the
+    number of rows (`fock.bra_refined_pair` with check_stability)."""
 
 
 class ChargeError(ValueError):
@@ -252,129 +247,45 @@ def refined_alphabet(t: Sequence, i: int) -> Alphabet:
 # -- alphabet sequences -----------------------------------------------
 
 
-# The tail rules and AlphabetSequence are named tuples, compared and hashed by
-# value; each coerces its letters through as_alphabet on construction.
-
-
-class EmptyTail(namedtuple("EmptyTail", ())):
-    __slots__ = ()
-
-
-class RefinedTail(namedtuple("RefinedTail", "base increments")):
-    __slots__ = ()
-
-    def __new__(cls, base: Iterable, increments: Iterable[Iterable]):
-        return super().__new__(cls, as_alphabet(base), tuple(as_alphabet(b) for b in increments))
-
-
-class ConstantTail(namedtuple("ConstantTail", "letters")):
-    __slots__ = ()
-
-    def __new__(cls, letters: Iterable):
-        return super().__new__(cls, as_alphabet(letters))
-
-
-Tail = Union[EmptyTail, RefinedTail, ConstantTail]
-
-
-class AlphabetSequence(namedtuple("AlphabetSequence", "prefix tail")):
-    """Row indexed family of alphabets: explicit prefix, then a tail rule."""
+class AlphabetSequence(namedtuple("AlphabetSequence", "rows")):
+    """Row indexed family of alphabets, compared and hashed by value."""
 
     __slots__ = ()
 
-    def __new__(cls, prefix: Iterable[Iterable], tail: Tail):
-        prefix = tuple(as_alphabet(a) for a in prefix)
-        if not isinstance(tail, (EmptyTail, RefinedTail, ConstantTail)):
-            raise TypeError(f"unknown tail rule: {tail!r}")
-        return super().__new__(cls, prefix, tail)
+    def __new__(cls, rows: Iterable[Iterable] = ()):
+        rows = [as_alphabet(a) for a in rows]
+        # a last row that repeats the one before it, or is empty with none before it, adds nothing
+        while rows and rows[-1] == (rows[-2] if len(rows) > 1 else ()):
+            rows.pop()
+        return super().__new__(cls, tuple(rows))
 
     def alphabet(self, i: int) -> Alphabet:
         """The alphabet for row i >= 1."""
         if i < 1:
             raise ValueError(f"row index must be >= 1: {i}")
-        if i <= len(self.prefix):
-            return self.prefix[i - 1]
-        k = i - len(self.prefix)
-        if isinstance(self.tail, EmptyTail):
-            return ()
-        if isinstance(self.tail, ConstantTail):
-            return self.tail.letters
-        extra: list[Scalar] = []
-        for block in self.tail.increments[: k - 1]:
-            extra.extend(block)
-        return self.tail.base + tuple(extra)
-
-    def stable_tail(self) -> tuple[int, tuple[Scalar, ...]] | None:
-        """Detect eventually refined growth: from some row R on, each row
-        adds exactly one new letter t_k to the previous one, until the
-        family goes constant.
-
-        Returns (R, (t_1, t_2, ...)) with R minimal, so that row R + p
-        equals row R plus (t_1, ..., t_p) as multisets while the letters
-        last; or None when no such R exists.  An empty tail rule only
-        qualifies when every row is empty.
-        """
-        L = len(self.prefix)
-        if isinstance(self.tail, EmptyTail):
-            if any(self.prefix):
-                return None
-            return (1, ())
-        if isinstance(self.tail, ConstantTail):
-            const = Counter(self.tail.letters)
-            R = 1
-            for i in range(L, 0, -1):
-                if Counter(self.prefix[i - 1]) != const:
-                    R = i + 1
-                    break
-            return (R, ())
-        # Refined tail: rows are constant from M on; inspect steps 1..M-1.
-        M = L + len(self.tail.increments) + 1
-        rows = [self.alphabet(i) for i in range(1, M + 1)]
-        diffs = [_alphabet_difference(rows[i], rows[i - 1]) for i in range(1, M)]
-        for R in range(1, M + 1):
-            letters: list[Scalar] = []
-            grown_stopped = False
-            for d in diffs[R - 1 :]:
-                if d is None or len(d) > 1:
-                    break
-                if len(d) == 0:
-                    grown_stopped = True
-                elif grown_stopped:
-                    break
-                else:
-                    letters.append(d[0])
-            else:
-                return (R, tuple(letters))
-        return None
-
-
-def _alphabet_difference(big: Alphabet, small: Alphabet) -> Alphabet | None:
-    """big minus small as multisets, or None when small is not contained."""
-    pool = Counter(big)
-    pool.subtract(small)
-    return None if any(c < 0 for c in pool.values()) else tuple(pool.elements())
+        return self.rows[min(i, len(self.rows)) - 1] if self.rows else ()
 
 
 # -- constructors -----------------------------------------------------
 
 
 def empty_sequence() -> AlphabetSequence:
-    return AlphabetSequence((), EmptyTail())
+    return AlphabetSequence()
 
 
 def prefix_sequence(*rows: Iterable) -> AlphabetSequence:
     """Explicit rows, empty from there on."""
-    return AlphabetSequence(tuple(as_alphabet(r) for r in rows), EmptyTail())
+    return AlphabetSequence((*rows, ()))
 
 
 def constant_sequence(letters: Iterable) -> AlphabetSequence:
-    return AlphabetSequence((), ConstantTail(as_alphabet(letters)))
+    return AlphabetSequence((letters,))
 
 
 def refined_sequence(t: Sequence) -> AlphabetSequence:
     """Row i gets (t_1, ..., t_{i-1}): the refinement family for t."""
     t = as_alphabet(t)
-    return AlphabetSequence((), RefinedTail((), tuple((x,) for x in t)))
+    return AlphabetSequence(t[:i] for i in range(len(t) + 1))
 
 
 def motegi_scrimshaw_sequence(xvars: Iterable, t: Sequence) -> AlphabetSequence:
@@ -382,9 +293,4 @@ def motegi_scrimshaw_sequence(xvars: Iterable, t: Sequence) -> AlphabetSequence:
     t letter per row than refined_sequence supplies."""
     x = as_alphabet(xvars)
     t = as_alphabet(t)
-    if not t:
-        return AlphabetSequence((), ConstantTail(x))
-    return AlphabetSequence(
-        (),
-        RefinedTail(x + t[:1], tuple((u,) for u in t[1:])),
-    )
+    return AlphabetSequence(x + t[:i] for i in range(1, max(len(t), 1) + 1))

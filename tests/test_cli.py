@@ -15,12 +15,14 @@ import time
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import multischur
 from multischur import cli, expansions, verifications
 from multischur.cli import main
 from multischur.exactalg import Scalar, scalar_from_json
-from multischur.expansions import refined_dual_grothendieck, symfunc_from_json, symfunc_to_json
+from multischur.expansions import SymFunc, refined_dual_grothendieck, symfunc_from_json, symfunc_to_json
 from multischur.shapes import Partition
 
 x1 = Scalar.variable("x1")
@@ -231,6 +233,8 @@ def test_unknown_theorem(monkeypatch, capsys):
 
 
 def test_stability_error_exit_one(monkeypatch, capsys):
+    """No request raises a stability error: a bp of rows that end in
+    empty ones, once refused as `stability` with exit 1, is answered."""
     req = {
         "command": "skew",
         "lambda": [1],
@@ -238,11 +242,86 @@ def test_stability_error_exit_one(monkeypatch, capsys):
         "bp": [["x1"]],
     }
     code, out = _invoke(monkeypatch, capsys, req)
-    err = json.loads(out)["error"]
-    assert code == 1
-    assert err["type"] == "stability"
-    assert err["operation"] == "skew"
-    assert set(json.loads(out)["error"]) == {"type", "operation", "message"}
+    assert code == 0, out
+    # det( h_1(()/x1) + h_1(X) ) = s_1 - x1
+    assert symfunc_from_json(json.loads(out)) == SymFunc({Partition(()): -x1, Partition((1,)): Scalar.one()})
+    assert "stability" not in {name for _, name in cli._ERROR_TYPES}
+
+
+# One family of rows, (x1), (x1, t1), then empty rows, in the three
+# spellings that end in empty rows.
+SAME_ROWS = [
+    [["x1"], ["x1", "t1"]],
+    {"prefix": [["x1"], ["x1", "t1"]], "tail": {"kind": "empty"}},
+    {"prefix": [["x1"], ["x1", "t1"]], "tail": {"kind": "constant", "letters": []}},
+]
+
+
+def test_spellings_of_one_family_answer_alike(monkeypatch, capsys):
+    for field, base in [
+        ("bp", {"command": "skew", "lambda": [2, 1], "mu": [1], "bx": {"refined": ["t1", "t2"]}}),
+        ("bx", {"command": "expand", "basis": "stable-dual", "lambda": [1], "t": ["t1", "t2", "t3"], "D": 3}),
+    ]:
+        answers = {_invoke(monkeypatch, capsys, {**base, field: rows}) for rows in SAME_ROWS}
+        assert len(answers) == 1, answers
+        (code, out), = answers
+        assert code == 0, out
+
+
+# -- the JSON tail rules, against a reference copy -------------------
+
+LETTER = st.sampled_from(["x1", "x2", "t1", "0", "1/2"])
+ROW = st.lists(LETTER, max_size=2)
+TAIL = st.one_of(
+    st.fixed_dictionaries({"kind": st.just("empty")}),
+    st.fixed_dictionaries({"kind": st.just("constant")}, optional={"letters": ROW}),
+    st.fixed_dictionaries({"kind": st.just("refined")}, optional={"base": ROW, "t": st.lists(LETTER, max_size=3)}),
+    st.fixed_dictionaries({"kind": st.just("refined")}, optional={"base": ROW, "increments": st.lists(ROW, max_size=3)}),
+)
+SPEC = st.fixed_dictionaries({}, optional={"prefix": st.lists(ROW, max_size=3), "tail": TAIL})
+
+
+def _tail_rule_row(spec: dict, i: int) -> list:
+    """Row i >= 1 of a {"prefix", "tail"} spec by the three tail rules:
+    past the prefix, an empty tail gives no letters, a constant tail its
+    letters, and a refined tail its base followed by the first k - 1
+    increments in row k of the tail."""
+    prefix, tail = spec.get("prefix", []), spec.get("tail", {"kind": "empty"})
+    if i <= len(prefix):
+        return prefix[i - 1]
+    if tail["kind"] == "empty":
+        return []
+    if tail["kind"] == "constant":
+        return tail.get("letters", [])
+    increments = [[x] for x in tail["t"]] if "t" in tail else tail.get("increments", [])
+    return tail.get("base", []) + [x for block in increments[: i - len(prefix) - 1] for x in block]
+
+
+def _reach(spec: dict) -> int:
+    """A row index past which the rows of `spec` stay the same, plus slack."""
+    tail = spec.get("tail", {})
+    return len(spec.get("prefix", [])) + len(tail.get("increments", tail.get("t", []))) + 3
+
+
+@given(SPEC)
+@settings(max_examples=200, deadline=None)
+def test_sequence_rows_follow_the_tail_rules(spec):
+    seq = cli.parse_sequence(spec)
+    for i in range(1, _reach(spec) + 1):
+        assert seq.alphabet(i) == cli.parse_alphabet(_tail_rule_row(spec, i)), (spec, i)
+
+
+@given(SPEC, SPEC)
+@settings(max_examples=200, deadline=None)
+def test_sequences_with_equal_rows_are_equal(spec, other):
+    n = max(_reach(spec), _reach(other))
+    rows = [cli.parse_alphabet(_tail_rule_row(spec, i)) for i in range(1, n + 1)]
+    other_rows = [cli.parse_alphabet(_tail_rule_row(other, i)) for i in range(1, n + 1)]
+    seq, other_seq = cli.parse_sequence(spec), cli.parse_sequence(other)
+    assert (seq == other_seq) == (rows == other_rows), (spec, other)
+    # the same rows spelled as a bare prefix and a constant tail
+    respelled = {"prefix": [_tail_rule_row(spec, i) for i in range(1, n)], "tail": {"kind": "constant", "letters": _tail_rule_row(spec, n)}}
+    assert cli.parse_sequence(respelled) == seq and hash(cli.parse_sequence(respelled)) == hash(seq), spec
 
 
 def _assert_usage_error(monkeypatch, capsys, req):
@@ -497,6 +576,20 @@ def test_unread_fields_rejected(monkeypatch, capsys):
             "lambda": [2, 1],
             "bx": {"tail": {"kind": "refined", "t": ["t1"], "increments": [["x1", "x2"]]}},
         },
+        # a tail field that the tail's kind does not read
+        *(
+            {"command": "multischur", "lambda": [2, 1], "bx": {"prefix": [["x1"]], "tail": tail}}
+            for tail in [
+                {"kind": "constant", "letters": [], "t": ["a"]},
+                {"kind": "constant", "letters": ["x1"], "base": ["x2"]},
+                {"kind": "constant", "increments": [["x2"]]},
+                {"kind": "empty", "letters": ["x1"]},
+                {"kind": "empty", "base": []},
+                {"kind": "empty", "t": ["t1"]},
+                {"kind": "empty", "increments": []},
+                {"kind": "refined", "t": ["t1"], "letters": ["x1"]},
+            ]
+        ),
     ]:
         _assert_usage_error(monkeypatch, capsys, req)
     # the same requests without the unread field are answered
@@ -504,6 +597,7 @@ def test_unread_fields_rejected(monkeypatch, capsys):
         {"command": "expand", "basis": "refined", "lambda": [2, 1], "t": t, "bx": [], "by": rows},
         {"command": "multischur", "lambda": [2, 1], "bx": {"tail": {"kind": "refined", "t": ["t1"]}}},
         {"command": "multischur", "lambda": [1], "flag": [1], "vars": ["x1"]},
+        {"command": "multischur", "lambda": [2, 1], "bx": {"prefix": [["x1"]], "tail": {"kind": "constant", "letters": []}}},
     ]:
         code, out = _invoke(monkeypatch, capsys, req)
         assert code == 0, out
@@ -773,8 +867,8 @@ def test_suite_defaults_match_signatures():
 
 
 # The public names of the package, as `from multischur import *` binds them.
-EXPORTS = """AlphabetSequence ChargeError ConstantTail DimensionError EmptyTail FockVector MayaState PSI
-    PSI_STAR Partition RefinedTail SUITES Scalar StabilityError SymFunc TractabilityError TruncationError
+EXPORTS = """AlphabetSequence ChargeError DimensionError FockVector MayaState PSI
+    PSI_STAR Partition SUITES Scalar StabilityError SymFunc TractabilityError TruncationError
     UnboundIndeterminateError apply_dressed_fermion apply_exp_H apply_fermion apply_heisenberg
     bra_refined_pair bra_refined_pairs constant_sequence contains det_over_ring e_elem empty_sequence
     eval_symfunc expand_in_refined_basis flagged_schur flagged_tableau_oracle h_complete h_series h_super
@@ -823,6 +917,7 @@ print(json.dumps([ask({MULTISCHUR_REQ!r}), ask({{"command": "verify", "theorem":
 
 
 def test_package_names_each_export_once(monkeypatch):
+    assert len(EXPORTS) == 71
     assert multischur.__all__ == sorted(EXPORTS)
     for name in EXPORTS:
         module = importlib.import_module(f"multischur.{multischur._MODULE_OF[name]}")

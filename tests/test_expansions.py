@@ -5,7 +5,6 @@ import pytest
 from multischur.exactalg import Scalar, det_over_ring, scalar_eval, variables
 from multischur import expansions
 from multischur.expansions import (
-    StabilityError,
     SymFunc,
     _HPoly,
     TractabilityError,
@@ -34,7 +33,6 @@ from multischur.expansions import (
 from multischur.fock import bra_refined_pair, ket_general
 from multischur.shapes import (
     AlphabetSequence,
-    ConstantTail,
     Partition,
     constant_sequence,
     empty_sequence,
@@ -207,8 +205,13 @@ def test_stable_dual_in_G_self():
 
 
 def test_stable_dual_in_G_needs_stability():
-    with pytest.raises(StabilityError):
-        stable_dual_in_G(Partition((1,)), prefix_sequence((x1,)), t, 3)
+    # any bx is answered: rows (x1), (), () ... give h_1(()/x1) = -x1 at mu = (2)
+    bx = prefix_sequence((x1,))
+    out = stable_dual_in_G(Partition((1,)), bx, t, 3)
+    assert out == PerEntryJT.stable_dual(Partition((1,)), bx, t, 3)
+    assert out[Partition((1,))] == Scalar.one()
+    assert out[Partition((2,))] == -x1
+    assert out[Partition((1, 1))] == t1
 
 
 def test_stable_grothendieck_beta_series():
@@ -263,8 +266,10 @@ def test_skew_function_constant_term():
 
 
 def test_skew_function_needs_stable_bp():
-    with pytest.raises(StabilityError):
-        skew_function(Partition((2, 1)), Partition((1,)), EMPTY, EMPTY, prefix_sequence((x1,)))
+    # any bp is answered: with p^(1) = (x1) and p^(2) = (), the determinant
+    # is (h_1 - x1) h_1 - h_3 * 0 = s_2 + s_11 - x1 s_1
+    f = skew_function(Partition((2, 1)), Partition((1,)), EMPTY, EMPTY, prefix_sequence((x1,)))
+    assert f == SymFunc({Partition((2,)): Scalar.one(), Partition((1, 1)): Scalar.one(), Partition((1,)): -x1})
 
 
 def _three_case_h(m, i, j):
@@ -524,9 +529,8 @@ class PerEntryJT:
 
     @classmethod
     def stable_dual(cls, lam, bx, t, D):
-        R, _ = bx.stable_tail()
         entry = lambda k, i, j: h_super(-k, refined_alphabet(t, j), bx.alphabet(i))
-        return cls.coeffs(lam, superpartitions(lam, D), lambda mu: max(R, len(mu)), entry)
+        return cls.coeffs(lam, superpartitions(lam, D), lambda mu: max(len(bx.rows), len(mu)), entry)
 
     @classmethod
     def stable(cls, lam, t, D):
@@ -542,7 +546,7 @@ SWEEP_BX = [
     prefix_sequence((x1, x1), (x2, ZERO), (HALF, MINUS_ONE, x1)),
     refined_sequence((a, b, x1)),
     constant_sequence((x1, HALF)),
-    AlphabetSequence(((a,), (b,), (x1,)), ConstantTail((x2,))),
+    AlphabetSequence(((a,), (b,), (x1,), (x2,))),
 ]
 SWEEP_BY = [EMPTY, prefix_sequence((x1,), (a, x2)), constant_sequence((MINUS_ONE,))]
 SWEEP_T = (t1, x1, t1, HALF, t2)
@@ -561,9 +565,8 @@ def test_per_mu_expansions_match_per_entry_oracle():
             for r in (len(lam), len(lam) + 2):
                 want = PerEntryJT.truncated(lam, bx, r, D)
                 assert truncated_dual_expansion(lam, bx, r, D) == want, (lam, bx, r)
-            if bx.stable_tail() is not None:
-                want = PerEntryJT.stable_dual(lam, bx, SWEEP_T, D)
-                assert stable_dual_in_G(lam, bx, SWEEP_T, D) == want, (lam, bx)
+            want = PerEntryJT.stable_dual(lam, bx, SWEEP_T, D)
+            assert stable_dual_in_G(lam, bx, SWEEP_T, D) == want, (lam, bx)
 
 
 def test_stable_expansions_share_minors_across_sizes():
@@ -576,7 +579,5 @@ def test_stable_expansions_share_minors_across_sizes():
         for D in range(lam.weight, lam.weight + rows - len(lam) + 1):
             assert stable_grothendieck_schur(lam, SWEEP_T, D) == PerEntryJT.stable(lam, SWEEP_T, D), (lam, D)
             for bx in SWEEP_BX:
-                st = bx.stable_tail()
-                if st is not None and st[0] <= rows:
-                    want = PerEntryJT.stable_dual(lam, bx, SWEEP_T, D)
-                    assert stable_dual_in_G(lam, bx, SWEEP_T, D) == want, (lam, bx, D)
+                want = PerEntryJT.stable_dual(lam, bx, SWEEP_T, D)
+                assert stable_dual_in_G(lam, bx, SWEEP_T, D) == want, (lam, bx, D)

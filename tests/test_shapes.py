@@ -7,10 +7,7 @@ from multischur import expansions, shapes
 from multischur.exactalg import Scalar, variables
 from multischur.shapes import (
     AlphabetSequence,
-    ConstantTail,
-    EmptyTail,
     Partition,
-    RefinedTail,
     constant_sequence,
     contains,
     empty_sequence,
@@ -127,10 +124,12 @@ def test_refined_alphabet():
 
 
 def test_sequence_rows():
-    seq = AlphabetSequence(((x1,), (x1, x2)), EmptyTail())
+    seq = AlphabetSequence(((x1,), (x1, x2), ()))
     assert seq.alphabet(1) == (x1,)
     assert seq.alphabet(2) == (x1, x2)
     assert seq.alphabet(3) == ()
+    assert seq.alphabet(9) == ()
+    assert seq == prefix_sequence((x1,), (x1, x2))
     with pytest.raises(ValueError):
         seq.alphabet(0)
 
@@ -140,56 +139,29 @@ def test_refined_tail_rows():
     assert seq.alphabet(1) == ()
     assert seq.alphabet(2) == (t1,)
     assert seq.alphabet(4) == (t1, t2, t3)
+    assert seq.alphabet(9) == (t1, t2, t3)
+    assert seq.rows == ((), (t1,), (t1, t2), (t1, t2, t3))
 
 
 def test_constant_tail_rows():
-    seq = AlphabetSequence(((x1,),), ConstantTail((x1, x2)))
+    seq = AlphabetSequence(((x1,), (x1, x2)))
     assert seq.alphabet(1) == (x1,)
     assert seq.alphabet(2) == (x1, x2)
     assert seq.alphabet(9) == (x1, x2)
+    assert constant_sequence((x1, x2)).alphabet(5) == (x1, x2)
 
 
-def test_stable_tail_refined():
-    seq = refined_sequence((t1, t2, t3))
-    assert seq.stable_tail() == (1, (t1, t2, t3))
-
-
-def test_stable_tail_refined_with_prefix():
-    # prefix rows continue the single-letter growth, so R stays minimal
-    seq = AlphabetSequence(((), (t1,)), RefinedTail((t1, t2), ((t3,),)))
-    assert seq.stable_tail() == (1, (t1, t2, t3))
-
-
-def test_stable_tail_regrowth_is_rejected():
-    # once growth pauses it may not resume: rows (), (t1), (t1), (t1,t2)
-    seq = AlphabetSequence(((), (t1,), (t1,)), RefinedTail((t1, t2), ()))
-    assert seq.stable_tail() == (3, (t2,))
-
-
-def test_stable_tail_constant():
-    assert constant_sequence((x1,)).stable_tail() == (1, ())
-    seq = AlphabetSequence(((x2,), (x1,)), ConstantTail((x1,)))
-    assert seq.stable_tail() == (2, ())
-
-
-def test_stable_tail_empty():
-    assert empty_sequence().stable_tail() == (1, ())
-    # a nonempty prefix row breaks the all-empty requirement
-    assert prefix_sequence((x1,)).stable_tail() is None
-
-
-def test_stable_tail_constant_scans_from_the_end():
-    # constant rule reports where rows equal the constant, letters ignored
-    seq = AlphabetSequence(((), (t1,), (t1, t2)), ConstantTail((t1, t2)))
-    assert seq.stable_tail() == (3, ())
-
-
-def test_stable_tail_jump_is_rejected():
-    # a two-letter step can never be written as single-letter growth
-    seq = AlphabetSequence(((), (t1, t2)), ConstantTail((t1, t2)))
-    assert seq.stable_tail() == (2, ())
-    seq = AlphabetSequence(((x1,), (), (t1, t2)), ConstantTail((t1, t2)))
-    assert seq.stable_tail() == (3, ())
+def test_trailing_repeats_are_dropped():
+    # one family, spelled with and without its repeated rows
+    assert AlphabetSequence(((x1,), (x2,), (x2,), (x2,))).rows == ((x1,), (x2,))
+    assert AlphabetSequence(((x1,), (x1,))) == constant_sequence((x1,))
+    assert hash(AlphabetSequence(((x1,), (x1,)))) == hash(constant_sequence((x1,)))
+    # no rows and empty rows alike mean every row is empty
+    assert AlphabetSequence(((), ())) == empty_sequence() == constant_sequence(()) == prefix_sequence()
+    assert empty_sequence().rows == ()
+    assert empty_sequence().alphabet(3) == ()
+    # a repeat before the last row is a row of its own
+    assert AlphabetSequence(((x1,), (x1,), ())).rows == ((x1,), (x1,), ())
 
 
 def test_motegi_scrimshaw():
@@ -199,13 +171,14 @@ def test_motegi_scrimshaw():
     assert seq.alphabet(2) == (x1, x2, t1, t2)
     assert seq.alphabet(3) == (x1, x2, t1, t2, t3)
     assert seq.alphabet(5) == (x1, x2, t1, t2, t3)
-    assert seq.stable_tail() == (1, (t2, t3))
     assert motegi_scrimshaw_sequence((x1,), ()).alphabet(4) == (x1,)
 
 
 def test_tail_rule_validation():
     with pytest.raises(ValueError):
-        AlphabetSequence(((x1,),), EmptyTail()).alphabet(-1)
+        AlphabetSequence(((x1,),)).alphabet(-1)
+    with pytest.raises(ValueError):
+        empty_sequence().alphabet(0)
 
 
 def test_horizontal_strips_below_interlace():
