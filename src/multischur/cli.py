@@ -18,8 +18,8 @@ import json
 import re
 import sys
 from fractions import Fraction
-from itertools import accumulate
-from typing import Mapping, Sequence
+from itertools import accumulate, chain, islice
+from typing import Iterable, Mapping, Sequence
 
 from .exactalg import (
     DimensionError,
@@ -51,14 +51,7 @@ from .expansions import (
     symfunc_to_json,
     truncated_dual_expansion,
 )
-from .shapes import (
-    AlphabetSequence,
-    ChargeError,
-    Partition,
-    constant_sequence,
-    prefix_sequence,
-    refined_sequence,
-)
+from .shapes import AlphabetSequence, ChargeError, Partition
 
 
 class UsageError(ValueError):
@@ -115,6 +108,12 @@ _BUDGETS = {
     "eval weight": 6,
     **{f"{theorem} {key}": cap for theorem, fields in _SUITE_KWARGS.items() for key, (_, _, cap) in fields.items()},
 }
+
+
+# No command reads an alphabet sequence past this row: each reads rows
+# 1..max(len λ, len μ) within the weight cap, 1..r, or the rows of the
+# stable-dual matrix.
+_LAST_ROW_READ = max(_BUDGETS["weight"], _BUDGETS["truncated rows"], _BUDGETS["stable-dual rows"])
 
 
 def _budget(name: str, got: int) -> None:
@@ -196,18 +195,20 @@ def _alphabet_rows(value, name: str) -> tuple[tuple[Scalar, ...], ...]:
 def parse_sequence(value) -> AlphabetSequence:
     """Alphabet sequences: {"prefix": [...], "tail": {...}}, the
     shorthands {"refined": [t...]} / {"constant": [letters]}, or a bare
-    list of rows (empty past the end)."""
+    list of rows (empty past the end).  Every row given is checked, but
+    none past _LAST_ROW_READ is built: a refined form of n letters spells
+    n + 1 rows of n**2 / 2 letters in all."""
     if isinstance(value, list):
-        return prefix_sequence(*[parse_alphabet(row) for row in value])
+        return _first_rows(_alphabet_rows(value, "alphabet sequence"), [()])
     if not isinstance(value, Mapping):
         raise UsageError(f"bad alphabet sequence: {value!r}")
     general = "prefix" in value or "tail" in value
     if ("refined" in value) + ("constant" in value) + general > 1:
         raise UsageError(f"alphabet sequence mixes refined, constant and prefix/tail: {value!r}")
     if "refined" in value:
-        return refined_sequence(parse_alphabet(value["refined"]))
+        return _first_rows((), accumulate(((x,) for x in parse_alphabet(value["refined"])), initial=()))
     if "constant" in value:
-        return constant_sequence(parse_alphabet(value["constant"]))
+        return _first_rows((), [parse_alphabet(value["constant"])])
     prefix = _alphabet_rows(value.get("prefix", []), "prefix")
     tail_spec = value.get("tail", {"kind": "empty"})
     kind = tail_spec.get("kind") if isinstance(tail_spec, Mapping) else None
@@ -228,7 +229,12 @@ def parse_sequence(value) -> AlphabetSequence:
         tail = accumulate(increments, initial=parse_alphabet(tail_spec.get("base", [])))
     else:
         raise UsageError(f"bad tail rule: {tail_spec!r}")
-    return AlphabetSequence((*prefix, *tail))
+    return _first_rows(prefix, tail)
+
+
+def _first_rows(prefix: Sequence, tail: Iterable) -> AlphabetSequence:
+    """The sequence of `prefix` then `tail`, built up to _LAST_ROW_READ."""
+    return AlphabetSequence(islice(chain(prefix, tail), _LAST_ROW_READ))
 
 
 def _unread(req: Mapping, form: str, *names: str) -> None:

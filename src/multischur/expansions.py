@@ -195,7 +195,8 @@ def refined_dual_grothendieck(lam: Sequence[int], t: Sequence) -> SymFunc:
     """Schur expansion with row alphabets (t_1, ..., t_{i-1})."""
     lam = Partition(lam)
     refined_alphabet(t, len(lam) if lam else 1)  # validates t is long enough
-    return schur_expand_multischur(lam, refined_sequence(t), empty_sequence())
+    # rows 1..len(lam) read t_1..t_{len(lam)-1}; the rest of t is never read
+    return schur_expand_multischur(lam, refined_sequence(t[: len(lam)]), empty_sequence())
 
 
 def expand_in_refined_basis(

@@ -53,7 +53,7 @@ from itertools import chain
 from typing import Iterable, Mapping, Sequence
 
 from .exactalg import DimensionError, Scalar, ScalarLike, coerce_scalar, collect, det_over_ring
-from .shapes import Alphabet, ChargeError, Partition, StabilityError, as_alphabet, horizontal_strips, vertical_strips
+from .shapes import Alphabet, ChargeError, Partition, as_alphabet, horizontal_strips, vertical_strips
 from .supersym import h_series
 
 PSI = "psi"
@@ -63,6 +63,11 @@ _MODES = {PSI: PSI, "ψ": PSI, PSI_STAR: PSI_STAR, "psi*": PSI_STAR, "ψ*": PSI_
 _ONE = Scalar.one()
 _ZERO = Scalar.zero()
 _EMPTY = Partition()
+
+
+class StabilityError(ValueError):
+    """A pairing changes with the number of rows (`bra_refined_pair`
+    with check_stability)."""
 
 
 def _normalize_mode(mode: str) -> str:

@@ -25,11 +25,6 @@ from .exactalg import Scalar, coerce_scalar
 Alphabet = tuple[Scalar, ...]
 
 
-class StabilityError(ValueError):
-    """A result that should settle does not: a pairing changes with the
-    number of rows (`fock.bra_refined_pair` with check_stability)."""
-
-
 class ChargeError(ValueError):
     """States of different charges were mixed in one vector."""
 
@@ -283,7 +278,9 @@ def constant_sequence(letters: Iterable) -> AlphabetSequence:
 
 
 def refined_sequence(t: Sequence) -> AlphabetSequence:
-    """Row i gets (t_1, ..., t_{i-1}): the refinement family for t."""
+    """Row i gets (t_1, ..., t_{i-1}): the refinement family for t.  It
+    holds len(t) + 1 rows, len(t)**2 / 2 letters in all, so a caller
+    passes only the letters of the rows it reads."""
     t = as_alphabet(t)
     return AlphabetSequence(t[:i] for i in range(len(t) + 1))
 

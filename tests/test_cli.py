@@ -233,18 +233,17 @@ def test_unknown_theorem(monkeypatch, capsys):
 
 
 def test_stability_error_exit_one(monkeypatch, capsys):
-    """No request raises a stability error: a bp of rows that end in
-    empty ones, once refused as `stability` with exit 1, is answered."""
-    req = {
-        "command": "skew",
-        "lambda": [1],
-        "bx": {"refined": ["t1", "t2"]},
-        "bp": [["x1"]],
-    }
-    code, out = _invoke(monkeypatch, capsys, req)
-    assert code == 0, out
-    # det( h_1(()/x1) + h_1(X) ) = s_1 - x1
-    assert symfunc_from_json(json.loads(out)) == SymFunc({Partition(()): -x1, Partition((1,)): Scalar.one()})
+    """A StabilityError has no error type of its own: only
+    `fock.bra_refined_pair` with check_stability raises it, and one that
+    reaches the CLI is a failed computation of type `domain`."""
+
+    def unstable(req):
+        raise multischur.StabilityError("pairing not r-stable")
+
+    monkeypatch.setitem(cli._COMMANDS, "skew", unstable)
+    code, out = _invoke(monkeypatch, capsys, {"command": "skew"})
+    assert code == 1
+    assert json.loads(out) == {"error": {"type": "domain", "operation": "skew", "message": "pairing not r-stable"}}
     assert "stability" not in {name for _, name in cli._ERROR_TYPES}
 
 
@@ -258,7 +257,11 @@ SAME_ROWS = [
 
 
 def test_spellings_of_one_family_answer_alike(monkeypatch, capsys):
+    """The bare-list and empty-tail spellings were once refused as
+    `stability`; all three get the constant-empty spelling's answer."""
+    skew_one = {"command": "skew", "lambda": [1], "bx": {"refined": ["t1", "t2"]}}
     for field, base in [
+        ("bp", skew_one),
         ("bp", {"command": "skew", "lambda": [2, 1], "mu": [1], "bx": {"refined": ["t1", "t2"]}}),
         ("bx", {"command": "expand", "basis": "stable-dual", "lambda": [1], "t": ["t1", "t2", "t3"], "D": 3}),
     ]:
@@ -266,6 +269,32 @@ def test_spellings_of_one_family_answer_alike(monkeypatch, capsys):
         assert len(answers) == 1, answers
         (code, out), = answers
         assert code == 0, out
+        if base is skew_one:
+            # det( h_1(()/x1) + h_1(X) ) = s_1 - x1
+            assert symfunc_from_json(json.loads(out)) == SymFunc({Partition(()): -x1, Partition((1,)): Scalar.one()})
+
+
+def test_long_refined_t_builds_only_the_rows_read(monkeypatch, capsys):
+    """A refined form of n letters spells n + 1 rows, n**2 / 2 letters in
+    all; parsing builds no row past the last one a command reads, so a
+    long t gets the answer of its first letters at once."""
+    t = [f"t{i}" for i in range(1, 3001)]
+    for spec in ({"refined": t}, {"tail": {"kind": "refined", "t": t}}, {"tail": {"kind": "refined", "increments": [t]}}):
+        assert len(cli.parse_sequence(spec).rows) <= cli._LAST_ROW_READ, spec
+
+    def requests(t):
+        return [
+            {"command": "multischur", "lambda": [1], "bx": {"refined": t}},
+            {"command": "skew", "lambda": [2, 1], "bx": {"prefix": [["x1"]], "tail": {"kind": "refined", "t": t}}, "bp": {"refined": t}},
+            {"command": "expand", "basis": "refined", "lambda": [2, 1], "t": t},
+            {"command": "inner", "f": {"refined": {"lambda": [1], "t": t}}, "g": {"schur": [1]}},
+            {"command": "eval", "f": {"refined": {"lambda": [2, 1], "t": t}}, "vars": ["a", "b"]},
+        ]
+
+    for long_req, short_req in zip(requests(t), requests(t[:3])):
+        code, out = _invoke(monkeypatch, capsys, long_req)
+        assert code == 0, out
+        assert (code, out) == _invoke(monkeypatch, capsys, short_req), short_req
 
 
 # -- the JSON tail rules, against a reference copy -------------------

@@ -13,6 +13,7 @@ from multischur.fock import (
     ChargeError,
     FockVector,
     MayaState,
+    StabilityError,
     apply_dressed_fermion,
     apply_exp_H,
     apply_fermion,
@@ -27,7 +28,6 @@ from multischur.fock import (
 )
 from multischur.shapes import (
     Partition,
-    StabilityError,
     as_alphabet,
     empty_sequence,
     partitions_up_to_weight,
