@@ -23,7 +23,7 @@ _EXPORTS = {
         refined_dual_grothendieck schur_expand_multischur schur_tableau_oracle skew_function
         skew_multi_schur stable_dual_in_G stable_grothendieck_schur sym_schur sym_zero
         symfunc_from_json symfunc_to_json truncated_dual_expansion""",
-    "fock": """PSI PSI_STAR FockVector MayaState StabilityError apply_dressed_fermion apply_exp_H
+    "fock": """PSI PSI_STAR FockVector MayaState apply_dressed_fermion apply_exp_H
         apply_fermion apply_heisenberg bra_refined_pair bra_refined_pairs ket_general ket_partition
         ket_refined vacuum_ket wick_expectation""",
     "shapes": """AlphabetSequence ChargeError Partition constant_sequence contains

@@ -192,43 +192,47 @@ def _alphabet_rows(value, name: str) -> tuple[tuple[Scalar, ...], ...]:
     return tuple(parse_alphabet(row) for row in value)
 
 
+# The keys that each form of an alphabet sequence reads.
+_SEQUENCE_KEYS = {"refined": {"refined"}, "constant": {"constant"}, "prefix/tail": {"prefix", "tail"}}
+
+
 def parse_sequence(value) -> AlphabetSequence:
     """Alphabet sequences: {"prefix": [...], "tail": {...}}, the
     shorthands {"refined": [t...]} / {"constant": [letters]}, or a bare
     list of rows (empty past the end).  Every row given is checked, but
     none past _LAST_ROW_READ is built: a refined form of n letters spells
-    n + 1 rows of n**2 / 2 letters in all."""
+    n + 1 rows of n**2 / 2 letters in all.  A key that the form, or the
+    tail's kind, does not read is a usage error."""
     if isinstance(value, list):
         return _first_rows(_alphabet_rows(value, "alphabet sequence"), [()])
     if not isinstance(value, Mapping):
         raise UsageError(f"bad alphabet sequence: {value!r}")
-    general = "prefix" in value or "tail" in value
-    if ("refined" in value) + ("constant" in value) + general > 1:
-        raise UsageError(f"alphabet sequence mixes refined, constant and prefix/tail: {value!r}")
-    if "refined" in value:
+    form = "refined" if "refined" in value else "constant" if "constant" in value else "prefix/tail"
+    _only(value, f"a {form} sequence", _SEQUENCE_KEYS[form])
+    if form == "refined":
         return _first_rows((), accumulate(((x,) for x in parse_alphabet(value["refined"])), initial=()))
-    if "constant" in value:
+    if form == "constant":
         return _first_rows((), [parse_alphabet(value["constant"])])
     prefix = _alphabet_rows(value.get("prefix", []), "prefix")
     tail_spec = value.get("tail", {"kind": "empty"})
     kind = tail_spec.get("kind") if isinstance(tail_spec, Mapping) else None
+    if kind not in ("empty", "constant", "refined"):
+        raise UsageError(f"bad tail rule: {tail_spec!r}")
+    # the keys each kind reads; a refined tail spells its increments as `t` or as `increments`
+    steps = "t" if "t" in tail_spec else "increments"
+    keys = {"empty": {"kind"}, "constant": {"kind", "letters"}, "refined": {"kind", "base", steps}}
+    _only(tail_spec, f"a {kind} tail", keys[kind])
     if kind == "empty":
-        _unread(tail_spec, "an empty tail", "letters", "base", "t", "increments")
         tail = [()]
     elif kind == "constant":
-        _unread(tail_spec, "a constant tail", "base", "t", "increments")
         tail = [parse_alphabet(tail_spec.get("letters", []))]
-    elif kind == "refined":
-        _unread(tail_spec, "a refined tail", "letters")
-        if "t" in tail_spec:
-            _unread(tail_spec, "a refined tail with t", "increments")
+    else:
+        if steps == "t":
             increments = tuple((x,) for x in parse_alphabet(tail_spec["t"]))
         else:
             increments = _alphabet_rows(tail_spec.get("increments", []), "increments")
         # row k of the tail is base followed by the first k - 1 increments
         tail = accumulate(increments, initial=parse_alphabet(tail_spec.get("base", [])))
-    else:
-        raise UsageError(f"bad tail rule: {tail_spec!r}")
     return _first_rows(prefix, tail)
 
 
@@ -243,6 +247,11 @@ def _unread(req: Mapping, form: str, *names: str) -> None:
     for name in names:
         if name in req:
             raise UsageError(f"{form} does not read field {name!r}")
+
+
+def _only(spec: Mapping, form: str, keys: set) -> None:
+    """_unread for every key of `spec` outside the `keys` that `form` reads."""
+    _unread(spec, form, *(name for name in spec if name not in keys))
 
 
 def _by(req: Mapping) -> AlphabetSequence:

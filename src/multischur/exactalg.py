@@ -231,8 +231,8 @@ def coerce_scalar(value: ScalarLike) -> Scalar:
 def collect(pairs: Iterable[tuple]) -> dict:
     """Sum the coefficients of equal keys as Scalars, keeping keys in
     order of first appearance and dropping every key whose sum is zero.
-    The one summation rule of every sparse combination: SymFunc,
-    FockVector and the h-polynomials of the skew expansion."""
+    The one summation rule of every sparse combination: SymFunc and
+    FockVector."""
     out: dict = {}
     for key, coeff in pairs:
         coeff = coerce_scalar(coeff)

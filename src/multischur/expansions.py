@@ -13,9 +13,9 @@ an entry function; the determinants of one call share their minors.
 Each call builds one `supersym.h_series` per row (or per cell, where the
 alphabet also depends on the column, and the columns are then keyed on
 (mu_j - j, j) instead of mu_j - j), up to the largest index its matrices
-read.  The skew expansion also carries the h_n(X) generators through
-the determinant and folds them into the Schur basis by Pieri
-multiplication.
+read.  The skew expansion has entries sum_n c_n h_n(X); it holds each
+minor as a SymFunc and multiplies it by an entry through the Pieri rule,
+so its determinant lands in the Schur basis with no second ring.
 """
 
 from __future__ import annotations
@@ -67,11 +67,11 @@ def check_degree_bound(lam: Partition, D: int) -> None:
         raise TractabilityError(f"degree bound is capped at {MAX_DEGREE_BOUND}: got {D}")
 
 
-# Entries kept by each of the two memo caches below.  A round of varied
-# requests (the cli-requests benchmark) reads about 50 Jacobi-Trudi values
-# and 7 h-words, and the truncation-stability suite at its caps about 120
-# values, so a long-lived process stays at a fixed size without refilling
-# the cache inside one round.
+# Entries kept by `_jacobi_trudi`, the one memo cache of this module.  A
+# round of varied requests (the cli-requests benchmark) reads about 50
+# Jacobi-Trudi values, and the truncation-stability suite at its caps about
+# 120, so a long-lived process stays at a fixed size without refilling the
+# cache inside one round.
 CACHE_SIZE = 256
 
 
@@ -127,8 +127,11 @@ class SymFunc:
         pairs = chain(self._coeffs.items(), other._coeffs.items())
         return SymFunc(pairs, _min_trunc(self.truncation, other.truncation))
 
+    def __neg__(self) -> "SymFunc":
+        return SymFunc({mu: -c for mu, c in self._coeffs.items()}, self.truncation)
+
     def __sub__(self, other: "SymFunc") -> "SymFunc":
-        return self + other.scale(-1)
+        return self + -other
 
     def scale(self, factor: ScalarLike) -> "SymFunc":
         factor = coerce_scalar(factor)
@@ -280,45 +283,16 @@ def skew_multi_schur(
     return _jt(lam, lambda k, i: _at(rows[i - 1], k))(mu, r)
 
 
-# -- h-generator polynomials (internal to skew_function) --------------
+class _HSum(SymFunc):
+    """An entry sum_n c_n h_n(X) of the skew determinant, held in the
+    Schur basis as sum_n c_n s_(n), so that it is its own 1x1 minor;
+    `entry * minor` is the Pieri product."""
 
+    __slots__ = ()
 
-class _HPoly:
-    """Polynomial in the generators h_1(X), h_2(X), ... with Scalar
-    coefficients; keys are sorted tuples of generator indices."""
-
-    __slots__ = ("terms",)
-
-    def __init__(self, terms: Mapping | Iterable[tuple] = ()):
-        self.terms = collect(terms.items() if hasattr(terms, "items") else terms)
-
-    def __bool__(self) -> bool:
-        return bool(self.terms)
-
-    def __add__(self, other: "_HPoly") -> "_HPoly":
-        return _HPoly(chain(self.terms.items(), other.terms.items()))
-
-    def __neg__(self) -> "_HPoly":
-        return _HPoly((k, -v) for k, v in self.terms.items())
-
-    def __sub__(self, other: "_HPoly") -> "_HPoly":
-        return self + (-other)
-
-    def __mul__(self, other: "_HPoly") -> "_HPoly":
-        return _HPoly(
-            (tuple(sorted(k1 + k2)), v1 * v2)
-            for k1, v1 in self.terms.items()
-            for k2, v2 in other.terms.items()
-        )
-
-
-@lru_cache(maxsize=CACHE_SIZE)
-def _h_word_schur(word: tuple[int, ...]) -> SymFunc:
-    """h_{n_1} h_{n_2} ... as a Schur-basis element."""
-    f = sym_schur(())
-    for n in word:
-        f = pieri_mult_h(f, n)
-    return f
+    def __mul__(self, f: SymFunc) -> SymFunc:
+        # c_n a_mu once for each (n, mu), however many strips s_mu spreads over
+        return _pieri((row.weight, mu, c * a) for row, c in self._coeffs.items() for mu, a in f._coeffs.items())
 
 
 def skew_function(
@@ -329,23 +303,29 @@ def skew_function(
     bp: AlphabetSequence,
 ) -> SymFunc:
     """Skew expansion det( sum_{m+n = lam_i - mu_j - i + j}
-    h_m(x^(i) / (y^(i) u p^(j))) h_n(X) ), folded to the Schur basis,
-    for any bp."""
+    h_m(x^(i) / (y^(i) u p^(j))) h_n(X) ) in the Schur basis, for any
+    bp: each minor is a SymFunc, and each entry multiplies one by Pieri."""
     lam, mu = Partition(lam), Partition(mu)
     r = max(len(lam), len(mu))
 
-    def entry(k: int, i: int, j: int) -> _HPoly:
+    def entry(k: int, i: int, j: int) -> _HSum:
         # `_jt` computes each cell once, so each cell series is built here
         s = h_series(k, bx.alphabet(i), by.alphabet(i) + bp.alphabet(j))
-        return _HPoly({(n,) if n else (): s[k - n] for n in range(k + 1)})
+        return _HSum({(n,): s[k - n] for n in range(k + 1)})
 
-    det = _jt(lam, entry, _cells, _HPoly(), _HPoly({(): _ONE}))(mu, r)
-    return SymFunc(
-        (nu, a * c) for word, c in det.terms.items() for nu, a in _h_word_schur(word)._coeffs.items()
-    )
+    det = _jt(lam, entry, _cells, sym_zero(), sym_schur(()))(mu, r)
+    return SymFunc(det._coeffs)  # a 1x1 determinant is its _HSum entry
 
 
 # -- Schur-basis arithmetic -------------------------------------------
+
+
+def _pieri(terms: Iterable[tuple[int, Partition, Scalar]], truncation: int | None = None) -> SymFunc:
+    """The sum of c h_n(X) s_mu over the (n, mu, c) of `terms`: each s_mu
+    spreads over the horizontal n-strips on mu."""
+    return SymFunc(
+        ((nu, c) for n, mu, c in terms for nu in (horizontal_strips(mu, n) if n else (mu,))), truncation
+    )
 
 
 def pieri_mult_h(f: SymFunc, n: int) -> SymFunc:
@@ -354,7 +334,7 @@ def pieri_mult_h(f: SymFunc, n: int) -> SymFunc:
         raise ValueError(f"h index must be >= 0: {n}")
     if n == 0:
         return f
-    return SymFunc(((nu, c) for mu, c in f.terms() for nu in horizontal_strips(mu, n)), f.truncation)
+    return _pieri(((n, mu, c) for mu, c in f._coeffs.items()), f.truncation)
 
 
 def hall_inner(f: SymFunc, g: SymFunc) -> Scalar:

@@ -65,11 +65,6 @@ _ZERO = Scalar.zero()
 _EMPTY = Partition()
 
 
-class StabilityError(ValueError):
-    """A pairing changes with the number of rows (`bra_refined_pair`
-    with check_stability)."""
-
-
 def _normalize_mode(mode: str) -> str:
     if mode not in _MODES:
         raise ValueError(f"unknown fermion mode: {mode!r}")
@@ -362,24 +357,20 @@ def ket_refined(lam: Sequence[int], t: Sequence, r: int) -> FockVector:
     return _ket(lam, r, lambda i, m, v: apply_fermion(PSI, m, _exp_letter(t[i - 1], False, v)))
 
 
-def bra_refined_pair(mu: Sequence[int], t: Sequence, v: FockVector, *, check_stability: bool = False) -> Scalar:
+def bra_refined_pair(mu: Sequence[int], t: Sequence, v: FockVector) -> Scalar:
     """Pair the refined bra for mu against a charge-0 vector: apply
     psi*_{mu_1 - 1}, e^{-H(t_1)}, psi*_{mu_2 - 2}, ... and read off the
-    coefficient of |-r>.  The answer is r-stable; check_stability
-    recomputes at r + 1 and raises StabilityError when they differ."""
+    coefficient of |-r>; the answer is r-stable."""
     mu = Partition(mu)
-    r = _bra_rows([mu], v)[mu]
-    value = _bra_apply(mu, t, v, r)
-    if check_stability and value != _bra_apply(mu, t, v, r + 1):
-        raise StabilityError(f"pairing not r-stable at r={r} for {mu}")
-    return value
+    return bra_refined_pairs([mu], t, v)[mu]
 
 
 def bra_refined_pairs(mus: Iterable[Sequence[int]], t: Sequence, v: FockVector) -> dict[Partition, Scalar]:
     """bra_refined_pair(mu, t, v) for every mu, keyed by Partition in the
     order given, from one walk in which the bras of all mu that agree on
-    mu_1..mu_i share their first i steps.  Raises what bra_refined_pair
-    raises, before any step."""
+    mu_1..mu_i share their first i steps.  A vector of nonzero charge
+    (ChargeError) or a t too short for the rows (ValueError) is refused
+    before any step."""
     return _bra_walk(_bra_rows([Partition(mu) for mu in mus], v), t, v)
 
 
@@ -389,10 +380,6 @@ def _bra_rows(mus: list[Partition], v: FockVector) -> dict[Partition, int]:
         raise ChargeError(f"refined bras pair with charge 0, got {v.charge}")
     internal = max(map(len, v._terms), default=0)
     return {mu: max(len(mu), internal) + 1 for mu in mus}
-
-
-def _bra_apply(mu: Partition, t: Sequence, v: FockVector, r: int) -> Scalar:
-    return _bra_walk({mu: r}, t, v)[mu]
 
 
 def _bra_walk(rows: Mapping[Partition, int], t: Sequence, v: FockVector) -> dict[Partition, Scalar]:

@@ -6,7 +6,6 @@ from multischur.exactalg import Scalar, det_over_ring, scalar_eval, variables
 from multischur import expansions
 from multischur.expansions import (
     SymFunc,
-    _HPoly,
     TractabilityError,
     TruncationError,
     check_degree_bound,
@@ -389,13 +388,6 @@ def test_symfunc_sums_equal_keys():
     assert SymFunc([((3,), 1), ((1,), 1), ((1,), -1)], truncation=2) == SymFunc({}, truncation=2)
 
 
-def test_hpoly_sums_equal_keys():
-    h1, h2 = _HPoly([((1,), Scalar.one())]), _HPoly([((2,), Scalar.one())])
-    assert _HPoly([((1,), t1), ((2,), t2), ((1,), -t1)]).terms == {(2,): t2}
-    assert ((h1 + h2) * (h1 - h2)).terms == {(1, 1): Scalar.one(), (2, 2): -Scalar.one()}
-    assert (h1 - h1).terms == {}
-
-
 def test_row_alphabets_built_once_per_call(monkeypatch):
     calls = []
 
@@ -533,6 +525,13 @@ class PerEntryJT:
         return cls.coeffs(lam, superpartitions(lam, D), lambda mu: max(len(bx.rows), len(mu)), entry)
 
     @classmethod
+    def skew(cls, lam, mu, bx, by, bp, X):
+        """skew_function specialized at X: h_k(A ∪ X / B) is the sum over
+        m + n = k of h_m(A / B) h_n(X)."""
+        entry = lambda k, i, j: h_super(k, bx.alphabet(i) + X, by.alphabet(i) + bp.alphabet(j))
+        return cls.det(lam, mu, max(len(lam), len(mu)), entry)
+
+    @classmethod
     def stable(cls, lam, t, D):
         entry = lambda k, i, j: e_elem(-k, negate_alphabet(refined_alphabet(t, i)))
         size = lambda mu: max(len(mu), len(lam))
@@ -567,6 +566,14 @@ def test_per_mu_expansions_match_per_entry_oracle():
                 assert truncated_dual_expansion(lam, bx, r, D) == want, (lam, bx, r)
             want = PerEntryJT.stable_dual(lam, bx, SWEEP_T, D)
             assert stable_dual_in_G(lam, bx, SWEEP_T, D) == want, (lam, bx)
+        # |lam| variables tell apart the Schur functions of degree <= |lam|
+        X = variables(" ".join(f"X{n}" for n in range(1, lam.weight + 1)))
+        for mu in subpartitions(lam):
+            for bx in SWEEP_BX:
+                for by in SWEEP_BY:
+                    for bp in SWEEP_BX:
+                        want = PerEntryJT.skew(lam, mu, bx, by, bp, X)
+                        assert eval_symfunc(skew_function(lam, mu, bx, by, bp), X) == want, (lam, mu, bx, by, bp)
 
 
 def test_stable_expansions_share_minors_across_sizes():
