@@ -21,13 +21,7 @@ from fractions import Fraction
 from itertools import accumulate, chain, islice
 from typing import Iterable, Mapping, Sequence
 
-from .exactalg import (
-    DimensionError,
-    Scalar,
-    UnboundIndeterminateError,
-    scalar_from_json,
-    scalar_to_json,
-)
+from .exactalg import DimensionError, Scalar, UnboundIndeterminateError, scalar_from_json, scalar_to_json
 from .expansions import (
     _BRANCHING_MAX_WEIGHT,
     _ORACLE_MAX_WEIGHT,
@@ -116,6 +110,74 @@ _BUDGETS = {
 _LAST_ROW_READ = max(_BUDGETS["weight"], _BUDGETS["truncated rows"], _BUDGETS["stable-dual rows"])
 
 
+# -- request forms ----------------------------------------------------
+
+
+_LAMBDA = ("lambda", "λ")
+_D = ("D", "truncation")
+
+# Form -> the keys it reads.  A request takes one form (see _form), and so does each object
+# nested in it; a key outside its form's set is a usage error, since the request would
+# otherwise be answered as if the key were absent.  The README's form table lists these sets.
+_FORMS = {
+    "multischur": {"command", *_LAMBDA, "bx", "by"},
+    "multischur flag": {"command", *_LAMBDA, "flag", "vars"},
+    "expand schur": {"command", "basis", *_LAMBDA, "bx", "by"},
+    "expand refined": {"command", "basis", *_LAMBDA, "t"},
+    "expand refined bx": {"command", "basis", *_LAMBDA, "t", "bx", "by"},
+    "expand truncated": {"command", "basis", *_LAMBDA, "bx", "r", *_D},
+    "expand stable": {"command", "basis", *_LAMBDA, "t", *_D},
+    "expand stable-dual": {"command", "basis", *_LAMBDA, "bx", "t", *_D},
+    "skew": {"command", *_LAMBDA, "mu", "μ", "bx", "by"},
+    "skew bp": {"command", *_LAMBDA, "mu", "μ", "bx", "by", "bp"},
+    "inner": {"command", "f", "g"},
+    "eval": {"command", "f", "vars"},
+    **{f"verify {theorem}": {"command", "theorem", "seed", *fields} for theorem, fields in _SUITE_KWARGS.items()},
+    # objects nested in a request
+    "refined sequence": {"refined"},
+    "constant sequence": {"constant"},
+    "prefix/tail sequence": {"prefix", "tail"},
+    "empty tail": {"kind"},
+    "constant tail": {"kind", "letters"},
+    "refined tail": {"kind", "base", "t", "increments"},
+    "schur shorthand": {"schur"},
+    "refined shorthand": {"refined"},
+    "stable shorthand": {"stable"},
+    "refined spec": {*_LAMBDA, "t"},
+    "stable spec": {*_LAMBDA, "t", *_D},
+    "element": {"basis", "truncation", "terms"},
+}
+
+_BASES = {form.split()[1] for form in _FORMS if form.startswith("expand ")}
+
+
+def _name(req: Mapping, field: str, known, default=_MISSING) -> str:
+    """The value of `field`, a usage error unless it is a string in `known`."""
+    value = _field(req, field, default=default)
+    if not (isinstance(value, str) and value in known):
+        raise UsageError(f"unknown {field} {value!r}; known: {', '.join(sorted(known))}")
+    return value
+
+
+def _form(req: Mapping) -> str:
+    """The form of request `req`: its command, then its theorem or basis,
+    then the optional field whose presence picks a second form."""
+    form = _name(req, "command", _COMMANDS)
+    if form == "verify":
+        return f"verify {_name(req, 'theorem', _SUITE_KWARGS)}"
+    if form == "expand":
+        form = f"expand {_name(req, 'basis', _BASES, 'schur')}"
+    second = {"multischur": "flag", "expand refined": "bx", "skew": "bp"}.get(form)
+    return f"{form} {second}" if second is not None and second in req else form
+
+
+def _check(obj: Mapping, form: str) -> None:
+    """A usage error for the keys of `obj` that `form` does not read."""
+    unread = obj.keys() - _FORMS[form]
+    if unread:
+        raise UsageError(f"{form} does not read {', '.join(sorted(map(repr, unread)))}")
+
+
 def _budget(name: str, got: int) -> None:
     """A TractabilityError when `got` is past the cap of budget `name`."""
     cap = _BUDGETS[name]
@@ -124,11 +186,14 @@ def _budget(name: str, got: int) -> None:
 
 
 def _field(req: Mapping, *names: str, default=_MISSING):
+    """The value of the field spelled by one of `names`; two spellings at once are a usage error."""
     if not isinstance(req, Mapping):
         raise UsageError(f"expected an object with field {names[0]!r}, got {req!r}")
-    for name in names:
-        if name in req:
-            return req[name]
+    given = [name for name in names if name in req]
+    if len(given) > 1:
+        raise UsageError(f"fields {given[0]!r} and {given[1]!r} spell one field: give one")
+    if given:
+        return req[given[0]]
     if default is _MISSING:
         raise UsageError(f"missing request field {names[0]!r}")
     return default
@@ -192,23 +257,18 @@ def _alphabet_rows(value, name: str) -> tuple[tuple[Scalar, ...], ...]:
     return tuple(parse_alphabet(row) for row in value)
 
 
-# The keys that each form of an alphabet sequence reads.
-_SEQUENCE_KEYS = {"refined": {"refined"}, "constant": {"constant"}, "prefix/tail": {"prefix", "tail"}}
-
-
 def parse_sequence(value) -> AlphabetSequence:
     """Alphabet sequences: {"prefix": [...], "tail": {...}}, the
     shorthands {"refined": [t...]} / {"constant": [letters]}, or a bare
     list of rows (empty past the end).  Every row given is checked, but
     none past _LAST_ROW_READ is built: a refined form of n letters spells
-    n + 1 rows of n**2 / 2 letters in all.  A key that the form, or the
-    tail's kind, does not read is a usage error."""
+    n + 1 rows of n**2 / 2 letters in all."""
     if isinstance(value, list):
         return _first_rows(_alphabet_rows(value, "alphabet sequence"), [()])
     if not isinstance(value, Mapping):
         raise UsageError(f"bad alphabet sequence: {value!r}")
     form = "refined" if "refined" in value else "constant" if "constant" in value else "prefix/tail"
-    _only(value, f"a {form} sequence", _SEQUENCE_KEYS[form])
+    _check(value, f"{form} sequence")
     if form == "refined":
         return _first_rows((), accumulate(((x,) for x in parse_alphabet(value["refined"])), initial=()))
     if form == "constant":
@@ -218,19 +278,15 @@ def parse_sequence(value) -> AlphabetSequence:
     kind = tail_spec.get("kind") if isinstance(tail_spec, Mapping) else None
     if kind not in ("empty", "constant", "refined"):
         raise UsageError(f"bad tail rule: {tail_spec!r}")
-    # the keys each kind reads; a refined tail spells its increments as `t` or as `increments`
-    steps = "t" if "t" in tail_spec else "increments"
-    keys = {"empty": {"kind"}, "constant": {"kind", "letters"}, "refined": {"kind", "base", steps}}
-    _only(tail_spec, f"a {kind} tail", keys[kind])
+    _check(tail_spec, f"{kind} tail")
     if kind == "empty":
         tail = [()]
     elif kind == "constant":
         tail = [parse_alphabet(tail_spec.get("letters", []))]
     else:
-        if steps == "t":
-            increments = tuple((x,) for x in parse_alphabet(tail_spec["t"]))
-        else:
-            increments = _alphabet_rows(tail_spec.get("increments", []), "increments")
+        # a refined tail spells its increments as rows, or as `t`, one letter each
+        steps = _field(tail_spec, "t", "increments", default=[])
+        increments = tuple((x,) for x in parse_alphabet(steps)) if "t" in tail_spec else _alphabet_rows(steps, "increments")
         # row k of the tail is base followed by the first k - 1 increments
         tail = accumulate(increments, initial=parse_alphabet(tail_spec.get("base", [])))
     return _first_rows(prefix, tail)
@@ -239,19 +295,6 @@ def parse_sequence(value) -> AlphabetSequence:
 def _first_rows(prefix: Sequence, tail: Iterable) -> AlphabetSequence:
     """The sequence of `prefix` then `tail`, built up to _LAST_ROW_READ."""
     return AlphabetSequence(islice(chain(prefix, tail), _LAST_ROW_READ))
-
-
-def _unread(req: Mapping, form: str, *names: str) -> None:
-    """A usage error for a field that `form` does not read, since the
-    request would otherwise be answered as if the field were absent."""
-    for name in names:
-        if name in req:
-            raise UsageError(f"{form} does not read field {name!r}")
-
-
-def _only(spec: Mapping, form: str, keys: set) -> None:
-    """_unread for every key of `spec` outside the `keys` that `form` reads."""
-    _unread(spec, form, *(name for name in spec if name not in keys))
 
 
 def _by(req: Mapping) -> AlphabetSequence:
@@ -265,7 +308,12 @@ def parse_symfunc(value) -> SymFunc:
     {"schur": [...]}, {"refined": {...}}, {"stable": {...}}."""
     if not isinstance(value, Mapping):
         raise UsageError(f"bad symmetric function: {value!r}")
-    if "terms" in value or "basis" in value:
+    kind = next((k for k in ("terms", "basis", "schur", "refined", "stable") if k in value), None)
+    if kind is None:
+        raise UsageError(f"bad symmetric function: {value!r}")
+    element = kind in ("terms", "basis")
+    _check(value, "element" if element else f"{kind} shorthand")
+    if element:
         try:
             f = symfunc_from_json(value)
         except (TypeError, ValueError, KeyError) as e:
@@ -274,26 +322,23 @@ def parse_symfunc(value) -> SymFunc:
             for name in c.indeterminates():
                 _check_name(name)
         return f
-    if "schur" in value:
+    if kind == "schur":
         try:
             return sym_schur(value["schur"])
         except (TypeError, ValueError) as e:
             raise UsageError(f"bad partition in schur shorthand: {e}") from e
-    if "refined" in value:
-        spec = value["refined"]
-        lam = _partition(spec, "lambda", "λ")
+    spec = value[kind]
+    lam = _partition(spec, *_LAMBDA)
+    _check(spec, f"{kind} spec")
+    if kind == "refined":
         _budget("weight", lam.weight)
         return refined_dual_grothendieck(lam, _letters(spec, len(lam)))
-    if "stable" in value:
-        spec = value["stable"]
-        lam = _partition(spec, "lambda", "λ")
-        D = _degree_bound(spec, lam)
-        return stable_grothendieck_schur(lam, _stable_letters(spec, lam, D), D)
-    raise UsageError(f"bad symmetric function: {value!r}")
+    D = _degree_bound(spec, lam)
+    return stable_grothendieck_schur(lam, _stable_letters(spec, lam, D), D)
 
 
-def _int_field(req: Mapping, *names: str, default=_MISSING) -> int:
-    raw = _field(req, *names, default=default)
+def _int_field(req: Mapping, *names: str) -> int:
+    raw = _field(req, *names)
     if isinstance(raw, bool) or not isinstance(raw, int):
         raise UsageError(f"field {names[0]!r} must be an integer: {raw!r}")
     return raw
@@ -301,7 +346,7 @@ def _int_field(req: Mapping, *names: str, default=_MISSING) -> int:
 
 def _degree_bound(req: Mapping, lam: Partition) -> int:
     """D >= |lambda|, else a usage error; a TractabilityError past the budget."""
-    D = _int_field(req, "D", "truncation")
+    D = _int_field(req, *_D)
     if D < lam.weight:
         raise UsageError(f"degree bound {D} is below |lambda| = {lam.weight}")
     _budget("D", D)
@@ -339,14 +384,11 @@ def _letters(req: Mapping, rows: int) -> tuple[Scalar, ...]:
 
 
 def _cmd_multischur(req: Mapping) -> object:
-    lam = _partition(req, "lambda", "λ")
+    lam = _partition(req, *_LAMBDA)
     _budget("weight", lam.weight)
     if "flag" in req:
-        _unread(req, "multischur with a flag", "bx", "by")
         flag = req["flag"]
-        if not isinstance(flag, list) or not all(
-            isinstance(b, int) and not isinstance(b, bool) for b in flag
-        ):
+        if not isinstance(flag, list) or not all(isinstance(b, int) and not isinstance(b, bool) for b in flag):
             raise UsageError(f"flag must be a list of integers: {flag!r}")
         vars_ = parse_alphabet(_field(req, "vars"))
         _budget("flag vars", _letter_count(vars_[: max([0, *flag[: len(lam)]])]))
@@ -355,7 +397,6 @@ def _cmd_multischur(req: Mapping) -> object:
         except ValueError as e:  # every ValueError of flagged_schur is a malformed flag
             raise UsageError(f"bad flag: {e}") from e
         return scalar_to_json(value)
-    _unread(req, "multischur without a flag", "vars")
     bx = parse_sequence(_field(req, "bx"))
     by = _by(req)
     _budget("letters", _letter_sum((bx, by), len(lam)))
@@ -363,8 +404,8 @@ def _cmd_multischur(req: Mapping) -> object:
 
 
 def _cmd_expand(req: Mapping) -> object:
-    lam = _partition(req, "lambda", "λ")
-    basis = _field(req, "basis", default="schur")
+    lam = _partition(req, *_LAMBDA)
+    basis = req.get("basis", "schur")
     if basis == "schur":
         _budget("weight", lam.weight)
         bx = parse_sequence(_field(req, "bx"))
@@ -381,10 +422,8 @@ def _cmd_expand(req: Mapping) -> object:
             _budget("letters", _letter_sum((bx, by), len(lam)) + _letter_count(t[: max(len(lam) - 1, 0)]))
             coeffs = expand_in_refined_basis(lam, bx, by, t)
             return {**symfunc_to_json(SymFunc(coeffs)), "basis": "refined"}
-        _unread(req, "expand refined without bx", "by")
         return symfunc_to_json(refined_dual_grothendieck(lam, t))
     if basis == "truncated":
-        _unread(req, "expand truncated", "by")
         bx = parse_sequence(_field(req, "bx"))
         r = _int_field(req, "r")
         if r < len(lam):
@@ -394,22 +433,18 @@ def _cmd_expand(req: Mapping) -> object:
         _budget("letters", _letter_sum((bx,), r))
         return symfunc_to_json(truncated_dual_expansion(lam, bx, r, D))
     if basis == "stable":
-        _unread(req, "expand stable", "bx", "by")
         D = _degree_bound(req, lam)
         t = _stable_letters(req, lam, D)
         return symfunc_to_json(stable_grothendieck_schur(lam, t, D))
-    if basis == "stable-dual":
-        _unread(req, "expand stable-dual", "by")
-        bx = parse_sequence(_field(req, "bx"))
-        D = _degree_bound(req, lam)
-        t = _stable_letters(req, lam, D, "stable-dual rows")
-        _budget("stable-dual letters", _letter_sum((bx,), len(lam) + D - lam.weight))
-        return {**symfunc_to_json(SymFunc(stable_dual_in_G(lam, bx, t, D), D)), "basis": "stable"}
-    raise UsageError(f"unknown basis {basis!r}")
+    bx = parse_sequence(_field(req, "bx"))  # stable-dual
+    D = _degree_bound(req, lam)
+    t = _stable_letters(req, lam, D, "stable-dual rows")
+    _budget("stable-dual letters", _letter_sum((bx,), len(lam) + D - lam.weight))
+    return {**symfunc_to_json(SymFunc(stable_dual_in_G(lam, bx, t, D), D)), "basis": "stable"}
 
 
 def _cmd_skew(req: Mapping) -> object:
-    lam = _partition(req, "lambda", "λ")
+    lam = _partition(req, *_LAMBDA)
     mu = _partition(req, "mu", "μ", default=())
     _budget("weight", lam.weight + mu.weight)
     bx = parse_sequence(_field(req, "bx"))
@@ -447,10 +482,7 @@ _SUITE_ORDER = {
 
 
 def _cmd_verify(req: Mapping) -> object:
-    theorem = _field(req, "theorem")
-    if theorem not in _SUITE_KWARGS:
-        known = ", ".join(sorted(_SUITE_KWARGS))
-        raise UsageError(f"unknown theorem {theorem!r}; known suites: {known}")
+    theorem = req["theorem"]
     fields = _SUITE_KWARGS[theorem]
     sizes = {key: default for key, (_, default, _) in fields.items()}
     for key in fields:
@@ -485,11 +517,8 @@ def run(request: Mapping) -> object:
     """Dispatch one request; raises on invalid input or failed computation."""
     if not isinstance(request, Mapping):
         raise UsageError("request must be a JSON object")
-    command = _field(request, "command")
-    if command not in _COMMANDS:
-        known = ", ".join(sorted(_COMMANDS))
-        raise UsageError(f"unknown command {command!r}; known commands: {known}")
-    return _COMMANDS[command](request)
+    _check(request, _form(request))
+    return _COMMANDS[request["command"]](request)
 
 
 _ERROR_TYPES = [
@@ -500,6 +529,7 @@ _ERROR_TYPES = [
     (DimensionError, "dimension"),
     (UnboundIndeterminateError, "unbound-indeterminate"),
     (ValueError, "domain"),
+    (OSError, "io"),
 ]
 
 
@@ -526,44 +556,30 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         if args.input is not None:
             with open(args.input, "r", encoding="utf-8") as fh:
-                text = fh.read()
-        elif not sys.stdin.isatty():
-            text = sys.stdin.read()
+                text = fh.read().strip()
         else:
-            text = ""
-        text = text.strip()
-        if text:
-            try:
-                request = json.loads(text)
-            except json.JSONDecodeError as e:
-                raise UsageError(f"request is not valid JSON: {e}") from e
-        else:
-            request = {}
+            text = "" if sys.stdin.isatty() else sys.stdin.read().strip()
+        try:
+            request = json.loads(text) if text else {}
+        except json.JSONDecodeError as e:
+            raise UsageError(f"request is not valid JSON: {e}") from e
         if not isinstance(request, dict):
             raise UsageError("request must be a JSON object")
         if args.command is not None:
             request["command"] = args.command
-        if args.max_weight is not None and "maxWeight" not in request:
-            request["maxWeight"] = args.max_weight
-        if args.truncation is not None and "D" not in request and "truncation" not in request:
-            request["D"] = args.truncation
-        if args.seed is not None and "seed" not in request:
-            request["seed"] = args.seed
-        operation = request.get("command", "parse")
+        operation = request["command"] if isinstance(request.get("command"), str) else operation
+        # a flag fills its field only in a form that reads it and leaves it out
+        form = _FORMS[_form(request)]
+        for value, names in ((args.max_weight, ("maxWeight",)), (args.truncation, _D), (args.seed, ("seed",))):
+            if value is not None and names[0] in form and not any(name in request for name in names):
+                request[names[0]] = value
         _emit(run(request))
         return 0
-    except tuple(t for t, _ in _ERROR_TYPES) as e:
-        for etype, name in _ERROR_TYPES:
-            if isinstance(e, etype):
-                _emit({"error": {"type": name, "operation": operation, "message": str(e)}})
-                return 2 if name == "usage" else 1
-    except OSError as e:
-        _emit({"error": {"type": "io", "operation": operation, "message": str(e)}})
-        return 1
     except Exception as e:  # every request gets one JSON outcome, never a traceback
-        message = f"{type(e).__name__}: {e}"
-        _emit({"error": {"type": "internal", "operation": operation, "message": message}})
-        return 1
+        name = next((name for etype, name in _ERROR_TYPES if isinstance(e, etype)), "internal")
+        message = f"{type(e).__name__}: {e}" if name == "internal" else str(e)
+        _emit({"error": {"type": name, "operation": operation, "message": message}})
+        return 2 if name == "usage" else 1
 
 
 if __name__ == "__main__":

@@ -312,9 +312,21 @@ def scalar_to_json(p: Scalar) -> list[dict]:
     ]
 
 
+def _json_object(obj, keys: set, what: str) -> Mapping:
+    """`obj`: a TypeError unless it is an object, a ValueError for a key outside `keys`."""
+    if not isinstance(obj, Mapping):
+        raise TypeError(f"{what} must be an object: {obj!r}")
+    unknown = obj.keys() - keys
+    if unknown:
+        raise ValueError(f"{what} does not read {', '.join(sorted(map(repr, unknown)))}")
+    return obj
+
+
 def scalar_from_json(data: Iterable[Mapping]) -> Scalar:
+    """The inverse of scalar_to_json; a term reads `coefficient` and `monomial`, and no other key."""
     terms: dict[Monomial, Fraction] = {}
     for item in data:
+        _json_object(item, {"coefficient", "monomial"}, "a serialized term")
         try:
             coeff = Fraction(str(item["coefficient"]))
         except ZeroDivisionError as e:

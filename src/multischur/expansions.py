@@ -24,7 +24,7 @@ from functools import lru_cache
 from itertools import chain
 from typing import Iterable, Iterator, Mapping, Sequence
 
-from .exactalg import Scalar, ScalarLike, coerce_scalar, collect, scalar_from_json, scalar_to_json
+from .exactalg import Scalar, ScalarLike, _json_object, coerce_scalar, collect, scalar_from_json, scalar_to_json
 from .shapes import (
     Alphabet,
     AlphabetSequence,
@@ -454,10 +454,13 @@ def symfunc_to_json(f: SymFunc) -> dict:
 
 
 def symfunc_from_json(data: Mapping) -> SymFunc:
+    """The inverse of symfunc_to_json; a key that it does not read, in the
+    element or in one of its terms, is a ValueError."""
+    _json_object(data, {"basis", "truncation", "terms"}, "a serialized element")
     if data.get("basis", "schur") != "schur":
         raise ValueError(f"unsupported basis: {data.get('basis')!r}")
     D = data.get("truncation")
     if D is not None and (isinstance(D, bool) or not isinstance(D, int) or D < 0):
         raise ValueError(f"truncation must be null or an integer >= 0: {D!r}")
-    terms = data.get("terms", ())
+    terms = (_json_object(item, {"partition", "coeff"}, "a term of an element") for item in data.get("terms", ()))
     return SymFunc(((item["partition"], scalar_from_json(item["coeff"])) for item in terms), D)

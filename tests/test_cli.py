@@ -608,6 +608,25 @@ def test_unread_fields_rejected(monkeypatch, capsys):
         {"command": "multischur", "lambda": [1], "bx": {"prefix": [["x1"]], "tail": {"kind": "empty", "letter": ["x2"]}, "tails": 1}},
         {"command": "multischur", "lambda": [1], "bx": {"refined": ["x1"], "junk": 1}},
         {"command": "multischur", "lambda": [1], "bx": {"constant": ["x1"], "prefix": []}},
+        # misspelled or unread top-level keys, once answered as if absent
+        {"command": "multischur", "lambda": [1], "bx": [["x1"]], "lamda": [2]},
+        {"command": "eval", "f": {"schur": [1]}, "vars": ["x"], "weight": 3},
+        {"command": "skew", "lambda": [1], "bx": [["x1"]], "nu": [1]},
+        {"command": "inner", "f": {"schur": [1]}, "g": {"schur": [1]}, "D": 3},
+        {"command": "verify", "theorem": "cauchy", "maxWeight": 3},
+        {"command": "verify", "theorem": "orthonormality", "maxweight": 3},
+        # unread keys in a shorthand, its spec, a serialized element, or a term
+        {"command": "inner", "f": {"schur": [1], "junk": 2}, "g": {"schur": [1]}},
+        {"command": "inner", "f": {"refined": {"lambda": [1], "t": [], "D": 3}}, "g": {"schur": [1]}},
+        {"command": "eval", "f": {"stable": {"lambda": [1], "t": ["t1"], "D": 2, "r": 1}}, "vars": ["x1"]},
+        {"command": "inner", "f": {"basis": "schur", "terms": [], "junk": 1}, "g": {"schur": [1]}},
+        {"command": "inner", "f": {"terms": [{"partition": [1], "coeff": [{"coefficient": "1"}], "x": 1}]}, "g": {"schur": [1]}},
+        {"command": "multischur", "lambda": [1], "bx": [[{"coefficient": "1", "monomial": {"x1": 1}, "junk": 0}]]},
+        # two spellings of one field
+        {"command": "multischur", "lambda": [1], "λ": [2], "bx": [["x1"]]},
+        {"command": "skew", "lambda": [2], "mu": [1], "μ": [], "bx": [["x1"]]},
+        {"command": "expand", "basis": "stable", "lambda": [1], "t": ["t1"], "D": 2, "truncation": 2},
+        {"command": "inner", "f": {"stable": {"lambda": [1], "t": ["t1"], "D": 2, "truncation": 2}}, "g": {"schur": [1]}},
     ]:
         _assert_usage_error(monkeypatch, capsys, req)
     # the same requests without the unread field are answered
@@ -619,6 +638,45 @@ def test_unread_fields_rejected(monkeypatch, capsys):
     ]:
         code, out = _invoke(monkeypatch, capsys, req)
         assert code == 0, out
+
+
+def test_unread_keys_refused_before_any_work(monkeypatch, capsys):
+    ran = []
+    monkeypatch.setitem(cli._COMMANDS, "multischur", lambda req: ran.append(req))
+    # past the weight cap, but the unread key is refused first
+    _assert_usage_error(monkeypatch, capsys, {"command": "multischur", "lambda": [20], "bx": [["x1"]], "junk": 1})
+    assert ran == []
+
+
+def test_unhashable_or_unknown_names_are_usage_errors(monkeypatch, capsys):
+    """A command, theorem or basis that names no form is a usage error, and
+    the error names the command as its operation only when it is a string."""
+    for req, operation in [
+        ({"command": ["x"]}, "parse"),
+        ({"command": {"a": 1}}, "parse"),
+        ({"command": 3}, "parse"),
+        ({"command": "multischur flag", "lambda": [1], "flag": [1], "vars": ["x1"]}, "multischur flag"),
+        ({"command": "verify", "theorem": [1]}, "verify"),
+        ({"command": "verify", "theorem": None}, "verify"),
+        ({"command": "expand", "basis": "refined bx", "lambda": [1], "t": [], "bx": []}, "expand"),
+        ({"command": "expand", "basis": ["schur"], "lambda": [1], "bx": []}, "expand"),
+    ]:
+        code, out = _invoke(monkeypatch, capsys, req)
+        assert code == 2, out
+        error = json.loads(out)["error"]
+        assert (error["type"], error["operation"]) == ("usage", operation), out
+
+
+def test_readme_lists_every_form():
+    """The README's table of request forms lists the keys of every form, as cli._FORMS does."""
+    readme = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
+    section = readme.split("### Request forms", 1)[1].split("\n### ", 1)[0]
+    forms = {}
+    for line in section.splitlines():
+        if line.startswith("| `"):
+            form, keys = line.strip("|").split("|")
+            forms[form.strip(" `")] = set(re.findall(r"`([^`]+)`", keys))
+    assert forms == cli._FORMS
 
 
 def test_stable_budgets(monkeypatch, capsys):

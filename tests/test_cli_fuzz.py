@@ -1,14 +1,18 @@
-"""Property test of the request boundary: every request, well-formed or
+"""Property tests of the request boundary: every request, well-formed or
 not, gets exactly one JSON document on stdout, an exit status of 0, 1 or
-2, and nothing on stderr.  The requests are built from the fields of every
+2, and nothing on stderr; a key that its form does not read, at the top
+or in a nested object, and a command or theorem that names no form are
+each one usage error; and a flag whose field the form does not read
+changes nothing.  The requests are built from the fields of every
 command, each filled with a valid value or with junk, at small sizes."""
 
 import contextlib
+import copy
 import io
 import json
 import sys
 
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from multischur import cli
@@ -122,10 +126,11 @@ def requests(draw):
     field replaced by junk, dropped, or added from another form."""
     command = draw(st.sampled_from(sorted(FORMS) + ["verify"]))
     if command == "verify":
-        theorem = draw(st.sampled_from(sorted(cli._SUITE_KWARGS) + ["other"]))
+        theorem = draw(st.one_of(st.sampled_from(sorted(cli._SUITE_KWARGS) + ["other"]), JUNK))
         # every size field is present, so no suite runs at its default
         # sizes (cauchy has none and fixed cases)
-        sizes = {key: draw(_or_junk(st.integers(1, 3))) for key in cli._SUITE_KWARGS.get(theorem, {})}
+        fields = cli._SUITE_KWARGS.get(theorem, {}) if isinstance(theorem, str) else {}
+        sizes = {key: draw(_or_junk(st.integers(1, 3))) for key in fields}
         return {"command": command, "theorem": theorem, **sizes}
     req = {"command": command}
     for name in draw(st.sampled_from(FORMS[command])):
@@ -143,19 +148,90 @@ def requests(draw):
     return req
 
 
-@given(requests())
-@settings(max_examples=150, deadline=None)
-def test_every_request_gets_one_json_outcome(request):
+def _ask(request, argv=()):
+    """The exit status and stdout of one request; nothing may reach stderr."""
     stdout, stderr, stdin = io.StringIO(), io.StringIO(), sys.stdin
     sys.stdin = io.StringIO(json.dumps(request))
     try:
         with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
-            code = cli.main([])
+            code = cli.main(list(argv))
     finally:
         sys.stdin = stdin
-    out = stdout.getvalue()
+    assert stderr.getvalue() == ""
+    return code, stdout.getvalue()
+
+
+def _assert_one_usage_error(request, code, out):
+    assert code == 2 and out.count("\n") == 1, (request, out)
+    assert json.loads(out)["error"]["type"] == "usage", (request, out)
+
+
+@given(requests())
+@settings(max_examples=150, deadline=None)
+def test_every_request_gets_one_json_outcome(request):
+    code, out = _ask(request)
     assert code in (0, 1, 2), (request, out)
     assert out.endswith("\n") and out.count("\n") == 1, (request, out)
     doc = json.loads(out)
     assert (code == 0) != (isinstance(doc, dict) and "error" in doc), (request, out)
-    assert stderr.getvalue() == ""
+
+
+# Every key some object can read; a monomial's keys are letters, not keys.
+KNOWN_KEYS = set().union(*cli._FORMS.values(), {"partition", "coeff", "coefficient", "monomial"})
+
+
+def _objects(value, path=()):
+    """The paths to `value` and to each object nested in it, monomials aside."""
+    if isinstance(value, dict):
+        yield path
+    items = value.items() if isinstance(value, dict) else enumerate(value) if isinstance(value, list) else ()
+    for key, item in items:
+        if key != "monomial":
+            yield from _objects(item, (*path, key))
+
+
+@given(requests(), st.text(min_size=1, max_size=4).filter(lambda key: key not in KNOWN_KEYS), st.data())
+@settings(max_examples=300, deadline=None)
+def test_an_unknown_key_is_one_usage_error(request, key, data):
+    """An unknown key added to an answered request, or to one object
+    nested in it, turns the answer into one usage error."""
+    assume(_ask(request)[0] == 0)
+    top = {**request, key: 1}
+    _assert_one_usage_error(top, *_ask(top))
+    nested = copy.deepcopy(request)
+    paths = list(_objects(nested))[1:]
+    if paths:
+        obj = nested
+        for step in data.draw(st.sampled_from(paths[::-1])):  # the later objects first: the deeper ones
+            obj = obj[step]
+        obj[key] = 1
+        _assert_one_usage_error(nested, *_ask(nested))
+
+
+@given(st.one_of(JUNK, st.text(max_size=8)), st.booleans())
+@settings(max_examples=100, deadline=None)
+def test_a_junk_command_or_theorem_is_one_usage_error(name, as_theorem):
+    if as_theorem:
+        assume(not (isinstance(name, str) and name in cli._SUITE_KWARGS))
+        request = {"command": "verify", "theorem": name}
+    else:
+        # any command misses a field or has one it does not read
+        request = {"command": name, "lambda": [1]}
+    code, out = _ask(request)
+    _assert_one_usage_error(request, code, out)
+    command = request["command"]
+    assert json.loads(out)["error"]["operation"] == (command if isinstance(command, str) else "parse")
+
+
+FLAG_FIELDS = {"--max-weight": "maxWeight", "--truncation": "D", "--seed": "seed"}
+
+
+@given(requests(), st.sampled_from(sorted(FLAG_FIELDS)), st.integers(1, 3))
+@settings(max_examples=100, deadline=None)
+def test_a_flag_whose_field_the_form_does_not_read_changes_nothing(request, flag, value):
+    try:
+        reads = cli._FORMS[cli._form(request)]
+    except cli.UsageError:
+        reads = set()
+    assume(FLAG_FIELDS[flag] not in reads)
+    assert _ask(request, [flag, str(value)]) == _ask(request)

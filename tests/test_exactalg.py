@@ -108,6 +108,16 @@ def test_json_rejects_zero_denominator():
         scalar_from_json([{"coefficient": "1/0", "monomial": {"x": 1}}])
 
 
+def test_json_rejects_unknown_term_keys():
+    # a misspelled `monomial` once read as the constant term
+    for term in ({"coefficient": "2", "monomal": {"x": 1}}, {"coefficient": "1", "monomial": {}, "junk": 0}):
+        with pytest.raises(ValueError, match="does not read"):
+            scalar_from_json([term])
+    with pytest.raises(TypeError):
+        scalar_from_json(["x"])
+    assert scalar_from_json([{"coefficient": "2"}]) == Scalar.from_rational(2)
+
+
 def test_collect_sums_equal_keys_and_drops_zeros():
     got = collect([("b", x), ("a", 1), ("c", 0), ("b", x), ("a", -1), ("d", y), ("d", -y), ("d", z)])
     assert got == {"b": 2 * x, "d": z}

@@ -413,6 +413,22 @@ def test_symfunc_add_takes_min_truncation():
     assert (f - f) == SymFunc({}, truncation=4)
 
 
+def test_symfunc_json_rejects_unknown_keys():
+    term = {"partition": [1], "coeff": [{"coefficient": "1"}]}
+    assert symfunc_from_json({"terms": [term]}) == sym_schur((1,))
+    # a misspelled `terms` or `truncation` once gave the zero or an untruncated element
+    for data in (
+        {"basis": "schur", "term": [term]},
+        {"terms": [term], "truncaton": 2},
+        {"terms": [{**term, "junk": 0}]},
+        {"terms": [{"partition": [1], "coeff": [{"coefficient": "1", "monomials": {"x": 1}}]}]},
+    ):
+        with pytest.raises(ValueError, match="does not read"):
+            symfunc_from_json(data)
+    with pytest.raises(TypeError):
+        symfunc_from_json({"terms": [[1]]})
+
+
 def test_symfunc_json_round_trip():
     f = refined_dual_grothendieck(Partition((2, 1)), t)
     assert symfunc_from_json(symfunc_to_json(f)) == f
