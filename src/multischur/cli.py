@@ -33,7 +33,6 @@ from .expansions import (
     expand_in_refined_basis,
     flagged_schur,
     hall_inner,
-    multi_schur,
     refined_dual_grothendieck,
     schur_expand_multischur,
     skew_function,
@@ -143,10 +142,9 @@ _FORMS = {
     "schur shorthand": {"schur"},
     "refined shorthand": {"refined"},
     "stable shorthand": {"stable"},
-    "refined spec": {*_LAMBDA, "t"},
-    "stable spec": {*_LAMBDA, "t", *_D},
-    "element": {"basis", "truncation", "terms"},
 }
+# a shorthand's spec is the request of its expand form less `command` and `basis`
+_FORMS.update({f"{kind} spec": _FORMS[f"expand {kind}"] - {"command", "basis"} for kind in ("refined", "stable")})
 
 _BASES = {form.split()[1] for form in _FORMS if form.startswith("expand ")}
 
@@ -297,23 +295,29 @@ def _first_rows(prefix: Sequence, tail: Iterable) -> AlphabetSequence:
     return AlphabetSequence(islice(chain(prefix, tail), _LAST_ROW_READ))
 
 
-def _by(req: Mapping) -> AlphabetSequence:
-    """The optional `by`: missing or null means empty rows."""
-    by = _field(req, "by", default=None)
-    return parse_sequence([] if by is None else by)
+def _sequences(req: Mapping, form: str, rows: int, budget: str = "letters", extra: int = 0) -> list[AlphabetSequence]:
+    """The sequences of the fields bx, by and bp that `form` reads, in that
+    order; a missing or null `by` is empty rows.  Their letters in rows
+    1..rows, plus `extra`, are counted against `budget`."""
+    seqs = []
+    for name in ("bx", "by", "bp"):
+        if name in _FORMS[form]:
+            value = _field(req, name, default=None if name == "by" else _MISSING)
+            seqs.append(parse_sequence([] if value is None and name == "by" else value))
+    _budget(budget, extra + sum(_letter_count(seq.alphabet(i)) for seq in seqs for i in range(1, rows + 1)))
+    return seqs
 
 
 def parse_symfunc(value) -> SymFunc:
-    """A serialized element, or a constructor shorthand:
-    {"schur": [...]}, {"refined": {...}}, {"stable": {...}}."""
+    """A serialized element, or a constructor shorthand: {"schur": [...]},
+    or {"refined": spec} / {"stable": spec}, answered as the expand request
+    of that basis that the spec spells."""
     if not isinstance(value, Mapping):
         raise UsageError(f"bad symmetric function: {value!r}")
     kind = next((k for k in ("terms", "basis", "schur", "refined", "stable") if k in value), None)
     if kind is None:
         raise UsageError(f"bad symmetric function: {value!r}")
-    element = kind in ("terms", "basis")
-    _check(value, "element" if element else f"{kind} shorthand")
-    if element:
+    if kind in ("terms", "basis"):
         try:
             f = symfunc_from_json(value)
         except (TypeError, ValueError, KeyError) as e:
@@ -322,19 +326,16 @@ def parse_symfunc(value) -> SymFunc:
             for name in c.indeterminates():
                 _check_name(name)
         return f
+    _check(value, f"{kind} shorthand")
     if kind == "schur":
         try:
             return sym_schur(value["schur"])
         except (TypeError, ValueError) as e:
             raise UsageError(f"bad partition in schur shorthand: {e}") from e
     spec = value[kind]
-    lam = _partition(spec, *_LAMBDA)
-    _check(spec, f"{kind} spec")
-    if kind == "refined":
-        _budget("weight", lam.weight)
-        return refined_dual_grothendieck(lam, _letters(spec, len(lam)))
-    D = _degree_bound(spec, lam)
-    return stable_grothendieck_schur(lam, _stable_letters(spec, lam, D), D)
+    if isinstance(spec, Mapping):  # else reading its lambda is the usage error
+        _check(spec, f"{kind} spec")
+    return _expansion(spec, f"expand {kind}")
 
 
 def _int_field(req: Mapping, *names: str) -> int:
@@ -353,22 +354,9 @@ def _degree_bound(req: Mapping, lam: Partition) -> int:
     return D
 
 
-def _stable_letters(req: Mapping, lam: Partition, D: int, budget: str = "stable rows"):
-    """The letters t of a stable expansion whose largest matrix has
-    len(lam) + D - |lam| rows, within `budget`."""
-    rows = len(lam) + D - lam.weight
-    _budget(budget, rows)
-    return _letters(req, rows)
-
-
 def _letter_count(alphabet: Sequence[Scalar]) -> int:
     """The letters of an alphabet as the budgets count them: each entry counts its terms, at least 1."""
     return sum(max(1, len(list(x.terms()))) for x in alphabet)
-
-
-def _letter_sum(seqs: Sequence[AlphabetSequence], rows: int) -> int:
-    """The letter counts of `seqs` summed over the rows 1..rows of a determinant."""
-    return sum(_letter_count(seq.alphabet(i)) for seq in seqs for i in range(1, rows + 1))
 
 
 def _letters(req: Mapping, rows: int) -> tuple[Scalar, ...]:
@@ -383,88 +371,80 @@ def _letters(req: Mapping, rows: int) -> tuple[Scalar, ...]:
 # -- commands ---------------------------------------------------------
 
 
-def _cmd_multischur(req: Mapping) -> object:
+def _cmd_multischur(req: Mapping, form: str) -> object:
+    if form == "multischur":  # the skew function with mu = ()
+        return _cmd_skew(req, form)
     lam = _partition(req, *_LAMBDA)
     _budget("weight", lam.weight)
-    if "flag" in req:
-        flag = req["flag"]
-        if not isinstance(flag, list) or not all(isinstance(b, int) and not isinstance(b, bool) for b in flag):
-            raise UsageError(f"flag must be a list of integers: {flag!r}")
-        vars_ = parse_alphabet(_field(req, "vars"))
-        _budget("flag vars", _letter_count(vars_[: max([0, *flag[: len(lam)]])]))
-        try:
-            value = flagged_schur(lam, flag, vars_)
-        except ValueError as e:  # every ValueError of flagged_schur is a malformed flag
-            raise UsageError(f"bad flag: {e}") from e
-        return scalar_to_json(value)
-    bx = parse_sequence(_field(req, "bx"))
-    by = _by(req)
-    _budget("letters", _letter_sum((bx, by), len(lam)))
-    return scalar_to_json(multi_schur(lam, bx, by))
+    flag = req["flag"]
+    if not isinstance(flag, list) or not all(isinstance(b, int) and not isinstance(b, bool) for b in flag):
+        raise UsageError(f"flag must be a list of integers: {flag!r}")
+    vars_ = parse_alphabet(_field(req, "vars"))
+    _budget("flag vars", _letter_count(vars_[: max([0, *flag[: len(lam)]])]))
+    try:
+        value = flagged_schur(lam, flag, vars_)
+    except ValueError as e:  # every ValueError of flagged_schur is a malformed flag
+        raise UsageError(f"bad flag: {e}") from e
+    return scalar_to_json(value)
 
 
-def _cmd_expand(req: Mapping) -> object:
+def _expansion(req: Mapping, form: str) -> SymFunc:
+    """The element that an expand request of `form` asks for; the refined
+    and stable shorthands of inner and eval are answered here too."""
     lam = _partition(req, *_LAMBDA)
-    basis = req.get("basis", "schur")
-    if basis == "schur":
-        _budget("weight", lam.weight)
-        bx = parse_sequence(_field(req, "bx"))
-        by = _by(req)
-        _budget("letters", _letter_sum((bx, by), len(lam)))
-        return symfunc_to_json(schur_expand_multischur(lam, bx, by))
-    if basis == "refined":
-        _budget("weight", lam.weight)
-        t = _letters(req, len(lam))
-        if "bx" in req:
-            bx = parse_sequence(req["bx"])
-            by = _by(req)
-            # column j adds the letters t_1..t_{j-1} to every row's by
-            _budget("letters", _letter_sum((bx, by), len(lam)) + _letter_count(t[: max(len(lam) - 1, 0)]))
-            coeffs = expand_in_refined_basis(lam, bx, by, t)
-            return {**symfunc_to_json(SymFunc(coeffs)), "basis": "refined"}
-        return symfunc_to_json(refined_dual_grothendieck(lam, t))
-    if basis == "truncated":
-        bx = parse_sequence(_field(req, "bx"))
+    if form == "expand truncated":
         r = _int_field(req, "r")
         if r < len(lam):
             raise UsageError(f"need r >= {len(lam)} rows for lambda {list(lam)}, got {r}")
         _budget("truncated rows", r)
         D = _degree_bound(req, lam)
-        _budget("letters", _letter_sum((bx,), r))
-        return symfunc_to_json(truncated_dual_expansion(lam, bx, r, D))
-    if basis == "stable":
+        return truncated_dual_expansion(lam, *_sequences(req, form, r), r, D)
+    if form in ("expand stable", "expand stable-dual"):
         D = _degree_bound(req, lam)
-        t = _stable_letters(req, lam, D)
-        return symfunc_to_json(stable_grothendieck_schur(lam, t, D))
-    bx = parse_sequence(_field(req, "bx"))  # stable-dual
-    D = _degree_bound(req, lam)
-    t = _stable_letters(req, lam, D, "stable-dual rows")
-    _budget("stable-dual letters", _letter_sum((bx,), len(lam) + D - lam.weight))
-    return {**symfunc_to_json(SymFunc(stable_dual_in_G(lam, bx, t, D), D)), "basis": "stable"}
+        # the largest matrix of a stable expansion has this many rows
+        rows = len(lam) + D - lam.weight
+        _budget("stable rows" if form == "expand stable" else "stable-dual rows", rows)
+        t = _letters(req, rows)
+        if form == "expand stable":
+            return stable_grothendieck_schur(lam, t, D)
+        return SymFunc(stable_dual_in_G(lam, *_sequences(req, form, rows, "stable-dual letters"), t, D), D)
+    _budget("weight", lam.weight)
+    if form == "expand schur":
+        return schur_expand_multischur(lam, *_sequences(req, form, len(lam)))
+    t = _letters(req, len(lam))
+    if form == "expand refined":
+        return refined_dual_grothendieck(lam, t)
+    # column j adds the letters t_1..t_{j-1} to every row's by
+    extra = _letter_count(t[: max(len(lam) - 1, 0)])
+    return SymFunc(expand_in_refined_basis(lam, *_sequences(req, form, len(lam), extra=extra), t))
 
 
-def _cmd_skew(req: Mapping) -> object:
+# Forms whose answer holds coefficients in a basis other than Schur's, and its label.
+_EXPAND_LABELS = {"expand refined bx": "refined", "expand stable-dual": "stable"}
+
+
+def _cmd_expand(req: Mapping, form: str) -> object:
+    out = symfunc_to_json(_expansion(req, form))
+    return {**out, "basis": _EXPAND_LABELS[form]} if form in _EXPAND_LABELS else out
+
+
+def _cmd_skew(req: Mapping, form: str) -> object:
     lam = _partition(req, *_LAMBDA)
     mu = _partition(req, "mu", "μ", default=())
     _budget("weight", lam.weight + mu.weight)
-    bx = parse_sequence(_field(req, "bx"))
-    by = _by(req)
-    rows = max(len(lam), len(mu))
-    if "bp" in req:
-        bp = parse_sequence(req["bp"])
-        _budget("letters", _letter_sum((bx, by, bp), rows))
-        return symfunc_to_json(skew_function(lam, mu, bx, by, bp))
-    _budget("letters", _letter_sum((bx, by), rows))
-    return scalar_to_json(skew_multi_schur(lam, mu, bx, by))
+    seqs = _sequences(req, form, max(len(lam), len(mu)))
+    if form == "skew bp":
+        return symfunc_to_json(skew_function(lam, mu, *seqs))
+    return scalar_to_json(skew_multi_schur(lam, mu, *seqs))
 
 
-def _cmd_inner(req: Mapping) -> object:
+def _cmd_inner(req: Mapping, form: str) -> object:
     f = parse_symfunc(_field(req, "f"))
     g = parse_symfunc(_field(req, "g"))
     return scalar_to_json(hall_inner(f, g))
 
 
-def _cmd_eval(req: Mapping) -> object:
+def _cmd_eval(req: Mapping, form: str) -> object:
     vars_ = parse_alphabet(_field(req, "vars"))
     _budget("eval vars", _letter_count(vars_))
     f = parse_symfunc(_field(req, "f"))
@@ -481,8 +461,8 @@ _SUITE_ORDER = {
 }
 
 
-def _cmd_verify(req: Mapping) -> object:
-    theorem = req["theorem"]
+def _cmd_verify(req: Mapping, form: str) -> object:
+    theorem = form.removeprefix("verify ")
     fields = _SUITE_KWARGS[theorem]
     sizes = {key: default for key, (_, default, _) in fields.items()}
     for key in fields:
@@ -513,12 +493,17 @@ _COMMANDS = {
 }
 
 
+def _answer(request: Mapping, form: str) -> object:
+    """Check `request` against its `form` before any work, then answer it."""
+    _check(request, form)
+    return _COMMANDS[request["command"]](request, form)
+
+
 def run(request: Mapping) -> object:
     """Dispatch one request; raises on invalid input or failed computation."""
     if not isinstance(request, Mapping):
         raise UsageError("request must be a JSON object")
-    _check(request, _form(request))
-    return _COMMANDS[request["command"]](request)
+    return _answer(request, _form(request))
 
 
 _ERROR_TYPES = [
@@ -569,11 +554,11 @@ def main(argv: Sequence[str] | None = None) -> int:
             request["command"] = args.command
         operation = request["command"] if isinstance(request.get("command"), str) else operation
         # a flag fills its field only in a form that reads it and leaves it out
-        form = _FORMS[_form(request)]
+        form = _form(request)
         for value, names in ((args.max_weight, ("maxWeight",)), (args.truncation, _D), (args.seed, ("seed",))):
-            if value is not None and names[0] in form and not any(name in request for name in names):
+            if value is not None and names[0] in _FORMS[form] and not any(name in request for name in names):
                 request[names[0]] = value
-        _emit(run(request))
+        _emit(_answer(request, form))
         return 0
     except Exception as e:  # every request gets one JSON outcome, never a traceback
         name = next((name for etype, name in _ERROR_TYPES if isinstance(e, etype)), "internal")

@@ -58,17 +58,16 @@ from .supersym import h_series
 
 PSI = "psi"
 PSI_STAR = "psi_star"
-_MODES = {PSI: PSI, "ψ": PSI, PSI_STAR: PSI_STAR, "psi*": PSI_STAR, "ψ*": PSI_STAR}
 
 _ONE = Scalar.one()
 _ZERO = Scalar.zero()
 _EMPTY = Partition()
 
 
-def _normalize_mode(mode: str) -> str:
-    if mode not in _MODES:
+def _check_mode(mode: str) -> str:
+    if mode not in (PSI, PSI_STAR):
         raise ValueError(f"unknown fermion mode: {mode!r}")
-    return _MODES[mode]
+    return mode
 
 
 class MayaState(namedtuple("MayaState", "charge parts")):
@@ -224,7 +223,7 @@ def vacuum_ket(charge: int = 0) -> FockVector:
 
 def apply_fermion(mode: str, m: int, v: FockVector) -> FockVector:
     """psi_m or psi*_m on v, one term per surviving state: no sum."""
-    act, shift = (_create, 1) if _normalize_mode(mode) == PSI else (_annihilate, -1)
+    act, shift = (_create, 1) if _check_mode(mode) == PSI else (_annihilate, -1)
     c = v._charge
     if c is None:
         return v
@@ -305,7 +304,7 @@ def apply_dressed_fermion(mode: str, m: int, x: Iterable, y: Iterable, v: FockVe
     """e^{H(x/y)} psi_m e^{-H(x/y)} v = sum_i h_i(x/y) psi_{m-i} v, and
     for psi*: sum_i h_i(y/x) psi*_{m+i} v.  Swapping x and y gives the
     inverse dressing."""
-    mode = _normalize_mode(mode)
+    mode = _check_mode(mode)
     xs, ys = as_alphabet(x), as_alphabet(y)
     c = v._charge
     if c is None:

@@ -18,7 +18,7 @@ from collections import namedtuple
 from functools import lru_cache
 from itertools import chain, product
 from operator import index
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .exactalg import Scalar, coerce_scalar
 
@@ -39,11 +39,14 @@ def _part(p) -> int:
 
 class Partition(tuple):
     """Weakly decreasing tuple of nonnegative integers; trailing zeros
-    are stripped on construction.  A Partition is returned as it is."""
+    are stripped on construction.  A Partition is returned as it is; a
+    string, bytes or a mapping is refused, not read as its items."""
 
     def __new__(cls, parts: Iterable[int] = ()):
         if type(parts) is cls:
             return parts
+        if isinstance(parts, (str, bytes, Mapping)):
+            raise TypeError(f"a partition is a sequence of parts, not a {type(parts).__name__}: {parts!r}")
         parts = tuple(_part(p) for p in parts)
         if any(p < 0 for p in parts):
             raise ValueError(f"parts must be nonnegative: {parts}")

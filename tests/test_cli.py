@@ -493,7 +493,7 @@ def test_malformed_flag_rejected(monkeypatch, capsys):
 
 
 def test_unexpected_exception_is_internal_error(monkeypatch, capsys):
-    def broken(req):
+    def broken(req, form):
         raise RuntimeError("boom")
 
     monkeypatch.setitem(cli._COMMANDS, "multischur", broken)
@@ -642,7 +642,7 @@ def test_unread_fields_rejected(monkeypatch, capsys):
 
 def test_unread_keys_refused_before_any_work(monkeypatch, capsys):
     ran = []
-    monkeypatch.setitem(cli._COMMANDS, "multischur", lambda req: ran.append(req))
+    monkeypatch.setitem(cli._COMMANDS, "multischur", lambda req, form: ran.append(req))
     # past the weight cap, but the unread key is refused first
     _assert_usage_error(monkeypatch, capsys, {"command": "multischur", "lambda": [20], "bx": [["x1"]], "junk": 1})
     assert ran == []
@@ -679,6 +679,43 @@ def test_readme_lists_every_form():
     assert forms == cli._FORMS
 
 
+def test_shorthand_is_its_expand_request(monkeypatch, capsys):
+    """A refined or stable shorthand answers as the expand request its spec
+    spells: inner against s_mu reads the s_mu coefficient of the expansion,
+    and a spec that breaks a rule is refused with the expand request's error."""
+    t = ["t3", "t1", "t5", "t2", "t6"]
+    answered = [
+        ("refined", {"lambda": [2, 1], "t": t[:3]}),
+        ("refined", {"λ": [3, 1, 1], "t": t[:3]}),
+        ("refined", {"lambda": [], "t": []}),
+        ("stable", {"lambda": [1], "t": t, "D": 5}),
+        ("stable", {"lambda": [2, 1], "t": t, "truncation": 5}),
+    ]
+    for kind, spec in answered:
+        code, out = _invoke(monkeypatch, capsys, {"command": "expand", "basis": kind, **spec})
+        assert code == 0, out
+        terms = json.loads(out)["terms"]
+        assert terms, out
+        for term in terms:
+            req = {"command": "inner", "f": {kind: spec}, "g": {"schur": term["partition"]}}
+            code, out = _invoke(monkeypatch, capsys, req)
+            assert (code, json.loads(out)) == (0, term["coeff"]), req
+    refused = [
+        ("refined", {"lambda": [10], "t": t}),  # past the weight budget
+        ("stable", {"lambda": [1], "t": t, "D": 31}),  # past the degree bound's
+        ("refined", {"lambda": [1, 1, 1], "t": ["t1"]}),  # three rows need two letters
+    ]
+    for kind, spec in refused:
+        code, out = _invoke(monkeypatch, capsys, {"command": "expand", "basis": kind, **spec})
+        assert code != 0, out
+        want = json.loads(out)["error"]
+        for req in ({"command": "inner", "f": {kind: spec}, "g": {"schur": [1]}},
+                    {"command": "eval", "f": {kind: spec}, "vars": ["x1"]}):
+            got_code, got = _invoke(monkeypatch, capsys, req)
+            error = json.loads(got)["error"]
+            assert (got_code, error["type"], error["message"]) == (code, want["type"], want["message"]), req
+
+
 def test_stable_budgets(monkeypatch, capsys):
     t = [f"t{i}" for i in range(1, 40)]
     for basis, cap, extra in [
@@ -710,7 +747,7 @@ def test_stable_budgets(monkeypatch, capsys):
 
 
 # parts that the request boundary once rounded or parsed into a different question
-NON_INTEGER_PARTS = ([1.5], [2.0], "21", ["2"], [True], [2, False])
+NON_INTEGER_PARTS = ([1.5], [2.0], "21", ["2"], [True], [2, False], "", {})
 
 
 def test_non_integer_lambda_rejected(monkeypatch, capsys):

@@ -91,6 +91,14 @@ def test_fermion_annihilates():
     assert apply_fermion(PSI_STAR, 3, vacuum_ket(0)) == ZERO_VECTOR
 
 
+def test_fermion_mode_is_psi_or_psi_star():
+    for mode in ("ψ", "psi*", "ψ*", "PSI", [PSI]):
+        with pytest.raises(ValueError):
+            apply_fermion(mode, 0, vacuum_ket(0))
+        with pytest.raises(ValueError):
+            apply_dressed_fermion(mode, 0, (), (), vacuum_ket(0))
+
+
 def test_fermion_creates_hook():
     got = apply_fermion(PSI, 1, vacuum_ket(0))
     assert got == FockVector({MayaState(1, Partition((1,))): Scalar.one()})

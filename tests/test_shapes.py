@@ -209,6 +209,13 @@ def test_partition_refuses_non_integer_parts():
             Partition(parts)
 
 
+def test_partition_refuses_a_string_or_a_mapping():
+    """Each would iterate as an empty or a different partition: "" and {} as ()."""
+    for parts in ("", b"", b"\x02\x01", {}, {2: 1}):
+        with pytest.raises(TypeError):
+            Partition(parts)
+
+
 def test_partition_of_a_partition_is_itself():
     lam = Partition((3, 1))
     assert Partition(lam) is lam
