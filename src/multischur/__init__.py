@@ -2,8 +2,8 @@
 
 Two independent engines compute the same families of functions: the
 closed-form determinants in :mod:`multischur.expansions` and the
-charged-fermion calculator in :mod:`multischur.fock`.  They share the
-exact scalar ring in :mod:`multischur.exactalg` and the shape/alphabet
+charged-fermion calculator in :mod:`multischur.fock`.  They share only
+the exact scalar ring in :mod:`multischur.exactalg` and the shape/alphabet
 combinatorics in :mod:`multischur.shapes`.
 
 `import multischur` loads none of them: each public name below imports
@@ -25,7 +25,7 @@ _EXPORTS = {
         symfunc_from_json symfunc_to_json truncated_dual_expansion""",
     "fock": """PSI PSI_STAR FockVector MayaState apply_dressed_fermion apply_exp_H
         apply_fermion apply_heisenberg bra_refined_pair bra_refined_pairs ket_general ket_partition
-        ket_refined vacuum_ket wick_expectation""",
+        ket_refined vacuum_ket""",
     "shapes": """AlphabetSequence ChargeError Partition constant_sequence contains
         empty_sequence horizontal_strips motegi_scrimshaw_sequence partitions_of_weight
         partitions_up_to_weight prefix_sequence refined_alphabet refined_sequence subpartitions

@@ -463,6 +463,7 @@ _SUITE_ORDER = {
 
 def _cmd_verify(req: Mapping, form: str) -> object:
     theorem = form.removeprefix("verify ")
+    seed = {"seed": _int_field(req, "seed")} if "seed" in req else {}
     fields = _SUITE_KWARGS[theorem]
     sizes = {key: default for key, (_, default, _) in fields.items()}
     for key in fields:
@@ -478,8 +479,7 @@ def _cmd_verify(req: Mapping, form: str) -> object:
     from .verifications import SUITES  # only verify loads the suites and the fermion engine
 
     result = SUITES[theorem](**{fields[key][0]: size for key, size in sizes.items()})
-    if "seed" in req:
-        result["parameters"]["seed"] = req["seed"]
+    result["parameters"].update(seed)
     return result
 
 

@@ -31,8 +31,9 @@ The operators:
     kind: the memo `_strips`, keyed on (lam, kind) and bounded by
     STRIP_CACHE_SIZE, answers 97% of the lookups of one orthonormality
     suite at maxWeight 8;
-  * dressed fermions e^{H} psi_m e^{-H} = sum_i h_i(x/y) psi_{m-i} and
-    its psi* counterpart.
+  * dressed fermions e^{H(x/y)} psi_m e^{-H(x/y)} (or psi*_m), as that
+    conjugation by strip steps, not as the closed form sum_i h_i(x/y)
+    psi_{m-i}, whose h_i are the Jacobi-Trudi entries it is checked against.
 
 The refined bra <mu| pairs with a charge-0 vector by applying
 psi*_{mu_1 - 1}, e^{-H(t_1)}, psi*_{mu_2 - 2}, ... and reading one
@@ -40,9 +41,9 @@ coefficient.  bra_refined_pairs pairs many bras in one depth-first walk:
 the bras that agree on mu_1..mu_i share their first i steps, and a
 branch whose vector has become zero stops there.
 
-Everything is linear over exact Scalars and charge-homogeneous.  Apart
-from wick_expectation, which is a determinant by definition, no
-operator here evaluates one.
+Everything is linear over exact Scalars and charge-homogeneous.  No
+operator here evaluates a determinant, and the module reads nothing from
+the determinant route: it imports exactalg and shapes alone.
 """
 
 from __future__ import annotations
@@ -52,9 +53,8 @@ from functools import lru_cache
 from itertools import chain
 from typing import Iterable, Mapping, Sequence
 
-from .exactalg import DimensionError, Scalar, ScalarLike, coerce_scalar, collect, det_over_ring
-from .shapes import Alphabet, ChargeError, Partition, as_alphabet, horizontal_strips, vertical_strips
-from .supersym import h_series
+from .exactalg import Scalar, ScalarLike, coerce_scalar, collect
+from .shapes import ChargeError, Partition, as_alphabet, horizontal_strips, vertical_strips
 
 PSI = "psi"
 PSI_STAR = "psi_star"
@@ -301,26 +301,10 @@ def apply_exp_H(x: Iterable, y: Iterable, sign: int, v: FockVector) -> FockVecto
 
 
 def apply_dressed_fermion(mode: str, m: int, x: Iterable, y: Iterable, v: FockVector) -> FockVector:
-    """e^{H(x/y)} psi_m e^{-H(x/y)} v = sum_i h_i(x/y) psi_{m-i} v, and
-    for psi*: sum_i h_i(y/x) psi*_{m+i} v.  Swapping x and y gives the
-    inverse dressing."""
-    mode = _check_mode(mode)
-    xs, ys = as_alphabet(x), as_alphabet(y)
-    c = v._charge
-    if c is None:
-        return v
-    if mode == PSI:  # psi_{m-i} kills every state once m - i reaches the sea
-        cap, alphabets, step = max(m - c + len(lam) for lam in v._terms), (xs, ys), -1
-    else:  # psi*_{m+i} kills every state once m + i passes the top level
-        cap, alphabets, step = max((lam[0] if lam else 0) + c - 1 - m for lam in v._terms), (ys, xs), 1
-    if not alphabets[0]:  # h_i(()/b) vanishes for i > len(b)
-        cap = min(cap, len(alphabets[1]))
-    return FockVector._trusted(c - step, collect(
-        (lam, coeff * h)
-        for i, h in enumerate(h_series(cap, *alphabets))
-        if h
-        for lam, coeff in apply_fermion(mode, m + step * i, v)._terms.items()
-    ))
+    """e^{H(x/y)} psi_m e^{-H(x/y)} v (or with psi*_m), by its definition:
+    the strip steps of e^{-H}, the bare fermion, then those of e^{H}.
+    Swapping x and y gives the inverse dressing."""
+    return apply_exp_H(x, y, 1, apply_fermion(mode, m, apply_exp_H(x, y, -1, v)))
 
 
 # -- basis kets and bras ----------------------------------------------
@@ -408,31 +392,3 @@ def _bra_walk(rows: Mapping[Partition, int], t: Sequence, v: FockVector) -> dict
             step = apply_fermion(PSI_STAR, part - i, w)
             stack.append((group, i + 1, _exp_letter(t[i - 1], True, step)))
     return out
-
-
-# -- expectation values -----------------------------------------------
-
-
-def _normalize_leg(leg) -> tuple[int, Alphabet, Alphabet]:
-    if isinstance(leg, int):
-        return (leg, (), ())
-    m, dressing = leg
-    x, y = ((), ()) if dressing is None else dressing
-    return (int(m), as_alphabet(x), as_alphabet(y))
-
-
-def wick_expectation(rows: Sequence, cols: Sequence) -> Scalar:
-    """det of single pairings <dressed psi_{m_i} . dressed psi*_{n_j}>.
-
-    Each leg is (level, None) or (level, (x, y)); the dressing is
-    e^{H(x/y)} around its fermion.
-    """
-    if len(rows) != len(cols):
-        raise DimensionError(f"{len(rows)} rows vs {len(cols)} columns")
-    rows = [_normalize_leg(leg) for leg in rows]
-    cols = [_normalize_leg(leg) for leg in cols]
-    vac = MayaState(0, _EMPTY)
-    col_vectors = [apply_dressed_fermion(PSI_STAR, n, x, y, vacuum_ket(0)) for n, x, y in cols]
-    return det_over_ring(
-        [[apply_dressed_fermion(PSI, m, x, y, w).coefficient(vac) for w in col_vectors] for m, x, y in rows]
-    )

@@ -112,6 +112,11 @@ def test_verify_seed_recorded(monkeypatch, capsys):
     code, out = _invoke(monkeypatch, capsys, req, argv=["--seed", "9"])
     assert code == 0
     assert json.loads(out)["parameters"]["seed"] == 9
+    code, out = _invoke(monkeypatch, capsys, {**req, "seed": 4})
+    assert code == 0
+    assert json.loads(out)["parameters"]["seed"] == 4
+    for seed in ({"x": [1, 2]}, True, 1.5):  # a seed is a JSON integer, like --seed
+        _assert_usage_error(monkeypatch, capsys, {**req, "seed": seed})
 
 
 def test_flags_do_not_leak_between_calls(monkeypatch, capsys):
@@ -991,7 +996,7 @@ EXPORTS = """AlphabetSequence ChargeError DimensionError FockVector MayaState PS
     schur_expand_multischur schur_tableau_oracle skew_function skew_multi_schur stable_dual_in_G
     stable_grothendieck_schur subpartitions superpartitions supersym_schur sym_schur sym_zero
     symfunc_from_json symfunc_to_json transpose truncated_dual_expansion vacuum_ket variables
-    verify_branching verify_cauchy wick_expectation""".split()
+    verify_branching verify_cauchy""".split()
 
 
 def _fresh(code: str) -> str:
@@ -1006,6 +1011,12 @@ def _fresh(code: str) -> str:
 def test_import_loads_no_module():
     out = _fresh("import sys, multischur; print([m for m in sys.modules if m.startswith('multischur.')])")
     assert out == "[]\n"
+
+
+def test_fock_loads_only_exactalg_and_shapes():
+    """The fermion engine imports nothing of the determinant route."""
+    out = _fresh("import sys, multischur.fock; print(sorted(m for m in sys.modules if m.startswith('multischur.')))")
+    assert out == "['multischur.exactalg', 'multischur.fock', 'multischur.shapes']\n"
 
 
 def test_request_loads_only_what_it_runs():
@@ -1030,7 +1041,7 @@ print(json.dumps([ask({MULTISCHUR_REQ!r}), ask({{"command": "verify", "theorem":
 
 
 def test_package_names_each_export_once(monkeypatch):
-    assert len(EXPORTS) == 70
+    assert len(EXPORTS) == 69
     assert multischur.__all__ == sorted(EXPORTS)
     for name in EXPORTS:
         module = importlib.import_module(f"multischur.{multischur._MODULE_OF[name]}")

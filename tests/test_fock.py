@@ -23,7 +23,6 @@ from multischur.fock import (
     ket_partition,
     ket_refined,
     vacuum_ket,
-    wick_expectation,
 )
 from multischur.shapes import (
     Partition,
@@ -33,7 +32,7 @@ from multischur.shapes import (
     prefix_sequence,
     refined_sequence,
 )
-from multischur.supersym import h_super, p_power, supersym_schur
+from multischur.supersym import h_series, h_super, p_power, supersym_schur
 
 t1, t2, t3, t4, t5, t6 = variables("t1 t2 t3 t4 t5 t6")
 x1, x2 = variables("x1 x2")
@@ -308,10 +307,21 @@ def test_dressed_trivial_is_plain_fermion():
 @given(fock_vectors(), st.integers(-2, 2), st.sampled_from([PSI, PSI_STAR]))
 @settings(max_examples=25, deadline=None)
 def test_dressing_consistency(v, m, mode):
-    # dressed operator == e^H psi e^{-H}
-    direct = apply_dressed_fermion(mode, m, (x1,), (y1,), v)
-    conj = apply_exp_H((x1,), (y1,), +1, apply_fermion(mode, m, apply_exp_H((x1,), (y1,), -1, v)))
-    assert direct == conj
+    # the paper's lemma: e^{H(x/y)} psi_m e^{-H(x/y)} = sum_i h_i(x/y) psi_{m-i}
+    # and e^{H(x/y)} psi*_m e^{-H(x/y)} = sum_i h_i(y/x) psi*_{m+i}
+    x, y = (x1, x2), (y1,)
+    states = v.states()
+    if mode == PSI:  # psi_{m-i} kills every state once m - i is in every sea
+        n, alphabets, step = m - min((s.sea_top for s in states), default=m), (x, y), -1
+    else:  # psi*_{m+i} kills every state once m + i is above every occupied level
+        top = max((max(s.excited_levels(), default=s.sea_top) for s in states), default=m)
+        n, alphabets, step = top - m, (y, x), 1
+    n = max(n, 0)
+    want = ZERO_VECTOR
+    for i, h in enumerate(h_series(n, *alphabets)):
+        want = want + apply_fermion(mode, m + step * i, v).scale(h)
+    assert not apply_fermion(mode, m + step * (n + 1), v)
+    assert apply_dressed_fermion(mode, m, x, y, v) == want
 
 
 def test_ket_general_reduces_to_ket_partition():
@@ -453,27 +463,22 @@ def test_bra_refined_pairs_errors_match_single_pairs(monkeypatch):
         assert str(walk.value) == str(single.value)
 
 
-def test_wick_simple_pairings():
-    assert wick_expectation([-1], [-1]) == Scalar.one()
-    assert wick_expectation([0], [0]) == Scalar.zero()
-    with pytest.raises(ValueError):
-        wick_expectation([1, 2], [0])
+def test_dressed_fermion_pairs_to_h_super():
+    # <0| e^{H(x/y)} psi_{l-1} e^{-H(x/y)} psi*_{-1} |0> = h_l(x/y)
+    vac, hole = MayaState(0, Partition(())), apply_fermion(PSI_STAR, -1, vacuum_ket(0))
+    assert apply_fermion(PSI, -1, hole).coefficient(vac) == Scalar.one()
+    assert apply_fermion(PSI, 0, hole).coefficient(vac) == Scalar.zero()
+    for l in (0, 1, 2, 3):
+        got = apply_dressed_fermion(PSI, l - 1, (x1, x2), (y1,), hole).coefficient(vac)
+        assert got == h_super(l, (x1, x2), (y1,)), l
 
 
-def test_wick_dressed_single_row():
-    for l in (1, 2, 3):
-        got = wick_expectation([(l - 1, ((x1, x2), (y1,)))], [-1])
-        assert got == h_super(l, (x1, x2), (y1,))
-
-
-def test_wick_matches_exp_H_pairing():
-    # <0| e^{H(x/y)} |lam> via Wick rows equals the supersymmetric Schur value
-    xsform = ((x1, x2), (y1,))
-    for lam in [Partition((1,)), Partition((2, 1)), Partition((2, 2))]:
-        r = lam.length
-        rows = [(lam.part(i) - i, xsform) for i in range(1, r + 1)]
-        cols = [-j for j in range(1, r + 1)]
-        assert wick_expectation(rows, cols) == supersym_schur(lam, (x1, x2), (y1,))
+def test_exp_H_vacuum_pairing_is_supersym_schur():
+    # <0| e^{H(x/y)} |lam> is the supersymmetric Schur function s_lam(x/y)
+    vac = MayaState(0, Partition(()))
+    for lam in partitions_up_to_weight(4):
+        got = apply_exp_H((x1, x2), (y1,), 1, ket_partition(lam, len(lam))).coefficient(vac)
+        assert got == supersym_schur(lam, (x1, x2), (y1,)), lam
 
 
 def test_boson_fermion_extraction():
@@ -518,6 +523,22 @@ def test_fermion_route_calls_no_determinant(monkeypatch):
     assert apply_exp_H((x1, x2), (y1,), -1, general)
     assert apply_dressed_fermion(PSI, 1, (x1,), (y1,), ket)
     assert verifications.orthonormality(3)["passed"]
+
+
+def test_dual_engine_catches_a_fault_in_h_series(monkeypatch):
+    """The fermion route reads no complete functions, so a fault in
+    h_series shows up on the determinant side alone and the suite fails."""
+    real = h_series
+
+    def drops_last_x(n, x, y=()):
+        return real(n, as_alphabet(x)[:-1], y)
+
+    assert verifications.dual_engine(3)["passed"]
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "multischur" and hasattr(module, "h_series"):
+            monkeypatch.setattr(module, "h_series", drops_last_x)
+    assert h_super(1, (x1, x2), ()) == x1  # h_super reads the patched series
+    assert not verifications.dual_engine(3)["passed"]
 
 
 def test_fermion_steps_build_valid_shapes():
