@@ -455,12 +455,19 @@ def symfunc_to_json(f: SymFunc) -> dict:
 
 def symfunc_from_json(data: Mapping) -> SymFunc:
     """The inverse of symfunc_to_json; a key that it does not read, in the
-    element or in one of its terms, is a ValueError."""
+    element or in one of its terms, or a term of weight above the
+    truncation, is a ValueError."""
     _json_object(data, {"basis", "truncation", "terms"}, "a serialized element")
     if data.get("basis", "schur") != "schur":
         raise ValueError(f"unsupported basis: {data.get('basis')!r}")
     D = data.get("truncation")
     if D is not None and (isinstance(D, bool) or not isinstance(D, int) or D < 0):
         raise ValueError(f"truncation must be null or an integer >= 0: {D!r}")
-    terms = (_json_object(item, {"partition", "coeff"}, "a term of an element") for item in data.get("terms", ()))
-    return SymFunc(((item["partition"], scalar_from_json(item["coeff"])) for item in terms), D)
+    pairs = []
+    for item in data.get("terms", ()):
+        _json_object(item, {"partition", "coeff"}, "a term of an element")
+        coeff, mu = scalar_from_json(item["coeff"]), Partition(item["partition"])
+        if D is not None and mu.weight > D:
+            raise ValueError(f"a term of weight {mu.weight} lies above the truncation {D}: {list(mu)}")
+        pairs.append((mu, coeff))
+    return SymFunc(pairs, D)

@@ -25,12 +25,12 @@ The operators:
     e^{H(t)}|lam> = sum t^{|lam/mu|} |mu> over the horizontal strips
     lam/mu, and e^{-H(t)} sums (-t)^{|lam/mu|} |mu> over the vertical
     strips: the one-letter branching rule for skew Schur functions
-    (Macdonald I.5), in vertex-operator form.  Both kinds of strip are
-    enumerated directly (shapes.horizontal_strips and
-    shapes.vertical_strips), with no transposes, once per partition and
-    kind: the memo `_strips`, keyed on (lam, kind) and bounded by
-    STRIP_CACHE_SIZE, answers 97% of the lookups of one orthonormality
-    suite at maxWeight 8;
+    (Macdonald I.5), in vertex-operator form.  lam/mu is a vertical strip
+    iff lam'/mu' is a horizontal one, so shapes.horizontal_strips
+    enumerates both kinds, the vertical ones through conjugation.  Each
+    table is built once per partition and kind: the memo `_strips`, keyed
+    on (lam, kind) and bounded by STRIP_CACHE_SIZE, answers 97% of the
+    lookups of one orthonormality suite at maxWeight 8;
   * dressed fermions e^{H(x/y)} psi_m e^{-H(x/y)} (or psi*_m), as that
     conjugation by strip steps, not as the closed form sum_i h_i(x/y)
     psi_{m-i}, whose h_i are the Jacobi-Trudi entries it is checked against.
@@ -54,7 +54,7 @@ from itertools import chain
 from typing import Iterable, Mapping, Sequence
 
 from .exactalg import Scalar, ScalarLike, coerce_scalar, collect
-from .shapes import ChargeError, Partition, as_alphabet, horizontal_strips, vertical_strips
+from .shapes import ChargeError, Partition, as_alphabet, horizontal_strips
 
 PSI = "psi"
 PSI_STAR = "psi_star"
@@ -263,9 +263,13 @@ STRIP_CACHE_SIZE = 128
 
 @lru_cache(maxsize=STRIP_CACHE_SIZE)
 def _strips(lam: Partition, vertical: bool) -> tuple[tuple[Partition, int], ...]:
-    """(mu, |lam/mu|) for every vertical or horizontal strip lam/mu, built once."""
+    """(mu, |lam/mu|) for every vertical or horizontal strip lam/mu, built
+    once.  The vertical strips are the conjugates of the horizontal strips
+    of lam', in that order."""
     n = lam.weight
-    return tuple((mu, n - mu.weight) for mu in (vertical_strips if vertical else horizontal_strips)(lam))
+    if vertical:
+        return tuple((mu.transpose(), n - mu.weight) for mu in horizontal_strips(lam.transpose()))
+    return tuple((mu, n - mu.weight) for mu in horizontal_strips(lam))
 
 
 def _exp_letter(t: Scalar, vertical: bool, v: FockVector) -> FockVector:

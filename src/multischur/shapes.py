@@ -60,16 +60,13 @@ class Partition(tuple):
     def _trusted(cls, parts: Iterable[int]) -> "Partition":
         """Wrap `parts` without checking it: weakly decreasing positive
         ints, no trailing zero.  Only for the shapes that this module's
-        enumerators and the fermion steps of `fock` build valid."""
+        enumerators, `transpose` and the fermion steps of `fock` build
+        valid."""
         return tuple.__new__(cls, parts)
 
     @property
     def weight(self) -> int:
         return sum(self)
-
-    @property
-    def length(self) -> int:
-        return len(self)
 
     def part(self, i: int) -> int:
         """The i-th part, 1-indexed; 0 beyond the length."""
@@ -78,9 +75,8 @@ class Partition(tuple):
         return self[i - 1] if i <= len(self) else 0
 
     def transpose(self) -> "Partition":
-        if not self:
-            return Partition()
-        return Partition(sum(1 for p in self if p >= j) for j in range(1, self[0] + 1))
+        """The conjugate partition: its j-th part counts the parts >= j."""
+        return Partition._trusted(sum(1 for p in self if p >= j) for j in range(1, self.part(1) + 1))
 
     def contains(self, mu: "Partition") -> bool:
         """True iff mu fits inside self cell by cell."""
@@ -88,15 +84,6 @@ class Partition(tuple):
 
     def __repr__(self) -> str:
         return f"Partition({list(self)})"
-
-
-def transpose(lam: Sequence[int]) -> Partition:
-    return Partition(lam).transpose()
-
-
-def contains(mu: Sequence[int], lam: Sequence[int]) -> bool:
-    """True iff mu_i <= lam_i for every i."""
-    return Partition(lam).contains(Partition(mu))
 
 
 # -- enumeration ------------------------------------------------------
@@ -132,16 +119,12 @@ def _up_to_weight(n: int) -> Iterator[Partition]:
     return chain.from_iterable(_weight(w) for w in range(n + 1))
 
 
-def partitions_of_weight(n: int, max_length: int | None = None) -> list[Partition]:
-    if max_length is None:
-        return list(_weight(n))
-    return [p for p in _weight(n) if len(p) <= max_length]
+def partitions_of_weight(n: int) -> list[Partition]:
+    return list(_weight(n))
 
 
-def partitions_up_to_weight(n: int, max_length: int | None = None) -> list[Partition]:
-    if max_length is None:
-        return list(_up_to_weight(n))
-    return [p for p in _up_to_weight(n) if len(p) <= max_length]
+def partitions_up_to_weight(n: int) -> list[Partition]:
+    return list(_up_to_weight(n))
 
 
 def subpartitions(lam: Sequence[int]) -> list[Partition]:
@@ -188,37 +171,6 @@ def horizontal_strips(lam: Sequence[int], grow: int | None = None) -> Iterator[P
     rows += [range(lam[i - 1], lam.part(i + 1) - 1, -1) for i in range(1, len(lam) + 1)]
     target = lam.weight + grow
     yield from (_strip(parts) for parts in product(*rows) if sum(parts) == target)
-
-
-def vertical_strips(lam: Sequence[int]) -> Iterator[Partition]:
-    """Every mu inside lam with lam/mu a vertical strip, i.e. at most one
-    cell removed from each row: mu_i in {lam_i, lam_i - 1}, weakly
-    decreasing.
-
-    Within a run of equal parts the removed cells sit at the bottom of
-    the run, and the runs choose independently how many to remove.  The
-    strips are yielded in the order of transpose . horizontal_strips .
-    transpose: the run of the smallest part varies slowest, the run of
-    the largest part fastest, and each run removes 0, 1, ... cells.
-    """
-    lam = Partition(lam)
-    # runs of equal parts as (first row, end row), 0-indexed, the bottom run first
-    runs = []
-    end = len(lam)
-    while end:
-        start = end - 1
-        while start and lam[start - 1] == lam[end - 1]:
-            start -= 1
-        runs.append((start, end))
-        end = start
-    # the cells taken from a bottom run of 1s leave zeros, which are dropped
-    bottom_ones = bool(lam) and lam[-1] == 1
-    for removed in product(*(range(end - start + 1) for start, end in runs)):
-        parts = list(lam)
-        for (start, end), k in zip(runs, removed):
-            for i in range(end - k, end):
-                parts[i] -= 1
-        yield Partition._trusted(parts[: len(parts) - removed[0]] if bottom_ones else parts)
 
 
 # -- alphabets --------------------------------------------------------

@@ -491,6 +491,16 @@ def test_bad_truncation_rejected(monkeypatch, capsys):
         _assert_usage_error(monkeypatch, capsys, {"command": "inner", "f": f, "g": {"schur": [1]}})
 
 
+def test_term_above_truncation_rejected(monkeypatch, capsys):
+    # such a term was once dropped in silence: eval answered [] and inner 0
+    term = {"partition": [2], "coeff": [{"coefficient": "5", "monomial": {}}]}
+    f = {"basis": "schur", "truncation": 1, "terms": [term]}
+    _assert_usage_error(monkeypatch, capsys, {"command": "eval", "f": f, "vars": ["x1"]})
+    _assert_usage_error(monkeypatch, capsys, {"command": "inner", "f": f, "g": {"schur": [1]}})
+    # a term at the truncation is kept
+    assert symfunc_from_json({**f, "truncation": 2}) == SymFunc({Partition((2,)): 5}, 2)
+
+
 def test_malformed_flag_rejected(monkeypatch, capsys):
     for flag, vars_ in [([0], ["x1"]), ([2, 1], ["x1", "x2"]), ([3], ["x1"])]:
         req = {"command": "multischur", "lambda": [1], "flag": flag, "vars": vars_}
@@ -988,14 +998,14 @@ def test_suite_defaults_match_signatures():
 EXPORTS = """AlphabetSequence ChargeError DimensionError FockVector MayaState PSI
     PSI_STAR Partition SUITES Scalar SymFunc TractabilityError TruncationError
     UnboundIndeterminateError apply_dressed_fermion apply_exp_H apply_fermion apply_heisenberg
-    bra_refined_pair bra_refined_pairs constant_sequence contains det_over_ring e_elem empty_sequence
+    bra_refined_pair bra_refined_pairs constant_sequence det_over_ring e_elem empty_sequence
     eval_symfunc expand_in_refined_basis flagged_schur flagged_tableau_oracle h_complete h_series h_super
     hall_inner horizontal_strips ket_general ket_partition ket_refined motegi_scrimshaw_sequence multi_schur
     p_power partitions_of_weight partitions_up_to_weight pieri_mult_h prefix_sequence refined_alphabet
     refined_dual_grothendieck refined_sequence scalar_eval scalar_from_json scalar_to_json
     schur_expand_multischur schur_tableau_oracle skew_function skew_multi_schur stable_dual_in_G
     stable_grothendieck_schur subpartitions superpartitions supersym_schur sym_schur sym_zero
-    symfunc_from_json symfunc_to_json transpose truncated_dual_expansion vacuum_ket variables
+    symfunc_from_json symfunc_to_json truncated_dual_expansion vacuum_ket variables
     verify_branching verify_cauchy""".split()
 
 
@@ -1041,7 +1051,7 @@ print(json.dumps([ask({MULTISCHUR_REQ!r}), ask({{"command": "verify", "theorem":
 
 
 def test_package_names_each_export_once(monkeypatch):
-    assert len(EXPORTS) == 69
+    assert len(EXPORTS) == 67
     assert multischur.__all__ == sorted(EXPORTS)
     for name in EXPORTS:
         module = importlib.import_module(f"multischur.{multischur._MODULE_OF[name]}")

@@ -159,7 +159,7 @@ def test_expand_in_refined_basis_matches_fock_pairing():
     bx = prefix_sequence((x1,), (x2,), (a,))
     by = prefix_sequence((b,))
     coeffs = expand_in_refined_basis(lam, bx, by, t)
-    v = ket_general(lam, bx, by, lam.length)
+    v = ket_general(lam, bx, by, len(lam))
     for mu in subpartitions(lam):
         assert coeffs.get(mu, Scalar.zero()) == bra_refined_pair(mu, t, v)
 
@@ -296,7 +296,7 @@ def test_skew_function_three_case_determinant():
         (Partition((2, 2)), Partition((1,))),
         (Partition((3, 1)), Partition((2,))),
     ]:
-        r = max(lam.length, mu.length)
+        r = max(len(lam), len(mu))
         entries = {}
         for i in range(1, r + 1):
             for j in range(1, r + 1):

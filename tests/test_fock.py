@@ -1,5 +1,4 @@
 import sys
-from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -31,6 +30,7 @@ from multischur.shapes import (
     partitions_up_to_weight,
     prefix_sequence,
     refined_sequence,
+    subpartitions,
 )
 from multischur.supersym import h_series, h_super, p_power, supersym_schur
 
@@ -365,7 +365,7 @@ def test_bra_refined_pair_orthonormality():
     ts = (t1, t2, t3, t4)
     shapes = [Partition(p) for p in [(), (1,), (2,), (1, 1), (2, 1), (3,)]]
     for lam in shapes:
-        v = ket_refined(lam, ts, max(1, lam.length))
+        v = ket_refined(lam, ts, max(1, len(lam)))
         for mu in shapes:
             want = Scalar.one() if mu == lam else Scalar.zero()
             assert bra_refined_pair(mu, ts, v) == want
@@ -483,7 +483,7 @@ def test_exp_H_vacuum_pairing_is_supersym_schur():
 
 def test_boson_fermion_extraction():
     for lam in [Partition(()), Partition((1,)), Partition((2, 1)), Partition((3, 2))]:
-        v = ket_partition(lam, max(1, lam.length))
+        v = ket_partition(lam, max(1, len(lam)))
         w = apply_exp_H((x1, x2), (y1,), +1, v)
         got = w.coefficient(MayaState(0, Partition(())))
         assert got == supersym_schur(lam, (x1, x2), (y1,))
@@ -646,11 +646,18 @@ def oracle_heisenberg(m, v):
     return FockVector(pairs)
 
 
+def oracle_vertical_strips(lam):
+    """Every mu inside lam with 0 <= lam_i - mu_i <= 1 in every row: a
+    vertical strip lam/mu by its definition, in no particular order."""
+    rows = range(1, len(lam) + 1)
+    return [mu for mu in subpartitions(lam) if all(0 <= lam.part(i) - mu.part(i) <= 1 for i in rows)]
+
+
 def oracle_exp_letter(t, vertical, v):
     if not t:
         return v
     pairs = []
-    strips = shapes.vertical_strips if vertical else shapes.horizontal_strips
+    strips = oracle_vertical_strips if vertical else shapes.horizontal_strips
     for state, coeff in v.items():
         for mu in strips(state.parts):
             k = state.parts.weight - mu.weight
@@ -685,20 +692,33 @@ def test_exp_letter_matches_collect_oracle(v, t, vertical):
     assert got.charge == want.charge
 
 
+def test_vertical_strip_tables_match_brute_force():
+    for lam in partitions_up_to_weight(7):
+        table = fock._strips(lam, True)
+        assert sorted(table) == sorted((mu, lam.weight - mu.weight) for mu in oracle_vertical_strips(lam)), lam
+        # built unchecked, so compared with the checked copies, which drop a trailing zero
+        assert all(type(mu) is Partition and mu == Partition(tuple(mu)) for mu, _ in table), lam
+    # the order in which a strip step sums its terms
+    want = [(2, 2, 1), (2, 1, 1), (1, 1, 1), (2, 2), (2, 1), (1, 1)]
+    assert [mu for mu, _ in fock._strips(Partition((2, 2, 1)), True)] == want
+    assert [mu for mu, _ in fock._strips(Partition((1, 1)), True)] == [(1, 1), (1,), ()]
+
+
 def test_strip_tables_are_enumerated_once_per_partition_and_kind(monkeypatch):
-    calls = Counter()
-    for name in ("horizontal_strips", "vertical_strips"):
+    calls = []
 
-        def counting(lam, name=name, enumerate_strips=getattr(fock, name)):
-            calls[name, lam] += 1
-            return enumerate_strips(lam)
+    def counting(lam, enumerate_strips=fock.horizontal_strips):
+        calls.append(lam)
+        return enumerate_strips(lam)
 
-        monkeypatch.setattr(fock, name, counting)
+    monkeypatch.setattr(fock, "horizontal_strips", counting)
     fock._strips.cache_clear()
     try:
         assert verifications.orthonormality(4)["passed"]
-        assert calls and max(calls.values()) == 1
-        assert fock._strips.cache_info().hits > 5 * len(calls)  # 93 hits for 15 tables
+        # one enumeration per table, horizontal or vertical
+        tables = fock._strips.cache_info().misses
+        assert calls and len(calls) == tables
+        assert fock._strips.cache_info().hits > 5 * tables  # 93 hits for 15 tables
     finally:
         fock._strips.cache_clear()  # drop the tables built through the counting enumerators
 

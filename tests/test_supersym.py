@@ -4,7 +4,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from multischur.exactalg import Scalar, variables
-from multischur.shapes import Partition, negate_alphabet, transpose
+from multischur.shapes import Partition, negate_alphabet
 from multischur.supersym import e_elem, h_complete, h_series, h_super, p_power, supersym_schur
 
 x1, x2, x3 = variables("x1 x2 x3")
@@ -96,7 +96,7 @@ def test_supersym_schur_transpose_duality():
     for lam in [Partition((1,)), Partition((2,)), Partition((2, 1)), Partition((3, 1))]:
         sign = Scalar.from_rational((-1) ** lam.weight)
         lhs = supersym_schur(lam, (x1, x2), (y1,))
-        rhs = sign * supersym_schur(transpose(lam), (y1,), (x1, x2))
+        rhs = sign * supersym_schur(lam.transpose(), (y1,), (x1, x2))
         assert lhs == rhs
 
 
