@@ -23,8 +23,6 @@ from typing import Iterable, Mapping, Sequence
 
 from .exactalg import DimensionError, Scalar, UnboundIndeterminateError, scalar_from_json, scalar_to_json
 from .expansions import (
-    _BRANCHING_MAX_WEIGHT,
-    _ORACLE_MAX_WEIGHT,
     MAX_DEGREE_BOUND,
     SymFunc,
     TractabilityError,
@@ -45,6 +43,7 @@ from .expansions import (
     truncated_dual_expansion,
 )
 from .shapes import AlphabetSequence, ChargeError, Partition
+from .suite_sizes import ORDER, SIZES
 
 
 class UsageError(ValueError):
@@ -58,31 +57,6 @@ _MISSING = object()
 
 # -- budgets ----------------------------------------------------------
 
-
-# Request field -> (keyword, default, cap) per suite; the default is the
-# suite's own, the branching and classical weight caps their oracles'.
-# With every field at its cap a suite answers in at most 0.6 s (2-core host).
-_SUITE_KWARGS = {
-    "orthonormality": {"maxWeight": ("max_weight", 5, 8)},
-    "dual-engine": {"maxWeight": ("max_weight", 4, 7)},
-    "hall-duality": {"maxWeight": ("max_weight", 5, 9), "truncation": ("truncation", 5, 9)},
-    "cauchy": {},
-    "branching": {
-        "maxWeight": ("max_weight", 5, _BRANCHING_MAX_WEIGHT),
-        "generalMaxWeight": ("general_max_weight", 3, _BRANCHING_MAX_WEIGHT),
-    },
-    "truncation-stability": {
-        "maxWeight": ("max_weight", 3, 5),
-        "maxRows": ("max_rows", 3, 5),
-        "maxTruncation": ("max_truncation", 5, 7),
-    },
-    "beta-chain": {"maxWeight": ("max_weight", 4, 7), "maxDualWeight": ("max_dual_weight", 5, 8)},
-    "classical": {
-        "maxWeight": ("max_weight", 6, _ORACLE_MAX_WEIGHT),
-        "window": ("window", 3, 4),
-        "pairingRows": ("pairing_rows", 3, 4),
-    },
-}
 
 # Budget name -> cap.  Each caps one size that a request's cost grows with;
 # a request past a cap is refused as tractability before any work.  The
@@ -99,7 +73,7 @@ _BUDGETS = {
     "flag vars": 6,
     "eval vars": 7,
     "eval weight": 6,
-    **{f"{theorem} {key}": cap for theorem, fields in _SUITE_KWARGS.items() for key, (_, _, cap) in fields.items()},
+    **{f"{theorem} {field.name}": field.cap for theorem, fields in SIZES.items() for field in fields},
 }
 
 
@@ -131,7 +105,7 @@ _FORMS = {
     "skew bp": {"command", *_LAMBDA, "mu", "μ", "bx", "by", "bp"},
     "inner": {"command", "f", "g"},
     "eval": {"command", "f", "vars"},
-    **{f"verify {theorem}": {"command", "theorem", "seed", *fields} for theorem, fields in _SUITE_KWARGS.items()},
+    **{f"verify {theorem}": {"command", "theorem", "seed", *(field.name for field in fields)} for theorem, fields in SIZES.items()},
     # objects nested in a request
     "refined sequence": {"refined"},
     "constant sequence": {"constant"},
@@ -162,7 +136,7 @@ def _form(req: Mapping) -> str:
     then the optional field whose presence picks a second form."""
     form = _name(req, "command", _COMMANDS)
     if form == "verify":
-        return f"verify {_name(req, 'theorem', _SUITE_KWARGS)}"
+        return f"verify {_name(req, 'theorem', SIZES)}"
     if form == "expand":
         form = f"expand {_name(req, 'basis', _BASES, 'schur')}"
     second = {"multischur": "flag", "expand refined": "bx", "skew": "bp"}.get(form)
@@ -452,33 +426,22 @@ def _cmd_eval(req: Mapping, form: str) -> object:
     return scalar_to_json(eval_symfunc(f, vars_))
 
 
-# Pairs (low, high) of fields that a suite needs with low <= high, since it
-# expands every shape of weight up to `low` at degree `high`; a field left
-# out takes the suite's default.  Else the request is malformed.
-_SUITE_ORDER = {
-    "hall-duality": ("maxWeight", "truncation"),
-    "beta-chain": ("maxWeight", "maxDualWeight"),
-}
-
-
 def _cmd_verify(req: Mapping, form: str) -> object:
     theorem = form.removeprefix("verify ")
     seed = {"seed": _int_field(req, "seed")} if "seed" in req else {}
-    fields = _SUITE_KWARGS[theorem]
-    sizes = {key: default for key, (_, default, _) in fields.items()}
-    for key in fields:
-        if key in req:
-            sizes[key] = _int_field(req, key)
-            if sizes[key] < 1:
-                raise UsageError(f"field {key!r} must be at least 1: {sizes[key]}")
-            _budget(f"{theorem} {key}", sizes[key])
-    if theorem in _SUITE_ORDER:
-        low, high = _SUITE_ORDER[theorem]
+    sizes = {}
+    for field in SIZES[theorem]:
+        size = sizes[field.name] = _int_field(req, field.name) if field.name in req else field.default
+        if size < 1:
+            raise UsageError(f"field {field.name!r} must be at least 1: {size}")
+        _budget(f"{theorem} {field.name}", size)
+    if theorem in ORDER:
+        low, high = ORDER[theorem]
         if sizes[low] > sizes[high]:
             raise UsageError(f"{theorem} needs {high!r} >= {low!r} (a missing field takes its default): got {sizes[high]} < {sizes[low]}")
     from .verifications import SUITES  # only verify loads the suites and the fermion engine
 
-    result = SUITES[theorem](**{fields[key][0]: size for key, size in sizes.items()})
+    result = SUITES[theorem](**{field.keyword: sizes[field.name] for field in SIZES[theorem]})
     result["parameters"].update(seed)
     return result
 

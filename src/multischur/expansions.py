@@ -418,8 +418,7 @@ def _ssyt_monomials(shape: Partition, vals: Alphabet, row_caps: Sequence[int]) -
     return total
 
 
-_ORACLE_MAX_WEIGHT = 8  # the tableau oracles' weight cap; cli caps classical maxWeight by it
-_BRANCHING_MAX_WEIGHT = 6  # verify_branching's weight cap; cli caps the branching suite by it
+_ORACLE_MAX_WEIGHT = 8  # the tableau oracles' weight cap, and so the classical suite's maxWeight cap
 
 
 def schur_tableau_oracle(mu: Sequence[int], vals: Sequence) -> Scalar:

@@ -52,8 +52,8 @@ from .shapes import (
     superpartitions,
 )
 from .supersym import supersym_schur
+from .suite_sizes import _BRANCHING_MAX_WEIGHT, SIZES
 from .expansions import (
-    _BRANCHING_MAX_WEIGHT,
     TractabilityError,
     eval_symfunc,
     expand_in_refined_basis,
@@ -99,7 +99,9 @@ class _Tally:
             got, want = (r if len(r) <= _CUT else r[: _CUT - 3] + "..." for r in (repr(got), repr(want)))
             self.failures.append(f"{label % args}: got {got}, want {want}")
 
-    def summary(self, theorem: str, parameters: dict) -> dict:
+    def summary(self, theorem: str, *sizes: int, **extras) -> dict:
+        """The answer, whose parameters are `sizes` named as in SIZES[theorem], then `extras`."""
+        parameters = {field.name: size for field, size in zip(SIZES[theorem], sizes, strict=True)} | extras
         if not self.cases:
             raise ValueError(f"suite {theorem} checked no cases at {parameters}")
         return {
@@ -187,7 +189,7 @@ def _cauchy_sides(t, D, n, m) -> tuple[Scalar, Scalar]:
     return _truncate_in(lhs, ynames, D), rhs
 
 
-def orthonormality(max_weight: int = 5) -> dict:
+def orthonormality(max_weight: int) -> dict:
     """Refined bras against refined kets: delta on all pairs."""
     t = _vars("t", max_weight + 3)
     tally = _Tally()
@@ -196,10 +198,10 @@ def orthonormality(max_weight: int = 5) -> dict:
         pairs = bra_refined_pairs(shapes, t, ket_refined(lam, t, len(lam)))
         for mu, val in pairs.items():
             tally.check(val, _ONE if mu == lam else _ZERO, "pair %s | %s", mu, lam)
-    return tally.summary("orthonormality", {"maxWeight": max_weight})
+    return tally.summary("orthonormality", max_weight)
 
 
-def dual_engine(max_weight: int = 4) -> dict:
+def dual_engine(max_weight: int) -> dict:
     """Determinant coefficients equal fermion-engine pairings, with
     one-letter symbolic row alphabets and symbolic t."""
     bx, by = _one_letter_rows(max_weight)
@@ -210,10 +212,10 @@ def dual_engine(max_weight: int = 4) -> dict:
         pairs = bra_refined_pairs(subpartitions(lam), t, ket_general(lam, bx, by, len(lam)))
         for mu, pair in pairs.items():
             tally.check(coeffs.get(mu, _ZERO), pair, "coefficient %s of %s, det against pairing", mu, lam)
-    return tally.summary("dual-engine", {"maxWeight": max_weight})
+    return tally.summary("dual-engine", max_weight)
 
 
-def hall_duality(max_weight: int = 5, truncation: int = 5) -> dict:
+def hall_duality(max_weight: int, truncation: int) -> dict:
     """Stable elements against dual elements under the Hall pairing."""
     t = _vars("t", max_weight + 1)
     shapes = partitions_up_to_weight(max_weight)
@@ -223,7 +225,7 @@ def hall_duality(max_weight: int = 5, truncation: int = 5) -> dict:
         G = stable_grothendieck_schur(lam, t, truncation)
         for mu in shapes:
             tally.check(hall_inner(G, duals[mu]), _ONE if mu == lam else _ZERO, "inner %s , %s", lam, mu)
-    return tally.summary("hall-duality", {"maxWeight": max_weight, "truncation": truncation})
+    return tally.summary("hall-duality", max_weight, truncation)
 
 
 def cauchy() -> dict:
@@ -231,10 +233,10 @@ def cauchy() -> dict:
     tally = _Tally()
     tally.check(*_cauchy_sides(_vars("t", 6), 3, 2, 2), "symbolic t, D=3, n=m=2")
     tally.check(*_cauchy_sides((0,) * 7, 4, 2, 2), "zero t, D=4, n=m=2")
-    return tally.summary("cauchy", {"symbolic": {"D": 3, "n": 2, "m": 2}, "zero": {"D": 4, "n": 2, "m": 2}})
+    return tally.summary("cauchy", symbolic={"D": 3, "n": 2, "m": 2}, zero={"D": 4, "n": 2, "m": 2})
 
 
-def branching(max_weight: int = 5, general_max_weight: int = 3) -> dict:
+def branching(max_weight: int, general_max_weight: int) -> dict:
     """Two-alphabet split: refined case for all shapes up to max_weight,
     then the general mixed case with distinct one-letter alphabets."""
     t = _vars("t", max_weight + 2)
@@ -244,12 +246,10 @@ def branching(max_weight: int = 5, general_max_weight: int = 3) -> dict:
     bx, by = _one_letter_rows(general_max_weight)
     for lam in partitions_up_to_weight(general_max_weight):
         tally.check(*_branching_sides(lam, t, 2, 2, bx, by), "general split of %s", lam)
-    return tally.summary(
-        "branching", {"maxWeight": max_weight, "generalMaxWeight": general_max_weight, "n": 2, "m": 2}
-    )
+    return tally.summary("branching", max_weight, general_max_weight, n=2, m=2)
 
 
-def truncation_stability(max_weight: int = 3, max_rows: int = 3, max_truncation: int = 5) -> dict:
+def truncation_stability(max_weight: int, max_rows: int, max_truncation: int) -> dict:
     """Stable expansion in r variables equals the r-row expansion in r
     variables, for every permitted (r, D)."""
     t = _vars("t", max_truncation + 2)
@@ -261,12 +261,10 @@ def truncation_stability(max_weight: int = 3, max_rows: int = 3, max_truncation:
                 lhs = eval_symfunc(stable_grothendieck_schur(lam, t, D), vs[:r])
                 rhs = eval_symfunc(truncated_dual_expansion(lam, refined_sequence(t), r, D), vs[:r])
                 tally.check(lhs, rhs, "shape %s, r=%s, D=%s", lam, r, D)
-    return tally.summary(
-        "truncation-stability", {"maxWeight": max_weight, "maxRows": max_rows, "maxTruncation": max_truncation}
-    )
+    return tally.summary("truncation-stability", max_weight, max_rows, max_truncation)
 
 
-def beta_chain(max_weight: int = 4, max_dual_weight: int = 5) -> dict:
+def beta_chain(max_weight: int, max_dual_weight: int) -> dict:
     """The one-parameter specialization t = (-beta, -beta, ...): the dual
     expansion matches the fermion evaluation, and the stable expansion
     matches the binomial determinant."""
@@ -287,7 +285,7 @@ def beta_chain(max_weight: int = 4, max_dual_weight: int = 5) -> dict:
             ks = ([mu.part(j + 1) - lam.part(i + 1) + i - j for j in r] for i in r)
             rows = [[beta**k * comb(i, k) if 0 <= k <= i else _ZERO for k in row] for i, row in enumerate(ks)]
             tally.check(G.coefficient(mu), det_over_ring(rows), "binomial coefficient %s -> %s", lam, mu)
-    return tally.summary("beta-chain", {"maxWeight": max_weight, "maxDualWeight": max_dual_weight})
+    return tally.summary("beta-chain", max_weight, max_dual_weight)
 
 
 def _test_vectors() -> list[FockVector]:
@@ -306,7 +304,7 @@ def _anticommutator(a: str, m: int, b: str, n: int, v: FockVector) -> FockVector
     return apply_fermion(a, m, apply_fermion(b, n, v)) + apply_fermion(b, n, apply_fermion(a, m, v))
 
 
-def classical(max_weight: int = 6, window: int = 3, pairing_rows: int = 3) -> dict:
+def classical(max_weight: int, window: int, pairing_rows: int) -> dict:
     """Ground-truth checks: tableau sums, transpose duality, fermion and
     Heisenberg relations over the index window, and the shifted-vacuum
     pairing."""
@@ -369,7 +367,7 @@ def classical(max_weight: int = 6, window: int = 3, pairing_rows: int = 3) -> di
                     if not w:
                         break
                 tally.check(w.coefficient(end), _ONE if ms == ns else _ZERO, "vacuum pairing: m=%s, n=%s", ms, ns)
-    return tally.summary("classical", {"maxWeight": max_weight, "window": window, "pairingRows": pairing_rows})
+    return tally.summary("classical", max_weight, window, pairing_rows)
 
 
 SUITES = {

@@ -2,9 +2,7 @@
 JSON on stdout, machine-readable errors with exit status 2 (usage) or
 1 (computation)."""
 
-import functools
 import importlib
-import inspect
 import io
 import json
 import os
@@ -24,6 +22,7 @@ from multischur.cli import main
 from multischur.exactalg import Scalar, scalar_from_json
 from multischur.expansions import SymFunc, refined_dual_grothendieck, symfunc_from_json, symfunc_to_json
 from multischur.shapes import Partition
+from multischur.suite_sizes import SIZES
 
 x1 = Scalar.variable("x1")
 x2 = Scalar.variable("x2")
@@ -804,8 +803,7 @@ def test_verify_sizes_out_of_order_rejected(monkeypatch, capsys):
         ("beta-chain", "maxDualWeight", [{"maxWeight": 3, "maxDualWeight": 1}, {"maxWeight": 6}, {"maxDualWeight": 3}],
          [{"maxWeight": 6, "maxDualWeight": 6}, {"maxWeight": 5}, {"maxDualWeight": 4}]),
     ]:
-        # the stub keeps the suite's signature, so its defaults
-        monkeypatch.setitem(verifications.SUITES, theorem, functools.wraps(verifications.SUITES[theorem])(record))
+        monkeypatch.setitem(verifications.SUITES, theorem, record)
         for sizes in bad:
             code, out = _invoke(monkeypatch, capsys, {"command": "verify", "theorem": theorem, **sizes})
             assert code == 2, out
@@ -955,9 +953,9 @@ PAST_CAP = {
         {"command": "eval", "f": {"schur": [25]}, "vars": LETTERS[:6]},
     ],
     **{
-        f"{theorem} {key}": _verify_past(theorem, key)
-        for theorem, fields in cli._SUITE_KWARGS.items()
-        for key in fields
+        f"{theorem} {field.name}": _verify_past(theorem, field.name)
+        for theorem, fields in SIZES.items()
+        for field in fields
     },
 }
 
@@ -979,19 +977,17 @@ def test_every_budget_refuses_past_its_cap(monkeypatch, capsys, name):
 
 
 def test_readme_lists_every_budget():
-    caps = {}
+    rows = {}
     for line in (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8").splitlines():
         cells = [c.strip() for c in re.split(r"(?<!\\)\|", line.strip().strip("|"))]
         if line.startswith("| `") and len(cells) >= 3:
-            caps[cells[0].strip("`")] = cells[2]
+            rows[cells[0].strip("`")] = cells[1:3]
     for name, cap in cli._BUDGETS.items():
-        assert caps.get(name) == str(cap), name
-
-
-def test_suite_defaults_match_signatures():
-    for theorem, fields in cli._SUITE_KWARGS.items():
-        params = inspect.signature(verifications.SUITES[theorem]).parameters
-        assert {kwarg: default for kwarg, default, _ in fields.values()} == {k: p.default for k, p in params.items()}
+        assert name in rows and rows[name][1] == str(cap), name
+    # each verify row states the field's default
+    for theorem, fields in SIZES.items():
+        for field in fields:
+            assert rows[f"{theorem} {field.name}"][0] == f"`verify` size, default {field.default}", field
 
 
 # The public names of the package, as `from multischur import *` binds them.
@@ -1046,8 +1042,8 @@ print(json.dumps([ask({MULTISCHUR_REQ!r}), ask({{"command": "verify", "theorem":
     assert code == 0 and loaded == []
     assert verify_code == 0 and verify["passed"] is True
     assert verify_loaded == ["multischur.fock", "multischur.verifications"]
-    # the unknown-theorem check reads the suite table that cli keeps
-    assert set(cli._SUITE_KWARGS) == set(verifications.SUITES)
+    # the unknown-theorem check reads the size table, which loads neither fock nor verifications
+    assert set(SIZES) == set(verifications.SUITES)
 
 
 def test_package_names_each_export_once(monkeypatch):

@@ -16,6 +16,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from multischur import cli
+from multischur.suite_sizes import SIZES
 
 JUNK = st.one_of(
     st.none(),
@@ -126,11 +127,11 @@ def requests(draw):
     field replaced by junk, dropped, or added from another form."""
     command = draw(st.sampled_from(sorted(FORMS) + ["verify"]))
     if command == "verify":
-        theorem = draw(st.one_of(st.sampled_from(sorted(cli._SUITE_KWARGS) + ["other"]), JUNK))
+        theorem = draw(st.one_of(st.sampled_from(sorted(SIZES) + ["other"]), JUNK))
         # every size field is present, so no suite runs at its default
         # sizes (cauchy has none and fixed cases)
-        fields = cli._SUITE_KWARGS.get(theorem, {}) if isinstance(theorem, str) else {}
-        sizes = {key: draw(_or_junk(st.integers(1, 3))) for key in fields}
+        fields = SIZES.get(theorem, ()) if isinstance(theorem, str) else ()
+        sizes = {field.name: draw(_or_junk(st.integers(1, 3))) for field in fields}
         return {"command": command, "theorem": theorem, **sizes}
     req = {"command": command}
     for name in draw(st.sampled_from(FORMS[command])):
@@ -212,7 +213,7 @@ def test_an_unknown_key_is_one_usage_error(request, key, data):
 @settings(max_examples=100, deadline=None)
 def test_a_junk_command_or_theorem_is_one_usage_error(name, as_theorem):
     if as_theorem:
-        assume(not (isinstance(name, str) and name in cli._SUITE_KWARGS))
+        assume(not (isinstance(name, str) and name in SIZES))
         request = {"command": "verify", "theorem": name}
     else:
         # any command misses a field or has one it does not read

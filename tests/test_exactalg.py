@@ -164,6 +164,12 @@ def _perm_det(rows):
 def test_det_matches_permutation_sum(n, data):
     rows = [[data.draw(scalars()) for _ in range(n)] for _ in range(n)]
     assert det_over_ring(rows) == _perm_det(rows)
+    # dense integer matrices at n = 5 and 6: no entry is zero, so every
+    # Laplace term of every minor counts
+    entry = st.integers(min_value=-9, max_value=9).filter(bool).map(Scalar.from_rational)
+    for n in (5, 6):
+        rows = data.draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=n, max_size=n))
+        assert det_over_ring(rows) == _perm_det(rows)
 
 
 def test_det_identity_and_swap():

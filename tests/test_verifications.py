@@ -8,6 +8,7 @@ import pytest
 from multischur import verifications
 from multischur.exactalg import Scalar
 from multischur.expansions import SymFunc
+from multischur.suite_sizes import SIZES
 from multischur.verifications import (
     _CUT,
     SUITES,
@@ -43,6 +44,24 @@ def test_suite_registry_complete():
         "classical",
     }
     assert SUITES["orthonormality"] is orthonormality
+
+
+# The sizes a suite fixes itself and reports besides its table fields.
+EXTRAS = {"cauchy": {"symbolic", "zero"}, "branching": {"n", "m"}}
+
+
+@pytest.mark.parametrize("theorem", sorted(SUITES))
+def test_suite_reports_its_table_fields(theorem):
+    """A suite takes its table keywords and reports each size under its
+    table name, the fields in table order given 1, 2, 3."""
+    assert set(SIZES) == set(SUITES)
+    given = {field.name: k for k, field in enumerate(SIZES[theorem], 1)}
+    for field in SIZES[theorem]:
+        assert 1 <= field.default <= field.cap
+    summary = SUITES[theorem](**{field.keyword: given[field.name] for field in SIZES[theorem]})
+    assert summary["passed"]
+    assert summary["parameters"].keys() == given.keys() | EXTRAS.get(theorem, set())
+    assert {name: summary["parameters"][name] for name in given} == given
 
 
 def test_orthonormality_small():
