@@ -17,9 +17,9 @@ import argparse
 import json
 import re
 import sys
+from collections.abc import Iterable, Mapping, Sequence
 from fractions import Fraction
 from itertools import accumulate, chain, islice
-from typing import Iterable, Mapping, Sequence
 
 from .exactalg import DimensionError, Scalar, UnboundIndeterminateError, scalar_from_json, scalar_to_json
 from .expansions import (

@@ -14,6 +14,8 @@ Fraction back into an `int`, so almost all arithmetic stays on ints.
 Zero is the empty mapping, and equality is structural on this canonical
 form.  The public constructor validates its coefficients; the ring
 operations build their results through the unchecked `Scalar._trusted`.
+A product with a one-term factor, the common case, sums nothing:
+multiplying by a monomial is injective on monomials.
 
 Term order.  Names are ordered by plain string comparison; that order is
 fixed across the package.  Serialized terms are listed in graded
@@ -23,8 +25,9 @@ monomial pair tuples.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Iterator, Mapping, Sequence
 from fractions import Fraction
-from typing import Iterable, Iterator, Mapping, Sequence, Union
+from typing import Union
 
 Monomial = tuple[tuple[str, int], ...]
 Coefficient = Union[int, Fraction]
@@ -121,6 +124,18 @@ class Scalar:
 
     def __mul__(self, other: ScalarLike) -> "Scalar":
         other = coerce_scalar(other)
+        one, rest = (other._terms, self._terms) if len(other._terms) == 1 else (self._terms, other._terms)
+        if len(one) == 1:
+            # times one term: m -> m0 m is injective, and a product of nonzero
+            # coefficients is nonzero, so no two terms meet and none cancels
+            ((m0, c0),) = one.items()
+            terms = {}
+            for m, c in rest.items():
+                c *= c0
+                terms[_merge_monomials(m0, m) if m0 and m else m0 or m] = (
+                    c if type(c) is int or c.denominator != 1 else c.numerator
+                )
+            return Scalar._trusted(terms)
         terms: dict[Monomial, Coefficient] = {}
         for m1, c1 in self._terms.items():
             for m2, c2 in other._terms.items():
@@ -214,6 +229,11 @@ _ONE = Scalar._trusted({(): 1})
 
 
 def _merge_monomials(a: Monomial, b: Monomial) -> Monomial:
+    """The product of two nonempty monomials."""
+    if a[-1][0] < b[0][0]:  # every name of a sorts before every name of b
+        return a + b
+    if b[-1][0] < a[0][0]:
+        return b + a
     exps: dict[str, int] = dict(a)
     for name, e in b:
         exps[name] = exps.get(name, 0) + e
@@ -221,7 +241,7 @@ def _merge_monomials(a: Monomial, b: Monomial) -> Monomial:
 
 
 def coerce_scalar(value: ScalarLike) -> Scalar:
-    if isinstance(value, Scalar):
+    if type(value) is Scalar or isinstance(value, Scalar):
         return value
     if isinstance(value, (int, Fraction)):
         return Scalar.from_rational(value)
@@ -231,11 +251,12 @@ def coerce_scalar(value: ScalarLike) -> Scalar:
 def collect(pairs: Iterable[tuple]) -> dict:
     """Sum the coefficients of equal keys as Scalars, keeping keys in
     order of first appearance and dropping every key whose sum is zero.
-    The one summation rule of every sparse combination: SymFunc and
-    FockVector."""
+    The summation rule of the SymFunc and FockVector constructors, of
+    their + and of a_m; fock's strip step applies it in place."""
     out: dict = {}
     for key, coeff in pairs:
-        coeff = coerce_scalar(coeff)
+        if type(coeff) is not Scalar:
+            coeff = coerce_scalar(coeff)
         acc = out.get(key)
         if acc is not None:
             coeff = acc + coeff

@@ -20,9 +20,9 @@ so its determinant lands in the Schur basis with no second ring.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Iterator, Mapping, Sequence
 from functools import lru_cache
 from itertools import chain
-from typing import Iterable, Iterator, Mapping, Sequence
 
 from .exactalg import Scalar, ScalarLike, _json_object, coerce_scalar, collect, scalar_from_json, scalar_to_json
 from .shapes import (

@@ -12,7 +12,8 @@ only for items() and states().  The operators build their results
 through the unchecked FockVector._trusted.  psi_m and psi*_m are
 injective on basis states (each undoes the other on every state it does
 not kill), so their terms never meet: one dict, with no sum.  The other
-operators can send two states to one; they sum through exactalg.collect.
+operators can send two states to one: the constructor, + and a_m sum
+through exactalg.collect, and the strip step sums in place by its rule.
 
 The operators:
 
@@ -49,9 +50,9 @@ the determinant route: it imports exactalg and shapes alone.
 from __future__ import annotations
 
 from collections import namedtuple
+from collections.abc import Iterable, Mapping, Sequence
 from functools import lru_cache
 from itertools import chain
-from typing import Iterable, Mapping, Sequence
 
 from .exactalg import Scalar, ScalarLike, coerce_scalar, collect
 from .shapes import ChargeError, Partition, as_alphabet, horizontal_strips
@@ -62,12 +63,6 @@ PSI_STAR = "psi_star"
 _ONE = Scalar.one()
 _ZERO = Scalar.zero()
 _EMPTY = Partition()
-
-
-def _check_mode(mode: str) -> str:
-    if mode not in (PSI, PSI_STAR):
-        raise ValueError(f"unknown fermion mode: {mode!r}")
-    return mode
 
 
 class MayaState(namedtuple("MayaState", "charge parts")):
@@ -223,7 +218,12 @@ def vacuum_ket(charge: int = 0) -> FockVector:
 
 def apply_fermion(mode: str, m: int, v: FockVector) -> FockVector:
     """psi_m or psi*_m on v, one term per surviving state: no sum."""
-    act, shift = (_create, 1) if _check_mode(mode) == PSI else (_annihilate, -1)
+    if mode == PSI:
+        act, shift = _create, 1
+    elif mode == PSI_STAR:
+        act, shift = _annihilate, -1
+    else:
+        raise ValueError(f"unknown fermion mode: {mode!r}")
     c = v._charge
     if c is None:
         return v
@@ -276,18 +276,24 @@ def _exp_letter(t: Scalar, vertical: bool, v: FockVector) -> FockVector:
     """e^{H(t)} v, or e^{-H(t)} v when vertical: each |lam> goes to the
     sum of t^{|lam/mu|} |mu> over horizontal strips lam/mu, or of
     (-t)^{|lam/mu|} |mu> over vertical strips."""
-    if not t or not v:
+    if not (t and v._terms):
         return v
     powers = [_ONE, -t if vertical else t]
-
-    def pairs():
-        for lam, coeff in v._terms.items():
-            for mu, k in _strips(lam, vertical):
-                while len(powers) <= k:
-                    powers.append(powers[-1] * powers[1])
-                yield mu, coeff * powers[k] if k else coeff
-
-    return FockVector._trusted(v._charge, collect(pairs()))
+    terms: dict[Partition, Scalar] = {}  # summed as `collect` sums
+    for lam, coeff in v._terms.items():
+        for mu, k in _strips(lam, vertical):
+            while len(powers) <= k:
+                powers.append(powers[-1] * powers[1])
+            # nonzero: a product of nonzero Scalars, so only a sum is tested
+            c = coeff * powers[k] if k else coeff
+            acc = terms.get(mu)
+            if acc is None:
+                terms[mu] = c
+            elif acc := acc + c:
+                terms[mu] = acc
+            else:
+                del terms[mu]
+    return FockVector._trusted(v._charge, terms)
 
 
 def apply_exp_H(x: Iterable, y: Iterable, sign: int, v: FockVector) -> FockVector:
@@ -380,18 +386,19 @@ def _bra_walk(rows: Mapping[Partition, int], t: Sequence, v: FockVector) -> dict
     if len(t) < need:
         raise ValueError(f"refined sequence needs {need} letters, got {len(t)}")
     out = dict.fromkeys(rows)  # in the order of rows
-    stack = [(list(rows), 1, v)]  # bras that share steps 1..i-1, and w after them
+    stack = [(list(rows.items()), 1, v)]  # the (mu, r) that share steps 1..i-1, and w after them
     while stack:
-        mus, i, w = stack.pop()
-        if not w:
-            out.update(dict.fromkeys(mus, _ZERO))
+        bras, i, w = stack.pop()
+        if not w._terms:
+            out.update((mu, _ZERO) for mu, _ in bras)
             continue
-        branches: dict[int, list[Partition]] = {}
-        for mu in mus:
-            if rows[mu] < i:
-                out[mu] = w.coefficient(MayaState(1 - i, _EMPTY))
+        branches: dict[int, list[tuple[Partition, int]]] = {}
+        for bra in bras:
+            mu, r = bra
+            if r < i:  # w has charge 1 - i
+                out[mu] = w._terms.get(_EMPTY, _ZERO)
             else:
-                branches.setdefault(mu.part(i), []).append(mu)
+                branches.setdefault(mu[i - 1] if i <= len(mu) else 0, []).append(bra)
         for part, group in branches.items():
             step = apply_fermion(PSI_STAR, part - i, w)
             stack.append((group, i + 1, _exp_letter(t[i - 1], True, step)))

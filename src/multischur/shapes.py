@@ -15,10 +15,10 @@ compare and hash equal.
 from __future__ import annotations
 
 from collections import namedtuple
+from collections.abc import Iterable, Iterator, Mapping, Sequence
 from functools import lru_cache
 from itertools import chain, product
 from operator import index
-from typing import Iterable, Iterator, Mapping, Sequence
 
 from .exactalg import Scalar, coerce_scalar
 

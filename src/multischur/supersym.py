@@ -23,8 +23,7 @@ entries by index; nothing here is cached beyond one `_jt`.
 
 from __future__ import annotations
 
-from functools import cache
-from typing import Iterable, Sequence
+from collections.abc import Iterable, Sequence
 
 from .exactalg import Scalar, _laplace
 from .shapes import Partition, as_alphabet, negate_alphabet
@@ -93,7 +92,13 @@ def _jt(lam: Partition, entry, keys=_values, zero=_ZERO, one=_ONE):
     """det(mu, n) = det( entry(lam_i - i - c_j, i, *rest_j) ), i, j = 1..n,
     for the column keys (c_j, *rest_j) = keys(mu, n).  The determinants
     share one memo of minors and compute each entry once."""
-    at = cache(lambda i, key: entry(lam.part(i) - i - key[0], i, *key[1:]))
+    entries = {}
+
+    def at(i, key):
+        if (i, key) not in entries:
+            entries[i, key] = entry(lam.part(i) - i - key[0], i, *key[1:])
+        return entries[i, key]
+
     memo = {(): one}
     return lambda mu, n: _laplace(keys(mu, n), at, memo, zero)
 

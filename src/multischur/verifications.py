@@ -21,10 +21,10 @@ cross-check, not a tautology.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from fractions import Fraction
 from itertools import combinations
 from math import comb
-from typing import Sequence
 
 from .exactalg import Scalar, det_over_ring
 from .fock import (

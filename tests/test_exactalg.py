@@ -8,6 +8,7 @@ from multischur.exactalg import (
     DimensionError,
     Scalar,
     UnboundIndeterminateError,
+    _merge_monomials,
     coerce_scalar,
     collect,
     det_over_ring,
@@ -292,6 +293,13 @@ def test_canonical_form_stores_integers_as_int():
     assert type((half + half)._terms[()]) is int
     assert type((2 * half)._terms[()]) is int
     assert type((x / 2 + x / 2)._terms[(("x", 1),)]) is int
+    # products with a one-term factor, on either side
+    two_thirds, three_halves = Scalar.from_rational(Fraction(2, 3)), Scalar.from_rational(Fraction(3, 2))
+    assert type((two_thirds * three_halves)._terms[()]) is int
+    assert (-two_thirds * (three_halves * x))._terms == {(("x", 1),): -1}
+    assert type((-two_thirds * (three_halves * x))._terms[(("x", 1),)]) is int
+    assert ((3 * x + y) * two_thirds)._terms == {(("x", 1),): 2, (("y", 1),): Fraction(2, 3)}
+    assert type(((3 * x + y) * two_thirds)._terms[(("x", 1),)]) is int
     three = Scalar({(): Fraction(3)})
     assert type(three._terms[()]) is int
     assert three == Scalar.from_rational(3)
@@ -315,3 +323,38 @@ def test_rational_results_are_fractions():
     assert type(scalar_eval(2 * x, {"x": 3})) is Fraction
     assert scalar_eval(2 * x, {"x": 3}) == 6
     assert Scalar.from_rational(3).as_rational() == Fraction(3)
+
+
+_NAMES = st.sampled_from(["a", "x", "x1", "x10", "x2", "y", "z"])
+_MONOMIALS = st.dictionaries(_NAMES, st.integers(1, 3), max_size=4).map(lambda exps: tuple(sorted(exps.items())))
+_COEFFS = st.one_of(st.sampled_from(_HALVES), st.integers(-3, 3).filter(bool).map(Fraction))
+
+
+@example((("x", 1),), (("y", 2), ("z", 1)))  # every name of a before every name of b
+@example((("y", 2), ("z", 1)), (("x", 1),))  # and after
+@example((("x", 1), ("z", 1)), (("y", 1),))  # interleaved
+@example((("x", 1), ("y", 1)), (("y", 2), ("z", 3)))  # overlapping
+@example((("x", 1),), (("x", 2),))
+@example((("x10", 1),), (("x2", 1),))  # plain string order: "x10" < "x2"
+@given(_MONOMIALS.filter(bool), _MONOMIALS.filter(bool))
+@settings(max_examples=200, deadline=None)
+def test_merge_monomials_matches_dict_sum_oracle(a, b):
+    assert _merge_monomials(a, b) == _merge_monomials(b, a) == _oracle_merge(a, b)
+
+
+@example(((), Fraction(2, 3)), (Scalar({(("x", 1),): Fraction(3, 2)}), {(("x", 1),): Fraction(3, 2)}))
+@example(((), Fraction(-2, 3)), (Scalar({(): Fraction(-3, 2), (("y", 1),): 3}), {(): Fraction(-3, 2), (("y", 1),): 3}))
+@example(((("x", 1),), Fraction(1)), (Scalar.zero(), {}))
+@given(st.tuples(_MONOMIALS, _COEFFS), oracle_pairs())
+@settings(max_examples=150, deadline=None)
+def test_one_term_products_match_term_by_term_oracle(term, pb):
+    """A one-term factor on either side: every term of the other factor is
+    multiplied by it, and each product lands on its own monomial."""
+    (m0, c0), (b, ob) = term, pb
+    one = Scalar({m0: c0})
+    want = {_oracle_merge(m0, m): c0 * c for m, c in ob.items()}
+    for got in (one * b, b * one):
+        assert _canonical(got) == want
+        assert list(got._terms) == list(want)  # in the order of the other factor, like the general product
+    assert _canonical(one * one) == {_oracle_merge(m0, m0): c0 * c0}
+    assert one * Scalar.zero() == Scalar.zero() * one == Scalar.zero()

@@ -769,6 +769,14 @@ def test_summing_operators_drop_cancelled_terms():
     got = fock._exp_letter(t1, False, v)
     assert got.items() == ((MayaState(0, (1,)), Scalar.one()),)
     assert got == oracle_exp_letter(t1, False, v)
+    # then |2> adds t1^2 |0> back: the sum drops the cancelled |0> and
+    # takes it up again, keeping no zero coefficient
+    v = FockVector({MayaState(0, (1,)): 1, MayaState(0, ()): -t1, MayaState(0, (2,)): 1})
+    got = fock._exp_letter(t1, False, v)
+    assert got.items() == oracle_exp_letter(t1, False, v).items()  # in collect's order too: |0> last
+    assert got.coefficient(MayaState(0, ())) == t1 * t1
+    assert got.coefficient(MayaState(0, (1,))) == 1 + t1
+    assert len(got.items()) == 3 and all(c for _, c in got.items())
     # a_1 |1,1> = a_1 |2> = |1> at charge 0, so a_1 (|1,1> - |2>) = 0
     w = FockVector({MayaState(0, (1, 1)): 1, MayaState(0, (2,)): -1})
     assert apply_heisenberg(1, w) == oracle_heisenberg(1, w) == FockVector()
