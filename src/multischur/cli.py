@@ -456,17 +456,16 @@ _COMMANDS = {
 }
 
 
-def _answer(request: Mapping, form: str) -> object:
-    """Check `request` against its `form` before any work, then answer it."""
-    _check(request, form)
-    return _COMMANDS[request["command"]](request, form)
-
-
 def run(request: Mapping) -> object:
-    """Dispatch one request; raises on invalid input or failed computation."""
+    """Answer one request: pick its form, refuse any key that form does
+    not read, then dispatch, all before any work.  A malformed request
+    raises UsageError, a failed computation one of the other errors that
+    `main` reports by type."""
     if not isinstance(request, Mapping):
         raise UsageError("request must be a JSON object")
-    return _answer(request, _form(request))
+    form = _form(request)
+    _check(request, form)
+    return _COMMANDS[request["command"]](request, form)
 
 
 _ERROR_TYPES = [
@@ -485,50 +484,35 @@ def _emit(payload: object) -> None:
     sys.stdout.write(json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n")
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message: str):  # a bad argument list gets one JSON outcome too
+        raise UsageError(message)
+
+
 # Built once: parse_args returns a fresh namespace on every call.
-_PARSER = argparse.ArgumentParser(
-    prog="multischur",
-    description="Exact expansions, inner products, and verification suites.",
-)
-_PARSER.add_argument("--command", help="override or supply the request command")
-_PARSER.add_argument("--input", help="read the JSON request from a file instead of stdin")
-_PARSER.add_argument("--max-weight", type=int, help="default maxWeight for verify requests")
-_PARSER.add_argument("--truncation", type=int, help="default D for expand requests")
-_PARSER.add_argument("--seed", type=int, help="recorded in verify output; suites are exhaustive")
+_PARSER = _Parser(prog="multischur", description="Exact expansions, inner products, and verification suites.")
+_PARSER.add_argument("--input", metavar="FILE", help="read the JSON request from a file instead of stdin")
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    args = _PARSER.parse_args(argv)
-
-    operation = "parse"
+    request = None
     try:
-        if args.input is not None:
-            with open(args.input, "r", encoding="utf-8") as fh:
-                text = fh.read().strip()
-        else:
-            text = "" if sys.stdin.isatty() else sys.stdin.read().strip()
+        args = _PARSER.parse_args(argv)
         try:
+            if args.input is not None:
+                with open(args.input, "r", encoding="utf-8") as fh:
+                    text = fh.read().strip()
+            else:
+                text = "" if sys.stdin.isatty() else sys.stdin.read().strip()
             request = json.loads(text) if text else {}
-        except json.JSONDecodeError as e:
+        except (UnicodeError, RecursionError, json.JSONDecodeError) as e:  # not UTF-8, nested too deep, not JSON
             raise UsageError(f"request is not valid JSON: {e}") from e
-        if not isinstance(request, dict):
-            raise UsageError("request must be a JSON object")
-        if args.command is not None:
-            request["command"] = args.command
-        operation = request["command"] if isinstance(request.get("command"), str) else operation
-        # a flag fills its field only in a form that reads it and leaves it out
-        form = _form(request)
-        for value, names in ((args.max_weight, ("maxWeight",)), (args.truncation, _D), (args.seed, ("seed",))):
-            if value is not None and names[0] in _FORMS[form] and not any(name in request for name in names):
-                request[names[0]] = value
-        _emit(_answer(request, form))
+        _emit(run(request))
         return 0
     except Exception as e:  # every request gets one JSON outcome, never a traceback
         name = next((name for etype, name in _ERROR_TYPES if isinstance(e, etype)), "internal")
         message = f"{type(e).__name__}: {e}" if name == "internal" else str(e)
+        command = request.get("command") if isinstance(request, dict) else None
+        operation = command if isinstance(command, str) else "parse"
         _emit({"error": {"type": name, "operation": operation, "message": message}})
         return 2 if name == "usage" else 1
-
-
-if __name__ == "__main__":
-    sys.exit(main())

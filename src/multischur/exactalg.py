@@ -348,10 +348,13 @@ def scalar_from_json(data: Iterable[Mapping]) -> Scalar:
     terms: dict[Monomial, Fraction] = {}
     for item in data:
         _json_object(item, {"coefficient", "monomial"}, "a serialized term")
+        coeff = item["coefficient"]
+        if isinstance(coeff, bool) or not isinstance(coeff, (str, int)):
+            raise ValueError(f"a coefficient is a string or an integer: {coeff!r}")
         try:
-            coeff = Fraction(str(item["coefficient"]))
+            coeff = Fraction(coeff)
         except ZeroDivisionError as e:
-            raise ValueError(f"zero denominator in coefficient {item['coefficient']!r}") from e
+            raise ValueError(f"zero denominator in coefficient {coeff!r}") from e
         mono_map = item.get("monomial", {})
         if not isinstance(mono_map, Mapping):
             raise TypeError(f"a monomial must map names to exponents: {mono_map!r}")

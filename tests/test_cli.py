@@ -108,45 +108,29 @@ def test_verify_request(monkeypatch, capsys):
 
 def test_verify_seed_recorded(monkeypatch, capsys):
     req = {"command": "verify", "theorem": "cauchy"}
-    code, out = _invoke(monkeypatch, capsys, req, argv=["--seed", "9"])
-    assert code == 0
-    assert json.loads(out)["parameters"]["seed"] == 9
     code, out = _invoke(monkeypatch, capsys, {**req, "seed": 4})
     assert code == 0
     assert json.loads(out)["parameters"]["seed"] == 4
-    for seed in ({"x": [1, 2]}, True, 1.5):  # a seed is a JSON integer, like --seed
+    for seed in ({"x": [1, 2]}, True, 1.5):  # a seed is a JSON integer
         _assert_usage_error(monkeypatch, capsys, {**req, "seed": seed})
 
 
-def test_flags_do_not_leak_between_calls(monkeypatch, capsys):
-    req = {"command": "verify", "theorem": "orthonormality", "maxWeight": 1}
-    code, out = _invoke(monkeypatch, capsys, req, argv=["--seed", "5"])
-    assert code == 0
-    assert json.loads(out)["parameters"] == {"maxWeight": 1, "seed": 5}
-    code, out = _invoke(monkeypatch, capsys, req)
-    assert code == 0
-    assert json.loads(out)["parameters"] == {"maxWeight": 1}
+def test_bad_argument_list_is_one_usage_error(monkeypatch, capsys):
+    """An unknown option, a removed flag or --input without a file is one
+    JSON usage error, with nothing on stderr and no SystemExit."""
+    for argv in (["--bogus"], ["--input"], ["--max-weight", "2"], ["--seed", "9"], ["2"]):
+        monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(MULTISCHUR_REQ)))
+        code = main(argv)
+        out, err = capsys.readouterr()
+        assert code == 2 and out.count("\n") == 1 and err == "", (argv, out, err)
+        assert json.loads(out)["error"]["type"] == "usage"
 
 
-def test_max_weight_flag_merges(monkeypatch, capsys):
-    req = {"command": "verify", "theorem": "orthonormality"}
-    code, out = _invoke(monkeypatch, capsys, req, argv=["--max-weight", "2"])
-    assert code == 0
-    assert json.loads(out)["parameters"] == {"maxWeight": 2}
-
-
-def test_truncation_flag_merges(monkeypatch, capsys):
-    req = {"command": "expand", "lambda": [1], "basis": "stable", "t": ["t1", "t2"]}
-    code, out = _invoke(monkeypatch, capsys, req, argv=["--truncation", "3"])
-    assert code == 0
-    assert json.loads(out)["truncation"] == 3
-
-
-def test_command_flag_merges(monkeypatch, capsys):
-    req = {k: v for k, v in MULTISCHUR_REQ.items() if k != "command"}
-    code, out = _invoke(monkeypatch, capsys, req, argv=["--command", "multischur"])
-    assert code == 0
-    assert scalar_from_json(json.loads(out)) == x1 * x2 + t1 * x1 + t1 * x2
+def test_help_prints_usage(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    assert "--input FILE" in capsys.readouterr().out
 
 
 def test_input_file(monkeypatch, capsys, tmp_path):
@@ -225,6 +209,29 @@ def test_invalid_json(monkeypatch, capsys):
     assert code == 2
     assert err["type"] == "usage"
     assert err["operation"] == "parse"
+
+
+def test_request_text_not_utf8_is_a_usage_error(monkeypatch, capsys, tmp_path):
+    """The same bytes give the same error from a file and from stdin."""
+    text = b'{"command": "\xff"}'
+    path = tmp_path / "req.json"
+    path.write_bytes(text)
+    monkeypatch.setattr(sys, "stdin", io.StringIO(""))
+    outs = [(main(["--input", str(path)]), capsys.readouterr().out)]
+    monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(text), encoding="utf-8"))
+    outs.append((main([]), capsys.readouterr().out))
+    for code, out in outs:
+        err = json.loads(out)["error"]
+        assert code == 2 and err["type"] == "usage", out
+        assert err["message"].startswith("request is not valid JSON")
+    assert outs[0] == outs[1]
+
+
+def test_request_nested_too_deep_is_a_usage_error(monkeypatch, capsys):
+    code, out = _invoke(monkeypatch, capsys, "[" * 100_000 + "]" * 100_000)
+    err = json.loads(out)["error"]
+    assert code == 2 and err["type"] == "usage", out
+    assert err["message"].startswith("request is not valid JSON")
 
 
 def test_unknown_theorem(monkeypatch, capsys):
@@ -373,8 +380,6 @@ def test_verify_parameters_below_one_rejected(monkeypatch, capsys):
     ]:
         req = {"command": "verify", "theorem": theorem, key: value}
         _assert_usage_error(monkeypatch, capsys, req)
-    code, _ = _invoke(monkeypatch, capsys, {"command": "verify", "theorem": "orthonormality"}, argv=["--max-weight", "0"])
-    assert code == 2
 
 
 def test_non_list_sequence_rows_rejected(monkeypatch, capsys):
@@ -424,9 +429,6 @@ def test_verify_caps(monkeypatch, capsys):
             assert code == 1, out
             assert json.loads(out)["error"]["type"] == "tractability"
             assert ran == []
-    req = {"command": "verify", "theorem": "orthonormality"}
-    code, out = _invoke(monkeypatch, capsys, req, argv=["--max-weight", "9"])
-    assert code == 1 and json.loads(out)["error"]["type"] == "tractability"
 
 
 def test_degree_and_row_bounds_rejected(monkeypatch, capsys):
@@ -482,6 +484,13 @@ def test_zero_denominator_rejected(monkeypatch, capsys):
     f = {"terms": [{"partition": [1], "coeff": [{"coefficient": "1/0"}]}]}
     _assert_usage_error(monkeypatch, capsys, {"command": "eval", "f": f, "vars": ["x1"]})
     _assert_usage_error(monkeypatch, capsys, {"command": "inner", "f": f, "g": {"schur": [1]}})
+
+
+def test_float_coefficient_rejected(monkeypatch, capsys):
+    # a JSON float reaches the parser already rounded: 1e-400 is 0.0
+    for coefficient in ("1.5", "2.0", "1e-400", "true"):
+        letter = '{"coefficient": %s, "monomial": {"x1": 1}}' % coefficient
+        _assert_usage_error(monkeypatch, capsys, '{"command": "multischur", "lambda": [1], "bx": [[%s]]}' % letter)
 
 
 def test_bad_truncation_rejected(monkeypatch, capsys):

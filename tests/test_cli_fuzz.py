@@ -1,10 +1,10 @@
 """Property tests of the request boundary: every request, well-formed or
-not, gets exactly one JSON document on stdout, an exit status of 0, 1 or
-2, and nothing on stderr; a key that its form does not read, at the top
-or in a nested object, and a command or theorem that names no form are
-each one usage error; and a flag whose field the form does not read
-changes nothing.  The requests are built from the fields of every
-command, each filled with a valid value or with junk, at small sizes."""
+not, and every argument list gets exactly one JSON document on stdout,
+an exit status of 0, 1 or 2, and nothing on stderr; a key that its form
+does not read, at the top or in a nested object, and a command or
+theorem that names no form are each one usage error.  The requests are
+built from the fields of every command, each filled with a valid value
+or with junk, at small sizes."""
 
 import contextlib
 import copy
@@ -224,15 +224,17 @@ def test_a_junk_command_or_theorem_is_one_usage_error(name, as_theorem):
     assert json.loads(out)["error"]["operation"] == (command if isinstance(command, str) else "parse")
 
 
-FLAG_FIELDS = {"--max-weight": "maxWeight", "--truncation": "D", "--seed": "seed"}
+# Option-like and plain tokens, never -h nor a prefix of --help, which print usage and exit.
+ARG_TOKENS = ["--bogus", "--max-weight", "--truncation", "--seed", "--command", "--input", "--input=", "-x", "2", ""]
 
 
-@given(requests(), st.sampled_from(sorted(FLAG_FIELDS)), st.integers(1, 3))
+@given(st.lists(st.sampled_from(ARG_TOKENS), max_size=4))
 @settings(max_examples=100, deadline=None)
-def test_a_flag_whose_field_the_form_does_not_read_changes_nothing(request, flag, value):
-    try:
-        reads = cli._FORMS[cli._form(request)]
-    except cli.UsageError:
-        reads = set()
-    assume(FLAG_FIELDS[flag] not in reads)
-    assert _ask(request, [flag, str(value)]) == _ask(request)
+def test_every_argument_list_gets_one_json_outcome(argv):
+    """No SystemExit and no argparse text on stderr: a bad argument list is
+    one usage error, and an --input naming no readable file one io error."""
+    code, out = _ask({"command": "multischur", "lambda": [1], "bx": [["x1"]]}, argv)
+    assert code in (0, 1, 2), (argv, out)
+    assert out.endswith("\n") and out.count("\n") == 1, (argv, out)
+    doc = json.loads(out)
+    assert (code == 0) != (isinstance(doc, dict) and "error" in doc), (argv, out)

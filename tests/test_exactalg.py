@@ -1,3 +1,4 @@
+import json
 from fractions import Fraction
 from itertools import permutations
 
@@ -107,6 +108,15 @@ def test_json_rejects_non_integer_exponent():
 def test_json_rejects_zero_denominator():
     with pytest.raises(ValueError):
         scalar_from_json([{"coefficient": "1/0", "monomial": {"x": 1}}])
+
+
+def test_json_coefficient_is_a_string_or_an_integer():
+    # a JSON float arrives rounded: 1e-400 parses as 0.0, and would give the zero scalar
+    for coefficient in ("1.5", "2.0", "1e-400", "true"):
+        with pytest.raises(ValueError):
+            scalar_from_json(json.loads('[{"coefficient": %s, "monomial": {"x": 1}}]' % coefficient))
+    assert scalar_from_json([{"coefficient": -3, "monomial": {"x": 1}}]) == x * -3
+    assert scalar_from_json([{"coefficient": "1e-2", "monomial": {}}]) == Scalar.from_rational(Fraction(1, 100))
 
 
 def test_json_rejects_unknown_term_keys():

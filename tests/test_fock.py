@@ -1,3 +1,4 @@
+import random
 import sys
 from fractions import Fraction
 
@@ -6,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from multischur import fock, shapes, verifications
 from multischur.exactalg import Scalar, variables
+from multischur.expansions import expand_in_refined_basis
 from multischur.fock import (
     PSI,
     PSI_STAR,
@@ -539,6 +541,68 @@ def test_dual_engine_catches_a_fault_in_h_series(monkeypatch):
             monkeypatch.setattr(module, "h_series", drops_last_x)
     assert h_super(1, (x1, x2), ()) == x1  # h_super reads the patched series
     assert not verifications.dual_engine(3)["passed"]
+
+
+LETTER_NAMES = variables("x1 x2 y1 y2 t1")
+
+
+def _random_letter(rng: random.Random) -> Scalar:
+    """A symbolic, zero, negative, rational or linear-combination letter over
+    a few names, so that letters repeat within and across x, y and t."""
+    name = rng.choice(LETTER_NAMES)
+    kind = rng.randrange(5)
+    if kind == 0:
+        return name
+    if kind == 1:
+        return Scalar.zero()
+    if kind == 2:
+        return -name
+    if kind == 3:
+        return Scalar.from_rational(Fraction(rng.choice((-3, -2, -1, 1, 2, 3)), rng.randint(1, 3)))
+    return name * Fraction(rng.randint(1, 3), rng.randint(1, 2)) - rng.choice(LETTER_NAMES)
+
+
+def _random_cross_check(trials: int, seed: int) -> tuple[int, int]:
+    """(pairs, mismatches): expand_in_refined_basis against bra_refined_pairs
+    on ket_general, for random lambda of weight <= 5, rows of 0-3 random
+    letters in bx and by, and len(lambda) + 3 random letters in t."""
+    rng = random.Random(seed)
+    shapes = partitions_up_to_weight(5)
+    pairs = mismatches = 0
+    for _ in range(trials):
+        lam = rng.choice(shapes)
+        bx, by = (
+            prefix_sequence(*([_random_letter(rng) for _ in range(rng.randint(0, 3))] for _ in range(len(lam))))
+            for _ in range(2)
+        )
+        t = [_random_letter(rng) for _ in range(len(lam) + 3)]
+        coeffs = expand_in_refined_basis(lam, bx, by, t)
+        for mu, pair in bra_refined_pairs(subpartitions(lam), t, ket_general(lam, bx, by, len(lam))).items():
+            pairs += 1
+            mismatches += coeffs.get(mu, Scalar.zero()) != pair
+    return pairs, mismatches
+
+
+def test_random_rows_agree_across_routes():
+    """The suites pass fock only symbolic letters, one per row; numeric,
+    zero and repeated letters reach the early return and the numeric
+    powers of the strip step only here."""
+    pairs, mismatches = _random_cross_check(200, seed=0)
+    assert pairs > 1000
+    assert mismatches == 0
+
+
+def test_random_rows_catch_a_dropped_y_letter(monkeypatch):
+    """The same draw fails when the fermion route drops the second y letter,
+    so the check above cannot pass for want of multi-letter rows."""
+    real = fock.apply_exp_H
+
+    def drops_second_y(x, y, sign, v):
+        y = as_alphabet(y)
+        return real(x, y[:1] + y[2:], sign, v)
+
+    monkeypatch.setattr(fock, "apply_exp_H", drops_second_y)
+    assert _random_cross_check(200, seed=0)[1] > 0
 
 
 def test_fermion_steps_build_valid_shapes():
