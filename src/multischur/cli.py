@@ -21,11 +21,19 @@ from collections.abc import Iterable, Mapping, Sequence
 from fractions import Fraction
 from itertools import accumulate, chain, islice
 
-from .exactalg import DimensionError, Scalar, UnboundIndeterminateError, scalar_from_json, scalar_to_json
+from .exactalg import (
+    MAX_EXPONENT,
+    DimensionError,
+    Scalar,
+    TractabilityError,
+    UnboundIndeterminateError,
+    check_exponent,
+    scalar_from_json,
+    scalar_to_json,
+)
 from .expansions import (
     MAX_DEGREE_BOUND,
     SymFunc,
-    TractabilityError,
     TruncationError,
     eval_symfunc,
     expand_in_refined_basis,
@@ -53,6 +61,12 @@ class UsageError(ValueError):
 _RESERVED = {"beta"}
 _NAME = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 _MISSING = object()
+_CUT = 200  # characters kept of a value that an error message echoes
+
+
+def _cut(text: str) -> str:
+    """`text`, cut to _CUT characters ending in "..." when longer."""
+    return text if len(text) <= _CUT else text[: _CUT - 3] + "..."
 
 
 # -- budgets ----------------------------------------------------------
@@ -66,6 +80,7 @@ _BUDGETS = {
     "weight": 9,
     "letters": 9,
     "D": MAX_DEGREE_BOUND,
+    "exponent": MAX_EXPONENT,
     "stable rows": 11,
     "stable-dual rows": 8,
     "stable-dual letters": 10,
@@ -127,7 +142,7 @@ def _name(req: Mapping, field: str, known, default=_MISSING) -> str:
     """The value of `field`, a usage error unless it is a string in `known`."""
     value = _field(req, field, default=default)
     if not (isinstance(value, str) and value in known):
-        raise UsageError(f"unknown {field} {value!r}; known: {', '.join(sorted(known))}")
+        raise UsageError(f"unknown {field} {_cut(repr(value))}; known: {', '.join(sorted(known))}")
     return value
 
 
@@ -147,7 +162,7 @@ def _check(obj: Mapping, form: str) -> None:
     """A usage error for the keys of `obj` that `form` does not read."""
     unread = obj.keys() - _FORMS[form]
     if unread:
-        raise UsageError(f"{form} does not read {', '.join(sorted(map(repr, unread)))}")
+        raise UsageError(f"{form} does not read {_cut(', '.join(sorted(map(repr, unread))))}")
 
 
 def _budget(name: str, got: int) -> None:
@@ -160,7 +175,7 @@ def _budget(name: str, got: int) -> None:
 def _field(req: Mapping, *names: str, default=_MISSING):
     """The value of the field spelled by one of `names`; two spellings at once are a usage error."""
     if not isinstance(req, Mapping):
-        raise UsageError(f"expected an object with field {names[0]!r}, got {req!r}")
+        raise UsageError(f"expected an object with field {names[0]!r}, got {_cut(repr(req))}")
     given = [name for name in names if name in req]
     if len(given) > 1:
         raise UsageError(f"fields {given[0]!r} and {given[1]!r} spell one field: give one")
@@ -176,12 +191,12 @@ def _partition(req: Mapping, *names: str, default=_MISSING) -> Partition:
     try:
         return Partition(raw if raw is not None else ())
     except (TypeError, ValueError) as e:
-        raise UsageError(f"bad partition for {names[0]!r}: {e}") from e
+        raise UsageError(f"bad partition for {names[0]!r}: {_cut(str(e))}") from e
 
 
 def _check_name(name: str) -> str:
     if not _NAME.match(name):
-        raise UsageError(f"bad indeterminate name: {name!r}")
+        raise UsageError(f"bad indeterminate name: {_cut(repr(name))}")
     if name in _RESERVED:
         raise UsageError(f"indeterminate name {name!r} is reserved")
     return name
@@ -200,32 +215,37 @@ def parse_scalar(value) -> Scalar:
         if _NAME.match(name) and not name.isdigit():
             var = Scalar.variable(_check_name(name))
             return -var if text.startswith("-") else var
+        check_exponent(text)
         try:
             return Scalar.from_rational(Fraction(text))
-        except (ValueError, ZeroDivisionError) as e:
-            raise UsageError(f"bad scalar literal {value!r}: {e}") from e
+        except ZeroDivisionError as e:
+            raise UsageError(f"bad scalar literal {_cut(repr(value))}: zero denominator") from e
+        except ValueError as e:  # its message repeats the literal
+            raise UsageError(f"bad scalar literal {_cut(repr(value))}: not a number nor a name") from e
     if isinstance(value, Mapping):
         value = [value]
     if isinstance(value, list):
         try:
             p = scalar_from_json(value)
+        except TractabilityError:
+            raise
         except (TypeError, ValueError, KeyError) as e:
-            raise UsageError(f"bad scalar terms: {e}") from e
+            raise UsageError(f"bad scalar terms: {_cut(str(e))}") from e
         for name in p.indeterminates():
             _check_name(name)
         return p
-    raise UsageError(f"bad scalar: {value!r}")
+    raise UsageError(f"bad scalar: {_cut(repr(value))}")
 
 
 def parse_alphabet(value) -> tuple[Scalar, ...]:
     if not isinstance(value, list):
-        raise UsageError(f"alphabet must be a list: {value!r}")
+        raise UsageError(f"alphabet must be a list: {_cut(repr(value))}")
     return tuple(parse_scalar(v) for v in value)
 
 
 def _alphabet_rows(value, name: str) -> tuple[tuple[Scalar, ...], ...]:
     if not isinstance(value, list):
-        raise UsageError(f"{name} must be a list of alphabets: {value!r}")
+        raise UsageError(f"{name} must be a list of alphabets: {_cut(repr(value))}")
     return tuple(parse_alphabet(row) for row in value)
 
 
@@ -238,7 +258,7 @@ def parse_sequence(value) -> AlphabetSequence:
     if isinstance(value, list):
         return _first_rows(_alphabet_rows(value, "alphabet sequence"), [()])
     if not isinstance(value, Mapping):
-        raise UsageError(f"bad alphabet sequence: {value!r}")
+        raise UsageError(f"bad alphabet sequence: {_cut(repr(value))}")
     form = "refined" if "refined" in value else "constant" if "constant" in value else "prefix/tail"
     _check(value, f"{form} sequence")
     if form == "refined":
@@ -249,7 +269,7 @@ def parse_sequence(value) -> AlphabetSequence:
     tail_spec = value.get("tail", {"kind": "empty"})
     kind = tail_spec.get("kind") if isinstance(tail_spec, Mapping) else None
     if kind not in ("empty", "constant", "refined"):
-        raise UsageError(f"bad tail rule: {tail_spec!r}")
+        raise UsageError(f"bad tail rule: {_cut(repr(tail_spec))}")
     _check(tail_spec, f"{kind} tail")
     if kind == "empty":
         tail = [()]
@@ -287,15 +307,17 @@ def parse_symfunc(value) -> SymFunc:
     or {"refined": spec} / {"stable": spec}, answered as the expand request
     of that basis that the spec spells."""
     if not isinstance(value, Mapping):
-        raise UsageError(f"bad symmetric function: {value!r}")
+        raise UsageError(f"bad symmetric function: {_cut(repr(value))}")
     kind = next((k for k in ("terms", "basis", "schur", "refined", "stable") if k in value), None)
     if kind is None:
-        raise UsageError(f"bad symmetric function: {value!r}")
+        raise UsageError(f"bad symmetric function: {_cut(repr(value))}")
     if kind in ("terms", "basis"):
         try:
             f = symfunc_from_json(value)
+        except TractabilityError:
+            raise
         except (TypeError, ValueError, KeyError) as e:
-            raise UsageError(f"bad symmetric function: {e}") from e
+            raise UsageError(f"bad symmetric function: {_cut(str(e))}") from e
         for _, c in f.terms():
             for name in c.indeterminates():
                 _check_name(name)
@@ -305,7 +327,7 @@ def parse_symfunc(value) -> SymFunc:
         try:
             return sym_schur(value["schur"])
         except (TypeError, ValueError) as e:
-            raise UsageError(f"bad partition in schur shorthand: {e}") from e
+            raise UsageError(f"bad partition in schur shorthand: {_cut(str(e))}") from e
     spec = value[kind]
     if isinstance(spec, Mapping):  # else reading its lambda is the usage error
         _check(spec, f"{kind} spec")
@@ -315,7 +337,7 @@ def parse_symfunc(value) -> SymFunc:
 def _int_field(req: Mapping, *names: str) -> int:
     raw = _field(req, *names)
     if isinstance(raw, bool) or not isinstance(raw, int):
-        raise UsageError(f"field {names[0]!r} must be an integer: {raw!r}")
+        raise UsageError(f"field {names[0]!r} must be an integer: {_cut(repr(raw))}")
     return raw
 
 
@@ -352,13 +374,13 @@ def _cmd_multischur(req: Mapping, form: str) -> object:
     _budget("weight", lam.weight)
     flag = req["flag"]
     if not isinstance(flag, list) or not all(isinstance(b, int) and not isinstance(b, bool) for b in flag):
-        raise UsageError(f"flag must be a list of integers: {flag!r}")
+        raise UsageError(f"flag must be a list of integers: {_cut(repr(flag))}")
     vars_ = parse_alphabet(_field(req, "vars"))
     _budget("flag vars", _letter_count(vars_[: max([0, *flag[: len(lam)]])]))
     try:
         value = flagged_schur(lam, flag, vars_)
     except ValueError as e:  # every ValueError of flagged_schur is a malformed flag
-        raise UsageError(f"bad flag: {e}") from e
+        raise UsageError(f"bad flag: {_cut(str(e))}") from e
     return scalar_to_json(value)
 
 
@@ -369,7 +391,7 @@ def _expansion(req: Mapping, form: str) -> SymFunc:
     if form == "expand truncated":
         r = _int_field(req, "r")
         if r < len(lam):
-            raise UsageError(f"need r >= {len(lam)} rows for lambda {list(lam)}, got {r}")
+            raise UsageError(f"need r >= {len(lam)} rows for lambda {_cut(repr(list(lam)))}, got {r}")
         _budget("truncated rows", r)
         D = _degree_bound(req, lam)
         return truncated_dual_expansion(lam, *_sequences(req, form, r), r, D)
@@ -490,7 +512,9 @@ class _Parser(argparse.ArgumentParser):
 
 
 # Built once: parse_args returns a fresh namespace on every call.
-_PARSER = _Parser(prog="multischur", description="Exact expansions, inner products, and verification suites.")
+_PARSER = _Parser(
+    prog="multischur", description="Exact expansions, inner products, and verification suites.", allow_abbrev=False
+)
 _PARSER.add_argument("--input", metavar="FILE", help="read the JSON request from a file instead of stdin")
 
 

@@ -42,6 +42,32 @@ class UnboundIndeterminateError(ValueError):
     """An evaluation assignment is missing an indeterminate."""
 
 
+class TractabilityError(ValueError):
+    """Requested size is beyond the supported brute-force bounds."""
+
+
+# The largest decimal exponent that a rational string may spell, as in
+# "1e100" or "2.5E-3".  Fraction builds the whole power of ten before any
+# other budget applies: "1e10000000" takes seconds.  At this cap a product
+# of 40 such letters still has fewer than the 4300 digits that Python
+# converts from int to string; the weight budget of 9 admits far fewer.
+MAX_EXPONENT = 100
+
+
+def check_exponent(text: str) -> None:
+    """A TractabilityError when `text` ends in a decimal exponent past
+    MAX_EXPONENT, after a digit or a point; anything else, number or not,
+    is left to Fraction."""
+    mantissa, _, exponent = text.lower().rpartition("e")
+    exponent = exponent.strip()
+    digits = exponent[1:] if exponent[:1] in ("+", "-") else exponent
+    digits = digits.replace("_", "").lstrip("0")
+    after_number = mantissa[-1:].isdecimal() or mantissa.endswith(".")
+    if after_number and digits.isdecimal() and (len(digits) > len(str(MAX_EXPONENT)) or int(digits) > MAX_EXPONENT):
+        shown = digits if len(digits) <= 20 else f"a {len(digits)}-digit number"
+        raise TractabilityError(f"the size of a decimal exponent is capped at {MAX_EXPONENT}: got {shown}")
+
+
 def _monomial_sort_key(mono: Monomial) -> tuple[int, Monomial]:
     return (sum(e for _, e in mono), mono)
 
@@ -351,6 +377,8 @@ def scalar_from_json(data: Iterable[Mapping]) -> Scalar:
         coeff = item["coefficient"]
         if isinstance(coeff, bool) or not isinstance(coeff, (str, int)):
             raise ValueError(f"a coefficient is a string or an integer: {coeff!r}")
+        if isinstance(coeff, str):
+            check_exponent(coeff)
         try:
             coeff = Fraction(coeff)
         except ZeroDivisionError as e:

@@ -24,7 +24,16 @@ from collections.abc import Iterable, Iterator, Mapping, Sequence
 from functools import lru_cache
 from itertools import chain
 
-from .exactalg import Scalar, ScalarLike, _json_object, coerce_scalar, collect, scalar_from_json, scalar_to_json
+from .exactalg import (
+    Scalar,
+    ScalarLike,
+    TractabilityError,
+    _json_object,
+    coerce_scalar,
+    collect,
+    scalar_from_json,
+    scalar_to_json,
+)
 from .shapes import (
     Alphabet,
     AlphabetSequence,
@@ -46,10 +55,6 @@ _ONE = Scalar.one()
 
 class TruncationError(ValueError):
     """A truncated operand does not determine the requested result."""
-
-
-class TractabilityError(ValueError):
-    """Requested size is beyond the supported brute-force bounds."""
 
 
 # The largest degree bound D of the series-valued expansions (truncated,

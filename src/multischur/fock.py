@@ -38,9 +38,16 @@ The operators:
 
 The refined bra <mu| pairs with a charge-0 vector by applying
 psi*_{mu_1 - 1}, e^{-H(t_1)}, psi*_{mu_2 - 2}, ... and reading one
-coefficient.  bra_refined_pairs pairs many bras in one depth-first walk:
-the bras that agree on mu_1..mu_i share their first i steps, and a
-branch whose vector has become zero stops there.
+coefficient.  bra_refined_table pairs many bras with many kets.  It
+groups the kets by the length L of their longest state, and each pair
+keeps its row count r = max(len mu, L) + 1, so it is the same Scalar as
+when paired alone.  Each group takes one depth-first walk as one vector
+keyed on (ket index, partition): the bras that agree on mu_1..mu_i share
+their first i steps, a step applies psi* and the strips of e^{-H(t_i)}
+to every ket's terms in one pass, with the powers of -t_i built once per
+table, and a branch whose vector has become zero stops there.  The walk
+and e^{H} share one per-state strip sum.  bra_refined_pairs is the
+table's one-ket row.
 
 Everything is linear over exact Scalars and charge-homogeneous.  No
 operator here evaluates a determinant, and the module reads nothing from
@@ -272,6 +279,27 @@ def _strips(lam: Partition, vertical: bool) -> tuple[tuple[Partition, int], ...]
     return tuple((mu, n - mu.weight) for mu in horizontal_strips(lam))
 
 
+def _add_strips(out: dict, k, lam: Partition, coeff: Scalar, powers: list[Scalar], vertical: bool) -> None:
+    """Sum coeff * s^{|lam/mu|} into out[k, mu], or into out[mu] when k is
+    None, for every vertical or horizontal strip lam/mu, where powers =
+    [1, s, s^2, ...] is extended here as far as the strips need.  A sum
+    that cancels is dropped, as `collect` drops it."""
+    # the largest strip takes one box from each row, or from each column
+    while len(powers) <= (len(lam) if vertical else lam[0] if lam else 0):
+        powers.append(powers[-1] * powers[1])
+    for mu, n in _strips(lam, vertical):
+        # nonzero: a product of nonzero Scalars, so only a sum is tested
+        c = coeff * powers[n] if n else coeff
+        key = mu if k is None else (k, mu)
+        acc = out.get(key)
+        if acc is None:
+            out[key] = c
+        elif acc := acc + c:
+            out[key] = acc
+        else:
+            del out[key]
+
+
 def _exp_letter(t: Scalar, vertical: bool, v: FockVector) -> FockVector:
     """e^{H(t)} v, or e^{-H(t)} v when vertical: each |lam> goes to the
     sum of t^{|lam/mu|} |mu> over horizontal strips lam/mu, or of
@@ -279,20 +307,9 @@ def _exp_letter(t: Scalar, vertical: bool, v: FockVector) -> FockVector:
     if not (t and v._terms):
         return v
     powers = [_ONE, -t if vertical else t]
-    terms: dict[Partition, Scalar] = {}  # summed as `collect` sums
+    terms: dict[Partition, Scalar] = {}
     for lam, coeff in v._terms.items():
-        for mu, k in _strips(lam, vertical):
-            while len(powers) <= k:
-                powers.append(powers[-1] * powers[1])
-            # nonzero: a product of nonzero Scalars, so only a sum is tested
-            c = coeff * powers[k] if k else coeff
-            acc = terms.get(mu)
-            if acc is None:
-                terms[mu] = c
-            elif acc := acc + c:
-                terms[mu] = acc
-            else:
-                del terms[mu]
+        _add_strips(terms, None, lam, coeff, powers, vertical)
     return FockVector._trusted(v._charge, terms)
 
 
@@ -360,46 +377,79 @@ def bra_refined_pair(mu: Sequence[int], t: Sequence, v: FockVector) -> Scalar:
 
 def bra_refined_pairs(mus: Iterable[Sequence[int]], t: Sequence, v: FockVector) -> dict[Partition, Scalar]:
     """bra_refined_pair(mu, t, v) for every mu, keyed by Partition in the
-    order given, from one walk in which the bras of all mu that agree on
-    mu_1..mu_i share their first i steps.  A vector of nonzero charge
-    (ChargeError) or a t too short for the rows (ValueError) is refused
-    before any step."""
-    return _bra_walk(_bra_rows([Partition(mu) for mu in mus], v), t, v)
+    order given: the one-ket row of bra_refined_table."""
+    return bra_refined_table(mus, t, [v])[0]
 
 
-def _bra_rows(mus: list[Partition], v: FockVector) -> dict[Partition, int]:
-    """The row count r = max(len(mu), longest state of v) + 1 of each bra."""
-    if v.charge not in (None, 0):
-        raise ChargeError(f"refined bras pair with charge 0, got {v.charge}")
-    internal = max(map(len, v._terms), default=0)
-    return {mu: max(len(mu), internal) + 1 for mu in mus}
-
-
-def _bra_walk(rows: Mapping[Partition, int], t: Sequence, v: FockVector) -> dict[Partition, Scalar]:
-    """Apply psi*_{mu_i - i} then e^{-H(t_i)} for i = 1..r to v, and read
-    the coefficient of |-r>, for every mu with its r = rows[mu].  Depth
-    first: at step i the bras are grouped by mu_i, so each step runs once
-    per distinct prefix mu_1..mu_i, and a branch whose vector is zero
-    gives zero to all its bras without stepping further."""
+def bra_refined_table(
+    mus: Iterable[Sequence[int]], t: Sequence, kets: Iterable[FockVector]
+) -> list[dict[Partition, Scalar]]:
+    """[bra_refined_pairs(mus, t, v) for v in kets], from one walk per
+    group of kets whose longest states have one length L: each pair keeps
+    its own row count r = max(len(mu), L) + 1, and the group steps as one
+    vector keyed on (ket index, partition).  A ket of nonzero charge
+    (ChargeError) or a t too short for the rows of any pair (ValueError)
+    is refused before any step."""
+    mus = [Partition(mu) for mu in mus]
+    groups: dict[int, dict[tuple[int, Partition], Scalar]] = {}
+    table = []
+    for k, v in enumerate(kets):
+        if v.charge not in (None, 0):
+            raise ChargeError(f"refined bras pair with charge 0, got {v.charge}")
+        group = groups.setdefault(max(map(len, v._terms), default=0), {})
+        group.update(((k, lam), c) for lam, c in v._terms.items())
+        table.append(dict.fromkeys(mus, _ZERO))
+    rows = {L: {mu: max(len(mu), L) + 1 for mu in mus} for L in groups}
     t = as_alphabet(t)
-    need = max(rows.values(), default=0)
+    need = max((r for group in rows.values() for r in group.values()), default=0)
     if len(t) < need:
         raise ValueError(f"refined sequence needs {need} letters, got {len(t)}")
-    out = dict.fromkeys(rows)  # in the order of rows
-    stack = [(list(rows.items()), 1, v)]  # the (mu, r) that share steps 1..i-1, and w after them
+    # the powers of -t_i, built once for every walk; None for t_i = 0
+    powers = [[_ONE, -x] if x else None for x in t[:need]]
+    for L, w in groups.items():
+        _bra_walk(rows[L], powers, w, table)
+    return table
+
+
+def _bra_walk(rows: Mapping[Partition, int], powers: list, w: dict, table: list[dict[Partition, Scalar]]) -> None:
+    """Apply psi*_{mu_i - i} then e^{-H(t_i)} for i = 1..r to the group
+    vector w, keyed on (ket index, partition), and write the coefficient
+    of |-r> of ket k to table[k][mu], for every mu with its r = rows[mu];
+    the table holds zero for every pair not written.  powers[i - 1] is
+    [1, -t_i, ...], or None for t_i = 0.  Depth first: at step i the
+    bras are grouped by mu_i, so each step runs once per distinct prefix
+    mu_1..mu_i, and a branch whose vector is zero stops there."""
+    stack = [(list(rows.items()), 1, w)]  # the (mu, r) that share steps 1..i-1, and w after them
     while stack:
         bras, i, w = stack.pop()
-        if not w._terms:
-            out.update((mu, _ZERO) for mu, _ in bras)
+        if not w:
             continue
         branches: dict[int, list[tuple[Partition, int]]] = {}
         for bra in bras:
             mu, r = bra
-            if r < i:  # w has charge 1 - i
-                out[mu] = w._terms.get(_EMPTY, _ZERO)
+            if r < i:  # w has charge 1 - i = -r
+                for (k, lam), c in w.items():
+                    if not lam:
+                        table[k][mu] = c
             else:
                 branches.setdefault(mu[i - 1] if i <= len(mu) else 0, []).append(bra)
         for part, group in branches.items():
-            step = apply_fermion(PSI_STAR, part - i, w)
-            stack.append((group, i + 1, _exp_letter(t[i - 1], True, step)))
+            stack.append((group, i + 1, _bra_step(part - i, 1 - i, powers[i - 1], w)))
+
+
+def _bra_step(m: int, c: int, powers: list[Scalar] | None, w: dict) -> dict:
+    """psi*_m then the vertical strip step of powers = [1, -t, ...] on
+    every term of the group vector w of charge c, in one pass; powers is
+    None when t = 0, whose step is the identity."""
+    out: dict[tuple[int, Partition], Scalar] = {}
+    for (k, lam), coeff in w.items():
+        hit = _annihilate(c, lam, m)
+        if hit is not None:
+            j, nu = hit
+            if j & 1:
+                coeff = -coeff
+            if powers is None:
+                out[k, nu] = coeff  # psi*_m is injective: no two terms meet
+            else:
+                _add_strips(out, k, nu, coeff, powers, True)
     return out

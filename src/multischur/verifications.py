@@ -36,6 +36,7 @@ from .fock import (
     apply_fermion,
     apply_heisenberg,
     bra_refined_pairs,
+    bra_refined_table,
     ket_general,
     ket_partition,
     ket_refined,
@@ -194,8 +195,8 @@ def orthonormality(max_weight: int) -> dict:
     t = _vars("t", max_weight + 3)
     tally = _Tally()
     shapes = partitions_up_to_weight(max_weight)
-    for lam in shapes:
-        pairs = bra_refined_pairs(shapes, t, ket_refined(lam, t, len(lam)))
+    table = bra_refined_table(shapes, t, [ket_refined(lam, t, len(lam)) for lam in shapes])
+    for lam, pairs in zip(shapes, table):
         for mu, val in pairs.items():
             tally.check(val, _ONE if mu == lam else _ZERO, "pair %s | %s", mu, lam)
     return tally.summary("orthonormality", max_weight)

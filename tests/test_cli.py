@@ -10,6 +10,7 @@ import re
 import subprocess
 import sys
 import time
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -141,6 +142,19 @@ def test_input_file(monkeypatch, capsys, tmp_path):
     out = capsys.readouterr().out
     assert code == 0
     assert scalar_from_json(json.loads(out)) == x1 * x2 + t1 * x1 + t1 * x2
+
+
+def test_abbreviated_input_option_is_one_usage_error(monkeypatch, capsys, tmp_path):
+    """--input has one spelling: a prefix of it names no option."""
+    path = tmp_path / "req.json"
+    path.write_text(json.dumps(MULTISCHUR_REQ), encoding="utf-8")
+    for argv in (["--inp", str(path)], [f"--i={path}"], ["--inpu", str(path)]):
+        monkeypatch.setattr(sys, "stdin", io.StringIO(""))
+        code = main(argv)
+        out, err = capsys.readouterr()
+        assert code == 2 and out.count("\n") == 1 and err == "", (argv, out, err)
+        error = json.loads(out)["error"]
+        assert error["type"] == "usage" and "unrecognized arguments" in error["message"], argv
 
 
 def test_missing_input_file(monkeypatch, capsys, tmp_path):
@@ -365,6 +379,40 @@ def test_non_integer_exponent_rejected(monkeypatch, capsys):
     for e in (1.5, True, "2", 0):
         letter = {"coefficient": "1", "monomial": {"x1": e}}
         _assert_usage_error(monkeypatch, capsys, {"command": "multischur", "lambda": [1], "bx": [[letter]]})
+
+
+def test_error_messages_cut_the_values_they_echo(monkeypatch, capsys):
+    """A value that an error message echoes is cut to cli._CUT characters,
+    so a message stays short whatever the request holds."""
+    nested = []
+    for _ in range(500):
+        nested = [nested]
+    long_text = "-" + "9" * 5000
+    for req in (
+        {"command": "multischur", "lambda": [1], "bx": [[nested]]},  # bad scalar terms
+        {"command": "multischur", "lambda": [1], "bx": [[{"coefficient": nested}]]},
+        {"command": "multischur", "lambda": [1], "bx": [nested[0][0], nested]},  # alphabet must be a list
+        {"command": "multischur", "lambda": [1], "bx": [[long_text + "x"]]},  # bad scalar literal
+        {"command": "multischur", "lambda": [1], "bx": {"refined": ["x1"], "k" * 5000: 1}},
+        {"command": "multischur", "lambda": [1] + [2] * 5000, "bx": [["x1"]]},  # bad partition
+        {"command": "verify", "theorem": "cauchy", "seed": nested},
+        {"command": "x" * 5000},
+        {"command": "inner", "f": nested, "g": {"schur": [1]}},
+    ):
+        code, out = _invoke(monkeypatch, capsys, req)
+        message = json.loads(out)["error"]["message"]
+        assert code == 2 and "..." in message, (req, out[:300])
+        assert len(message) < 150 + cli._CUT, message  # the fixed text of each is shorter
+
+
+def test_exponent_literal_refused_before_it_is_built(monkeypatch, capsys):
+    for letter in ("1e10000000", "-2.5E+10_000_000", [{"coefficient": "1e-10000000"}]):
+        req = {"command": "multischur", "lambda": [1], "bx": [[letter]]}
+        _assert_tractability_within_a_second(monkeypatch, capsys, req)
+    assert cli.parse_scalar("1e3") == Scalar.from_rational(1000)
+    assert cli.parse_scalar("3/4") == Scalar.from_rational(Fraction(3, 4))
+    cap = cli._BUDGETS["exponent"]
+    assert cli.parse_scalar(f"1e-{cap}") == Scalar.from_rational(Fraction(1, 10**cap))
 
 
 def test_verify_parameters_below_one_rejected(monkeypatch, capsys):
@@ -956,6 +1004,13 @@ PAST_CAP = {
         {"command": "eval", "f": {"schur": [9]}, "vars": LETTERS[:14]},
         {"command": "eval", "f": {"schur": [6]}, "vars": [POLY14]},
     ],
+    "exponent": lambda n: [
+        {"command": "multischur", "lambda": [1], "bx": [[f"1e{n}"]]},
+        # ran 12 s, then failed at output, without the budget
+        {"command": "multischur", "lambda": [1], "bx": [["1e10000000"]]},
+        {"command": "multischur", "lambda": [1], "bx": [[[{"coefficient": " 2.5E-1_000_000 ", "monomial": {"x1": 1}}]]]},
+        {"command": "inner", "f": {"terms": [{"partition": [1], "coeff": [{"coefficient": "1e10000000"}]}]}, "g": {}},
+    ],
     "eval weight": lambda n: [
         {"command": "eval", "f": {"schur": [n]}, "vars": ["x1"]},
         {"command": "eval", "f": {"schur": [6, 6, 6, 6]}, "vars": LETTERS[:5]},
@@ -1003,7 +1058,7 @@ def test_readme_lists_every_budget():
 EXPORTS = """AlphabetSequence ChargeError DimensionError FockVector MayaState PSI
     PSI_STAR Partition SUITES Scalar SymFunc TractabilityError TruncationError
     UnboundIndeterminateError apply_dressed_fermion apply_exp_H apply_fermion apply_heisenberg
-    bra_refined_pair bra_refined_pairs constant_sequence det_over_ring e_elem empty_sequence
+    bra_refined_pair bra_refined_pairs bra_refined_table constant_sequence det_over_ring e_elem empty_sequence
     eval_symfunc expand_in_refined_basis flagged_schur flagged_tableau_oracle h_complete h_series h_super
     hall_inner horizontal_strips ket_general ket_partition ket_refined motegi_scrimshaw_sequence multi_schur
     p_power partitions_of_weight partitions_up_to_weight pieri_mult_h prefix_sequence refined_alphabet
@@ -1056,7 +1111,7 @@ print(json.dumps([ask({MULTISCHUR_REQ!r}), ask({{"command": "verify", "theorem":
 
 
 def test_package_names_each_export_once(monkeypatch):
-    assert len(EXPORTS) == 67
+    assert len(EXPORTS) == 68
     assert multischur.__all__ == sorted(EXPORTS)
     for name in EXPORTS:
         module = importlib.import_module(f"multischur.{multischur._MODULE_OF[name]}")

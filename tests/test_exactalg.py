@@ -1,4 +1,5 @@
 import json
+import time
 from fractions import Fraction
 from itertools import permutations
 
@@ -6,8 +7,10 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from multischur.exactalg import (
+    MAX_EXPONENT,
     DimensionError,
     Scalar,
+    TractabilityError,
     UnboundIndeterminateError,
     _merge_monomials,
     coerce_scalar,
@@ -117,6 +120,19 @@ def test_json_coefficient_is_a_string_or_an_integer():
             scalar_from_json(json.loads('[{"coefficient": %s, "monomial": {"x": 1}}]' % coefficient))
     assert scalar_from_json([{"coefficient": -3, "monomial": {"x": 1}}]) == x * -3
     assert scalar_from_json([{"coefficient": "1e-2", "monomial": {}}]) == Scalar.from_rational(Fraction(1, 100))
+
+
+def test_json_refuses_an_exponent_past_the_cap_before_building_it():
+    t0 = time.perf_counter()
+    for text in ("1e10000000", "1E-10000000", " -2.5e+1_000_000 ", f"1e{MAX_EXPONENT + 1}", "1e" + "9" * 5000):
+        with pytest.raises(TractabilityError, match="decimal exponent is capped"):
+            scalar_from_json([{"coefficient": text, "monomial": {"x": 1}}])
+    assert time.perf_counter() - t0 < 0.5
+    assert scalar_from_json([{"coefficient": "1e3", "monomial": {}}]) == Scalar.from_rational(1000)
+    assert scalar_from_json([{"coefficient": "3/4", "monomial": {}}]) == Scalar.from_rational(Fraction(3, 4))
+    assert scalar_from_json([{"coefficient": "123456789012", "monomial": {}}]) == Scalar.from_rational(123456789012)
+    at_cap = scalar_from_json([{"coefficient": f"1E-{MAX_EXPONENT}", "monomial": {}}])
+    assert at_cap == Scalar.from_rational(Fraction(1, 10**MAX_EXPONENT))
 
 
 def test_json_rejects_unknown_term_keys():

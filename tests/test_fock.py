@@ -20,6 +20,7 @@ from multischur.fock import (
     apply_heisenberg,
     bra_refined_pair,
     bra_refined_pairs,
+    bra_refined_table,
     ket_general,
     ket_partition,
     ket_refined,
@@ -372,8 +373,16 @@ def test_bra_refined_pair_orthonormality():
             want = Scalar.one() if mu == lam else Scalar.zero()
             assert bra_refined_pair(mu, ts, v) == want
             # r-stable: one more row than bra_refined_pair uses changes nothing
-            r = fock._bra_rows([mu], v)[mu]
-            assert fock._bra_walk({mu: r}, ts, v) == fock._bra_walk({mu: r + 1}, ts, v) == {mu: want}
+            r = max(len(mu), *(len(s.parts) for s in v.states())) + 1
+            assert walk_with_rows(mu, r, ts, v) == walk_with_rows(mu, r + 1, ts, v) == {mu: want}
+
+
+def walk_with_rows(mu, r, t, v):
+    """The pair of mu and v from the walk of bra_refined_table, with the row count r given."""
+    table = [{mu: Scalar.zero()}]
+    powers = [[Scalar.one(), -x] if x else None for x in as_alphabet(t)]
+    fock._bra_walk({mu: r}, powers, {(0, s.parts): c for s, c in v.items()}, table)
+    return table[0]
 
 
 def test_bra_refined_pair_vacuum():
@@ -425,11 +434,11 @@ def test_bra_refined_pairs_share_prefixes_and_stop_at_zero(monkeypatch):
     v = ket_refined(Partition((2, 1)), ts, 2)
     steps = []
 
-    def counting(mode, m, w):
+    def counting(m, c, powers, w, step=fock._bra_step):
         steps.append(m)
-        return apply_fermion(mode, m, w)
+        return step(m, c, powers, w)
 
-    monkeypatch.setattr(fock, "apply_fermion", counting)
+    monkeypatch.setattr(fock, "_bra_step", counting)
     assert bra_refined_pairs(mus, ts, v) == {mu: per_mu_bra_pair(mu, ts, v) for mu in mus}
     walked = len(steps)
     steps.clear()
@@ -449,7 +458,7 @@ def test_bra_refined_pairs_errors_match_single_pairs(monkeypatch):
     short = (t1,)
     v = ket_refined(Partition((1,)), (t1, t2, t3), 1)
     charged = [vacuum_ket(1), apply_fermion(PSI_STAR, -1, vacuum_ket(0))]
-    monkeypatch.setattr(fock, "apply_fermion", no_step)
+    monkeypatch.setattr(fock, "_bra_step", no_step)
     for mu in [Partition(()), Partition((2,)), Partition((1, 1))]:
         with pytest.raises(ValueError) as single:
             bra_refined_pair(mu, short, v)
@@ -463,6 +472,49 @@ def test_bra_refined_pairs_errors_match_single_pairs(monkeypatch):
         with pytest.raises(ChargeError) as walk:
             bra_refined_pairs([Partition(())], (t1,), w)
         assert str(walk.value) == str(single.value)
+
+
+def test_bra_refined_table_matches_one_ket_pairs():
+    """Kets whose longest states differ in length walk in separate groups,
+    each pair with its own r; the zero vector and no bras give zeros and
+    empty rows."""
+    ts = (t1, t2, t3, t4, t5, t6)
+    bx, by = prefix_sequence((x1,), (x2, t1)), prefix_sequence((y1,), ())
+    kets = [ZERO_VECTOR, vacuum_ket(0)]
+    for lam in partitions_up_to_weight(3):
+        kets += [ket_refined(lam, ts, len(lam)), ket_general(lam, bx, by, len(lam))]
+    kets.append(kets[-1] + kets[3])
+    assert len({max((len(s.parts) for s in v.states()), default=0) for v in kets}) == 4
+    mus = partitions_up_to_weight(4)
+    table = bra_refined_table(mus, ts, kets)
+    assert table == [bra_refined_pairs(mus, ts, v) for v in kets]
+    assert all(list(row) == mus for row in table)
+    assert table[0] == dict.fromkeys(mus, Scalar.zero())
+    assert table[4] == {mu: Scalar.one() if mu == (1,) else Scalar.zero() for mu in mus}  # the refined ket of (1,)
+    assert bra_refined_table([], ts, kets) == [{}] * len(kets)
+    assert bra_refined_table(mus, ts, []) == []
+    # the rows are separate dicts, one per ket
+    table[0][Partition((1,))] = t1
+    assert table[1][Partition((1,))] == Scalar.zero()
+
+
+def test_bra_refined_table_refuses_any_bad_ket_before_any_step(monkeypatch):
+    def no_step(*args):
+        raise AssertionError("a step ran before the arguments were checked")
+
+    ts = (t1, t2, t3)
+    good = [vacuum_ket(0), ket_refined(Partition((1,)), ts, 1)]
+    monkeypatch.setattr(fock, "_bra_step", no_step)
+    for bad in (vacuum_ket(1), apply_fermion(PSI_STAR, -1, vacuum_ket(0))):
+        with pytest.raises(ChargeError):
+            bra_refined_table([Partition((1,))], ts, [*good, bad, *good])
+    # two letters serve every bra against the first two kets, not against (2, 1)
+    mus = [Partition(()), Partition((1,))]
+    longer = ket_refined(Partition((2, 1)), (t1, t2), 2)
+    with pytest.raises(ValueError, match="refined sequence needs 3 letters, got 2"):
+        bra_refined_table(mus, (t1, t2), [*good, longer])
+    monkeypatch.undo()
+    assert bra_refined_table(mus, (t1, t2), good) == [bra_refined_pairs(mus, (t1, t2), v) for v in good]
 
 
 def test_dressed_fermion_pairs_to_h_super():
@@ -825,6 +877,24 @@ def test_vector_operators_match_oracles_on_test_vectors():
             if v.charge == w.charge:
                 assert v + w.scale(t1) == FockVector(list(v.items()) + [(s, c * t1) for s, c in w.items()])
         assert v - v == FockVector() and not (v - v).items()
+
+
+def test_bra_step_matches_per_ket_operators():
+    """One step of the table walk on a vector of several kets equals
+    psi*_m then e^{-H(t)} on each ket alone, every level and letter, with
+    the zero letter's step the identity."""
+    vectors = verifications._test_vectors()
+    vectors += [v.scale(t1) + u for v in vectors for u in vectors if v.charge == u.charge and v is not u]
+    for c in {v.charge for v in vectors}:
+        kets = [v for v in vectors if v.charge == c]
+        w = {(k, s.parts): coeff for k, v in enumerate(kets) for s, coeff in v.items()}
+        for m in range(-6, 7):
+            for t in ORACLE_LETTERS:
+                got = fock._bra_step(m, c, [Scalar.one(), -t] if t else None, w)
+                for k, v in enumerate(kets):
+                    want = fock._exp_letter(t, True, apply_fermion(PSI_STAR, m, v))
+                    assert {lam: x for (j, lam), x in got.items() if j == k} == want._terms, (m, t, v)
+                assert all(got.values())
 
 
 def test_summing_operators_drop_cancelled_terms():

@@ -136,6 +136,10 @@ def _pairs_plus_wrong(f):
     return lambda *args: {mu: v + WRONG for mu, v in f(*args).items()}
 
 
+def _table_plus_wrong(f):
+    return lambda *args: [{mu: v + WRONG for mu, v in row.items()} for row in f(*args)]
+
+
 def _wrong_expansion(f):
     return lambda *args: SymFunc({(): WRONG})
 
@@ -143,7 +147,7 @@ def _wrong_expansion(f):
 # suite -> (small sizes, the dependency stubbed to give a wrong value,
 # the stub, the start or starts of the label of a failing case)
 BROKEN = {
-    "orthonormality": ({"max_weight": 2}, "bra_refined_pairs", _pairs_plus_wrong, "pair ["),
+    "orthonormality": ({"max_weight": 2}, "bra_refined_table", _table_plus_wrong, "pair ["),
     "dual-engine": ({"max_weight": 2}, "bra_refined_pairs", _pairs_plus_wrong, "coefficient ["),
     "hall-duality": ({"max_weight": 2, "truncation": 2}, "hall_inner", _plus_wrong, "inner ["),
     "cauchy": ({}, "eval_symfunc", _plus_wrong, ("symbolic t, D=3", "zero t, D=4")),
