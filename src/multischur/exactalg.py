@@ -17,6 +17,11 @@ operations build their results through the unchecked `Scalar._trusted`.
 A product with a one-term factor, the common case, sums nothing:
 multiplying by a monomial is injective on monomials.
 
+Sums of products.  A minor, a series coefficient or a pairing is a signed
+sum of products.  `_add_product` adds a*b or -(a*b) to one monomial dict
+in place, so the sum builds no Scalar for a product, a negation or a
+partial sum; the general case of `*` is that loop into an empty dict.
+
 Term order.  Names are ordered by plain string comparison; that order is
 fixed across the package.  Serialized terms are listed in graded
 lexicographic order: ascending total degree, ties broken by comparing the
@@ -162,17 +167,7 @@ class Scalar:
                     c if type(c) is int or c.denominator != 1 else c.numerator
                 )
             return Scalar._trusted(terms)
-        terms: dict[Monomial, Coefficient] = {}
-        for m1, c1 in self._terms.items():
-            for m2, c2 in other._terms.items():
-                mono = _merge_monomials(m1, m2) if m1 and m2 else m1 or m2
-                acc = terms.get(mono)
-                acc = c1 * c2 if acc is None else acc + c1 * c2
-                if not acc:
-                    del terms[mono]
-                else:
-                    terms[mono] = acc if type(acc) is int or acc.denominator != 1 else acc.numerator
-        return Scalar._trusted(terms)
+        return Scalar._trusted(_add_product({}, self._terms, other._terms))
 
     __rmul__ = __mul__
 
@@ -266,6 +261,35 @@ def _merge_monomials(a: Monomial, b: Monomial) -> Monomial:
     return tuple(sorted(exps.items()))
 
 
+def _add_product(terms: dict, a: Mapping, b: Mapping, negate: bool = False) -> dict:
+    """Add a*b, or -(a*b) when `negate`, to the monomial dict `terms` in
+    place and return it; a and b are the term dicts of two Scalars, and
+    neither is `terms`.  The result stays canonical: an integral Fraction
+    is stored as an int, and an entry that cancels is dropped."""
+    get = terms.get
+    for m1, c1 in a.items():
+        if negate:
+            c1 = -c1
+        for m2, c2 in b.items():
+            mono = _merge_monomials(m1, m2) if m1 and m2 else m1 or m2
+            acc = get(mono)
+            acc = c1 * c2 if acc is None else acc + c1 * c2
+            if not acc:
+                del terms[mono]
+            else:
+                terms[mono] = acc if type(acc) is int or acc.denominator != 1 else acc.numerator
+    return terms
+
+
+def _dot(triples: Iterable[tuple[Scalar, Scalar, bool]]) -> Scalar:
+    """The sum of a*b, or -(a*b) where negate is set, over the (a, b,
+    negate) of `triples`, in one dict: the Scalar ring's dot for `_laplace`."""
+    terms: dict[Monomial, Coefficient] = {}
+    for a, b, negate in triples:
+        _add_product(terms, a._terms, b._terms, negate)
+    return Scalar._trusted(terms)
+
+
 def coerce_scalar(value: ScalarLike) -> Scalar:
     if type(value) is Scalar or isinstance(value, Scalar):
         return value
@@ -317,24 +341,22 @@ def scalar_eval(p: Scalar, assignment: Mapping[str, Union[int, Fraction]]) -> Fr
     return total
 
 
-def _laplace(cols: tuple, entry, memo: dict, zero):
+def _laplace(cols: tuple, entry, memo: dict, dot):
     """The minor over rows 1..k = len(cols) and the columns keyed `cols`,
-    expanded along row k: the sum over positions p of
-    (-1)^(k-1-p) entry(k, cols[p]) times the minor without column p.
+    expanded along row k: the ring's signed sum of products `dot` of the
+    triples (entry(k, cols[p]), the minor without column p, negate when
+    k - p is even) over the p of nonzero entries, its zero for none.
     `memo` maps key tuples to minors and holds the ring's one at ()."""
     if cols in memo:
         return memo[cols]
     if len(cols) == 1:  # the entry itself, not a product with one
         return entry(1, cols[0])
-    k, minor = len(cols), None
+    k, triples = len(cols), []
     for p, key in enumerate(cols):
         e = entry(k, key)
-        sub = e and _laplace(cols[:p] + cols[p + 1 :], entry, memo, zero)
-        if sub:
-            term = e * sub if (k - p) % 2 else -(e * sub)
-            # the first term is kept as is: zero + term would copy it
-            minor = term if minor is None else minor + term
-    memo[cols] = minor = zero if minor is None else minor
+        if e:
+            triples.append((e, _laplace(cols[:p] + cols[p + 1 :], entry, memo, dot), not (k - p) % 2))
+    memo[cols] = minor = dot(triples)
     return minor
 
 
@@ -345,7 +367,7 @@ def det_over_ring(rows: Sequence[Sequence]) -> Scalar:
     for row in rows:
         if len(row) != n:
             raise DimensionError(f"matrix is not square: {n} rows, a row of width {len(row)}")
-    return _laplace(tuple(range(n)), lambda i, j: rows[i - 1][j], {(): _ONE}, _ZERO)
+    return _laplace(tuple(range(n)), lambda i, j: rows[i - 1][j], {(): _ONE}, _dot)
 
 
 # -- serialization ----------------------------------------------------

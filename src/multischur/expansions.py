@@ -14,8 +14,9 @@ Each call builds one `supersym.h_series` per row (or per cell, where the
 alphabet also depends on the column, and the columns are then keyed on
 (mu_j - j, j) instead of mu_j - j), up to the largest index its matrices
 read.  The skew expansion has entries sum_n c_n h_n(X); it holds each
-minor as a SymFunc and multiplies it by an entry through the Pieri rule,
-so its determinant lands in the Schur basis with no second ring.
+entry and each minor as a SymFunc, and its ring's dot (`_pieri_dot`)
+sums all the signed Pieri products of one minor in one `_pieri`, so its
+determinant lands in the Schur basis with no second ring.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ from .exactalg import (
     Scalar,
     ScalarLike,
     TractabilityError,
+    _add_product,
     _json_object,
     coerce_scalar,
     collect,
@@ -288,18 +290,6 @@ def skew_multi_schur(
     return _jt(lam, lambda k, i: _at(rows[i - 1], k))(mu, r)
 
 
-class _HSum(SymFunc):
-    """An entry sum_n c_n h_n(X) of the skew determinant, held in the
-    Schur basis as sum_n c_n s_(n), so that it is its own 1x1 minor;
-    `entry * minor` is the Pieri product."""
-
-    __slots__ = ()
-
-    def __mul__(self, f: SymFunc) -> SymFunc:
-        # c_n a_mu once for each (n, mu), however many strips s_mu spreads over
-        return _pieri((row.weight, mu, c * a) for row, c in self._coeffs.items() for mu, a in f._coeffs.items())
-
-
 def skew_function(
     lam: Sequence[int],
     mu: Sequence[int],
@@ -313,13 +303,12 @@ def skew_function(
     lam, mu = Partition(lam), Partition(mu)
     r = max(len(lam), len(mu))
 
-    def entry(k: int, i: int, j: int) -> _HSum:
+    def entry(k: int, i: int, j: int) -> SymFunc:
         # `_jt` computes each cell once, so each cell series is built here
         s = h_series(k, bx.alphabet(i), by.alphabet(i) + bp.alphabet(j))
-        return _HSum({(n,): s[k - n] for n in range(k + 1)})
+        return SymFunc({(n,): s[k - n] for n in range(k + 1)})
 
-    det = _jt(lam, entry, _cells, sym_zero(), sym_schur(()))(mu, r)
-    return SymFunc(det._coeffs)  # a 1x1 determinant is its _HSum entry
+    return _jt(lam, entry, _cells, _pieri_dot, sym_schur(()))(mu, r)
 
 
 # -- Schur-basis arithmetic -------------------------------------------
@@ -330,6 +319,16 @@ def _pieri(terms: Iterable[tuple[int, Partition, Scalar]], truncation: int | Non
     spreads over the horizontal n-strips on mu."""
     return SymFunc(
         ((nu, c) for n, mu, c in terms for nu in (horizontal_strips(mu, n) if n else (mu,))), truncation
+    )
+
+
+def _pieri_dot(triples: Iterable[tuple[SymFunc, SymFunc, bool]]) -> SymFunc:
+    """The sum of e * f, or -(e * f) where negate is set, over the (e, f,
+    negate) of `triples`, an entry e = sum_n c_n s_(n) standing for sum_n
+    c_n h_n(X): one `_pieri` over each c_n a_mu, once per (n, mu)."""
+    return _pieri(
+        (row.weight, mu, -(c * a) if negate else c * a)
+        for e, f, negate in triples for row, c in e._coeffs.items() for mu, a in f._coeffs.items()
     )
 
 
@@ -355,12 +354,12 @@ def hall_inner(f: SymFunc, g: SymFunc) -> Scalar:
             f"right operand is only known up to degree {g.truncation}, "
             f"left has support in degree {f.max_degree()}"
         )
-    total = _ZERO
+    terms = {}
     for mu, c in f._coeffs.items():
-        other = g.coefficient(mu)
-        if other:
-            total = total + c * other
-    return total
+        other = g._coeffs.get(mu)
+        if other is not None:
+            _add_product(terms, c._terms, other._terms)
+    return Scalar._trusted(terms)
 
 
 @lru_cache(maxsize=CACHE_SIZE)
@@ -372,12 +371,11 @@ def eval_symfunc(f: SymFunc, vals: Sequence) -> Scalar:
     """Specialize to finitely many variables; s_mu vanishes when mu has
     more rows than there are variables."""
     xs = as_alphabet(vals)
-    total = _ZERO
+    terms = {}
     for mu, c in f._coeffs.items():
-        if len(mu) > len(xs):
-            continue
-        total = total + c * _jacobi_trudi(mu, xs)
-    return total
+        if len(mu) <= len(xs):
+            _add_product(terms, c._terms, _jacobi_trudi(mu, xs)._terms)
+    return Scalar._trusted(terms)
 
 
 # -- brute-force oracles ----------------------------------------------

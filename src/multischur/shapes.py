@@ -18,7 +18,7 @@ from collections import namedtuple
 from collections.abc import Iterable, Iterator, Mapping, Sequence
 from functools import lru_cache
 from itertools import chain, product
-from operator import index
+from operator import index, le
 
 from .exactalg import Scalar, coerce_scalar
 
@@ -80,7 +80,7 @@ class Partition(tuple):
 
     def contains(self, mu: "Partition") -> bool:
         """True iff mu fits inside self cell by cell."""
-        return len(mu) <= len(self) and all(m <= p for m, p in zip(mu, self))
+        return len(mu) <= len(self) and all(map(le, mu, self))
 
     def __repr__(self) -> str:
         return f"Partition({list(self)})"
@@ -177,7 +177,7 @@ def horizontal_strips(lam: Sequence[int], grow: int | None = None) -> Iterator[P
 
 
 def as_alphabet(letters: Iterable) -> Alphabet:
-    return tuple(coerce_scalar(x) for x in letters)
+    return tuple(x if type(x) is Scalar else coerce_scalar(x) for x in letters)
 
 
 def negate_alphabet(letters: Iterable) -> Alphabet:
@@ -186,12 +186,11 @@ def negate_alphabet(letters: Iterable) -> Alphabet:
 
 def refined_alphabet(t: Sequence, i: int) -> Alphabet:
     """The alphabet (t_1, ..., t_{i-1}); i = 1 gives the empty alphabet."""
-    t = as_alphabet(t)
     if i < 1:
         raise ValueError(f"row index must be >= 1: {i}")
     if i - 1 > len(t):
         raise ValueError(f"row {i} needs {i - 1} letters, only {len(t)} given")
-    return t[: i - 1]
+    return as_alphabet(t[: i - 1])
 
 
 # -- alphabet sequences -----------------------------------------------

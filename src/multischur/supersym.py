@@ -9,7 +9,8 @@ Setting y = () recovers h_n(x); setting x = () gives
 (-1)^n e_n(y) = e_n(-y).  p_n(x/y) = p_n(x) - p_n(y) follows the same
 sign convention.  The determinant of h_{lam_i - i + j}(x/y) is the
 supersymmetric Schur function; `_jt` builds that determinant, and every
-Jacobi-Trudi determinant of `expansions`, from an entry function.  For a
+Jacobi-Trudi determinant of `expansions`, from an entry function and the
+ring's `dot`, the signed sum of a minor's products (`exactalg._dot`).  For a
 fixed lam, the matrix of each mu is a choice of columns c_j = mu_j - j
 of one matrix indexed by (i, c), so its determinant is a minor of that
 matrix (Fulton, Young Tableaux, ch. 9): the determinants of one `_jt`
@@ -25,7 +26,7 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
 
-from .exactalg import Scalar, _laplace
+from .exactalg import Scalar, _add_product, _dot, _laplace
 from .shapes import Partition, as_alphabet, negate_alphabet
 
 _ZERO = Scalar.zero()
@@ -33,16 +34,15 @@ _ONE = Scalar.one()
 
 
 def h_series(n: int, x: Iterable, y: Iterable = ()) -> list[Scalar]:
-    """[h_0(x/y), ..., h_n(x/y)]; the empty list when n < 0."""
-    out = [_ONE] + [_ZERO] * n if n >= 0 else []
+    """[h_0(x/y), ..., h_n(x/y)], each summed in place; [] when n < 0."""
+    out = [{(): 1}] + [{} for _ in range(n)] if n >= 0 else []
     for b in as_alphabet(y):  # times (1 - b z), high degrees first
         for k in range(n, 0, -1):
-            if out[k - 1]:
-                out[k] = out[k] - b * out[k - 1]
+            _add_product(out[k], b._terms, out[k - 1], True)
     for a in as_alphabet(x):  # times 1/(1 - a z) = 1 + a z + a^2 z^2 + ...
         for k in range(1, n + 1):
-            out[k] = out[k] + a * out[k - 1]
-    return out
+            _add_product(out[k], a._terms, out[k - 1])
+    return [Scalar._trusted(terms) for terms in out]
 
 
 def _at(series: Sequence[Scalar], k: int) -> Scalar:
@@ -88,10 +88,11 @@ def _cells(mu: Partition, n: int) -> tuple:
     return tuple((mu.part(j) - j, j) for j in range(1, n + 1))
 
 
-def _jt(lam: Partition, entry, keys=_values, zero=_ZERO, one=_ONE):
+def _jt(lam: Partition, entry, keys=_values, dot=_dot, one=_ONE):
     """det(mu, n) = det( entry(lam_i - i - c_j, i, *rest_j) ), i, j = 1..n,
-    for the column keys (c_j, *rest_j) = keys(mu, n).  The determinants
-    share one memo of minors and compute each entry once."""
+    for the column keys (c_j, *rest_j) = keys(mu, n), in the ring of `dot`
+    and `one`.  The determinants share one memo of minors and compute each
+    entry once."""
     entries = {}
 
     def at(i, key):
@@ -100,7 +101,7 @@ def _jt(lam: Partition, entry, keys=_values, zero=_ZERO, one=_ONE):
         return entries[i, key]
 
     memo = {(): one}
-    return lambda mu, n: _laplace(keys(mu, n), at, memo, zero)
+    return lambda mu, n: _laplace(keys(mu, n), at, memo, dot)
 
 
 def supersym_schur(lam: Sequence[int], x: Iterable, y: Iterable) -> Scalar:

@@ -21,9 +21,10 @@ cross-check, not a tautology.
 
 from __future__ import annotations
 
+from collections import Counter
 from collections.abc import Sequence
 from fractions import Fraction
-from itertools import combinations
+from itertools import chain, combinations, combinations_with_replacement
 from math import comb
 
 from .exactalg import Scalar, det_over_ring
@@ -35,7 +36,6 @@ from .fock import (
     apply_exp_H,
     apply_fermion,
     apply_heisenberg,
-    bra_refined_pairs,
     bra_refined_table,
     ket_general,
     ket_partition,
@@ -180,14 +180,14 @@ def _cauchy_sides(t, D, n, m) -> tuple[Scalar, Scalar]:
             continue
         b = eval_symfunc(stable_grothendieck_schur(lam, t, D), ys)
         lhs = lhs + a * b
-    rhs = _ONE
-    for x in xs:
-        for y in ys:
-            geom = _ZERO
-            for k in range(D + 1):
-                geom = geom + (x * y) ** k
-            rhs = _truncate_in(rhs * geom, ynames, D)
-    return _truncate_in(lhs, ynames, D), rhs
+    # prod_{i,j} sum_k (X_i Y_j)^k up to Y-degree D: one monomial per
+    # exponent array (k_ij) with sum k_ij = d <= D, a multiset of d cells
+    counts: Counter = Counter()
+    cells = [(f"X{i}", f"Y{j}") for i in range(1, n + 1) for j in range(1, m + 1)]
+    for d in range(D + 1):
+        for chosen in combinations_with_replacement(cells, d):
+            counts[tuple(sorted(Counter(chain.from_iterable(chosen)).items()))] += 1
+    return _truncate_in(lhs, ynames, D), Scalar(counts)
 
 
 def orthonormality(max_weight: int) -> dict:
@@ -208,11 +208,12 @@ def dual_engine(max_weight: int) -> dict:
     bx, by = _one_letter_rows(max_weight)
     t = _vars("t", max_weight + 3)
     tally = _Tally()
-    for lam in partitions_up_to_weight(max_weight):
+    shapes = partitions_up_to_weight(max_weight)
+    table = bra_refined_table(shapes, t, [ket_general(lam, bx, by, len(lam)) for lam in shapes])
+    for lam, pairs in zip(shapes, table):
         coeffs = expand_in_refined_basis(lam, bx, by, t)
-        pairs = bra_refined_pairs(subpartitions(lam), t, ket_general(lam, bx, by, len(lam)))
-        for mu, pair in pairs.items():
-            tally.check(coeffs.get(mu, _ZERO), pair, "coefficient %s of %s, det against pairing", mu, lam)
+        for mu in subpartitions(lam):
+            tally.check(coeffs.get(mu, _ZERO), pairs[mu], "coefficient %s of %s, det against pairing", mu, lam)
     return tally.summary("dual-engine", max_weight)
 
 
@@ -278,13 +279,15 @@ def beta_chain(max_weight: int, max_dual_weight: int) -> dict:
         lhs = eval_symfunc(refined_dual_grothendieck(lam, tb), xs)
         ket = ket_refined(lam, tb, len(lam))
         tally.check(lhs, apply_exp_H(xs, (), +1, ket).coefficient(vac), "fermion evaluation of %s", lam)
+    powers = [beta**k for k in range(max_dual_weight + 1)]
+    binomials = [[powers[k] * comb(i, k) for k in range(i + 1)] for i in range(max_dual_weight)]
     for lam in partitions_up_to_weight(max_weight):
         G = stable_grothendieck_schur(lam, tb, max_dual_weight)
         for mu in superpartitions(lam, max_dual_weight):
             # entry (i, j), counted from 0, is C(i, k) beta^k at k = mu_j - lam_i + i - j
             r = range(max(len(mu), len(lam)))
             ks = ([mu.part(j + 1) - lam.part(i + 1) + i - j for j in r] for i in r)
-            rows = [[beta**k * comb(i, k) if 0 <= k <= i else _ZERO for k in row] for i, row in enumerate(ks)]
+            rows = [[binomials[i][k] if 0 <= k <= i else _ZERO for k in row] for i, row in enumerate(ks)]
             tally.check(G.coefficient(mu), det_over_ring(rows), "binomial coefficient %s -> %s", lam, mu)
     return tally.summary("beta-chain", max_weight, max_dual_weight)
 

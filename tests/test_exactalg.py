@@ -1,4 +1,5 @@
 import json
+import sys
 import time
 from fractions import Fraction
 from itertools import permutations
@@ -12,6 +13,8 @@ from multischur.exactalg import (
     Scalar,
     TractabilityError,
     UnboundIndeterminateError,
+    _add_product,
+    _dot,
     _merge_monomials,
     coerce_scalar,
     collect,
@@ -21,6 +24,7 @@ from multischur.exactalg import (
     scalar_to_json,
     variables,
 )
+from multischur import verifications
 
 x, y, z = variables("x y z")
 
@@ -384,3 +388,49 @@ def test_one_term_products_match_term_by_term_oracle(term, pb):
         assert list(got._terms) == list(want)  # in the order of the other factor, like the general product
     assert _canonical(one * one) == {_oracle_merge(m0, m0): c0 * c0}
     assert one * Scalar.zero() == Scalar.zero() * one == Scalar.zero()
+
+
+@example([])
+@given(st.lists(st.tuples(oracle_pairs(), oracle_pairs(), st.booleans()), max_size=4))
+@settings(max_examples=100, deadline=None)
+def test_add_product_sums_signed_products_like_the_fraction_oracle(triples):
+    """Each call adds a*b, or -(a*b) with negate set, to one dict in place;
+    after every call the dict is the canonical sum so far."""
+    terms, want = {}, {}
+    for (a, oa), (b, ob), negate in triples:
+        assert _add_product(terms, a._terms, b._terms, negate) is terms
+        product = _oracle_mul(oa, ob)
+        want = _oracle_add(want, {m: -c for m, c in product.items()} if negate else product)
+        assert _canonical(Scalar._trusted(dict(terms))) == want
+    assert _canonical(_dot((a, b, negate) for (a, _), (b, _), negate in triples)) == want
+
+
+def test_add_product_drops_what_cancels_and_stores_integral_fractions_as_int():
+    p, q = x * y + z / 2, x + 1
+    terms = _add_product({}, p._terms, q._terms)
+    assert _add_product(terms, q._terms, p._terms, True) == {}
+    assert _dot([(p, q, False), (q, p, True)]) == Scalar.zero()
+    # (2/3 x + y) (3/2 x): 2/3 * 3/2 is stored as the int 1
+    terms = _add_product({}, (Fraction(2, 3) * x + y)._terms, (Fraction(3, 2) * x)._terms)
+    assert terms == {(("x", 2),): 1, (("x", 1), ("y", 1)): Fraction(3, 2)}
+    assert type(terms[(("x", 2),)]) is int
+    # 1/2 x + 1/2 x: a sum that turns integral is an int too
+    half = Scalar.from_rational(Fraction(1, 2))
+    terms = _add_product({(("x", 1),): Fraction(1, 2)}, half._terms, x._terms)
+    assert terms == {(("x", 1),): 1} and type(terms[(("x", 1),)]) is int
+
+
+def test_dual_engine_catches_a_kernel_that_ignores_negate(monkeypatch):
+    """Every signed sum of products goes through _add_product: ignoring
+    negate breaks the determinant route alone, and dual-engine at its
+    default size fails."""
+    real = _add_product
+
+    def ignores_negate(terms, a, b, negate=False):
+        return real(terms, a, b)
+
+    assert verifications.dual_engine(4)["passed"]
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "multischur" and hasattr(module, "_add_product"):
+            monkeypatch.setattr(module, "_add_product", ignores_negate)
+    assert not verifications.dual_engine(4)["passed"]

@@ -132,10 +132,6 @@ def _plus_wrong(f):
     return lambda *args: f(*args) + WRONG
 
 
-def _pairs_plus_wrong(f):
-    return lambda *args: {mu: v + WRONG for mu, v in f(*args).items()}
-
-
 def _table_plus_wrong(f):
     return lambda *args: [{mu: v + WRONG for mu, v in row.items()} for row in f(*args)]
 
@@ -148,7 +144,7 @@ def _wrong_expansion(f):
 # the stub, the start or starts of the label of a failing case)
 BROKEN = {
     "orthonormality": ({"max_weight": 2}, "bra_refined_table", _table_plus_wrong, "pair ["),
-    "dual-engine": ({"max_weight": 2}, "bra_refined_pairs", _pairs_plus_wrong, "coefficient ["),
+    "dual-engine": ({"max_weight": 2}, "bra_refined_table", _table_plus_wrong, "coefficient ["),
     "hall-duality": ({"max_weight": 2, "truncation": 2}, "hall_inner", _plus_wrong, "inner ["),
     "cauchy": ({}, "eval_symfunc", _plus_wrong, ("symbolic t, D=3", "zero t, D=4")),
     "branching": (
