@@ -16,21 +16,19 @@ __version__ = "0.1.0"
 
 # Module -> the public names it defines.
 _EXPORTS = {
-    "exactalg": """DimensionError Scalar TractabilityError UnboundIndeterminateError det_over_ring
-        scalar_eval scalar_from_json scalar_to_json variables""",
+    "exactalg": "DimensionError Scalar TractabilityError det_over_ring scalar_from_json scalar_to_json",
     "expansions": """SymFunc TruncationError eval_symfunc expand_in_refined_basis
-        flagged_schur flagged_tableau_oracle hall_inner multi_schur pieri_mult_h
-        refined_dual_grothendieck schur_expand_multischur schur_tableau_oracle skew_function
-        skew_multi_schur stable_dual_in_G stable_grothendieck_schur sym_schur sym_zero
-        symfunc_from_json symfunc_to_json truncated_dual_expansion""",
+        flagged_schur hall_inner multi_schur refined_dual_grothendieck schur_expand_multischur
+        schur_tableau_oracle skew_function skew_multi_schur stable_dual_in_G stable_grothendieck_schur
+        sym_schur symfunc_from_json symfunc_to_json truncated_dual_expansion""",
     "fock": """PSI PSI_STAR FockVector MayaState apply_dressed_fermion apply_exp_H
-        apply_fermion apply_heisenberg bra_refined_pair bra_refined_pairs bra_refined_table ket_general ket_partition
+        apply_fermion apply_heisenberg bra_refined_pair bra_refined_table ket_general ket_partition
         ket_refined vacuum_ket""",
-    "shapes": """AlphabetSequence ChargeError Partition constant_sequence empty_sequence
-        horizontal_strips motegi_scrimshaw_sequence partitions_of_weight partitions_up_to_weight
-        prefix_sequence refined_alphabet refined_sequence subpartitions superpartitions""",
-    "supersym": "e_elem h_complete h_series h_super p_power supersym_schur",
-    "verifications": "SUITES verify_branching verify_cauchy",
+    "shapes": """AlphabetSequence ChargeError Partition empty_sequence horizontal_strips
+        partitions_up_to_weight prefix_sequence refined_alphabet refined_sequence subpartitions
+        superpartitions""",
+    "supersym": "h_series supersym_schur",
+    "verifications": "SUITES",
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names.split()}
 

@@ -26,7 +26,6 @@ from .exactalg import (
     DimensionError,
     Scalar,
     TractabilityError,
-    UnboundIndeterminateError,
     check_exponent,
     scalar_from_json,
     scalar_to_json,
@@ -496,7 +495,6 @@ _ERROR_TYPES = [
     (TractabilityError, "tractability"),
     (ChargeError, "charge"),
     (DimensionError, "dimension"),
-    (UnboundIndeterminateError, "unbound-indeterminate"),
     (ValueError, "domain"),
     (OSError, "io"),
 ]
@@ -529,7 +527,7 @@ def main(argv: Sequence[str] | None = None) -> int:
             else:
                 text = "" if sys.stdin.isatty() else sys.stdin.read().strip()
             request = json.loads(text) if text else {}
-        except (UnicodeError, RecursionError, json.JSONDecodeError) as e:  # not UTF-8, nested too deep, not JSON
+        except (RecursionError, ValueError) as e:  # nested too deep; not UTF-8, not JSON, an integer past int's digit limit
             raise UsageError(f"request is not valid JSON: {e}") from e
         _emit(run(request))
         return 0

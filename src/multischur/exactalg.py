@@ -43,10 +43,6 @@ class DimensionError(ValueError):
     """A matrix does not have the shape an operation requires."""
 
 
-class UnboundIndeterminateError(ValueError):
-    """An evaluation assignment is missing an indeterminate."""
-
-
 class TractabilityError(ValueError):
     """Requested size is beyond the supported brute-force bounds."""
 
@@ -78,7 +74,7 @@ def _monomial_sort_key(mono: Monomial) -> tuple[int, Monomial]:
 
 
 class Scalar:
-    """Immutable exact polynomial; supports +, -, *, ** and evaluation."""
+    """Immutable exact polynomial; supports +, -, * and **."""
 
     __slots__ = ("_terms", "_hash")
 
@@ -150,9 +146,6 @@ class Scalar:
     def __sub__(self, other: ScalarLike) -> "Scalar":
         return self + (-coerce_scalar(other))
 
-    def __rsub__(self, other: ScalarLike) -> "Scalar":
-        return coerce_scalar(other) + (-self)
-
     def __mul__(self, other: ScalarLike) -> "Scalar":
         other = coerce_scalar(other)
         one, rest = (other._terms, self._terms) if len(other._terms) == 1 else (self._terms, other._terms)
@@ -170,14 +163,6 @@ class Scalar:
         return Scalar._trusted(_add_product({}, self._terms, other._terms))
 
     __rmul__ = __mul__
-
-    def __truediv__(self, other) -> "Scalar":
-        # division only by nonzero rationals; the ring has no inverses
-        if not isinstance(other, (int, Fraction)):
-            return NotImplemented
-        if other == 0:
-            raise ZeroDivisionError("scalar division by zero")
-        return self * (Fraction(1) / other)
 
     def __pow__(self, exponent: int) -> "Scalar":
         if exponent < 0:
@@ -204,22 +189,8 @@ class Scalar:
             self._hash = hash(frozenset(self._terms.items()))
         return self._hash
 
-    def degree(self) -> int:
-        """Total degree; 0 for constants including zero."""
-        if not self._terms:
-            return 0
-        return max(sum(e for _, e in mono) for mono in self._terms)
-
     def indeterminates(self) -> frozenset[str]:
         return frozenset(name for mono in self._terms for name, _ in mono)
-
-    def is_constant(self) -> bool:
-        return all(mono == () for mono in self._terms)
-
-    def as_rational(self) -> Fraction:
-        if not self.is_constant():
-            raise ValueError(f"not a constant: {self!r}")
-        return Fraction(self._terms.get((), 0))
 
     def terms(self) -> Iterator[tuple[Monomial, Coefficient]]:
         return iter(sorted(self._terms.items(), key=lambda t: _monomial_sort_key(t[0])))
@@ -315,30 +286,6 @@ def collect(pairs: Iterable[tuple]) -> dict:
         elif acc is not None:
             del out[key]
     return out
-
-
-def variables(names: Union[str, Iterable[str]]) -> tuple[Scalar, ...]:
-    """Scalar indeterminates from a space separated string or an iterable."""
-    if isinstance(names, str):
-        names = names.split()
-    return tuple(Scalar.variable(n) for n in names)
-
-
-def scalar_eval(p: Scalar, assignment: Mapping[str, Union[int, Fraction]]) -> Fraction:
-    """Evaluate at a full rational assignment.
-
-    Every indeterminate occurring in p must be bound, otherwise
-    UnboundIndeterminateError is raised.
-    """
-    total = _F0
-    for mono, coeff in p._terms.items():
-        value = coeff
-        for name, e in mono:
-            if name not in assignment:
-                raise UnboundIndeterminateError(f"no value assigned to {name!r}")
-            value *= Fraction(assignment[name]) ** e
-        total += value
-    return total
 
 
 def _laplace(cols: tuple, entry, memo: dict, dot):

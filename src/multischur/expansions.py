@@ -116,9 +116,6 @@ class SymFunc:
     def coefficient(self, mu: Sequence[int]) -> Scalar:
         return self._coeffs.get(Partition(mu), _ZERO)
 
-    def support(self) -> tuple[Partition, ...]:
-        return tuple(sorted(self._coeffs, key=_mu_key))
-
     def terms(self) -> tuple[tuple[Partition, Scalar], ...]:
         return tuple(sorted(self._coeffs.items(), key=lambda t: _mu_key(t[0])))
 
@@ -157,10 +154,6 @@ class SymFunc:
         if self.truncation is None:
             return body
         return f"{body} [deg ≤ {self.truncation}]"
-
-
-def sym_zero(truncation: int | None = None) -> SymFunc:
-    return SymFunc((), truncation)
 
 
 def sym_schur(mu: Sequence[int]) -> SymFunc:
@@ -314,12 +307,10 @@ def skew_function(
 # -- Schur-basis arithmetic -------------------------------------------
 
 
-def _pieri(terms: Iterable[tuple[int, Partition, Scalar]], truncation: int | None = None) -> SymFunc:
+def _pieri(terms: Iterable[tuple[int, Partition, Scalar]]) -> SymFunc:
     """The sum of c h_n(X) s_mu over the (n, mu, c) of `terms`: each s_mu
     spreads over the horizontal n-strips on mu."""
-    return SymFunc(
-        ((nu, c) for n, mu, c in terms for nu in (horizontal_strips(mu, n) if n else (mu,))), truncation
-    )
+    return SymFunc((nu, c) for n, mu, c in terms for nu in (horizontal_strips(mu, n) if n else (mu,)))
 
 
 def _pieri_dot(triples: Iterable[tuple[SymFunc, SymFunc, bool]]) -> SymFunc:
@@ -330,15 +321,6 @@ def _pieri_dot(triples: Iterable[tuple[SymFunc, SymFunc, bool]]) -> SymFunc:
         (row.weight, mu, -(c * a) if negate else c * a)
         for e, f, negate in triples for row, c in e._coeffs.items() for mu, a in f._coeffs.items()
     )
-
-
-def pieri_mult_h(f: SymFunc, n: int) -> SymFunc:
-    """Multiply by h_n(X): each s_mu spreads over horizontal n-strips."""
-    if n < 0:
-        raise ValueError(f"h index must be >= 0: {n}")
-    if n == 0:
-        return f
-    return _pieri(((n, mu, c) for mu, c in f._coeffs.items()), f.truncation)
 
 
 def hall_inner(f: SymFunc, g: SymFunc) -> Scalar:
@@ -430,16 +412,6 @@ def schur_tableau_oracle(mu: Sequence[int], vals: Sequence) -> Scalar:
     if len(xs) > 6 or mu.weight > _ORACLE_MAX_WEIGHT:
         raise TractabilityError(f"oracle bounds are 6 variables, weight {_ORACLE_MAX_WEIGHT}: got {len(xs)}, {mu.weight}")
     return _ssyt_monomials(mu, xs, [len(xs)] * len(mu))
-
-
-def flagged_tableau_oracle(lam: Sequence[int], flag: Sequence[int], vals: Sequence) -> Scalar:
-    """Row-capped semistandard generating sum: entries in row i at most flag_i."""
-    lam = Partition(lam)
-    xs = as_alphabet(vals)
-    if len(xs) > 6 or lam.weight > _ORACLE_MAX_WEIGHT:
-        raise TractabilityError(f"oracle bounds are 6 variables, weight {_ORACLE_MAX_WEIGHT}: got {len(xs)}, {lam.weight}")
-    caps = [min(flag[i], len(xs)) for i in range(len(lam))]
-    return _ssyt_monomials(lam, xs, caps)
 
 
 # -- serialization ----------------------------------------------------

@@ -8,7 +8,7 @@ costs (-1)^(number of occupied levels above m).
 
 A FockVector stores its charge once (None for the zero vector) and its
 terms as a dict from Partition to nonzero Scalar; MayaStates are built
-only for items() and states().  The operators build their results
+only for items().  The operators build their results
 through the unchecked FockVector._trusted.  psi_m and psi*_m are
 injective on basis states (each undoes the other on every state it does
 not kill), so their terms never meet: one dict, with no sum.  The other
@@ -46,8 +46,8 @@ keyed on (ket index, partition): the bras that agree on mu_1..mu_i share
 their first i steps, a step applies psi* and the strips of e^{-H(t_i)}
 to every ket's terms in one pass, with the powers of -t_i built once per
 table, and a branch whose vector has become zero stops there.  The walk
-and e^{H} share one per-state strip sum.  bra_refined_pairs is the
-table's one-ket row.
+and e^{H} share one per-state strip sum.  bra_refined_pair is the
+table's entry for one bra and one ket.
 
 Everything is linear over exact Scalars and charge-homogeneous.  No
 operator here evaluates a determinant, and the module reads nothing from
@@ -86,19 +86,9 @@ class MayaState(namedtuple("MayaState", "charge parts")):
     def energy(self) -> int:
         return sum(self.parts)
 
-    @property
-    def sea_top(self) -> int:
-        """Highest level of the unbroken sea."""
-        return self.charge - len(self.parts) - 1
-
-    def excited_levels(self) -> list[int]:
-        return [p + self.charge - i for i, p in enumerate(self.parts, 1)]
-
-    def occupied(self, m: int) -> bool:
-        return m <= self.sea_top or m in self.excited_levels()
-
     def render(self) -> str:
-        word = " ".join(f"ψ_{lev}" if lev >= 0 else f"ψ_{{{lev}}}" for lev in self.excited_levels())
+        levels = (p + self.charge - i for i, p in enumerate(self.parts, 1))
+        word = " ".join(f"ψ_{lev}" if lev >= 0 else f"ψ_{{{lev}}}" for lev in levels)
         ket = f"|{self.charge - len(self.parts)}⟩"
         return f"{word} {ket}" if word else ket
 
@@ -178,9 +168,6 @@ class FockVector:
 
     def items(self) -> tuple[tuple[MayaState, Scalar], ...]:
         return tuple((MayaState(self._charge, lam), c) for lam, c in self._terms.items())
-
-    def states(self) -> tuple[MayaState, ...]:
-        return tuple(MayaState(self._charge, lam) for lam in self._terms)
 
     def coefficient(self, state: MayaState) -> Scalar:
         if state.charge != self._charge:
@@ -372,22 +359,17 @@ def bra_refined_pair(mu: Sequence[int], t: Sequence, v: FockVector) -> Scalar:
     psi*_{mu_1 - 1}, e^{-H(t_1)}, psi*_{mu_2 - 2}, ... and read off the
     coefficient of |-r>; the answer is r-stable."""
     mu = Partition(mu)
-    return bra_refined_pairs([mu], t, v)[mu]
-
-
-def bra_refined_pairs(mus: Iterable[Sequence[int]], t: Sequence, v: FockVector) -> dict[Partition, Scalar]:
-    """bra_refined_pair(mu, t, v) for every mu, keyed by Partition in the
-    order given: the one-ket row of bra_refined_table."""
-    return bra_refined_table(mus, t, [v])[0]
+    return bra_refined_table([mu], t, [v])[0][mu]
 
 
 def bra_refined_table(
     mus: Iterable[Sequence[int]], t: Sequence, kets: Iterable[FockVector]
 ) -> list[dict[Partition, Scalar]]:
-    """[bra_refined_pairs(mus, t, v) for v in kets], from one walk per
-    group of kets whose longest states have one length L: each pair keeps
-    its own row count r = max(len(mu), L) + 1, and the group steps as one
-    vector keyed on (ket index, partition).  A ket of nonzero charge
+    """[{mu: bra_refined_pair(mu, t, v) for mu in mus} for v in kets], each
+    row keyed by Partition in the order given, from one walk per group of
+    kets whose longest states have one length L: each pair keeps its own
+    row count r = max(len(mu), L) + 1, and the group steps as one vector
+    keyed on (ket index, partition).  A ket of nonzero charge
     (ChargeError) or a t too short for the rows of any pair (ValueError)
     is refused before any step."""
     mus = [Partition(mu) for mu in mus]

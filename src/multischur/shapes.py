@@ -119,10 +119,6 @@ def _up_to_weight(n: int) -> Iterator[Partition]:
     return chain.from_iterable(_weight(w) for w in range(n + 1))
 
 
-def partitions_of_weight(n: int) -> list[Partition]:
-    return list(_weight(n))
-
-
 def partitions_up_to_weight(n: int) -> list[Partition]:
     return list(_up_to_weight(n))
 
@@ -180,10 +176,6 @@ def as_alphabet(letters: Iterable) -> Alphabet:
     return tuple(x if type(x) is Scalar else coerce_scalar(x) for x in letters)
 
 
-def negate_alphabet(letters: Iterable) -> Alphabet:
-    return tuple(-coerce_scalar(x) for x in letters)
-
-
 def refined_alphabet(t: Sequence, i: int) -> Alphabet:
     """The alphabet (t_1, ..., t_{i-1}); i = 1 gives the empty alphabet."""
     if i < 1:
@@ -227,21 +219,9 @@ def prefix_sequence(*rows: Iterable) -> AlphabetSequence:
     return AlphabetSequence((*rows, ()))
 
 
-def constant_sequence(letters: Iterable) -> AlphabetSequence:
-    return AlphabetSequence((letters,))
-
-
 def refined_sequence(t: Sequence) -> AlphabetSequence:
     """Row i gets (t_1, ..., t_{i-1}): the refinement family for t.  It
     holds len(t) + 1 rows, len(t)**2 / 2 letters in all, so a caller
     passes only the letters of the rows it reads."""
     t = as_alphabet(t)
     return AlphabetSequence(t[:i] for i in range(len(t) + 1))
-
-
-def motegi_scrimshaw_sequence(xvars: Iterable, t: Sequence) -> AlphabetSequence:
-    """Row i gets the x alphabet together with (t_1, ..., t_i); one more
-    t letter per row than refined_sequence supplies."""
-    x = as_alphabet(xvars)
-    t = as_alphabet(t)
-    return AlphabetSequence(x + t[:i] for i in range(1, max(len(t), 1) + 1))

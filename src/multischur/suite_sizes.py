@@ -5,7 +5,7 @@ from collections import namedtuple
 
 from .expansions import _ORACLE_MAX_WEIGHT
 
-_BRANCHING_MAX_WEIGHT = 6  # verify_branching's weight cap, and so the branching suite's
+_BRANCHING_MAX_WEIGHT = 6  # the weight cap of `_branching_sides`, and so the branching suite's
 
 Field = namedtuple("Field", "name keyword default cap")
 

@@ -1,13 +1,12 @@
-"""Complete, elementary, and power sums in a pair of alphabets.
+"""Supersymmetric complete functions and their Jacobi-Trudi determinants.
 
-h_super(n, x, y) is the degree n coefficient of
+h_n(x/y) is the degree n coefficient of
 prod_j (1 - y_j z) / prod_i (1 - x_i z), so
 
     h_n(x/y) = sum_k (-1)^k e_k(y) h_{n-k}(x).
 
 Setting y = () recovers h_n(x); setting x = () gives
-(-1)^n e_n(y) = e_n(-y).  p_n(x/y) = p_n(x) - p_n(y) follows the same
-sign convention.  The determinant of h_{lam_i - i + j}(x/y) is the
+(-1)^n e_n(y) = e_n(-y).  The determinant of h_{lam_i - i + j}(x/y) is the
 supersymmetric Schur function; `_jt` builds that determinant, and every
 Jacobi-Trudi determinant of `expansions`, from an entry function and the
 ring's `dot`, the signed sum of a minor's products (`exactalg._dot`).  For a
@@ -27,7 +26,7 @@ from __future__ import annotations
 from collections.abc import Iterable, Sequence
 
 from .exactalg import Scalar, _add_product, _dot, _laplace
-from .shapes import Partition, as_alphabet, negate_alphabet
+from .shapes import Partition, as_alphabet
 
 _ZERO = Scalar.zero()
 _ONE = Scalar.one()
@@ -49,33 +48,6 @@ def _at(series: Sequence[Scalar], k: int) -> Scalar:
     """Entry k of a series, zero outside the computed range; reading past
     the end is only right for a polynomial such as h(()/y)."""
     return series[k] if 0 <= k < len(series) else _ZERO
-
-
-def h_complete(n: int, x: Iterable) -> Scalar:
-    return _at(h_series(n, x), n)
-
-
-def e_elem(n: int, x: Iterable) -> Scalar:
-    """e_n(x) = h_n(()/-x)."""
-    return _at(h_series(n, (), negate_alphabet(x)), n)
-
-
-def h_super(n: int, x: Iterable, y: Iterable) -> Scalar:
-    """h_n(x/y) = sum_k (-1)^k e_k(y) h_{n-k}(x); equals h_n(x) when y is
-    empty and e_n(-y) when x is empty."""
-    return _at(h_series(n, x, y), n)
-
-
-def p_power(n: int, x: Iterable, y: Iterable) -> Scalar:
-    """p_n(x/y) = sum x_i^n - sum y_j^n, defined for n >= 1."""
-    if n < 1:
-        raise ValueError(f"power sum index must be >= 1: {n}")
-    total = _ZERO
-    for u in as_alphabet(x):
-        total = total + u**n
-    for v in as_alphabet(y):
-        total = total - v**n
-    return total
 
 
 def _values(mu: Partition, n: int) -> tuple:

@@ -10,9 +10,9 @@ A failed case is reported as "<label>: got <repr>, want <repr>"; a repr
 longer than _CUT (200) characters is cut to that length, ending in
 "...".  On a passing run `failures` is [].  A suite whose parameters
 leave it no case to check raises ValueError rather than passing
-vacuously.  `verify_branching` and `verify_cauchy` check one instance of
-the branching and Cauchy identities; the `branching` and `cauchy` suites
-run them over their cases and report both sides.
+vacuously.  `_branching_sides` and `_cauchy_sides` give the two sides of
+one instance of the branching and Cauchy identities; the `branching` and
+`cauchy` suites check them over their cases and report both sides.
 
 The two computation routes (closed-form determinants and the fermion
 engine) are kept independent so a suite that compares them is a real
@@ -22,7 +22,6 @@ cross-check, not a tautology.
 from __future__ import annotations
 
 from collections import Counter
-from collections.abc import Sequence
 from fractions import Fraction
 from itertools import chain, combinations, combinations_with_replacement
 from math import comb
@@ -114,22 +113,11 @@ class _Tally:
         }
 
 
-def verify_branching(
-    lam: Sequence[int],
-    t: Sequence,
-    n: int,
-    m: int,
-    bx: AlphabetSequence | None = None,
-    by: AlphabetSequence | None = None,
-) -> bool:
-    """Split the variable set: the expansion in n + m variables must equal
-    the sum over inner shapes of (skew part in the first n) times (refined
-    dual part in the last m)."""
-    lhs, rhs = _branching_sides(lam, t, n, m, bx, by)
-    return lhs == rhs
-
-
 def _branching_sides(lam, t, n, m, bx, by) -> tuple[Scalar, Scalar]:
+    """Split the variable set: the expansion in n + m variables, and the
+    sum over inner shapes of (skew part in the first n) times (refined dual
+    part in the last m); bx defaults to the refined sequence of t and by to
+    empty rows."""
     lam = Partition(lam)
     if n > 4 or m > 4:
         raise TractabilityError(f"variable counts are capped at 4: got {n}, {m}")
@@ -157,15 +145,10 @@ def _truncate_in(p: Scalar, names: frozenset[str], D: int) -> Scalar:
     return Scalar({mono: c for mono, c in p.terms() if sum(e for x, e in mono if x in names) <= D})
 
 
-def verify_cauchy(t: Sequence, D: int, n: int, m: int) -> bool:
-    """Sum over |lam| <= D of (dual element in X) times (stable element
-    in Y) against the product of geometric series, compared in all
-    monomials of Y-degree <= D."""
-    lhs, rhs = _cauchy_sides(t, D, n, m)
-    return lhs == rhs
-
-
 def _cauchy_sides(t, D, n, m) -> tuple[Scalar, Scalar]:
+    """The sum over |lam| <= D of (dual element in X) times (stable
+    element in Y), and the product of geometric series, each cut to the
+    monomials of Y-degree <= D."""
     if D > 6:
         raise TractabilityError(f"degree bound is capped at 6: got {D}")
     if n > 3 or m > 3:

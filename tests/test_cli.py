@@ -2,6 +2,7 @@
 JSON on stdout, machine-readable errors with exit status 2 (usage) or
 1 (computation)."""
 
+import hashlib
 import importlib
 import io
 import json
@@ -243,6 +244,15 @@ def test_request_text_not_utf8_is_a_usage_error(monkeypatch, capsys, tmp_path):
 
 def test_request_nested_too_deep_is_a_usage_error(monkeypatch, capsys):
     code, out = _invoke(monkeypatch, capsys, "[" * 100_000 + "]" * 100_000)
+    err = json.loads(out)["error"]
+    assert code == 2 and err["type"] == "usage", out
+    assert err["message"].startswith("request is not valid JSON")
+
+
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"), reason="this Python converts integers of any length")
+def test_integer_past_the_digit_limit_is_a_usage_error(monkeypatch, capsys):
+    text = '{"command":"verify","theorem":"cauchy","seed":1' + "0" * 5000 + "}"
+    code, out = _invoke(monkeypatch, capsys, text)
     err = json.loads(out)["error"]
     assert code == 2 and err["type"] == "usage", out
     assert err["message"].startswith("request is not valid JSON")
@@ -585,6 +595,21 @@ def test_golden_responses(monkeypatch, capsys):
         case = json.loads(line)
         code, out = _invoke(monkeypatch, capsys, case["request"])
         assert (code, out) == (case["exit"], case["stdout"]), case["request"]
+
+
+DIGESTS = Path(__file__).parent / "data" / "cli_digests.jsonl"
+
+
+def test_answer_digests(monkeypatch, capsys):
+    """Every request of the digest corpus gets the exit code and stdout whose
+    sha256 the file recorded; tests/data/make_digests.py regenerates it."""
+    changed = []
+    for line in DIGESTS.read_text(encoding="utf-8").splitlines():
+        case = json.loads(line)
+        code, out = _invoke(monkeypatch, capsys, case["request"])
+        if hashlib.sha256(f"{code}\n{out}".encode()).hexdigest() != case["sha256"]:
+            changed.append(f"{case['name']}: {json.dumps(case['request'])}")
+    assert not changed, f"{len(changed)} answers changed:\n" + "\n".join(changed)
 
 
 def test_eval_caches_stay_bounded(monkeypatch, capsys):
@@ -1055,18 +1080,15 @@ def test_readme_lists_every_budget():
 
 
 # The public names of the package, as `from multischur import *` binds them.
-EXPORTS = """AlphabetSequence ChargeError DimensionError FockVector MayaState PSI
-    PSI_STAR Partition SUITES Scalar SymFunc TractabilityError TruncationError
-    UnboundIndeterminateError apply_dressed_fermion apply_exp_H apply_fermion apply_heisenberg
-    bra_refined_pair bra_refined_pairs bra_refined_table constant_sequence det_over_ring e_elem empty_sequence
-    eval_symfunc expand_in_refined_basis flagged_schur flagged_tableau_oracle h_complete h_series h_super
-    hall_inner horizontal_strips ket_general ket_partition ket_refined motegi_scrimshaw_sequence multi_schur
-    p_power partitions_of_weight partitions_up_to_weight pieri_mult_h prefix_sequence refined_alphabet
-    refined_dual_grothendieck refined_sequence scalar_eval scalar_from_json scalar_to_json
+EXPORTS = """AlphabetSequence ChargeError DimensionError FockVector MayaState PSI PSI_STAR Partition
+    SUITES Scalar SymFunc TractabilityError TruncationError apply_dressed_fermion apply_exp_H
+    apply_fermion apply_heisenberg bra_refined_pair bra_refined_table det_over_ring empty_sequence
+    eval_symfunc expand_in_refined_basis flagged_schur h_series hall_inner horizontal_strips
+    ket_general ket_partition ket_refined multi_schur partitions_up_to_weight prefix_sequence
+    refined_alphabet refined_dual_grothendieck refined_sequence scalar_from_json scalar_to_json
     schur_expand_multischur schur_tableau_oracle skew_function skew_multi_schur stable_dual_in_G
-    stable_grothendieck_schur subpartitions superpartitions supersym_schur sym_schur sym_zero
-    symfunc_from_json symfunc_to_json truncated_dual_expansion vacuum_ket variables
-    verify_branching verify_cauchy""".split()
+    stable_grothendieck_schur subpartitions superpartitions supersym_schur sym_schur symfunc_from_json
+    symfunc_to_json truncated_dual_expansion vacuum_ket""".split()
 
 
 def _fresh(code: str) -> str:
@@ -1076,6 +1098,15 @@ def _fresh(code: str) -> str:
     run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
     assert run.returncode == 0, run.stderr
     return run.stdout
+
+
+def test_readme_quick_start_runs():
+    """Both Python blocks of the README's library quick start, in order, in one fresh interpreter."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Library quick start\n", 1)[1].split("\n## ", 1)[0]
+    blocks = re.findall(r"```python\n(.*?)```", section, re.S)
+    assert len(blocks) == 2
+    assert _fresh("".join(blocks) + "print('ok')\n") == "ok\n"
 
 
 def test_import_loads_no_module():
@@ -1111,7 +1142,7 @@ print(json.dumps([ask({MULTISCHUR_REQ!r}), ask({{"command": "verify", "theorem":
 
 
 def test_package_names_each_export_once(monkeypatch):
-    assert len(EXPORTS) == 68
+    assert len(EXPORTS) == 52
     assert multischur.__all__ == sorted(EXPORTS)
     for name in EXPORTS:
         module = importlib.import_module(f"multischur.{multischur._MODULE_OF[name]}")

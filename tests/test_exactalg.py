@@ -12,19 +12,17 @@ from multischur.exactalg import (
     DimensionError,
     Scalar,
     TractabilityError,
-    UnboundIndeterminateError,
     _add_product,
     _dot,
     _merge_monomials,
     coerce_scalar,
     collect,
     det_over_ring,
-    scalar_eval,
     scalar_from_json,
     scalar_to_json,
-    variables,
 )
 from multischur import verifications
+from oracles import scalar_eval, variables
 
 x, y, z = variables("x y z")
 
@@ -62,7 +60,7 @@ def test_arithmetic_basics():
     assert (x + 1) ** 3 == x**3 + 3 * x**2 + 3 * x + 1
     assert x - x == Scalar.zero()
     assert 2 * x == x + x
-    assert x / 2 + x / 2 == x
+    assert x * Fraction(1, 2) + Fraction(1, 2) * x == x
     assert -(-x) == x
 
 
@@ -159,19 +157,13 @@ def test_collect_sums_equal_keys_and_drops_zeros():
 def test_eval_exact():
     p = (x + y) ** 2
     assert scalar_eval(p, {"x": Fraction(1, 2), "y": Fraction(3)}) == Fraction(49, 4)
-    with pytest.raises(UnboundIndeterminateError):
+    with pytest.raises(KeyError, match="y"):
         scalar_eval(p, {"x": Fraction(1)})
 
 
-def test_degree_and_support():
-    p = x**2 * y + z
-    assert p.degree() == 3
-    assert p.indeterminates() == {"x", "y", "z"}
-    assert Scalar.zero().degree() == 0
-    assert Scalar.from_rational(5).is_constant()
-    assert Scalar.from_rational(Fraction(5, 3)).as_rational() == Fraction(5, 3)
-    with pytest.raises(ValueError):
-        (x + 1).as_rational()
+def test_indeterminates():
+    assert (x**2 * y + z).indeterminates() == {"x", "y", "z"}
+    assert Scalar.from_rational(5).indeterminates() == frozenset()
 
 
 def _perm_det(rows):
@@ -322,7 +314,7 @@ def test_canonical_form_stores_integers_as_int():
     assert (half + half)._terms == {(): 1}
     assert type((half + half)._terms[()]) is int
     assert type((2 * half)._terms[()]) is int
-    assert type((x / 2 + x / 2)._terms[(("x", 1),)]) is int
+    assert type((half * x + x * half)._terms[(("x", 1),)]) is int
     # products with a one-term factor, on either side
     two_thirds, three_halves = Scalar.from_rational(Fraction(2, 3)), Scalar.from_rational(Fraction(3, 2))
     assert type((two_thirds * three_halves)._terms[()]) is int
@@ -348,11 +340,9 @@ def test_canonical_form_stores_integers_as_int():
 
 def test_rational_results_are_fractions():
     for p in (Scalar.zero(), Scalar.from_rational(3), Scalar.from_rational(Fraction(1, 2))):
-        assert type(p.as_rational()) is Fraction
         assert type(scalar_eval(p, {})) is Fraction
     assert type(scalar_eval(2 * x, {"x": 3})) is Fraction
     assert scalar_eval(2 * x, {"x": 3}) == 6
-    assert Scalar.from_rational(3).as_rational() == Fraction(3)
 
 
 _NAMES = st.sampled_from(["a", "x", "x1", "x10", "x2", "y", "z"])
@@ -406,7 +396,7 @@ def test_add_product_sums_signed_products_like_the_fraction_oracle(triples):
 
 
 def test_add_product_drops_what_cancels_and_stores_integral_fractions_as_int():
-    p, q = x * y + z / 2, x + 1
+    p, q = x * y + z * Fraction(1, 2), x + 1
     terms = _add_product({}, p._terms, q._terms)
     assert _add_product(terms, q._terms, p._terms, True) == {}
     assert _dot([(p, q, False), (q, p, True)]) == Scalar.zero()

@@ -4,15 +4,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from multischur import expansions, shapes
-from multischur.exactalg import Scalar, variables
 from multischur.shapes import (
     AlphabetSequence,
     Partition,
-    constant_sequence,
     empty_sequence,
     horizontal_strips,
-    motegi_scrimshaw_sequence,
-    partitions_of_weight,
     partitions_up_to_weight,
     prefix_sequence,
     refined_alphabet,
@@ -20,6 +16,7 @@ from multischur.shapes import (
     subpartitions,
     superpartitions,
 )
+from oracles import variables
 
 t1, t2, t3 = variables("t1 t2 t3")
 x1, x2 = variables("x1 x2")
@@ -95,9 +92,9 @@ def test_enumeration_counts():
     # partition numbers p(0..8) = 1,1,2,3,5,7,11,15,22
     expected = [1, 1, 2, 3, 5, 7, 11, 15, 22]
     for n, count in enumerate(expected):
-        assert len(partitions_of_weight(n)) == count
+        assert len(shapes._weight(n)) == count
     assert len(partitions_up_to_weight(4)) == 1 + 1 + 2 + 3 + 5
-    assert [p for p in partitions_of_weight(3) if len(p) <= 1] == [Partition((3,))]
+    assert [p for p in shapes._weight(3) if len(p) <= 1] == [Partition((3,))]
 
 
 def test_subpartitions_of_hook():
@@ -153,30 +150,20 @@ def test_constant_tail_rows():
     assert seq.alphabet(1) == (x1,)
     assert seq.alphabet(2) == (x1, x2)
     assert seq.alphabet(9) == (x1, x2)
-    assert constant_sequence((x1, x2)).alphabet(5) == (x1, x2)
+    assert AlphabetSequence(((x1, x2),)).alphabet(5) == (x1, x2)
 
 
 def test_trailing_repeats_are_dropped():
     # one family, spelled with and without its repeated rows
     assert AlphabetSequence(((x1,), (x2,), (x2,), (x2,))).rows == ((x1,), (x2,))
-    assert AlphabetSequence(((x1,), (x1,))) == constant_sequence((x1,))
-    assert hash(AlphabetSequence(((x1,), (x1,)))) == hash(constant_sequence((x1,)))
+    assert AlphabetSequence(((x1,), (x1,))) == AlphabetSequence(((x1,),))
+    assert hash(AlphabetSequence(((x1,), (x1,)))) == hash(AlphabetSequence(((x1,),)))
     # no rows and empty rows alike mean every row is empty
-    assert AlphabetSequence(((), ())) == empty_sequence() == constant_sequence(()) == prefix_sequence()
+    assert AlphabetSequence(((), ())) == empty_sequence() == AlphabetSequence(((),)) == prefix_sequence()
     assert empty_sequence().rows == ()
     assert empty_sequence().alphabet(3) == ()
     # a repeat before the last row is a row of its own
     assert AlphabetSequence(((x1,), (x1,), ())).rows == ((x1,), (x1,), ())
-
-
-def test_motegi_scrimshaw():
-    t = (t1, t2, t3)
-    seq = motegi_scrimshaw_sequence((x1, x2), t)
-    assert seq.alphabet(1) == (x1, x2, t1)
-    assert seq.alphabet(2) == (x1, x2, t1, t2)
-    assert seq.alphabet(3) == (x1, x2, t1, t2, t3)
-    assert seq.alphabet(5) == (x1, x2, t1, t2, t3)
-    assert motegi_scrimshaw_sequence((x1,), ()).alphabet(4) == (x1,)
 
 
 def test_tail_rule_validation():
@@ -231,7 +218,7 @@ def _checked(shape) -> Partition:
 def test_unchecked_shapes_match_checked_copies():
     for lam in partitions_up_to_weight(7):
         derived = [
-            *partitions_of_weight(lam.weight),
+            *shapes._weight(lam.weight),
             *subpartitions(lam),
             *superpartitions(lam, 7),
             *horizontal_strips(lam),
@@ -272,7 +259,6 @@ def test_sub_and_superpartitions_match_brute_force():
 
 def test_enumerations_return_fresh_lists():
     calls = [
-        lambda: partitions_of_weight(4),
         lambda: partitions_up_to_weight(4),
         lambda: subpartitions((2, 1)),
         lambda: superpartitions((2, 1), 5),
@@ -293,7 +279,7 @@ def test_weight_memo_stays_bounded():
     sizes = []
     try:
         for n in range(shapes.WEIGHT_CACHE_SIZE + 3):
-            assert len(partitions_of_weight(n)) == len(memo(n))
+            memo(n)
             sizes.append(memo.cache_info().currsize)
         assert memo.cache_info().misses > shapes.WEIGHT_CACHE_SIZE
         assert max(sizes) <= shapes.WEIGHT_CACHE_SIZE

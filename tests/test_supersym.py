@@ -3,32 +3,31 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from multischur.exactalg import Scalar, variables
-from multischur.shapes import Partition, negate_alphabet
-from multischur.supersym import e_elem, h_complete, h_series, h_super, p_power, supersym_schur
+from multischur.exactalg import Scalar
+from multischur.shapes import Partition
+from multischur.supersym import _at, h_series, supersym_schur
+from oracles import p_power, variables
 
 x1, x2, x3 = variables("x1 x2 x3")
 y1, y2 = variables("y1 y2")
 
 
 def test_h_complete_small():
-    assert h_complete(0, (x1, x2)) == Scalar.one()
-    assert h_complete(1, (x1, x2)) == x1 + x2
-    assert h_complete(2, (x1, x2)) == x1**2 + x1 * x2 + x2**2
-    assert h_complete(2, ()) == Scalar.zero()
-    assert h_complete(-1, (x1,)) == Scalar.zero()
+    assert h_series(2, (x1, x2)) == [Scalar.one(), x1 + x2, x1**2 + x1 * x2 + x2**2]
+    assert h_series(2, ())[2] == Scalar.zero()
+    assert h_series(-1, (x1,)) == []
+    assert _at(h_series(-1, (x1,)), -1) == Scalar.zero()
 
 
 def test_e_elem_small():
-    assert e_elem(0, (x1, x2)) == Scalar.one()
-    assert e_elem(1, (x1, x2)) == x1 + x2
-    assert e_elem(2, (x1, x2)) == x1 * x2
-    assert e_elem(3, (x1, x2)) == Scalar.zero()
+    # e_n(x) = h_n(()/-x)
+    e = h_series(3, (), (-x1, -x2))
+    assert e == [Scalar.one(), x1 + x2, x1 * x2, Scalar.zero()]
 
 
 def test_h_is_symmetric_in_the_alphabet():
-    assert h_complete(3, (x1, x2, x3)) == h_complete(3, (x3, x1, x2))
-    assert e_elem(2, (x1, x2, x3)) == e_elem(2, (x2, x3, x1))
+    assert h_series(3, (x1, x2, x3)) == h_series(3, (x3, x1, x2))
+    assert h_series(2, (), (-x1, -x2, -x3)) == h_series(2, (), (-x2, -x3, -x1))
 
 
 @given(st.integers(min_value=0, max_value=5))
@@ -37,39 +36,37 @@ def test_h_one_letter_recurrence(n):
     # h_n(a, b) = h_n(a) + b h_{n-1}(a, b)
     a = (x1, x2)
     ab = (x1, x2, x3)
-    assert h_complete(n, ab) == h_complete(n, a) + x3 * h_complete(n - 1, ab)
+    assert h_series(n, ab)[n] == h_series(n, a)[n] + x3 * _at(h_series(n, ab), n - 1)
 
 
 def test_h_super_reduces_to_h_and_e():
-    assert h_super(2, (x1, x2), ()) == h_complete(2, (x1, x2))
+    assert h_series(2, (x1, x2), ()) == h_series(2, (x1, x2))
     # h_n(0/y) = e_n(-y)
-    assert h_super(2, (), (y1, y2)) == y1 * y2
-    assert h_super(1, (), (y1, y2)) == -(y1 + y2)
-    assert h_super(2, (), (y1, y2)) == e_elem(2, negate_alphabet((y1, y2)))
+    assert h_series(2, (), (y1, y2)) == [Scalar.one(), -(y1 + y2), y1 * y2]
 
 
 def test_h_super_signs():
     # h_i(x/y) = sum_k (-1)^k h_{i-k}(x) e_k(y)
-    want = h_complete(2, (x1, x2)) - h_complete(1, (x1, x2)) * e_elem(1, (y1,))
-    assert h_super(2, (x1, x2), (y1,)) == want
-    assert h_super(0, (x1,), (y1,)) == Scalar.one()
-    assert h_super(-2, (x1,), (y1,)) == Scalar.zero()
+    h = h_series(2, (x1, x2))
+    assert h_series(2, (x1, x2), (y1,))[2] == h[2] - h[1] * y1
+    assert h_series(0, (x1,), (y1,)) == [Scalar.one()]
+    assert _at(h_series(-2, (x1,), (y1,)), -2) == Scalar.zero()
 
 
 def test_h_super_cancellation():
     # a letter present on both sides drops out
-    assert h_super(3, (x1, x2), (x2,)) == h_complete(3, (x1,))
+    assert h_series(3, (x1, x2), (x2,)) == h_series(3, (x1,))
 
 
 @given(st.integers(min_value=0, max_value=6))
 @settings(max_examples=14, deadline=None)
 def test_h_super_convolution(n):
     # splitting both alphabets splits h as a convolution
-    lhs = h_super(n, (x1, x2), (y1, y2))
+    left, right = h_series(n, (x1,), (y1,)), h_series(n, (x2,), (y2,))
     rhs = Scalar.zero()
     for i in range(n + 1):
-        rhs = rhs + h_super(i, (x1,), (y1,)) * h_super(n - i, (x2,), (y2,))
-    assert lhs == rhs
+        rhs = rhs + left[i] * right[n - i]
+    assert h_series(n, (x1, x2), (y1, y2))[n] == rhs
 
 
 def test_p_power():
@@ -79,7 +76,7 @@ def test_p_power():
 
 
 def test_supersym_schur_single_row_and_column():
-    assert supersym_schur(Partition((2,)), (x1, x2), ()) == h_complete(2, (x1, x2))
+    assert supersym_schur(Partition((2,)), (x1, x2), ()) == h_series(2, (x1, x2))[2]
     assert supersym_schur(Partition((1, 1)), (x1, x2), ()) == x1 * x2
     assert supersym_schur(Partition(()), (x1,), (y1,)) == Scalar.one()
 
@@ -102,9 +99,9 @@ def test_supersym_schur_transpose_duality():
 
 # -- reference recurrences --------------------------------------------
 #
-# The recursions on the last letter that h_complete/e_elem/h_super once
-# used through process-wide caches, kept uncached as the oracle for the
-# one-letter series.
+# The recursions on the last letter that the complete, elementary and
+# supersymmetric functions once used through process-wide caches, kept
+# uncached as the oracle for the one-letter series.
 
 
 def _h_ref(n, letters):
@@ -148,7 +145,7 @@ alphabets = st.lists(st.sampled_from(LETTERS), max_size=4).map(tuple)
 def test_series_matches_reference_recurrences(n, x, y):
     assert h_series(n, x, y) == [_h_super_ref(k, x, y) for k in range(n + 1)]
     assert h_series(n, x) == [_h_ref(k, x) for k in range(n + 1)]
-    assert h_super(n, x, y) == _h_super_ref(n, x, y)
-    assert h_complete(n, x) == _h_ref(n, x)
-    assert e_elem(n, x) == _e_ref(n, x)
-    assert e_elem(n, y) == _e_ref(n, y)
+    assert _at(h_series(n, x, y), n) == _h_super_ref(n, x, y)
+    # e_n(x) = h_n(()/-x)
+    assert _at(h_series(n, (), [-u for u in x]), n) == _e_ref(n, x)
+    assert _at(h_series(n, (), [-u for u in y]), n) == _e_ref(n, y)
