@@ -13,7 +13,6 @@ single deterministic JSON document on stdout; errors are reported as
 
 from __future__ import annotations
 
-import argparse
 import json
 import re
 import sys
@@ -22,11 +21,13 @@ from fractions import Fraction
 from itertools import accumulate, chain, islice
 
 from .exactalg import (
+    MAX_DIGITS,
     MAX_EXPONENT,
     DimensionError,
     Scalar,
     TractabilityError,
-    check_exponent,
+    _cut,
+    check_number,
     scalar_from_json,
     scalar_to_json,
 )
@@ -60,12 +61,6 @@ class UsageError(ValueError):
 _RESERVED = {"beta"}
 _NAME = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 _MISSING = object()
-_CUT = 200  # characters kept of a value that an error message echoes
-
-
-def _cut(text: str) -> str:
-    """`text`, cut to _CUT characters ending in "..." when longer."""
-    return text if len(text) <= _CUT else text[: _CUT - 3] + "..."
 
 
 # -- budgets ----------------------------------------------------------
@@ -79,6 +74,7 @@ _BUDGETS = {
     "weight": 9,
     "letters": 9,
     "D": MAX_DEGREE_BOUND,
+    "digits": MAX_DIGITS,
     "exponent": MAX_EXPONENT,
     "stable rows": 11,
     "stable-dual rows": 8,
@@ -100,23 +96,20 @@ _LAST_ROW_READ = max(_BUDGETS["weight"], _BUDGETS["truncated rows"], _BUDGETS["s
 # -- request forms ----------------------------------------------------
 
 
-_LAMBDA = ("lambda", "λ")
-_D = ("D", "truncation")
-
 # Form -> the keys it reads.  A request takes one form (see _form), and so does each object
 # nested in it; a key outside its form's set is a usage error, since the request would
 # otherwise be answered as if the key were absent.  The README's form table lists these sets.
 _FORMS = {
-    "multischur": {"command", *_LAMBDA, "bx", "by"},
-    "multischur flag": {"command", *_LAMBDA, "flag", "vars"},
-    "expand schur": {"command", "basis", *_LAMBDA, "bx", "by"},
-    "expand refined": {"command", "basis", *_LAMBDA, "t"},
-    "expand refined bx": {"command", "basis", *_LAMBDA, "t", "bx", "by"},
-    "expand truncated": {"command", "basis", *_LAMBDA, "bx", "r", *_D},
-    "expand stable": {"command", "basis", *_LAMBDA, "t", *_D},
-    "expand stable-dual": {"command", "basis", *_LAMBDA, "bx", "t", *_D},
-    "skew": {"command", *_LAMBDA, "mu", "μ", "bx", "by"},
-    "skew bp": {"command", *_LAMBDA, "mu", "μ", "bx", "by", "bp"},
+    "multischur": {"command", "lambda", "bx", "by"},
+    "multischur flag": {"command", "lambda", "flag", "vars"},
+    "expand schur": {"command", "basis", "lambda", "bx", "by"},
+    "expand refined": {"command", "basis", "lambda", "t"},
+    "expand refined bx": {"command", "basis", "lambda", "t", "bx", "by"},
+    "expand truncated": {"command", "basis", "lambda", "bx", "r", "D"},
+    "expand stable": {"command", "basis", "lambda", "t", "D"},
+    "expand stable-dual": {"command", "basis", "lambda", "bx", "t", "D"},
+    "skew": {"command", "lambda", "mu", "bx", "by"},
+    "skew bp": {"command", "lambda", "mu", "bx", "by", "bp"},
     "inner": {"command", "f", "g"},
     "eval": {"command", "f", "vars"},
     **{f"verify {theorem}": {"command", "theorem", "seed", *(field.name for field in fields)} for theorem, fields in SIZES.items()},
@@ -171,26 +164,22 @@ def _budget(name: str, got: int) -> None:
         raise TractabilityError(f"budget {name!r} is capped at {cap}: got {got}")
 
 
-def _field(req: Mapping, *names: str, default=_MISSING):
-    """The value of the field spelled by one of `names`; two spellings at once are a usage error."""
+def _field(req: Mapping, name: str, default=_MISSING):
+    """The value of field `name`, a usage error when it is missing and has no `default`."""
     if not isinstance(req, Mapping):
-        raise UsageError(f"expected an object with field {names[0]!r}, got {_cut(repr(req))}")
-    given = [name for name in names if name in req]
-    if len(given) > 1:
-        raise UsageError(f"fields {given[0]!r} and {given[1]!r} spell one field: give one")
-    if given:
-        return req[given[0]]
-    if default is _MISSING:
-        raise UsageError(f"missing request field {names[0]!r}")
-    return default
+        raise UsageError(f"expected an object with field {name!r}, got {_cut(repr(req))}")
+    value = req.get(name, default)
+    if value is _MISSING:
+        raise UsageError(f"missing request field {name!r}")
+    return value
 
 
-def _partition(req: Mapping, *names: str, default=_MISSING) -> Partition:
-    raw = _field(req, *names, default=default)
+def _partition(req: Mapping, name: str, default=_MISSING) -> Partition:
+    raw = _field(req, name, default)
     try:
-        return Partition(raw if raw is not None else ())
+        return Partition(raw)
     except (TypeError, ValueError) as e:
-        raise UsageError(f"bad partition for {names[0]!r}: {_cut(str(e))}") from e
+        raise UsageError(f"bad partition for {name!r}: {_cut(str(e))}") from e
 
 
 def _check_name(name: str) -> str:
@@ -207,6 +196,7 @@ def parse_scalar(value) -> Scalar:
     if isinstance(value, bool):
         raise UsageError(f"bad scalar: {value!r}")
     if isinstance(value, int):
+        check_number(value)
         return Scalar.from_rational(value)
     if isinstance(value, str):
         text = value.strip()
@@ -214,7 +204,7 @@ def parse_scalar(value) -> Scalar:
         if _NAME.match(name) and not name.isdigit():
             var = Scalar.variable(_check_name(name))
             return -var if text.startswith("-") else var
-        check_exponent(text)
+        check_number(text)
         try:
             return Scalar.from_rational(Fraction(text))
         except ZeroDivisionError as e:
@@ -276,7 +266,9 @@ def parse_sequence(value) -> AlphabetSequence:
         tail = [parse_alphabet(tail_spec.get("letters", []))]
     else:
         # a refined tail spells its increments as rows, or as `t`, one letter each
-        steps = _field(tail_spec, "t", "increments", default=[])
+        if "t" in tail_spec and "increments" in tail_spec:
+            raise UsageError("fields 't' and 'increments' spell one field: give one")
+        steps = tail_spec.get("t", tail_spec.get("increments", []))
         increments = tuple((x,) for x in parse_alphabet(steps)) if "t" in tail_spec else _alphabet_rows(steps, "increments")
         # row k of the tail is base followed by the first k - 1 increments
         tail = accumulate(increments, initial=parse_alphabet(tail_spec.get("base", [])))
@@ -333,16 +325,16 @@ def parse_symfunc(value) -> SymFunc:
     return _expansion(spec, f"expand {kind}")
 
 
-def _int_field(req: Mapping, *names: str) -> int:
-    raw = _field(req, *names)
+def _int_field(req: Mapping, name: str) -> int:
+    raw = _field(req, name)
     if isinstance(raw, bool) or not isinstance(raw, int):
-        raise UsageError(f"field {names[0]!r} must be an integer: {_cut(repr(raw))}")
+        raise UsageError(f"field {name!r} must be an integer: {_cut(repr(raw))}")
     return raw
 
 
 def _degree_bound(req: Mapping, lam: Partition) -> int:
     """D >= |lambda|, else a usage error; a TractabilityError past the budget."""
-    D = _int_field(req, *_D)
+    D = _int_field(req, "D")
     if D < lam.weight:
         raise UsageError(f"degree bound {D} is below |lambda| = {lam.weight}")
     _budget("D", D)
@@ -369,7 +361,7 @@ def _letters(req: Mapping, rows: int) -> tuple[Scalar, ...]:
 def _cmd_multischur(req: Mapping, form: str) -> object:
     if form == "multischur":  # the skew function with mu = ()
         return _cmd_skew(req, form)
-    lam = _partition(req, *_LAMBDA)
+    lam = _partition(req, "lambda")
     _budget("weight", lam.weight)
     flag = req["flag"]
     if not isinstance(flag, list) or not all(isinstance(b, int) and not isinstance(b, bool) for b in flag):
@@ -386,7 +378,7 @@ def _cmd_multischur(req: Mapping, form: str) -> object:
 def _expansion(req: Mapping, form: str) -> SymFunc:
     """The element that an expand request of `form` asks for; the refined
     and stable shorthands of inner and eval are answered here too."""
-    lam = _partition(req, *_LAMBDA)
+    lam = _partition(req, "lambda")
     if form == "expand truncated":
         r = _int_field(req, "r")
         if r < len(lam):
@@ -424,8 +416,8 @@ def _cmd_expand(req: Mapping, form: str) -> object:
 
 
 def _cmd_skew(req: Mapping, form: str) -> object:
-    lam = _partition(req, *_LAMBDA)
-    mu = _partition(req, "mu", "μ", default=())
+    lam = _partition(req, "lambda")
+    mu = _partition(req, "mu", ())
     _budget("weight", lam.weight + mu.weight)
     seqs = _sequences(req, form, max(len(lam), len(mu)))
     if form == "skew bp":
@@ -504,25 +496,15 @@ def _emit(payload: object) -> None:
     sys.stdout.write(json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n")
 
 
-class _Parser(argparse.ArgumentParser):
-    def error(self, message: str):  # a bad argument list gets one JSON outcome too
-        raise UsageError(message)
-
-
-# Built once: parse_args returns a fresh namespace on every call.
-_PARSER = _Parser(
-    prog="multischur", description="Exact expansions, inner products, and verification suites.", allow_abbrev=False
-)
-_PARSER.add_argument("--input", metavar="FILE", help="read the JSON request from a file instead of stdin")
-
-
 def main(argv: Sequence[str] | None = None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
     request = None
     try:
-        args = _PARSER.parse_args(argv)
+        if argv and (len(argv) != 2 or argv[0] != "--input"):
+            raise UsageError(f"unrecognized arguments: {_cut(' '.join(argv))}; usage: multischur [--input FILE]")
         try:
-            if args.input is not None:
-                with open(args.input, "r", encoding="utf-8") as fh:
+            if argv:
+                with open(argv[1], "r", encoding="utf-8") as fh:
                     text = fh.read().strip()
             else:
                 text = "" if sys.stdin.isatty() else sys.stdin.read().strip()

@@ -47,19 +47,30 @@ class TractabilityError(ValueError):
     """Requested size is beyond the supported brute-force bounds."""
 
 
-# The largest decimal exponent that a rational string may spell, as in
-# "1e100" or "2.5E-3".  Fraction builds the whole power of ten before any
-# other budget applies: "1e10000000" takes seconds.  At this cap a product
-# of 40 such letters still has fewer than the 4300 digits that Python
-# converts from int to string; the weight budget of 9 admits far fewer.
+_CUT = 200  # characters kept of a value that a message echoes
+
+
+def _cut(text: str) -> str:
+    """`text`, cut to _CUT characters ending in "..." when longer."""
+    return text if len(text) <= _CUT else text[: _CUT - 3] + "..."
+
+
+# The largest decimal exponent that a number string may spell, as in "1e100"
+# or "2.5E-3", and the most digits of a number literal; Fraction would take
+# seconds to build "1e10000000".  At both caps a letter has at most 200 digits
+# over 100, so the nine letters of a product that the weight budget admits stay
+# within the 4300 digits that Python prints of an int; a stable pairing may not.
 MAX_EXPONENT = 100
+MAX_DIGITS = 100
 
 
-def check_exponent(text: str) -> None:
-    """A TractabilityError when `text` ends in a decimal exponent past
-    MAX_EXPONENT, after a digit or a point; anything else, number or not,
-    is left to Fraction."""
-    mantissa, _, exponent = text.lower().rpartition("e")
+def check_number(value: str | int) -> None:
+    """A TractabilityError when the number literal `value` (a JSON integer, or
+    a string of digits, signs, points, "/", "_" and spaces before any
+    exponent) has more than MAX_DIGITS digits on a side of its "/", or ends in
+    a decimal exponent past MAX_EXPONENT after a digit or a point; anything
+    else, number or not, is left to Fraction."""
+    mantissa, e, exponent = str(value).lower().rpartition("e")
     exponent = exponent.strip()
     digits = exponent[1:] if exponent[:1] in ("+", "-") else exponent
     digits = digits.replace("_", "").lstrip("0")
@@ -67,6 +78,11 @@ def check_exponent(text: str) -> None:
     if after_number and digits.isdecimal() and (len(digits) > len(str(MAX_EXPONENT)) or int(digits) > MAX_EXPONENT):
         shown = digits if len(digits) <= 20 else f"a {len(digits)}-digit number"
         raise TractabilityError(f"the size of a decimal exponent is capped at {MAX_EXPONENT}: got {shown}")
+    number = mantissa if e else exponent
+    numeric = len(number) > MAX_DIGITS and all(c.isdecimal() or c in "+-./_" or c.isspace() for c in number)
+    longest = max(sum(map(str.isdecimal, side)) for side in number.split("/")) if numeric else 0
+    if longest > MAX_DIGITS:
+        raise TractabilityError(f"a number literal is capped at {MAX_DIGITS} digits: got {longest}")
 
 
 def _monomial_sort_key(mono: Monomial) -> tuple[int, Monomial]:
@@ -76,7 +92,7 @@ def _monomial_sort_key(mono: Monomial) -> tuple[int, Monomial]:
 class Scalar:
     """Immutable exact polynomial; supports +, -, * and **."""
 
-    __slots__ = ("_terms", "_hash")
+    __slots__ = ("_terms",)
 
     def __init__(self, terms: Mapping[Monomial, Coefficient] = ()):
         clean: dict[Monomial, Coefficient] = {}
@@ -85,7 +101,6 @@ class Scalar:
             if coeff:
                 clean[mono] = coeff.numerator if coeff.denominator == 1 else coeff
         self._terms = clean
-        self._hash: int | None = None
 
     @classmethod
     def _trusted(cls, terms: dict[Monomial, Coefficient]) -> "Scalar":
@@ -94,7 +109,6 @@ class Scalar:
         operations of this module, whose results are canonical."""
         self = object.__new__(cls)
         self._terms = terms
-        self._hash = None
         return self
 
     # -- constructors -------------------------------------------------
@@ -185,9 +199,7 @@ class Scalar:
         return self._terms == other._terms
 
     def __hash__(self) -> int:
-        if self._hash is None:
-            self._hash = hash(frozenset(self._terms.items()))
-        return self._hash
+        return hash(frozenset(self._terms.items()))
 
     def indeterminates(self) -> frozenset[str]:
         return frozenset(name for mono in self._terms for name, _ in mono)
@@ -346,8 +358,7 @@ def scalar_from_json(data: Iterable[Mapping]) -> Scalar:
         coeff = item["coefficient"]
         if isinstance(coeff, bool) or not isinstance(coeff, (str, int)):
             raise ValueError(f"a coefficient is a string or an integer: {coeff!r}")
-        if isinstance(coeff, str):
-            check_exponent(coeff)
+        check_number(coeff)
         try:
             coeff = Fraction(coeff)
         except ZeroDivisionError as e:

@@ -22,7 +22,7 @@ determinant lands in the Schur basis with no second ring.
 from __future__ import annotations
 
 from collections.abc import Iterable, Iterator, Mapping, Sequence
-from functools import lru_cache
+from functools import cache, lru_cache
 from itertools import chain
 
 from .exactalg import (
@@ -296,8 +296,8 @@ def skew_function(
     lam, mu = Partition(lam), Partition(mu)
     r = max(len(lam), len(mu))
 
+    @cache  # each cell's series is built once, though minors read it again
     def entry(k: int, i: int, j: int) -> SymFunc:
-        # `_jt` computes each cell once, so each cell series is built here
         s = h_series(k, bx.alphabet(i), by.alphabet(i) + bp.alphabet(j))
         return SymFunc({(n,): s[k - n] for n in range(k + 1)})
 

@@ -237,14 +237,12 @@ def apply_heisenberg(m: int, v: FockVector) -> FockVector:
 
     def pairs():
         for lam, coeff in v._terms.items():
-            sea_top = c - len(lam) - 1
-            levels = {p + c - 1 - i for i, p in enumerate(lam)}
-            for u in range(sea_top - abs(m), (lam[0] if lam else 0) + c):
-                if (u > sea_top and u not in levels) or u - m <= sea_top or u - m in levels:
-                    continue  # u empty, or u - m occupied
-                j1, mid = _annihilate(c, lam, u)
-                j2, new = _create(c - 1, mid, u - m)
-                yield new, -coeff if (j1 + j2) & 1 else coeff
+            # u - m must be empty, so above the sea top c - len(lam) - 1, and u occupied
+            for u in range(c - len(lam) + m, (lam[0] if lam else 0) + c):
+                down = _annihilate(c, lam, u)  # None when u is empty
+                up = down and _create(c - 1, down[1], u - m)  # None when u - m is occupied
+                if up:
+                    yield up[1], -coeff if (down[0] + up[0]) & 1 else coeff
 
     return FockVector._trusted(c, collect(pairs()))
 

@@ -63,16 +63,13 @@ def _cells(mu: Partition, n: int) -> tuple:
 def _jt(lam: Partition, entry, keys=_values, dot=_dot, one=_ONE):
     """det(mu, n) = det( entry(lam_i - i - c_j, i, *rest_j) ), i, j = 1..n,
     for the column keys (c_j, *rest_j) = keys(mu, n), in the ring of `dot`
-    and `one`.  The determinants share one memo of minors and compute each
-    entry once."""
-    entries = {}
+    and `one`.  The determinants share one memo of minors; `entry` runs each
+    time a minor reads it, so one that builds more than a lookup caches."""
+    memo = {(): one}
 
     def at(i, key):
-        if (i, key) not in entries:
-            entries[i, key] = entry(lam.part(i) - i - key[0], i, *key[1:])
-        return entries[i, key]
+        return entry(lam.part(i) - i - key[0], i, *key[1:])
 
-    memo = {(): one}
     return lambda mu, n: _laplace(keys(mu, n), at, memo, dot)
 
 

@@ -7,7 +7,7 @@ scale and returns a summary dict:
      "cases": int, "failures": [str, ...]}
 
 A failed case is reported as "<label>: got <repr>, want <repr>"; a repr
-longer than _CUT (200) characters is cut to that length, ending in
+longer than `exactalg._CUT` (200) characters is cut to that length, ending in
 "...".  On a passing run `failures` is [].  A suite whose parameters
 leave it no case to check raises ValueError rather than passing
 vacuously.  `_branching_sides` and `_cauchy_sides` give the two sides of
@@ -26,7 +26,7 @@ from fractions import Fraction
 from itertools import chain, combinations, combinations_with_replacement
 from math import comb
 
-from .exactalg import Scalar, det_over_ring
+from .exactalg import Scalar, _cut, det_over_ring
 from .fock import (
     PSI,
     PSI_STAR,
@@ -80,9 +80,6 @@ def _one_letter_rows(n: int) -> tuple[AlphabetSequence, ...]:
     return tuple(prefix_sequence(*[(u,) for u in _vars(stem, n)]) for stem in "ab")
 
 
-_CUT = 200  # characters kept of each side's repr in a failure
-
-
 class _Tally:
     """The cases of one suite and the failing ones, each named by its
     label and both sides."""
@@ -96,7 +93,7 @@ class _Tally:
         self.cases += 1
         if got != want:
             args = tuple(list(a) if isinstance(a, Partition) else a for a in args)
-            got, want = (r if len(r) <= _CUT else r[: _CUT - 3] + "..." for r in (repr(got), repr(want)))
+            got, want = _cut(repr(got)), _cut(repr(want))
             self.failures.append(f"{label % args}: got {got}, want {want}")
 
     def summary(self, theorem: str, *sizes: int, **extras) -> dict:

@@ -19,7 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import multischur
-from multischur import cli, expansions, verifications
+from multischur import cli, exactalg, expansions, verifications
 from multischur.cli import main
 from multischur.exactalg import Scalar, scalar_from_json
 from multischur.expansions import SymFunc, refined_dual_grothendieck, symfunc_from_json, symfunc_to_json
@@ -54,12 +54,18 @@ def test_multischur_request(monkeypatch, capsys):
 
 
 def test_unicode_lambda_key(monkeypatch, capsys):
+    """Each field has one spelling: `λ`, `μ` and an expand `truncation` are
+    unread keys, refused as usage errors."""
     req = dict(MULTISCHUR_REQ)
     req["λ"] = req.pop("lambda")
-    code, out = _invoke(monkeypatch, capsys, req)
-    _, want = _invoke(monkeypatch, capsys, MULTISCHUR_REQ)
-    assert code == 0
-    assert out == want
+    skew = {"command": "skew", "lambda": [2], "bx": [["x1"]]}
+    stable = {"command": "expand", "basis": "stable", "lambda": [1], "t": ["t1"]}
+    for bad in (req, {**skew, "μ": [1]}, {**stable, "truncation": 2}):
+        code, out = _invoke(monkeypatch, capsys, bad)
+        assert code == 2 and json.loads(out)["error"]["type"] == "usage", (bad, out)
+        assert "does not read" in json.loads(out)["error"]["message"], out
+    for good in ({**skew, "mu": [1]}, {**stable, "D": 2}):
+        assert _invoke(monkeypatch, capsys, good)[0] == 0, good
 
 
 def test_determinism_byte_identical(monkeypatch, capsys):
@@ -118,9 +124,11 @@ def test_verify_seed_recorded(monkeypatch, capsys):
 
 
 def test_bad_argument_list_is_one_usage_error(monkeypatch, capsys):
-    """An unknown option, a removed flag or --input without a file is one
-    JSON usage error, with nothing on stderr and no SystemExit."""
-    for argv in (["--bogus"], ["--input"], ["--max-weight", "2"], ["--seed", "9"], ["2"]):
+    """An unknown option, a removed flag, --input without a file, a repeated
+    --input or --input=FILE is one JSON usage error, with nothing on stderr
+    and no SystemExit; the arguments are refused before any file is read."""
+    for argv in (["--bogus"], ["--input"], ["--max-weight", "2"], ["--seed", "9"], ["2"],
+                 ["--input", "a.json", "--input", "b.json"], ["--input=a.json"]):
         monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(MULTISCHUR_REQ)))
         code = main(argv)
         out, err = capsys.readouterr()
@@ -128,11 +136,17 @@ def test_bad_argument_list_is_one_usage_error(monkeypatch, capsys):
         assert json.loads(out)["error"]["type"] == "usage"
 
 
-def test_help_prints_usage(capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(["--help"])
-    assert exc.value.code == 0
-    assert "--input FILE" in capsys.readouterr().out
+def test_help_prints_usage(monkeypatch, capsys):
+    """`-h` and `--help` are no options: each is one usage error that gives
+    the usage line, returned as exit status 2 with no SystemExit."""
+    for argv in (["--help"], ["-h"], ["-h", "--input", "req.json"]):
+        monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(MULTISCHUR_REQ)))
+        code = main(argv)
+        out, err = capsys.readouterr()
+        assert code == 2 and out.count("\n") == 1 and err == "", (argv, out, err)
+        error = json.loads(out)["error"]
+        assert error["type"] == "usage", argv
+        assert "unrecognized arguments" in error["message"] and "usage: multischur [--input FILE]" in error["message"], argv
 
 
 def test_input_file(monkeypatch, capsys, tmp_path):
@@ -392,7 +406,7 @@ def test_non_integer_exponent_rejected(monkeypatch, capsys):
 
 
 def test_error_messages_cut_the_values_they_echo(monkeypatch, capsys):
-    """A value that an error message echoes is cut to cli._CUT characters,
+    """A value that an error message echoes is cut to exactalg._CUT characters,
     so a message stays short whatever the request holds."""
     nested = []
     for _ in range(500):
@@ -412,7 +426,7 @@ def test_error_messages_cut_the_values_they_echo(monkeypatch, capsys):
         code, out = _invoke(monkeypatch, capsys, req)
         message = json.loads(out)["error"]["message"]
         assert code == 2 and "..." in message, (req, out[:300])
-        assert len(message) < 150 + cli._CUT, message  # the fixed text of each is shorter
+        assert len(message) < 150 + exactalg._CUT, message  # the fixed text of each is shorter
 
 
 def test_exponent_literal_refused_before_it_is_built(monkeypatch, capsys):
@@ -423,6 +437,23 @@ def test_exponent_literal_refused_before_it_is_built(monkeypatch, capsys):
     assert cli.parse_scalar("3/4") == Scalar.from_rational(Fraction(3, 4))
     cap = cli._BUDGETS["exponent"]
     assert cli.parse_scalar(f"1e-{cap}") == Scalar.from_rational(Fraction(1, 10**cap))
+
+
+def test_number_literal_digits_refused_before_any_work(monkeypatch, capsys):
+    """A 4,000-digit letter, as a string or as a JSON integer, once computed
+    x**2 and then failed to print; now it is refused first.  At the digit and
+    exponent caps nine letters of lambda = (9) still print."""
+    for letter in ("9" * 4000, int("9" * 4000)):
+        _assert_tractability_within_a_second(monkeypatch, capsys, {"command": "multischur", "lambda": [2], "bx": [[letter]]})
+    cap, e = cli._BUDGETS["digits"], cli._BUDGETS["exponent"]
+    for letter, value in [("9" * cap, 10**cap - 1), (10**cap - 1, 10**cap - 1), (1 - 10**cap, 1 - 10**cap),
+                          ("1/" + "7" * cap, Fraction(1, int("7" * cap))), ("0." + "0" * (cap - 2) + "5", Fraction(5, 10**(cap - 1)))]:
+        assert cli.parse_scalar(letter) == Scalar.from_rational(value), letter
+    corner = {"command": "expand", "basis": "schur", "lambda": [9], "bx": [[f"-{'9' * cap}e{e}"] * 5 + [f"1/{'7' * cap}"] * 4]}
+    code, out = _invoke(monkeypatch, capsys, corner)
+    assert code == 0, out[:300]
+    # a long string that is no number is still a usage error
+    _assert_usage_error(monkeypatch, capsys, {"command": "multischur", "lambda": [1], "bx": [["9" * 4000 + "x"]]})
 
 
 def test_verify_parameters_below_one_rejected(monkeypatch, capsys):
@@ -718,7 +749,7 @@ def test_unread_fields_rejected(monkeypatch, capsys):
         {"command": "inner", "f": {"basis": "schur", "terms": [], "junk": 1}, "g": {"schur": [1]}},
         {"command": "inner", "f": {"terms": [{"partition": [1], "coeff": [{"coefficient": "1"}], "x": 1}]}, "g": {"schur": [1]}},
         {"command": "multischur", "lambda": [1], "bx": [[{"coefficient": "1", "monomial": {"x1": 1}, "junk": 0}]]},
-        # two spellings of one field
+        # a second spelling of a field is an unread key
         {"command": "multischur", "lambda": [1], "λ": [2], "bx": [["x1"]]},
         {"command": "skew", "lambda": [2], "mu": [1], "μ": [], "bx": [["x1"]]},
         {"command": "expand", "basis": "stable", "lambda": [1], "t": ["t1"], "D": 2, "truncation": 2},
@@ -782,10 +813,10 @@ def test_shorthand_is_its_expand_request(monkeypatch, capsys):
     t = ["t3", "t1", "t5", "t2", "t6"]
     answered = [
         ("refined", {"lambda": [2, 1], "t": t[:3]}),
-        ("refined", {"λ": [3, 1, 1], "t": t[:3]}),
+        ("refined", {"lambda": [3, 1, 1], "t": t[:3]}),
         ("refined", {"lambda": [], "t": []}),
         ("stable", {"lambda": [1], "t": t, "D": 5}),
-        ("stable", {"lambda": [2, 1], "t": t, "truncation": 5}),
+        ("stable", {"lambda": [2, 1], "t": t, "D": 5}),
     ]
     for kind, spec in answered:
         code, out = _invoke(monkeypatch, capsys, {"command": "expand", "basis": kind, **spec})
@@ -810,6 +841,12 @@ def test_shorthand_is_its_expand_request(monkeypatch, capsys):
             got_code, got = _invoke(monkeypatch, capsys, req)
             error = json.loads(got)["error"]
             assert (got_code, error["type"], error["message"]) == (code, want["type"], want["message"]), req
+    # a key of another spelling is unread by the expand form and by the spec
+    for kind, spec in [("refined", {"λ": [3, 1, 1], "t": t[:3]}), ("stable", {"lambda": [2, 1], "t": t, "truncation": 5})]:
+        for req in ({"command": "expand", "basis": kind, **spec},
+                    {"command": "inner", "f": {kind: spec}, "g": {"schur": [1]}},
+                    {"command": "eval", "f": {kind: spec}, "vars": ["x1"]}):
+            _assert_usage_error(monkeypatch, capsys, req)
 
 
 def test_stable_budgets(monkeypatch, capsys):
@@ -842,8 +879,8 @@ def test_stable_budgets(monkeypatch, capsys):
         _assert_tractability_within_a_second(monkeypatch, capsys, req)
 
 
-# parts that the request boundary once rounded or parsed into a different question
-NON_INTEGER_PARTS = ([1.5], [2.0], "21", ["2"], [True], [2, False], "", {})
+# parts that the request boundary once rounded, parsed or read as () into a different question
+NON_INTEGER_PARTS = ([1.5], [2.0], "21", ["2"], [True], [2, False], "", {}, None)
 
 
 def test_non_integer_lambda_rejected(monkeypatch, capsys):
@@ -1036,6 +1073,15 @@ PAST_CAP = {
         {"command": "multischur", "lambda": [1], "bx": [[[{"coefficient": " 2.5E-1_000_000 ", "monomial": {"x1": 1}}]]]},
         {"command": "inner", "f": {"terms": [{"partition": [1], "coeff": [{"coefficient": "1e10000000"}]}]}, "g": {}},
     ],
+    "digits": lambda n: [
+        {"command": "multischur", "lambda": [1], "bx": [["9" * n]]},
+        {"command": "multischur", "lambda": [1], "bx": [[10**n]]},
+        {"command": "multischur", "lambda": [1], "bx": [[f" -{'1' * n}.5e3 "]]},
+        {"command": "multischur", "lambda": [1], "bx": [["1/" + "3" * n]]},
+        {"command": "multischur", "lambda": [1], "bx": [[[{"coefficient": "7" * n, "monomial": {"x1": 1}}]]]},
+        {"command": "multischur", "lambda": [1], "bx": [[[{"coefficient": -(10**n), "monomial": {"x1": 1}}]]]},
+        {"command": "inner", "f": {"terms": [{"partition": [1], "coeff": [{"coefficient": "1/" + "9" * n}]}]}, "g": {}},
+    ],
     "eval weight": lambda n: [
         {"command": "eval", "f": {"schur": [n]}, "vars": ["x1"]},
         {"command": "eval", "f": {"schur": [6, 6, 6, 6]}, "vars": LETTERS[:5]},
@@ -1129,7 +1175,7 @@ def ask(request):
     sys.stdin, sys.stdout = io.StringIO(json.dumps(request)), io.StringIO()
     code, out = cli.main([]), sys.stdout.getvalue()
     sys.stdout = sys.__stdout__
-    return [code, json.loads(out), sorted(set(sys.modules) & {{"multischur.fock", "multischur.verifications", "dataclasses"}})]
+    return [code, json.loads(out), sorted(set(sys.modules) & {{"multischur.fock", "multischur.verifications", "dataclasses", "argparse", "gettext"}})]
 
 print(json.dumps([ask({MULTISCHUR_REQ!r}), ask({{"command": "verify", "theorem": "cauchy"}})]))
 """

@@ -12,6 +12,7 @@ import io
 import json
 import sys
 
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -224,17 +225,32 @@ def test_a_junk_command_or_theorem_is_one_usage_error(name, as_theorem):
     assert json.loads(out)["error"]["operation"] == (command if isinstance(command, str) else "parse")
 
 
-# Option-like and plain tokens, never -h nor a prefix of --help, which print usage and exit.
-ARG_TOKENS = ["--bogus", "--max-weight", "--truncation", "--seed", "--command", "--input", "--input=", "-x", "2", ""]
+ARG_REQUEST = {"command": "multischur", "lambda": [1], "bx": [["x1"]]}
+FILE = object()  # stands for a file that holds ARG_REQUEST
+# Option-like and plain tokens, and a real `--input FILE` pair.
+ARG_TOKENS = ["--bogus", "--max-weight", "--truncation", "--seed", "--command", "--input", "--input=", "-x", "2", "",
+              "-h", "--help", ("--input", FILE)]
 
 
-@given(st.lists(st.sampled_from(ARG_TOKENS), max_size=4))
+@pytest.fixture(scope="module")
+def request_file(tmp_path_factory):
+    path = tmp_path_factory.mktemp("args") / "request.json"
+    path.write_text(json.dumps(ARG_REQUEST), encoding="utf-8")
+    return str(path)
+
+
+@given(tokens=st.lists(st.sampled_from(ARG_TOKENS), max_size=4))
 @settings(max_examples=100, deadline=None)
-def test_every_argument_list_gets_one_json_outcome(argv):
-    """No SystemExit and no argparse text on stderr: a bad argument list is
-    one usage error, and an --input naming no readable file one io error."""
-    code, out = _ask({"command": "multischur", "lambda": [1], "bx": [["x1"]]}, argv)
+def test_every_argument_list_gets_one_json_outcome(request_file, tokens):
+    """No SystemExit and nothing on stderr: only no arguments or one
+    `--input FILE` pair reach the request, any other list is one usage
+    error, and an --input naming no readable file is one io error."""
+    argv = [request_file if t is FILE else t for token in tokens for t in (token if isinstance(token, tuple) else (token,))]
+    code, out = _ask(ARG_REQUEST, argv)
     assert code in (0, 1, 2), (argv, out)
     assert out.endswith("\n") and out.count("\n") == 1, (argv, out)
     doc = json.loads(out)
     assert (code == 0) != (isinstance(doc, dict) and "error" in doc), (argv, out)
+    assert (code == 0) == (argv in ([], ["--input", request_file])), (argv, out)
+    if argv and (len(argv) != 2 or argv[0] != "--input"):
+        assert code == 2 and doc["error"]["type"] == "usage", (argv, out)

@@ -6,11 +6,10 @@ import re
 import pytest
 
 from multischur import verifications
-from multischur.exactalg import Scalar
+from multischur.exactalg import _CUT, Scalar
 from multischur.expansions import SymFunc
 from multischur.suite_sizes import SIZES
 from multischur.verifications import (
-    _CUT,
     SUITES,
     beta_chain,
     branching,
