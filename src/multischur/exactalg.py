@@ -30,6 +30,7 @@ monomial pair tuples.
 
 from __future__ import annotations
 
+import sys
 from collections.abc import Iterable, Iterator, Mapping, Sequence
 from fractions import Fraction
 from typing import Union
@@ -192,6 +193,8 @@ class Scalar:
         return bool(self._terms)
 
     def __eq__(self, other: object) -> bool:
+        if type(other) is Scalar:  # the common case, before Fraction's ABC check
+            return self._terms == other._terms
         if isinstance(other, (int, Fraction)):
             other = coerce_scalar(other)
         if not isinstance(other, Scalar):
@@ -333,11 +336,19 @@ def det_over_ring(rows: Sequence[Sequence]) -> Scalar:
 
 
 def scalar_to_json(p: Scalar) -> list[dict]:
-    """List of {"coefficient": "p/q", "monomial": {name: exp}} in graded lex order."""
-    return [
-        {"coefficient": str(coeff), "monomial": {name: e for name, e in mono}}
-        for mono, coeff in p.terms()
-    ]
+    """List of {"coefficient": "p/q", "monomial": {name: exp}} in graded lex
+    order; a TractabilityError when a coefficient has more digits than
+    Python converts from an int to a string (sys.get_int_max_str_digits)."""
+    try:
+        return [
+            {"coefficient": str(coeff), "monomial": {name: e for name, e in mono}}
+            for mono, coeff in p.terms()
+        ]
+    except ValueError:  # only str() of an int past the digit limit raises here
+        limit = sys.get_int_max_str_digits()
+        raise TractabilityError(
+            f"a coefficient of the answer has more than the {limit} digits that Python prints of an integer"
+        ) from None
 
 
 def _json_object(obj, keys: set, what: str) -> Mapping:

@@ -28,26 +28,33 @@ The operators:
     strips: the one-letter branching rule for skew Schur functions
     (Macdonald I.5), in vertex-operator form.  lam/mu is a vertical strip
     iff lam'/mu' is a horizontal one, so shapes.horizontal_strips
-    enumerates both kinds, the vertical ones through conjugation.  Each
-    table is built once per partition and kind: the memo `_strips`, keyed
-    on (lam, kind) and bounded by STRIP_CACHE_SIZE, answers 97% of the
-    lookups of one orthonormality suite at maxWeight 8;
+    enumerates both kinds, the vertical ones through conjugation;
   * dressed fermions e^{H(x/y)} psi_m e^{-H(x/y)} (or psi*_m), as that
     conjugation by strip steps, not as the closed form sum_i h_i(x/y)
     psi_{m-i}, whose h_i are the Jacobi-Trudi entries it is checked against.
+
+Every strip step is one table lookup per basis state.  A step sends
+|lam> to a fixed list of moves (nu, strip size n, sign) that depends on
+lam, on the level offset d = m - c + 1 of its fermion and on its kind:
+the bra step psi*_m then the vertical strips of e^{-H(t)}, the refined
+ket step the horizontal strips of e^{H(t)} then psi_m, and the bare
+strips of e^{+-H(t)}.  The memo `_moves`, keyed on (lam, d, kind) and
+bounded by MOVE_CACHE_SIZE, builds each list once, the fermion kinds
+from the bare ones, and the one summing loop `_step` multiplies each
+coefficient by the cached signed power of the letter.  A zero letter's
+step is the fermion alone.
 
 The refined bra <mu| pairs with a charge-0 vector by applying
 psi*_{mu_1 - 1}, e^{-H(t_1)}, psi*_{mu_2 - 2}, ... and reading one
 coefficient.  bra_refined_table pairs many bras with many kets.  It
 groups the kets by the length L of their longest state, and each pair
 keeps its row count r = max(len mu, L) + 1, so it is the same Scalar as
-when paired alone.  Each group takes one depth-first walk as one vector
-keyed on (ket index, partition): the bras that agree on mu_1..mu_i share
-their first i steps, a step applies psi* and the strips of e^{-H(t_i)}
-to every ket's terms in one pass, with the powers of -t_i built once per
-table, and a branch whose vector has become zero stops there.  The walk
-and e^{H} share one per-state strip sum.  bra_refined_pair is the
-table's entry for one bra and one ket.
+when paired alone.  Each group takes one depth-first walk as one vector,
+a dict from ket index to that ket's terms: the bras that agree on
+mu_1..mu_i share their first i steps, a step applies psi* and the strips
+of e^{-H(t_i)} to every ket's terms, with the powers of -t_i built once
+per table, and a branch whose vector has become zero stops there.
+bra_refined_pair is the table's entry for one bra and one ket.
 
 Everything is linear over exact Scalars and charge-homogeneous.  No
 operator here evaluates a determinant, and the module reads nothing from
@@ -68,6 +75,7 @@ PSI = "psi"
 PSI_STAR = "psi_star"
 
 _ONE = Scalar.one()
+_MINUS_ONE = -_ONE
 _ZERO = Scalar.zero()
 _EMPTY = Partition()
 
@@ -93,12 +101,12 @@ class MayaState(namedtuple("MayaState", "charge parts")):
         return f"{word} {ket}" if word else ket
 
 
-def _create(c: int, lam: Partition, m: int) -> tuple[int, Partition] | None:
-    """psi_m on the basis state (c, lam): (j, new parts) with the sign
-    (-1)^j, or None when level m is already occupied.  With d = m - c + 1,
-    level m is the excited level of row j (from 0) when lam[j] - j = d,
-    and in the sea when d <= -len(lam)."""
-    d, r = m - c + 1, len(lam)
+def _create(lam: Partition, d: int) -> tuple[int, Partition] | None:
+    """psi_m on the basis state (c, lam), with d = m - c + 1: (j, new
+    parts) with the sign (-1)^j, or None when level m is already
+    occupied.  Level m is the excited level of row j (from 0) when
+    lam[j] - j = d, and in the sea when d <= -len(lam)."""
+    r = len(lam)
     if d <= -r:
         return None
     j = 0
@@ -114,10 +122,10 @@ def _create(c: int, lam: Partition, m: int) -> tuple[int, Partition] | None:
     return j, Partition._trusted(parts)
 
 
-def _annihilate(c: int, lam: Partition, m: int) -> tuple[int, Partition] | None:
-    """psi*_m on the basis state (c, lam): (j, new parts) with the sign
-    (-1)^j, or None when level m is empty."""
-    d, r = m - c + 1, len(lam)
+def _annihilate(lam: Partition, d: int) -> tuple[int, Partition] | None:
+    """psi*_m on the basis state (c, lam), with d = m - c + 1: (j, new
+    parts) with the sign (-1)^j, or None when level m is empty."""
+    r = len(lam)
     j = 0
     while j < r and lam[j] - j > d:
         j += 1
@@ -210,6 +218,17 @@ def vacuum_ket(charge: int = 0) -> FockVector:
     return FockVector._trusted(charge, {_EMPTY: _ONE})
 
 
+def _fermion(act, d: int, terms: dict[Partition, Scalar]) -> dict[Partition, Scalar]:
+    """_create or _annihilate at offset d on every term, one term per
+    surviving state: no sum."""
+    out = {}
+    for lam, coeff in terms.items():
+        hit = act(lam, d)
+        if hit is not None:
+            out[hit[1]] = -coeff if hit[0] & 1 else coeff
+    return out
+
+
 def apply_fermion(mode: str, m: int, v: FockVector) -> FockVector:
     """psi_m or psi*_m on v, one term per surviving state: no sum."""
     if mode == PSI:
@@ -221,12 +240,7 @@ def apply_fermion(mode: str, m: int, v: FockVector) -> FockVector:
     c = v._charge
     if c is None:
         return v
-    terms = {}
-    for lam, coeff in v._terms.items():
-        hit = act(c, lam, m)
-        if hit is not None:
-            terms[hit[1]] = -coeff if hit[0] & 1 else coeff
-    return FockVector._trusted(c + shift, terms)
+    return FockVector._trusted(c + shift, _fermion(act, m - c + 1, v._terms))
 
 
 def apply_heisenberg(m: int, v: FockVector) -> FockVector:
@@ -239,50 +253,81 @@ def apply_heisenberg(m: int, v: FockVector) -> FockVector:
         for lam, coeff in v._terms.items():
             # u - m must be empty, so above the sea top c - len(lam) - 1, and u occupied
             for u in range(c - len(lam) + m, (lam[0] if lam else 0) + c):
-                down = _annihilate(c, lam, u)  # None when u is empty
-                up = down and _create(c - 1, down[1], u - m)  # None when u - m is occupied
+                down = _annihilate(lam, u - c + 1)  # None when u is empty
+                up = down and _create(down[1], u - m - c + 2)  # None when u - m is occupied
                 if up:
                     yield up[1], -coeff if (down[0] + up[0]) & 1 else coeff
 
     return FockVector._trusted(c, collect(pairs()))
 
 
-# Strip tables kept by `_strips`.  The fermion suites at their caps step
-# through 100 distinct (partition, kind) tables in one process (77 for
-# `orthonormality` at maxWeight 8), each of at most 14 strips.
-STRIP_CACHE_SIZE = 128
+# Move tables kept by `_moves`.  One cold fermion suite at its cap fills at
+# most 746 of them (`orthonormality` at maxWeight 8: 603 bra, 66 ket and 77
+# bare tables, about 0.3 MB), each of at most 14 moves.
+MOVE_CACHE_SIZE = 1024
 
 
-@lru_cache(maxsize=STRIP_CACHE_SIZE)
-def _strips(lam: Partition, vertical: bool) -> tuple[tuple[Partition, int], ...]:
-    """(mu, |lam/mu|) for every vertical or horizontal strip lam/mu, built
-    once.  The vertical strips are the conjugates of the horizontal strips
-    of lam', in that order."""
-    n = lam.weight
-    if vertical:
-        return tuple((mu.transpose(), n - mu.weight) for mu in horizontal_strips(lam.transpose()))
-    return tuple((mu, n - mu.weight) for mu in horizontal_strips(lam))
+@lru_cache(maxsize=MOVE_CACHE_SIZE)
+def _moves(lam: Partition, d: int | None, vertical: bool) -> tuple[int, tuple[tuple[Partition, int], ...]]:
+    """The moves of one step on the basis state |lam>, built once: (top,
+    ((nu, i), ...)), where the step sends |lam> to the sum over the moves
+    of (-1)^i s^(i // 2) |nu>, s is the letter t for horizontal strips and
+    -t for vertical ones, and top is the largest i.  The kinds:
 
+      * d None: the bare strip step, every strip lam/nu of its kind, with
+        i = 2 |lam/nu|; the vertical strips are the conjugates of the
+        horizontal strips of lam', in that order;
+      * vertical, d an offset m - c + 1: psi*_m, then the vertical strips;
+      * horizontal, d an offset: the horizontal strips, then psi_m on each.
 
-def _add_strips(out: dict, k, lam: Partition, coeff: Scalar, powers: list[Scalar], vertical: bool) -> None:
-    """Sum coeff * s^{|lam/mu|} into out[k, mu], or into out[mu] when k is
-    None, for every vertical or horizontal strip lam/mu, where powers =
-    [1, s, s^2, ...] is extended here as far as the strips need.  A sum
-    that cancels is dropped, as `collect` drops it."""
-    # the largest strip takes one box from each row, or from each column
-    while len(powers) <= (len(lam) if vertical else lam[0] if lam else 0):
-        powers.append(powers[-1] * powers[1])
-    for mu, n in _strips(lam, vertical):
-        # nonzero: a product of nonzero Scalars, so only a sum is tested
-        c = coeff * powers[n] if n else coeff
-        key = mu if k is None else (k, mu)
-        acc = out.get(key)
-        if acc is None:
-            out[key] = c
-        elif acc := acc + c:
-            out[key] = acc
+    The fermion steps read the bare tables, and psi_m and psi*_m are
+    injective, so each keeps its strips' order and sums nothing."""
+    if d is None:
+        n = lam.weight
+        if vertical:
+            moves = tuple((mu.transpose(), 2 * (n - mu.weight)) for mu in horizontal_strips(lam.transpose()))
         else:
-            del out[key]
+            moves = tuple((mu, 2 * (n - mu.weight)) for mu in horizontal_strips(lam))
+    elif vertical:
+        hit = _annihilate(lam, d)
+        moves = () if hit is None else tuple((nu, i + (hit[0] & 1)) for nu, i in _moves(hit[1], None, True)[1])
+    else:
+        moves = tuple(
+            (hit[1], i + (hit[0] & 1)) for mu, i in _moves(lam, None, False)[1] if (hit := _create(mu, d)) is not None
+        )
+    return max((i for _, i in moves), default=0), moves
+
+
+def _powers(s: Scalar) -> list[Scalar]:
+    """[1, -1, s], which `_step` extends one entry at a time as far as its
+    moves need: entry i is (-1)^i s^(i // 2), an odd one the negation of
+    the entry before it."""
+    return [_ONE, _MINUS_ONE, s]
+
+
+def _step(terms: dict[Partition, Scalar], d: int | None, vertical: bool, powers: list[Scalar]) -> dict:
+    """One step of kind (d, vertical) of `_moves` on a vector's terms:
+    each coefficient times powers[i] summed into its move's nu, where
+    powers comes from `_powers`.  A sum that cancels is dropped, as
+    `collect` drops it, and taken up again at the end if a later move
+    brings it back."""
+    out: dict[Partition, Scalar] = {}
+    get = out.get
+    for lam, coeff in terms.items():
+        top, moves = _moves(lam, d, vertical)
+        while len(powers) <= top:
+            powers.append(-powers[-1] if len(powers) & 1 else powers[-2] * powers[2])
+        for nu, i in moves:
+            # nonzero: a product of nonzero Scalars, so only a sum is tested
+            c = coeff * powers[i] if i else coeff
+            acc = get(nu)
+            if acc is None:
+                out[nu] = c
+            elif acc := acc + c:
+                out[nu] = acc
+            else:
+                del out[nu]
+    return out
 
 
 def _exp_letter(t: Scalar, vertical: bool, v: FockVector) -> FockVector:
@@ -291,11 +336,7 @@ def _exp_letter(t: Scalar, vertical: bool, v: FockVector) -> FockVector:
     (-t)^{|lam/mu|} |mu> over vertical strips."""
     if not (t and v._terms):
         return v
-    powers = [_ONE, -t if vertical else t]
-    terms: dict[Partition, Scalar] = {}
-    for lam, coeff in v._terms.items():
-        _add_strips(terms, None, lam, coeff, powers, vertical)
-    return FockVector._trusted(v._charge, terms)
+    return FockVector._trusted(v._charge, _step(v._terms, None, vertical, _powers(-t if vertical else t)))
 
 
 def apply_exp_H(x: Iterable, y: Iterable, sign: int, v: FockVector) -> FockVector:
@@ -349,7 +390,15 @@ def ket_refined(lam: Sequence[int], t: Sequence, r: int) -> FockVector:
     t = as_alphabet(t)
     if len(t) < r:
         raise ValueError(f"refined sequence needs {r} letters, got {len(t)}")
-    return _ket(lam, r, lambda i, m, v: apply_fermion(PSI, m, _exp_letter(t[i - 1], False, v)))
+    return _ket(lam, r, lambda i, m, v: _ket_step(t[i - 1], m, v))
+
+
+def _ket_step(t: Scalar, m: int, v: FockVector) -> FockVector:
+    """psi_m e^{H(t)} v as one `_step` of the ket kind; psi_m alone for t = 0."""
+    c = v._charge
+    if not t or c is None:
+        return apply_fermion(PSI, m, v)
+    return FockVector._trusted(c + 1, _step(v._terms, m - c + 1, False, _powers(t)))
 
 
 def bra_refined_pair(mu: Sequence[int], t: Sequence, v: FockVector) -> Scalar:
@@ -366,18 +415,19 @@ def bra_refined_table(
     """[{mu: bra_refined_pair(mu, t, v) for mu in mus} for v in kets], each
     row keyed by Partition in the order given, from one walk per group of
     kets whose longest states have one length L: each pair keeps its own
-    row count r = max(len(mu), L) + 1, and the group steps as one vector
-    keyed on (ket index, partition).  A ket of nonzero charge
+    row count r = max(len(mu), L) + 1, and the group steps as one vector,
+    a dict from ket index to that ket's terms.  A ket of nonzero charge
     (ChargeError) or a t too short for the rows of any pair (ValueError)
     is refused before any step."""
     mus = [Partition(mu) for mu in mus]
-    groups: dict[int, dict[tuple[int, Partition], Scalar]] = {}
+    groups: dict[int, dict[int, dict[Partition, Scalar]]] = {}
     table = []
     for k, v in enumerate(kets):
         if v.charge not in (None, 0):
             raise ChargeError(f"refined bras pair with charge 0, got {v.charge}")
         group = groups.setdefault(max(map(len, v._terms), default=0), {})
-        group.update(((k, lam), c) for lam, c in v._terms.items())
+        if v._terms:
+            group[k] = v._terms
         table.append(dict.fromkeys(mus, _ZERO))
     rows = {L: {mu: max(len(mu), L) + 1 for mu in mus} for L in groups}
     t = as_alphabet(t)
@@ -385,7 +435,7 @@ def bra_refined_table(
     if len(t) < need:
         raise ValueError(f"refined sequence needs {need} letters, got {len(t)}")
     # the powers of -t_i, built once for every walk; None for t_i = 0
-    powers = [[_ONE, -x] if x else None for x in t[:need]]
+    powers = [_powers(-x) if x else None for x in t[:need]]
     for L, w in groups.items():
         _bra_walk(rows[L], powers, w, table)
     return table
@@ -393,12 +443,13 @@ def bra_refined_table(
 
 def _bra_walk(rows: Mapping[Partition, int], powers: list, w: dict, table: list[dict[Partition, Scalar]]) -> None:
     """Apply psi*_{mu_i - i} then e^{-H(t_i)} for i = 1..r to the group
-    vector w, keyed on (ket index, partition), and write the coefficient
-    of |-r> of ket k to table[k][mu], for every mu with its r = rows[mu];
-    the table holds zero for every pair not written.  powers[i - 1] is
-    [1, -t_i, ...], or None for t_i = 0.  Depth first: at step i the
-    bras are grouped by mu_i, so each step runs once per distinct prefix
-    mu_1..mu_i, and a branch whose vector is zero stops there."""
+    vector w, a dict from ket index k to its terms, and write the
+    coefficient of |-r> of ket k to table[k][mu], for every mu with its
+    r = rows[mu]; the table holds zero for every pair not written.
+    powers[i - 1] is `_powers(-t_i)`, or None for t_i = 0.  Depth first:
+    at step i the bras are grouped by mu_i, so each step runs once per
+    distinct prefix mu_1..mu_i, and a branch whose vector is zero stops
+    there."""
     stack = [(list(rows.items()), 1, w)]  # the (mu, r) that share steps 1..i-1, and w after them
     while stack:
         bras, i, w = stack.pop()
@@ -408,8 +459,9 @@ def _bra_walk(rows: Mapping[Partition, int], powers: list, w: dict, table: list[
         for bra in bras:
             mu, r = bra
             if r < i:  # w has charge 1 - i = -r
-                for (k, lam), c in w.items():
-                    if not lam:
+                for k, terms in w.items():
+                    c = terms.get(_EMPTY)
+                    if c is not None:
                         table[k][mu] = c
             else:
                 branches.setdefault(mu[i - 1] if i <= len(mu) else 0, []).append(bra)
@@ -418,18 +470,14 @@ def _bra_walk(rows: Mapping[Partition, int], powers: list, w: dict, table: list[
 
 
 def _bra_step(m: int, c: int, powers: list[Scalar] | None, w: dict) -> dict:
-    """psi*_m then the vertical strip step of powers = [1, -t, ...] on
-    every term of the group vector w of charge c, in one pass; powers is
-    None when t = 0, whose step is the identity."""
-    out: dict[tuple[int, Partition], Scalar] = {}
-    for (k, lam), coeff in w.items():
-        hit = _annihilate(c, lam, m)
-        if hit is not None:
-            j, nu = hit
-            if j & 1:
-                coeff = -coeff
-            if powers is None:
-                out[k, nu] = coeff  # psi*_m is injective: no two terms meet
-            else:
-                _add_strips(out, k, nu, coeff, powers, True)
+    """psi*_m then the vertical strip step of powers = `_powers(-t)` on
+    each ket's terms in the group vector w of charge c, one `_step` per
+    ket; powers is None when t = 0, whose strip step is the identity.  A
+    ket whose terms vanish is dropped."""
+    d = m - c + 1
+    out = {}
+    for k, terms in w.items():
+        terms = _step(terms, d, True, powers) if powers else _fermion(_annihilate, d, terms)
+        if terms:
+            out[k] = terms
     return out

@@ -456,6 +456,18 @@ def test_number_literal_digits_refused_before_any_work(monkeypatch, capsys):
     _assert_usage_error(monkeypatch, capsys, {"command": "multischur", "lambda": [1], "bx": [["9" * 4000 + "x"]]})
 
 
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"), reason="this Python prints integers of any length")
+def test_answer_past_the_print_limit_is_a_tractability_error(monkeypatch, capsys):
+    """Two stable shorthands with twelve 100-digit letters pair to an answer
+    whose coefficients Python cannot print; its error names the limit."""
+    t = [f"{10**99 + 6 * i + 7}/{10**99 + 6 * i + 1}" for i in range(12)]
+    f = {"stable": {"lambda": [3, 2, 1], "t": t, "D": 14}}
+    code, out = _invoke(monkeypatch, capsys, {"command": "inner", "f": f, "g": f})
+    err = json.loads(out)["error"]
+    assert code == 1 and err["type"] == "tractability", out
+    assert f"more than the {sys.get_int_max_str_digits()} digits" in err["message"]
+
+
 def test_verify_parameters_below_one_rejected(monkeypatch, capsys):
     for theorem, key, value in [
         ("orthonormality", "maxWeight", -1),

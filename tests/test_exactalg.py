@@ -89,6 +89,26 @@ def test_json_round_trip(a):
     assert scalar_from_json(scalar_to_json(a)) == a
 
 
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"), reason="this Python prints integers of any length")
+def test_json_refuses_a_coefficient_past_the_print_limit():
+    limit = sys.get_int_max_str_digits()
+    for big in (10**limit, Fraction(1, 10**limit), -(10**limit)):
+        with pytest.raises(TractabilityError, match=f"more than the {limit} digits"):
+            scalar_to_json(Scalar.from_rational(big) * x + Scalar.one())
+    assert scalar_to_json(Scalar.from_rational(10 ** (limit - 1))) == [{"coefficient": "1" + "0" * (limit - 1), "monomial": {}}]
+
+
+def test_equality_reads_scalars_and_rationals_only():
+    a = x + Fraction(1, 2)
+    assert a == x + Fraction(1, 2) and a != x and a != Scalar.zero()
+    assert Scalar.from_rational(3) == 3 == Scalar.from_rational(3) and Scalar.from_rational(Fraction(1, 2)) == Fraction(1, 2)
+    assert Scalar.zero() == 0 and Scalar.one() != 2 and a != 1
+    for other in ("x", 0.5, None, [1]):
+        assert a.__eq__(other) is NotImplemented
+        assert a != other
+    assert Scalar.__eq__(Scalar.one(), True)  # bool is an int
+
+
 def test_json_term_order_is_graded():
     p = x**2 + y + x * y * z + Scalar.one()
     degrees = [sum(t["monomial"].values()) for t in scalar_to_json(p)]

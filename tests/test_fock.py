@@ -34,6 +34,7 @@ from multischur.shapes import (
     refined_sequence,
     subpartitions,
 )
+from multischur.suite_sizes import SIZES
 from multischur.supersym import h_series, supersym_schur
 from oracles import excited_levels, occupied, p_power, sea_top, variables
 
@@ -380,8 +381,8 @@ def test_bra_refined_pair_orthonormality():
 def walk_with_rows(mu, r, t, v):
     """The pair of mu and v from the walk of bra_refined_table, with the row count r given."""
     table = [{mu: Scalar.zero()}]
-    powers = [[Scalar.one(), -x] if x else None for x in as_alphabet(t)]
-    fock._bra_walk({mu: r}, powers, {(0, s.parts): c for s, c in v.items()}, table)
+    powers = [fock._powers(-x) if x else None for x in as_alphabet(t)]
+    fock._bra_walk({mu: r}, powers, {0: {s.parts: c for s, c in v.items()}}, table)
     return table[0]
 
 
@@ -809,54 +810,95 @@ def test_exp_letter_matches_collect_oracle(v, t, vertical):
     assert got.charge == want.charge
 
 
+def strip_table(lam, vertical):
+    """The bare strip table of `_moves` as (mu, |lam/mu|) pairs; a bare
+    step carries no sign, so every i is even."""
+    top, moves = fock._moves(lam, None, vertical)
+    assert all(i % 2 == 0 for _, i in moves) and top == max(i for _, i in moves)
+    return [(mu, i // 2) for mu, i in moves]
+
+
 def test_vertical_strip_tables_match_brute_force():
     for lam in partitions_up_to_weight(7):
-        table = fock._strips(lam, True)
+        table = strip_table(lam, True)
         assert sorted(table) == sorted((mu, lam.weight - mu.weight) for mu in oracle_vertical_strips(lam)), lam
         # built unchecked, so compared with the checked copies, which drop a trailing zero
         assert all(type(mu) is Partition and mu == Partition(tuple(mu)) for mu, _ in table), lam
     # the order in which a strip step sums its terms
     want = [(2, 2, 1), (2, 1, 1), (1, 1, 1), (2, 2), (2, 1), (1, 1)]
-    assert [mu for mu, _ in fock._strips(Partition((2, 2, 1)), True)] == want
-    assert [mu for mu, _ in fock._strips(Partition((1, 1)), True)] == [(1, 1), (1,), ()]
+    assert [mu for mu, _ in strip_table(Partition((2, 2, 1)), True)] == want
+    assert [mu for mu, _ in strip_table(Partition((1, 1)), True)] == [(1, 1), (1,), ()]
 
 
-def test_strip_tables_are_enumerated_once_per_partition_and_kind(monkeypatch):
-    calls = []
+def test_move_tables_are_built_once_per_state_offset_and_kind(monkeypatch):
+    """A cold orthonormality suite builds each (lam, d, kind) table once
+    and keeps it; the fermion tables read the bare ones, so the strips
+    are enumerated once per bare table only, and a second run of the
+    suite builds nothing."""
+    calls, keys = [], []
 
     def counting(lam, enumerate_strips=fock.horizontal_strips):
         calls.append(lam)
         return enumerate_strips(lam)
 
+    def recording(lam, d, vertical, memo=fock._moves):
+        keys.append((lam, d, vertical))
+        return memo(lam, d, vertical)
+
+    memo = fock._moves
     monkeypatch.setattr(fock, "horizontal_strips", counting)
-    fock._strips.cache_clear()
+    monkeypatch.setattr(fock, "_moves", recording)
+    memo.cache_clear()
     try:
         assert verifications.orthonormality(4)["passed"]
-        # one enumeration per table, horizontal or vertical
-        tables = fock._strips.cache_info().misses
-        assert calls and len(calls) == tables
-        assert fock._strips.cache_info().hits > 5 * tables  # 93 hits for 15 tables
+        info = memo.cache_info()
+        # every distinct key missed once and was kept: none was built twice
+        assert len(set(keys)) == info.misses == info.currsize  # 86 tables
+        assert info.hits == len(keys) - info.misses > 2 * info.misses  # 200 hits
+        bare = {key for key in keys if key[1] is None}
+        assert len(calls) == len(bare) < info.misses  # 15 of the 86
+        built = len(calls)
+        assert verifications.orthonormality(4)["passed"]
+        assert len(calls) == built and memo.cache_info().misses == info.misses
     finally:
-        fock._strips.cache_clear()  # drop the tables built through the counting enumerators
+        memo.cache_clear()  # drop the tables built through the counting enumerators
 
 
-def test_strip_memo_stays_bounded():
-    memo = fock._strips
-    keys = [(lam, vertical) for lam in partitions_up_to_weight(8) for vertical in (False, True)]
-    assert memo.cache_info().maxsize == fock.STRIP_CACHE_SIZE < len(keys)
-    memo.cache_clear()
-    sizes = []
+def test_move_memo_holds_each_fermion_suite_at_its_cap():
+    """One cold run of each suite that steps through `_moves`, at its
+    caps, fits in the memo without an eviction: every table it builds
+    is built once."""
+    memo = fock._moves
+    fills = {}
     try:
-        for lam, vertical in keys:
-            memo(lam, vertical)
-            sizes.append(memo.cache_info().currsize)
-        assert max(sizes) <= fock.STRIP_CACHE_SIZE
+        for theorem in ("orthonormality", "dual-engine", "beta-chain"):
+            memo.cache_clear()
+            assert verifications.SUITES[theorem](*(field.cap for field in SIZES[theorem]))["passed"]
+            info = memo.cache_info()
+            assert info.misses == info.currsize <= fock.MOVE_CACHE_SIZE, theorem
+            fills[theorem] = info.currsize
+    finally:
+        memo.cache_clear()
+    assert fills == {"orthonormality": 746, "dual-engine": 450, "beta-chain": 89}
+
+
+def test_move_memo_stays_bounded():
+    memo = fock._moves
+    keys = [(lam, d, vertical) for lam in partitions_up_to_weight(8) for d in range(-3, 9) for vertical in (False, True)]
+    assert memo.cache_info().maxsize == fock.MOVE_CACHE_SIZE < len(keys)
+    memo.cache_clear()
+    try:
+        for key in keys:
+            memo(*key)
+            assert memo.cache_info().currsize <= fock.MOVE_CACHE_SIZE
         # the tables of the smallest shapes were evicted first: they are built again
         v = FockVector({MayaState(0, lam): 1 for lam in partitions_up_to_weight(3)})
+        misses = memo.cache_info().misses
         for vertical in (False, True):
             assert fock._exp_letter(t1, vertical, v) == oracle_exp_letter(t1, vertical, v)
-        assert memo.cache_info().misses > len(keys)
-        assert memo.cache_info().currsize <= fock.STRIP_CACHE_SIZE
+        assert fock._ket_step(t1, 0, v) == oracle_fermion(PSI, 0, oracle_exp_letter(t1, False, v))
+        assert memo.cache_info().misses > misses
+        assert memo.cache_info().currsize <= fock.MOVE_CACHE_SIZE
     finally:
         memo.cache_clear()
 
@@ -888,14 +930,69 @@ def test_bra_step_matches_per_ket_operators():
     vectors += [v.scale(t1) + u for v in vectors for u in vectors if v.charge == u.charge and v is not u]
     for c in {v.charge for v in vectors}:
         kets = [v for v in vectors if v.charge == c]
-        w = {(k, s.parts): coeff for k, v in enumerate(kets) for s, coeff in v.items()}
+        w = {k: dict(v._terms) for k, v in enumerate(kets)}
         for m in range(-6, 7):
             for t in ORACLE_LETTERS:
-                got = fock._bra_step(m, c, [Scalar.one(), -t] if t else None, w)
+                got = fock._bra_step(m, c, fock._powers(-t) if t else None, w)
                 for k, v in enumerate(kets):
                     want = fock._exp_letter(t, True, apply_fermion(PSI_STAR, m, v))
-                    assert {lam: x for (j, lam), x in got.items() if j == k} == want._terms, (m, t, v)
-                assert all(got.values())
+                    assert got.get(k, {}) == want._terms, (m, t, v)
+                assert all(terms and all(terms.values()) for terms in got.values())
+
+
+STEP_COEFFS = [1, -1, 2, Fraction(-1, 2), t1, -t1, t1 * t1, x1 - y1]
+
+
+@st.composite
+def step_groups(draw):
+    """A charge and up to three vectors of that charge, each summed from
+    up to four random terms whose coefficients may cancel a strip's."""
+    charge = draw(st.integers(-2, 2))
+    vectors = []
+    for _ in range(draw(st.integers(1, 3))):
+        shapes = draw(st.lists(st.lists(st.integers(1, 3), max_size=3), max_size=4))
+        coeffs = [draw(st.sampled_from(STEP_COEFFS)) for _ in shapes]
+        vectors.append(FockVector([(MayaState(charge, sorted(p, reverse=True)), x) for p, x in zip(shapes, coeffs)]))
+    return charge, vectors
+
+
+def assert_fused_steps_match(c, vectors, m, t):
+    """The ket step is psi_m after e^{H(t)} and the bra step e^{-H(t)}
+    after psi*_m, the same terms in the same order, on each vector."""
+    for v in vectors:
+        got, want = fock._ket_step(t, m, v), apply_fermion(PSI, m, fock._exp_letter(t, False, v))
+        assert got == want and got.charge == want.charge, (v, m, t)
+        assert got.items() == want.items(), (v, m, t)
+    w = {k: v._terms for k, v in enumerate(vectors) if v}
+    got = fock._bra_step(m, c, fock._powers(-t) if t else None, w)
+    for k, v in enumerate(vectors):
+        want = fock._exp_letter(t, True, apply_fermion(PSI_STAR, m, v))
+        assert list(got.get(k, {}).items()) == list(want._terms.items()), (v, m, t)
+    assert all(terms and all(terms.values()) for terms in got.values())
+
+
+@given(step_groups(), st.integers(-7, 6), st.sampled_from(ORACLE_LETTERS))
+@settings(max_examples=200, deadline=None)
+def test_fused_steps_match_fermion_and_strip_steps(group, m, t):
+    assert_fused_steps_match(*group, m, t)
+
+
+def test_fused_steps_drop_cancelled_terms_and_reach_the_sea():
+    # e^{H(t1)} (|1> - t1 |0> + |2>): |0> cancels, and |2> brings it back last;
+    # without |2>, |0> cancels for good
+    v = FockVector({MayaState(0, (1,)): 1, MayaState(0, ()): -t1, MayaState(0, (2,)): 1})
+    for m in range(-4, 4):
+        assert_fused_steps_match(0, [v, v.scale(t1)], m, t1)
+    one = FockVector({MayaState(0, (1,)): 1})
+    assert fock._ket_step(t1, 1, one + vacuum_ket(0).scale(-t1)) == apply_fermion(PSI, 1, one)
+    # after psi*_m on |1,1> + t1 |1>, the vertical strips cancel at m = 0 and
+    # at every m <= -3, where psi*_m takes a level of the sea
+    u = FockVector({MayaState(0, (1, 1)): 1, MayaState(0, (1,)): t1})
+    for m in range(-5, 3):
+        assert_fused_steps_match(0, [u, v, u + v], m, t1)
+    assert fock._bra_step(0, 0, fock._powers(-t1), {0: u._terms}) == {0: {Partition((1,)): Scalar.one()}}
+    # the zero letter: the fermion alone
+    assert_fused_steps_match(0, [u, v], 0, Scalar.zero())
 
 
 def test_summing_operators_drop_cancelled_terms():
