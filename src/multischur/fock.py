@@ -263,7 +263,7 @@ def apply_heisenberg(m: int, v: FockVector) -> FockVector:
 
 # Move tables kept by `_moves`.  One cold fermion suite at its cap fills at
 # most 746 of them (`orthonormality` at maxWeight 8: 603 bra, 66 ket and 77
-# bare tables, about 0.3 MB), each of at most 14 moves.
+# bare tables, about 0.25 MB), each of at most 14 moves.
 MOVE_CACHE_SIZE = 1024
 
 
@@ -288,13 +288,18 @@ def _moves(lam: Partition, d: int | None, vertical: bool) -> tuple[int, tuple[tu
             moves = tuple((mu.transpose(), 2 * (n - mu.weight)) for mu in horizontal_strips(lam.transpose()))
         else:
             moves = tuple((mu, 2 * (n - mu.weight)) for mu in horizontal_strips(lam))
-    elif vertical:
+        # the largest strip takes one box from each row, or from each column
+        return 2 * (len(lam) if vertical else lam[0] if lam else 0), moves
+    if vertical:
         hit = _annihilate(lam, d)
-        moves = () if hit is None else tuple((nu, i + (hit[0] & 1)) for nu, i in _moves(hit[1], None, True)[1])
-    else:
-        moves = tuple(
-            (hit[1], i + (hit[0] & 1)) for mu, i in _moves(lam, None, False)[1] if (hit := _create(mu, d)) is not None
-        )
+        if hit is None:
+            return 0, ()
+        top, moves = _moves(hit[1], None, True)
+        # an even sign shares the bare table
+        return (top + 1, tuple((nu, i + 1) for nu, i in moves)) if hit[0] & 1 else (top, moves)
+    moves = tuple(
+        (hit[1], i + (hit[0] & 1)) for mu, i in _moves(lam, None, False)[1] if (hit := _create(mu, d)) is not None
+    )
     return max((i for _, i in moves), default=0), moves
 
 

@@ -824,6 +824,7 @@ def test_vertical_strip_tables_match_brute_force():
         assert sorted(table) == sorted((mu, lam.weight - mu.weight) for mu in oracle_vertical_strips(lam)), lam
         # built unchecked, so compared with the checked copies, which drop a trailing zero
         assert all(type(mu) is Partition and mu == Partition(tuple(mu)) for mu, _ in table), lam
+        assert strip_table(lam, False) == [(mu, lam.weight - mu.weight) for mu in shapes.horizontal_strips(lam)], lam
     # the order in which a strip step sums its terms
     want = [(2, 2, 1), (2, 1, 1), (1, 1, 1), (2, 2), (2, 1), (1, 1)]
     assert [mu for mu, _ in strip_table(Partition((2, 2, 1)), True)] == want
