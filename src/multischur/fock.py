@@ -46,14 +46,15 @@ step is the fermion alone.
 
 The refined bra <mu| pairs with a charge-0 vector by applying
 psi*_{mu_1 - 1}, e^{-H(t_1)}, psi*_{mu_2 - 2}, ... and reading one
-coefficient.  bra_refined_table pairs many bras with many kets.  It
-groups the kets by the length L of their longest state, and each pair
-keeps its row count r = max(len mu, L) + 1, so it is the same Scalar as
-when paired alone.  Each group takes one depth-first walk as one vector,
-a dict from ket index to that ket's terms: the bras that agree on
-mu_1..mu_i share their first i steps, a step applies psi* and the strips
-of e^{-H(t_i)} to every ket's terms, with the powers of -t_i built once
-per table, and a branch whose vector has become zero stops there.
+coefficient.  bra_refined_table pairs many bras with many kets in one
+depth-first walk at one row count r, one past the longest bra and the
+longest ket state: past len(mu) a further row sends the vacuum to the
+next vacuum, and no other state ever reaches a vacuum, so every pair
+reads as it would alone.  The walk steps all kets as one vector, a dict
+from ket index to that ket's terms: the bras that agree on mu_1..mu_i
+share their first i steps, a step applies psi* and the strips of
+e^{-H(t_i)} to every ket's terms, with the powers of -t_i built once per
+table, and a branch whose vector has become zero stops there.
 bra_refined_pair is the table's entry for one bra and one ket.
 
 Everything is linear over exact Scalars and charge-homogeneous.  No
@@ -408,8 +409,9 @@ def _ket_step(t: Scalar, m: int, v: FockVector) -> FockVector:
 
 def bra_refined_pair(mu: Sequence[int], t: Sequence, v: FockVector) -> Scalar:
     """Pair the refined bra for mu against a charge-0 vector: apply
-    psi*_{mu_1 - 1}, e^{-H(t_1)}, psi*_{mu_2 - 2}, ... and read off the
-    coefficient of |-r>; the answer is r-stable."""
+    psi*_{mu_1 - 1}, e^{-H(t_1)}, ..., psi*_{mu_r - r}, e^{-H(t_r)} and
+    read off the coefficient of |-r>, the same for every r past len(mu)
+    and the length of v's longest state (see bra_refined_table)."""
     mu = Partition(mu)
     return bra_refined_table([mu], t, [v])[0][mu]
 
@@ -418,65 +420,53 @@ def bra_refined_table(
     mus: Iterable[Sequence[int]], t: Sequence, kets: Iterable[FockVector]
 ) -> list[dict[Partition, Scalar]]:
     """[{mu: bra_refined_pair(mu, t, v) for mu in mus} for v in kets], each
-    row keyed by Partition in the order given, from one walk per group of
-    kets whose longest states have one length L: each pair keeps its own
-    row count r = max(len(mu), L) + 1, and the group steps as one vector,
-    a dict from ket index to that ket's terms.  A ket of nonzero charge
-    (ChargeError) or a t too short for the rows of any pair (ValueError)
-    is refused before any step."""
-    mus = [Partition(mu) for mu in mus]
-    groups: dict[int, dict[int, dict[Partition, Scalar]]] = {}
-    table = []
+    row keyed by Partition in the order given, from one depth-first walk at
+    one row count r = max(longest mu, longest ket state) + 1.  That r
+    serves every pair: past r >= len(mu), one more row (psi*_{-r-1}, then
+    e^{-H(t_{r+1})}) sends |-r> to +|-r-1> and kills every other state or
+    sends it to states whose first part is >= 2, which no vertical strip
+    takes to the vacuum.  The walk steps every ket at once, as one vector:
+    a dict from ket index to that ket's terms.  At depth i the bras are
+    grouped by mu_i, so each step runs once per distinct prefix
+    mu_1..mu_i, and a branch whose vector is zero stops there; past depth
+    r each ket's coefficient of |-r> is read.  A ket of nonzero charge
+    (ChargeError) or a t shorter than r (ValueError) is refused before any
+    step."""
+    row = dict.fromkeys(map(Partition, mus), _ZERO)
+    table, w, longest = [], {}, 0
     for k, v in enumerate(kets):
         if v.charge not in (None, 0):
             raise ChargeError(f"refined bras pair with charge 0, got {v.charge}")
-        group = groups.setdefault(max(map(len, v._terms), default=0), {})
         if v._terms:
-            group[k] = v._terms
-        table.append(dict.fromkeys(mus, _ZERO))
-    rows = {L: {mu: max(len(mu), L) + 1 for mu in mus} for L in groups}
+            w[k] = v._terms
+            longest = max(longest, *map(len, v._terms))
+        table.append(row.copy())
+    r = max(longest, *map(len, row)) + 1 if row and table else 0
     t = as_alphabet(t)
-    need = max((r for group in rows.values() for r in group.values()), default=0)
-    if len(t) < need:
-        raise ValueError(f"refined sequence needs {need} letters, got {len(t)}")
-    # the powers of -t_i, built once for every walk; None for t_i = 0
-    powers = [_powers(-x) if x else None for x in t[:need]]
-    for L, w in groups.items():
-        _bra_walk(rows[L], powers, w, table)
-    return table
-
-
-def _bra_walk(rows: Mapping[Partition, int], powers: list, w: dict, table: list[dict[Partition, Scalar]]) -> None:
-    """Apply psi*_{mu_i - i} then e^{-H(t_i)} for i = 1..r to the group
-    vector w, a dict from ket index k to its terms, and write the
-    coefficient of |-r> of ket k to table[k][mu], for every mu with its
-    r = rows[mu]; the table holds zero for every pair not written.
-    powers[i - 1] is `_powers(-t_i)`, or None for t_i = 0.  Depth first:
-    at step i the bras are grouped by mu_i, so each step runs once per
-    distinct prefix mu_1..mu_i, and a branch whose vector is zero stops
-    there."""
-    stack = [(list(rows.items()), 1, w)]  # the (mu, r) that share steps 1..i-1, and w after them
+    if len(t) < r:
+        raise ValueError(f"refined sequence needs {r} letters, got {len(t)}")
+    # the powers of -t_i, built once per table; None for t_i = 0
+    powers = [_powers(-x) if x else None for x in t[:r]]
+    stack = [(list(row), 1, w)] if r else []  # the bras that share steps 1..i-1, and w after them
     while stack:
         bras, i, w = stack.pop()
         if not w:
             continue
-        branches: dict[int, list[tuple[Partition, int]]] = {}
-        for bra in bras:
-            mu, r = bra
-            if r < i:  # w has charge 1 - i = -r
-                for k, terms in w.items():
-                    c = terms.get(_EMPTY)
-                    if c is not None:
-                        table[k][mu] = c
-            else:
-                branches.setdefault(mu[i - 1] if i <= len(mu) else 0, []).append(bra)
+        if i > r:  # w has charge -r, and bras is the one mu of its prefix
+            for k, terms in w.items():
+                table[k][bras[0]] = terms.get(_EMPTY, _ZERO)
+            continue
+        branches: dict[int, list[Partition]] = {}
+        for mu in bras:
+            branches.setdefault(mu[i - 1] if i <= len(mu) else 0, []).append(mu)
         for part, group in branches.items():
             stack.append((group, i + 1, _bra_step(part - i, 1 - i, powers[i - 1], w)))
+    return table
 
 
 def _bra_step(m: int, c: int, powers: list[Scalar] | None, w: dict) -> dict:
     """psi*_m then the vertical strip step of powers = `_powers(-t)` on
-    each ket's terms in the group vector w of charge c, one `_step` per
+    each ket's terms in the walk's vector w of charge c, one `_step` per
     ket; powers is None when t = 0, whose strip step is the identity.  A
     ket whose terms vanish is dropped."""
     d = m - c + 1

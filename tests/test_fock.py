@@ -371,19 +371,25 @@ def test_bra_refined_pair_orthonormality():
     for lam in shapes:
         v = ket_refined(lam, ts, max(1, len(lam)))
         for mu in shapes:
-            want = Scalar.one() if mu == lam else Scalar.zero()
-            assert bra_refined_pair(mu, ts, v) == want
-            # r-stable: one more row than bra_refined_pair uses changes nothing
-            r = max(len(mu), *(len(s.parts) for s, _ in v.items())) + 1
-            assert walk_with_rows(mu, r, ts, v) == walk_with_rows(mu, r + 1, ts, v) == {mu: want}
+            assert bra_refined_pair(mu, ts, v) == (Scalar.one() if mu == lam else Scalar.zero())
 
 
-def walk_with_rows(mu, r, t, v):
-    """The pair of mu and v from the walk of bra_refined_table, with the row count r given."""
-    table = [{mu: Scalar.zero()}]
-    powers = [fock._powers(-x) if x else None for x in as_alphabet(t)]
-    fock._bra_walk({mu: r}, powers, {0: {s.parts: c for s, c in v.items()}}, table)
-    return table[0]
+def test_bra_refined_table_is_r_stable():
+    """A longer bra in the same table walks every pair one or two rows
+    past the row count it takes alone; no pair changes."""
+    ts = (t1, t2, t3, t4, t5, t6)
+    bx, by = prefix_sequence((x1,), (x2, t1)), prefix_sequence((y1,), ())
+    shapes = partitions_up_to_weight(3)
+    for lam in shapes:
+        refined, general = ket_refined(lam, ts, len(lam)), ket_general(lam, bx, by, len(lam))
+        for v in (refined, general, refined + general):
+            longest = max(len(s.parts) for s, _ in v.items())
+            for mu in shapes:
+                alone = bra_refined_pair(mu, ts, v)
+                r = max(len(mu), longest) + 1
+                for extra in (1, 2):
+                    longer = Partition((1,) * (r + extra - 1))  # the common row count is r + extra
+                    assert bra_refined_table([mu, longer], ts, [v])[0][mu] == alone, (lam, mu, extra)
 
 
 def test_bra_refined_pair_vacuum():
@@ -427,6 +433,8 @@ def test_bra_refined_pairs_match_per_mu_oracle():
             assert got[mu] == bra_refined_pair(mu, ts, v), (name, mu)
     assert bra_refined_table([], ts, [kets["refined", (2, 1)]]) == [{}]
     assert bra_refined_table([(1,), [1, 0]], ts, [vacuum_ket(0)]) == [{Partition((1,)): Scalar.zero()}]
+    # a repeated bra reaches the last row once, and its pair is read there
+    assert bra_refined_table([(1,), [1, 0]], ts, [ket_refined((1,), ts, 1)]) == [{Partition((1,)): Scalar.one()}]
 
 
 def test_bra_refined_pairs_share_prefixes_and_stop_at_zero(monkeypatch):
@@ -476,9 +484,10 @@ def test_bra_refined_pairs_errors_match_single_pairs(monkeypatch):
 
 
 def test_bra_refined_table_matches_one_ket_pairs():
-    """Kets whose longest states differ in length walk in separate groups,
-    each pair with its own r; the zero vector and no bras give zeros and
-    empty rows."""
+    """Kets whose longest states differ in length share one walk at the
+    row count of the longest, and each row is the ket's table alone; the
+    zero vector and no bras give zeros and empty rows, and no kets give no
+    rows, whatever the letters."""
     ts = (t1, t2, t3, t4, t5, t6)
     bx, by = prefix_sequence((x1,), (x2, t1)), prefix_sequence((y1,), ())
     kets = [ZERO_VECTOR, vacuum_ket(0)]
@@ -494,6 +503,7 @@ def test_bra_refined_table_matches_one_ket_pairs():
     assert table[4] == {mu: Scalar.one() if mu == (1,) else Scalar.zero() for mu in mus}  # the refined ket of (1,)
     assert bra_refined_table([], ts, kets) == [{}] * len(kets)
     assert bra_refined_table(mus, ts, []) == []
+    assert bra_refined_table([(1,)], (), []) == []
     # the rows are separate dicts, one per ket
     table[0][Partition((1,))] = t1
     assert table[1][Partition((1,))] == Scalar.zero()
