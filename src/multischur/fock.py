@@ -37,9 +37,10 @@ Every strip step is one table lookup per basis state.  A step sends
 |lam> to a fixed list of moves (nu, strip size n, sign) that depends on
 lam, on the level offset d = m - c + 1 of its fermion and on its kind:
 the bra step psi*_m then the vertical strips of e^{-H(t)}, the refined
-ket step the horizontal strips of e^{H(t)} then psi_m, and the bare
-strips of e^{+-H(t)}.  The memo `_moves`, keyed on (lam, d, kind) and
-bounded by MOVE_CACHE_SIZE, builds each list once, the fermion kinds
+ket step the horizontal strips of e^{H(t)} then psi_m, which on every
+state a refined ket reaches prepends the part d - 1 with sign +, and the
+bare strips of e^{+-H(t)}.  The memo `_moves`, keyed on (lam, d, kind)
+and bounded by MOVE_CACHE_SIZE, builds each list once, the fermion kinds
 from the bare ones, and the one summing loop `_step` multiplies each
 coefficient by the cached signed power of the letter.  A zero letter's
 step is the fermion alone.
@@ -47,15 +48,9 @@ step is the fermion alone.
 The refined bra <mu| pairs with a charge-0 vector by applying
 psi*_{mu_1 - 1}, e^{-H(t_1)}, psi*_{mu_2 - 2}, ... and reading one
 coefficient.  bra_refined_table pairs many bras with many kets in one
-depth-first walk at one row count r, one past the longest bra and the
-longest ket state: past len(mu) a further row sends the vacuum to the
-next vacuum, and no other state ever reaches a vacuum, so every pair
-reads as it would alone.  The walk steps all kets as one vector, a dict
-from ket index to that ket's terms: the bras that agree on mu_1..mu_i
-share their first i steps, a step applies psi* and the strips of
-e^{-H(t_i)} to every ket's terms, with the powers of -t_i built once per
-table, and a branch whose vector has become zero stops there.
-bra_refined_pair is the table's entry for one bra and one ket.
+depth-first walk at one row count, where the bras that agree on
+mu_1..mu_i share their first i steps; bra_refined_pair is its entry for
+one bra and one ket.
 
 Everything is linear over exact Scalars and charge-homogeneous.  No
 operator here evaluates a determinant, and the module reads nothing from
@@ -279,10 +274,12 @@ def _moves(lam: Partition, d: int | None, vertical: bool) -> tuple[int, tuple[tu
         i = 2 |lam/nu|; the vertical strips are the conjugates of the
         horizontal strips of lam', in that order;
       * vertical, d an offset m - c + 1: psi*_m, then the vertical strips;
-      * horizontal, d an offset: the horizontal strips, then psi_m on each.
+      * horizontal, d an offset: the horizontal strips, then psi_m on a
+        state of first part below d, as in `ket_refined`: the part d - 1
+        prepended to each nu, with sign + (nothing at d = 1, the vacuum).
 
-    The fermion steps read the bare tables, and psi_m and psi*_m are
-    injective, so each keeps its strips' order and sums nothing."""
+    The fermion steps read the bare tables and are injective, so each
+    keeps its strips' order and sums nothing."""
     if d is None:
         n = lam.weight
         if vertical:
@@ -298,10 +295,10 @@ def _moves(lam: Partition, d: int | None, vertical: bool) -> tuple[int, tuple[tu
         top, moves = _moves(hit[1], None, True)
         # an even sign shares the bare table
         return (top + 1, tuple((nu, i + 1) for nu, i in moves)) if hit[0] & 1 else (top, moves)
-    moves = tuple(
-        (hit[1], i + (hit[0] & 1)) for mu, i in _moves(lam, None, False)[1] if (hit := _create(mu, d)) is not None
-    )
-    return max((i for _, i in moves), default=0), moves
+    top, moves = _moves(lam, None, False)
+    if d > 1:  # at d = 1, the vacuum row, the new part is 0
+        moves = tuple((Partition._trusted((d - 1, *nu)), i) for nu, i in moves)
+    return top, moves
 
 
 def _powers(s: Scalar) -> list[Scalar]:
@@ -392,7 +389,9 @@ def ket_general(lam: Sequence[int], bx, by, r: int) -> FockVector:
 
 
 def ket_refined(lam: Sequence[int], t: Sequence, r: int) -> FockVector:
-    """psi_{lam_1-1} e^{H(t_1)} psi_{lam_2-2} e^{H(t_2)} ... |-r>."""
+    """psi_{lam_1-1} e^{H(t_1)} psi_{lam_2-2} e^{H(t_2)} ... |-r>.  Row i
+    steps states mu that rows i+1..r built by strip removals, so mu_1 <=
+    lam_{i+1} <= lam_i and psi_{lam_i-i} prepends lam_i with sign +."""
     t = as_alphabet(t)
     if len(t) < r:
         raise ValueError(f"refined sequence needs {r} letters, got {len(t)}")

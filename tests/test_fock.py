@@ -3,7 +3,7 @@ import sys
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from multischur import expansions, fock, shapes, verifications
 from multischur.exactalg import Scalar
@@ -363,6 +363,19 @@ def test_ket_refined_examples():
     ts = (t1, t2, t3, t4)
     assert ket_refined(lam, ts, 2) == ket_general(lam, refined_sequence(ts), empty_sequence(), 2)
     assert ket_refined(lam, ts, 2) == ket_refined(lam, ts, 3)
+    # every lam of weight <= 5, at r = len(lam) and one row more (the vacuum
+    # row), with a zero letter in row 2: row by row, the fused step is the
+    # unfused composition, and every key is a canonical Partition
+    ts = (t1, Scalar.zero(), t2, t3, t4, t5)
+    for lam in partitions_up_to_weight(5):
+        for r in (len(lam), len(lam) + 1):
+            v = want = vacuum_ket(-r)
+            for i in range(r, 0, -1):
+                m, t = lam.part(i) - i, ts[i - 1]
+                v, want = fock._ket_step(t, m, v), apply_fermion(PSI, m, fock._exp_letter(t, False, want))
+                assert v == want and v.items() == want.items(), (lam, r, i)
+                assert all(type(mu) is Partition and mu == Partition(tuple(mu)) for mu in v._terms), (lam, r, i)
+            assert ket_refined(lam, ts, r) == v, (lam, r)
 
 
 def test_bra_refined_pair_orthonormality():
@@ -893,6 +906,30 @@ def test_move_memo_holds_each_fermion_suite_at_its_cap():
     assert fills == {"orthonormality": 746, "dual-engine": 450, "beta-chain": 89}
 
 
+@pytest.mark.parametrize("fault", ["sign", "part"])
+def test_suites_catch_a_fault_in_the_ket_tables(monkeypatch, fault):
+    """A ket table of `_moves` that flips the sign of its first move, or
+    that prepends lam_i + 1 where the step prepends lam_i, fails both
+    suites that build refined kets, each at its defaults."""
+    real = fock._moves
+
+    def faulty(lam, d, vertical):
+        top, moves = real(lam, d, vertical)
+        if d is None or vertical:
+            return top, moves
+        if fault == "sign":
+            (nu, i), *rest = moves
+            return top + 1, ((nu, i + 1), *rest)
+        return top, tuple((Partition._trusted((d, *nu)), i) for nu, i in real(lam, None, False)[1])
+
+    suites = ("orthonormality", "beta-chain")
+    defaults = {theorem: [field.default for field in SIZES[theorem]] for theorem in suites}
+    assert all(verifications.SUITES[theorem](*defaults[theorem])["passed"] for theorem in suites)
+    monkeypatch.setattr(fock, "_moves", faulty)
+    for theorem in suites:
+        assert not verifications.SUITES[theorem](*defaults[theorem])["passed"], theorem
+
+
 def test_move_memo_stays_bounded():
     memo = fock._moves
     keys = [(lam, d, vertical) for lam in partitions_up_to_weight(8) for d in range(-3, 9) for vertical in (False, True)]
@@ -907,7 +944,7 @@ def test_move_memo_stays_bounded():
         misses = memo.cache_info().misses
         for vertical in (False, True):
             assert fock._exp_letter(t1, vertical, v) == oracle_exp_letter(t1, vertical, v)
-        assert fock._ket_step(t1, 0, v) == oracle_fermion(PSI, 0, oracle_exp_letter(t1, False, v))
+        assert fock._ket_step(t1, 3, v) == oracle_fermion(PSI, 3, oracle_exp_letter(t1, False, v))
         assert memo.cache_info().misses > misses
         assert memo.cache_info().currsize <= fock.MOVE_CACHE_SIZE
     finally:
@@ -967,13 +1004,24 @@ def step_groups(draw):
     return charge, vectors
 
 
-def assert_fused_steps_match(c, vectors, m, t):
-    """The ket step is psi_m after e^{H(t)} and the bra step e^{-H(t)}
-    after psi*_m, the same terms in the same order, on each vector."""
+def assert_ket_step_matches(c, vectors, m, t):
+    """On its domain, the states whose first part is below d = m - c + 1,
+    the ket step is psi_m after e^{H(t)}: the same terms in the same
+    order, each keyed by a canonical Partition.  `ket_refined` hands it
+    no other state, and some vector must have one in the domain."""
+    d = m - c + 1
+    vectors = [FockVector._trusted(c, {lam: x for lam, x in v._terms.items() if lam.part(1) < d}) for v in vectors]
+    assert any(vectors), (c, m)
     for v in vectors:
         got, want = fock._ket_step(t, m, v), apply_fermion(PSI, m, fock._exp_letter(t, False, v))
         assert got == want and got.charge == want.charge, (v, m, t)
         assert got.items() == want.items(), (v, m, t)
+        assert all(type(mu) is Partition and mu == Partition(tuple(mu)) for mu in got._terms), (v, m, t)
+
+
+def assert_bra_step_matches(c, vectors, m, t):
+    """The bra step is e^{-H(t)} after psi*_m, the same terms in the same
+    order, on each vector."""
     w = {k: v._terms for k, v in enumerate(vectors) if v}
     got = fock._bra_step(m, c, fock._powers(-t) if t else None, w)
     for k, v in enumerate(vectors):
@@ -982,28 +1030,39 @@ def assert_fused_steps_match(c, vectors, m, t):
     assert all(terms and all(terms.values()) for terms in got.values())
 
 
-@given(step_groups(), st.integers(-7, 6), st.sampled_from(ORACLE_LETTERS))
+@given(step_groups(), st.integers(-7, 6), st.sampled_from(ORACLE_LETTERS), st.data())
 @settings(max_examples=200, deadline=None)
-def test_fused_steps_match_fermion_and_strip_steps(group, m, t):
-    assert_fused_steps_match(*group, m, t)
+def test_fused_steps_match_fermion_and_strip_steps(group, m, t, data):
+    c, vectors = group
+    assert_bra_step_matches(c, vectors, m, t)
+    assume(any(vectors))  # a group of zero vectors gives the ket step nothing to do
+    # the ket step's level from its domain: d above the first part of some state
+    lowest = min(lam.part(1) for v in vectors for lam in v._terms)
+    d = data.draw(st.integers(lowest + 1, 5))
+    assert_ket_step_matches(c, vectors, c - 1 + d, t)
 
 
 def test_fused_steps_drop_cancelled_terms_and_reach_the_sea():
     # e^{H(t1)} (|1> - t1 |0> + |2>): |0> cancels, and |2> brings it back last;
-    # without |2>, |0> cancels for good
+    # without |2>, |0> cancels for good (the ket step at m = 1 keeps |1> - t1 |0>)
     v = FockVector({MayaState(0, (1,)): 1, MayaState(0, ()): -t1, MayaState(0, (2,)): 1})
     for m in range(-4, 4):
-        assert_fused_steps_match(0, [v, v.scale(t1)], m, t1)
+        assert_bra_step_matches(0, [v, v.scale(t1)], m, t1)
+    for m in range(4):
+        assert_ket_step_matches(0, [v, v.scale(t1)], m, t1)
     one = FockVector({MayaState(0, (1,)): 1})
     assert fock._ket_step(t1, 1, one + vacuum_ket(0).scale(-t1)) == apply_fermion(PSI, 1, one)
     # after psi*_m on |1,1> + t1 |1>, the vertical strips cancel at m = 0 and
     # at every m <= -3, where psi*_m takes a level of the sea
     u = FockVector({MayaState(0, (1, 1)): 1, MayaState(0, (1,)): t1})
     for m in range(-5, 3):
-        assert_fused_steps_match(0, [u, v, u + v], m, t1)
+        assert_bra_step_matches(0, [u, v, u + v], m, t1)
+    for m in range(4):
+        assert_ket_step_matches(0, [u, v, u + v], m, t1)
     assert fock._bra_step(0, 0, fock._powers(-t1), {0: u._terms}) == {0: {Partition((1,)): Scalar.one()}}
     # the zero letter: the fermion alone
-    assert_fused_steps_match(0, [u, v], 0, Scalar.zero())
+    assert_bra_step_matches(0, [u, v], 0, Scalar.zero())
+    assert_ket_step_matches(0, [u, v], 0, Scalar.zero())
 
 
 def test_summing_operators_drop_cancelled_terms():
