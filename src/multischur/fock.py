@@ -50,7 +50,10 @@ psi*_{mu_1 - 1}, e^{-H(t_1)}, psi*_{mu_2 - 2}, ... and reading one
 coefficient.  bra_refined_table pairs many bras with many kets in one
 depth-first walk at one row count, where the bras that agree on
 mu_1..mu_i share their first i steps; bra_refined_pair is its entry for
-one bra and one ket.
+one bra and one ket.  Row i steps only the states whose first part is
+mu_i, since no other state reaches the vacuum: psi*_{mu_i - i} kills a
+lower first part, and it raises a higher one by 1, which a vertical strip
+lowers by at most 1, so it stays above every later mu_j.
 
 Everything is linear over exact Scalars and charge-homogeneous.  No
 operator here evaluates a determinant, and the module reads nothing from
@@ -258,8 +261,8 @@ def apply_heisenberg(m: int, v: FockVector) -> FockVector:
 
 
 # Move tables kept by `_moves`.  One cold fermion suite at its cap fills at
-# most 746 of them (`orthonormality` at maxWeight 8: 603 bra, 66 ket and 77
-# bare tables, about 0.25 MB), each of at most 14 moves.
+# most 177 of them (`orthonormality` at maxWeight 8: 67 bra, 66 ket and 44
+# bare tables, about 0.05 MB), each of at most 14 moves.
 MOVE_CACHE_SIZE = 1024
 
 
@@ -420,17 +423,22 @@ def bra_refined_table(
 ) -> list[dict[Partition, Scalar]]:
     """[{mu: bra_refined_pair(mu, t, v) for mu in mus} for v in kets], each
     row keyed by Partition in the order given, from one depth-first walk at
-    one row count r = max(longest mu, longest ket state) + 1.  That r
-    serves every pair: past r >= len(mu), one more row (psi*_{-r-1}, then
-    e^{-H(t_{r+1})}) sends |-r> to +|-r-1> and kills every other state or
-    sends it to states whose first part is >= 2, which no vertical strip
-    takes to the vacuum.  The walk steps every ket at once, as one vector:
-    a dict from ket index to that ket's terms.  At depth i the bras are
-    grouped by mu_i, so each step runs once per distinct prefix
-    mu_1..mu_i, and a branch whose vector is zero stops there; past depth
-    r each ket's coefficient of |-r> is read.  A ket of nonzero charge
-    (ChargeError) or a t shorter than r (ValueError) is refused before any
-    step."""
+    one row count r = max(longest mu, longest ket state) + 1.  The walk
+    steps every ket at once, as one vector: a dict from ket index to that
+    ket's terms.  At depth i the bras are grouped by mu_i = p, so each step
+    runs once per distinct prefix mu_1..mu_i.  The step is psi*_{p-i} at
+    charge 1 - i, of offset d = p, and it takes only the terms |lam> whose
+    first part is p (lam = () when p = 0); the others never reach |-r>:
+      * if lam_1 < p, psi*_{p-i} kills |lam>;
+      * if lam_1 > p, it removes a lower row or a level of the sea and
+        raises lam_1 by 1, and a vertical strip lowers it by at most 1, so
+        the first part stays above p >= mu_{i+1} >= ... >= mu_r >= 0.
+    A branch with no such term, or whose vector the step makes zero, stops
+    there; past depth r each ket's coefficient of |-r> is read.  That r
+    serves every pair: one more row has p = 0, so it steps only the empty
+    state, and psi*_{-r-1} then e^{-H(t_{r+1})} send |-r> to +|-r-1>.  A
+    ket of nonzero charge (ChargeError) or a t shorter than r (ValueError)
+    is refused before any step."""
     row = dict.fromkeys(map(Partition, mus), _ZERO)
     table, w, longest = [], {}, 0
     for k, v in enumerate(kets):
@@ -458,8 +466,16 @@ def bra_refined_table(
         branches: dict[int, list[Partition]] = {}
         for mu in bras:
             branches.setdefault(mu[i - 1] if i <= len(mu) else 0, []).append(mu)
+        # each branch steps only its bucket: the terms whose first part is mu_i
+        buckets: dict[int, dict] = {part: {} for part in branches}
+        for k, terms in w.items():
+            for lam, coeff in terms.items():
+                bucket = buckets.get(lam[0] if lam else 0)
+                if bucket is not None:
+                    bucket.setdefault(k, {})[lam] = coeff
         for part, group in branches.items():
-            stack.append((group, i + 1, _bra_step(part - i, 1 - i, powers[i - 1], w)))
+            if buckets[part]:
+                stack.append((group, i + 1, _bra_step(part - i, 1 - i, powers[i - 1], buckets[part])))
     return table
 
 

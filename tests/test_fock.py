@@ -450,6 +450,53 @@ def test_bra_refined_pairs_match_per_mu_oracle():
     assert bra_refined_table([(1,), [1, 0]], ts, [ket_refined((1,), ts, 1)]) == [{Partition((1,)): Scalar.one()}]
 
 
+def test_bra_refined_table_steps_only_first_parts_is_exact():
+    """The walk steps at row i only the states whose first part is mu_i;
+    every pair still equals the walk that steps every state, for each mu
+    of weight <= 5 against each charge-0 basis state of weight <= 6 and a
+    sum of them, with symbolic, partly zero and rational letters."""
+    t7 = Scalar.variable("t7")
+    zero = Scalar.zero()
+    letters = {
+        "symbolic": (t1, t2, t3, t4, t5, t6, t7),
+        "zeros": (t1, zero, t3, t4, zero, t6, t7),
+        "rational": (Fraction(1, 2), -3, 2, Fraction(-2, 3), 5, 1, Fraction(7, 4)),
+    }
+    mus = partitions_up_to_weight(5)
+    states = partitions_up_to_weight(6)
+    kets = [FockVector({MayaState(0, lam): 1}) for lam in states]
+    kets.append(FockVector([(MayaState(0, lam), STEP_COEFFS[n % len(STEP_COEFFS)]) for n, lam in enumerate(states)]))
+    for name, ts in letters.items():
+        table = bra_refined_table(mus, ts, kets)
+        for v, row in zip(kets, table):
+            assert list(row) == mus
+            for mu in mus:
+                assert row[mu] == per_mu_bra_pair(mu, ts, v), (name, mu, v)
+        assert sum(bool(x) for row in table for x in row.values()) > len(kets), name
+
+
+def test_bra_steps_take_only_states_of_first_part_d(monkeypatch):
+    """Every term that the suites' walks hand to `_bra_step` has first
+    part d = m - c + 1, so psi*_m removes its first row with sign +: the
+    odd psi* sign of the bra tables is never reached from a request."""
+    inputs = []
+
+    def spying(m, c, powers, w, step=fock._bra_step):
+        d = m - c + 1
+        for terms in w.values():
+            for lam in terms:
+                inputs.append((lam, d))
+        return step(m, c, powers, w)
+
+    monkeypatch.setattr(fock, "_bra_step", spying)
+    assert verifications.orthonormality(4)["passed"]
+    assert verifications.dual_engine(4)["passed"]
+    assert len(inputs) > 100
+    for lam, d in inputs:
+        assert lam.part(1) == d, (lam, d)
+        assert fock._annihilate(lam, d) == (0, Partition(lam[1:])), (lam, d)
+
+
 def test_bra_refined_pairs_share_prefixes_and_stop_at_zero(monkeypatch):
     ts = (t1, t2, t3, t4, t5, t6)
     mus = partitions_up_to_weight(4)
@@ -877,10 +924,10 @@ def test_move_tables_are_built_once_per_state_offset_and_kind(monkeypatch):
         assert verifications.orthonormality(4)["passed"]
         info = memo.cache_info()
         # every distinct key missed once and was kept: none was built twice
-        assert len(set(keys)) == info.misses == info.currsize  # 86 tables
-        assert info.hits == len(keys) - info.misses > 2 * info.misses  # 200 hits
+        assert len(set(keys)) == info.misses == info.currsize  # 33 tables
+        assert info.hits == len(keys) - info.misses > 2 * info.misses  # 94 hits
         bare = {key for key in keys if key[1] is None}
-        assert len(calls) == len(bare) < info.misses  # 15 of the 86
+        assert len(calls) == len(bare) < info.misses  # 10 of the 33
         built = len(calls)
         assert verifications.orthonormality(4)["passed"]
         assert len(calls) == built and memo.cache_info().misses == info.misses
@@ -903,7 +950,7 @@ def test_move_memo_holds_each_fermion_suite_at_its_cap():
             fills[theorem] = info.currsize
     finally:
         memo.cache_clear()
-    assert fills == {"orthonormality": 746, "dual-engine": 450, "beta-chain": 89}
+    assert fills == {"orthonormality": 177, "dual-engine": 135, "beta-chain": 89}
 
 
 @pytest.mark.parametrize("fault", ["sign", "part"])
