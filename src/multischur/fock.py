@@ -36,14 +36,15 @@ The operators:
 Every strip step is one table lookup per basis state.  A step sends
 |lam> to a fixed list of moves (nu, strip size n, sign) that depends on
 lam, on the level offset d = m - c + 1 of its fermion and on its kind:
-the bra step psi*_m then the vertical strips of e^{-H(t)}, the refined
-ket step the horizontal strips of e^{H(t)} then psi_m, which on every
-state a refined ket reaches prepends the part d - 1 with sign +, and the
-bare strips of e^{+-H(t)}.  The memo `_moves`, keyed on (lam, d, kind)
-and bounded by MOVE_CACHE_SIZE, builds each list once, the fermion kinds
-from the bare ones, and the one summing loop `_step` multiplies each
-coefficient by the cached signed power of the letter.  A zero letter's
-step is the fermion alone.
+the refined bra step psi*_m then the vertical strips of e^{-H(t)}, the
+refined ket step the horizontal strips of e^{H(t)} then psi_m, and the
+bare strips of e^{+-H(t)}.  On its domain, a refined step's fermion
+changes only the first part, with sign +: the bra pops it before the
+vertical strips, and the ket prepends d - 1 after the horizontal strips.
+The memo `_moves` (keyed on (lam, d, kind), bounded by MOVE_CACHE_SIZE)
+builds each list once, the fermion kinds from the bare ones; the one
+summing loop `_step` multiplies each coefficient by the cached signed
+power of the letter.  A zero letter's step is the fermion alone.
 
 The refined bra <mu| pairs with a charge-0 vector by applying
 psi*_{mu_1 - 1}, e^{-H(t_1)}, psi*_{mu_2 - 2}, ... and reading one
@@ -217,17 +218,6 @@ def vacuum_ket(charge: int = 0) -> FockVector:
     return FockVector._trusted(charge, {_EMPTY: _ONE})
 
 
-def _fermion(act, d: int, terms: dict[Partition, Scalar]) -> dict[Partition, Scalar]:
-    """_create or _annihilate at offset d on every term, one term per
-    surviving state: no sum."""
-    out = {}
-    for lam, coeff in terms.items():
-        hit = act(lam, d)
-        if hit is not None:
-            out[hit[1]] = -coeff if hit[0] & 1 else coeff
-    return out
-
-
 def apply_fermion(mode: str, m: int, v: FockVector) -> FockVector:
     """psi_m or psi*_m on v, one term per surviving state: no sum."""
     if mode == PSI:
@@ -239,7 +229,12 @@ def apply_fermion(mode: str, m: int, v: FockVector) -> FockVector:
     c = v._charge
     if c is None:
         return v
-    return FockVector._trusted(c + shift, _fermion(act, m - c + 1, v._terms))
+    d, out = m - c + 1, {}
+    for lam, coeff in v._terms.items():
+        hit = act(lam, d)
+        if hit is not None:
+            out[hit[1]] = -coeff if hit[0] & 1 else coeff
+    return FockVector._trusted(c + shift, out)
 
 
 def apply_heisenberg(m: int, v: FockVector) -> FockVector:
@@ -276,7 +271,9 @@ def _moves(lam: Partition, d: int | None, vertical: bool) -> tuple[int, tuple[tu
       * d None: the bare strip step, every strip lam/nu of its kind, with
         i = 2 |lam/nu|; the vertical strips are the conjugates of the
         horizontal strips of lam', in that order;
-      * vertical, d an offset m - c + 1: psi*_m, then the vertical strips;
+      * vertical, d an offset m - c + 1: psi*_m on a state of first part
+        d (the empty state at d = 0), as in `bra_refined_table`, pops that
+        part with sign +, then the vertical strips: the bare table of lam[1:];
       * horizontal, d an offset: the horizontal strips, then psi_m on a
         state of first part below d, as in `ket_refined`: the part d - 1
         prepended to each nu, with sign + (nothing at d = 1, the vacuum).
@@ -292,12 +289,7 @@ def _moves(lam: Partition, d: int | None, vertical: bool) -> tuple[int, tuple[tu
         # the largest strip takes one box from each row, or from each column
         return 2 * (len(lam) if vertical else lam[0] if lam else 0), moves
     if vertical:
-        hit = _annihilate(lam, d)
-        if hit is None:
-            return 0, ()
-        top, moves = _moves(hit[1], None, True)
-        # an even sign shares the bare table
-        return (top + 1, tuple((nu, i + 1) for nu, i in moves)) if hit[0] & 1 else (top, moves)
+        return _moves(Partition._trusted(lam[1:]), None, True)
     top, moves = _moves(lam, None, False)
     if d > 1:  # at d = 1, the vacuum row, the new part is 0
         moves = tuple((Partition._trusted((d - 1, *nu)), i) for nu, i in moves)
@@ -428,13 +420,14 @@ def bra_refined_table(
     ket's terms.  At depth i the bras are grouped by mu_i = p, so each step
     runs once per distinct prefix mu_1..mu_i.  The step is psi*_{p-i} at
     charge 1 - i, of offset d = p, and it takes only the terms |lam> whose
-    first part is p (lam = () when p = 0); the others never reach |-r>:
+    first part is p (lam = () when p = 0), whose first part it pops with
+    sign + before the vertical strips; the others never reach |-r>:
       * if lam_1 < p, psi*_{p-i} kills |lam>;
       * if lam_1 > p, it removes a lower row or a level of the sea and
         raises lam_1 by 1, and a vertical strip lowers it by at most 1, so
         the first part stays above p >= mu_{i+1} >= ... >= mu_r >= 0.
-    A branch with no such term, or whose vector the step makes zero, stops
-    there; past depth r each ket's coefficient of |-r> is read.  That r
+    A branch with no such term stops there (no step makes a ket's terms
+    vanish); past depth r each ket's coefficient of |-r> is read.  That r
     serves every pair: one more row has p = 0, so it steps only the empty
     state, and psi*_{-r-1} then e^{-H(t_{r+1})} send |-r> to +|-r-1>.  A
     ket of nonzero charge (ChargeError) or a t shorter than r (ValueError)
@@ -454,11 +447,9 @@ def bra_refined_table(
         raise ValueError(f"refined sequence needs {r} letters, got {len(t)}")
     # the powers of -t_i, built once per table; None for t_i = 0
     powers = [_powers(-x) if x else None for x in t[:r]]
-    stack = [(list(row), 1, w)] if r else []  # the bras that share steps 1..i-1, and w after them
+    stack = [(list(row), 1, w)] if r and w else []  # the bras that share steps 1..i-1, and w after them
     while stack:
         bras, i, w = stack.pop()
-        if not w:
-            continue
         if i > r:  # w has charge -r, and bras is the one mu of its prefix
             for k, terms in w.items():
                 table[k][bras[0]] = terms.get(_EMPTY, _ZERO)
@@ -475,19 +466,18 @@ def bra_refined_table(
                     bucket.setdefault(k, {})[lam] = coeff
         for part, group in branches.items():
             if buckets[part]:
-                stack.append((group, i + 1, _bra_step(part - i, 1 - i, powers[i - 1], buckets[part])))
+                stack.append((group, i + 1, _bra_step(part, powers[i - 1], buckets[part])))
     return table
 
 
-def _bra_step(m: int, c: int, powers: list[Scalar] | None, w: dict) -> dict:
+def _bra_step(d: int, powers: list[Scalar] | None, w: dict) -> dict:
     """psi*_m then the vertical strip step of powers = `_powers(-t)` on
-    each ket's terms in the walk's vector w of charge c, one `_step` per
-    ket; powers is None when t = 0, whose strip step is the identity.  A
-    ket whose terms vanish is dropped."""
-    d = m - c + 1
+    each ket's terms in the walk's vector w, one `_step` per ket; powers is
+    None when t = 0, whose strip step is the identity.  Every state has
+    first part d = m - c + 1 (or is empty at d = 0), so psi*_m pops that
+    part with sign +, and no ket's terms vanish: the pop is injective and
+    e^{-H(t)} unitriangular."""
     out = {}
     for k, terms in w.items():
-        terms = _step(terms, d, True, powers) if powers else _fermion(_annihilate, d, terms)
-        if terms:
-            out[k] = terms
+        out[k] = _step(terms, d, True, powers) if powers else {Partition._trusted(lam[1:]): x for lam, x in terms.items()}
     return out

@@ -478,15 +478,14 @@ def test_bra_refined_table_steps_only_first_parts_is_exact():
 def test_bra_steps_take_only_states_of_first_part_d(monkeypatch):
     """Every term that the suites' walks hand to `_bra_step` has first
     part d = m - c + 1, so psi*_m removes its first row with sign +: the
-    odd psi* sign of the bra tables is never reached from a request."""
+    bra step's domain holds every state that a request reaches."""
     inputs = []
 
-    def spying(m, c, powers, w, step=fock._bra_step):
-        d = m - c + 1
+    def spying(d, powers, w, step=fock._bra_step):
         for terms in w.values():
             for lam in terms:
                 inputs.append((lam, d))
-        return step(m, c, powers, w)
+        return step(d, powers, w)
 
     monkeypatch.setattr(fock, "_bra_step", spying)
     assert verifications.orthonormality(4)["passed"]
@@ -503,9 +502,9 @@ def test_bra_refined_pairs_share_prefixes_and_stop_at_zero(monkeypatch):
     v = ket_refined(Partition((2, 1)), ts, 2)
     steps = []
 
-    def counting(m, c, powers, w, step=fock._bra_step):
-        steps.append(m)
-        return step(m, c, powers, w)
+    def counting(d, powers, w, step=fock._bra_step):
+        steps.append(d)
+        return step(d, powers, w)
 
     monkeypatch.setattr(fock, "_bra_step", counting)
     assert bra_refined_table(mus, ts, [v]) == [{mu: per_mu_bra_pair(mu, ts, v) for mu in mus}]
@@ -953,28 +952,34 @@ def test_move_memo_holds_each_fermion_suite_at_its_cap():
     assert fills == {"orthonormality": 177, "dual-engine": 135, "beta-chain": 89}
 
 
-@pytest.mark.parametrize("fault", ["sign", "part"])
-def test_suites_catch_a_fault_in_the_ket_tables(monkeypatch, fault):
-    """A ket table of `_moves` that flips the sign of its first move, or
-    that prepends lam_i + 1 where the step prepends lam_i, fails both
-    suites that build refined kets, each at its defaults."""
+@pytest.mark.parametrize("kind, fault", [("ket", "sign"), ("ket", "part"), ("bra", "sign"), ("bra", "keep")])
+def test_suites_catch_a_fault_in_the_move_tables(monkeypatch, kind, fault):
+    """A fermion table of `_moves` that flips the sign of its first move
+    fails each suite that steps through its kind, at its defaults, and so
+    does a ket table that prepends lam_i + 1 where the step prepends
+    lam_i, or a bra table that keeps the first part psi* pops (the bare
+    table of lam).  orthonormality and beta-chain build refined kets;
+    orthonormality and dual-engine pair refined bras."""
     real = fock._moves
 
     def faulty(lam, d, vertical):
         top, moves = real(lam, d, vertical)
-        if d is None or vertical:
+        if d is None or vertical != (kind == "bra"):
             return top, moves
         if fault == "sign":
             (nu, i), *rest = moves
             return top + 1, ((nu, i + 1), *rest)
-        return top, tuple((Partition._trusted((d, *nu)), i) for nu, i in real(lam, None, False)[1])
+        if fault == "part":
+            return top, tuple((Partition._trusted((d, *nu)), i) for nu, i in real(lam, None, False)[1])
+        return real(lam, None, True)
 
-    suites = ("orthonormality", "beta-chain")
+    failing = {"ket": {"orthonormality", "beta-chain"}, "bra": {"orthonormality", "dual-engine"}}[kind]
+    suites = ("orthonormality", "dual-engine", "beta-chain")
     defaults = {theorem: [field.default for field in SIZES[theorem]] for theorem in suites}
     assert all(verifications.SUITES[theorem](*defaults[theorem])["passed"] for theorem in suites)
     monkeypatch.setattr(fock, "_moves", faulty)
     for theorem in suites:
-        assert not verifications.SUITES[theorem](*defaults[theorem])["passed"], theorem
+        assert verifications.SUITES[theorem](*defaults[theorem])["passed"] is (theorem not in failing), theorem
 
 
 def test_move_memo_stays_bounded():
@@ -1019,20 +1024,16 @@ def test_vector_operators_match_oracles_on_test_vectors():
 
 def test_bra_step_matches_per_ket_operators():
     """One step of the table walk on a vector of several kets equals
-    psi*_m then e^{-H(t)} on each ket alone, every level and letter, with
-    the zero letter's step the identity."""
+    psi*_m then e^{-H(t)} on each ket alone, every letter and every offset
+    d = m - c + 1 that is the first part of some state, on its domain,
+    with the zero letter's strip step the identity."""
     vectors = verifications._test_vectors()
     vectors += [v.scale(t1) + u for v in vectors for u in vectors if v.charge == u.charge and v is not u]
     for c in {v.charge for v in vectors}:
         kets = [v for v in vectors if v.charge == c]
-        w = {k: dict(v._terms) for k, v in enumerate(kets)}
-        for m in range(-6, 7):
+        for d in {lam.part(1) for v in kets for lam in v._terms}:
             for t in ORACLE_LETTERS:
-                got = fock._bra_step(m, c, fock._powers(-t) if t else None, w)
-                for k, v in enumerate(kets):
-                    want = fock._exp_letter(t, True, apply_fermion(PSI_STAR, m, v))
-                    assert got.get(k, {}) == want._terms, (m, t, v)
-                assert all(terms and all(terms.values()) for terms in got.values())
+                assert_bra_step_matches(c, kets, c - 1 + d, t)
 
 
 STEP_COEFFS = [1, -1, 2, Fraction(-1, 2), t1, -t1, t1 * t1, x1 - y1]
@@ -1067,48 +1068,59 @@ def assert_ket_step_matches(c, vectors, m, t):
 
 
 def assert_bra_step_matches(c, vectors, m, t):
-    """The bra step is e^{-H(t)} after psi*_m, the same terms in the same
-    order, on each vector."""
+    """On its domain, the states whose first part is d = m - c + 1 (the
+    empty state at d = 0), the bra step is e^{-H(t)} after psi*_m: the
+    same terms in the same order, each keyed by a canonical Partition, and
+    no vector's terms vanish.  `bra_refined_table` hands it no other
+    state, and some vector must have one in the domain."""
+    d = m - c + 1
+    vectors = [FockVector._trusted(c, {lam: x for lam, x in v._terms.items() if lam.part(1) == d}) for v in vectors]
+    assert any(vectors), (c, m)
     w = {k: v._terms for k, v in enumerate(vectors) if v}
-    got = fock._bra_step(m, c, fock._powers(-t) if t else None, w)
+    got = fock._bra_step(d, fock._powers(-t) if t else None, w)
+    assert list(got) == list(w), (c, m, t)
     for k, v in enumerate(vectors):
         want = fock._exp_letter(t, True, apply_fermion(PSI_STAR, m, v))
         assert list(got.get(k, {}).items()) == list(want._terms.items()), (v, m, t)
     assert all(terms and all(terms.values()) for terms in got.values())
+    assert all(type(mu) is Partition and mu == Partition(tuple(mu)) for terms in got.values() for mu in terms)
 
 
-@given(step_groups(), st.integers(-7, 6), st.sampled_from(ORACLE_LETTERS), st.data())
+@given(step_groups(), st.sampled_from(ORACLE_LETTERS), st.data())
 @settings(max_examples=200, deadline=None)
-def test_fused_steps_match_fermion_and_strip_steps(group, m, t, data):
+def test_fused_steps_match_fermion_and_strip_steps(group, t, data):
     c, vectors = group
-    assert_bra_step_matches(c, vectors, m, t)
-    assume(any(vectors))  # a group of zero vectors gives the ket step nothing to do
-    # the ket step's level from its domain: d above the first part of some state
-    lowest = min(lam.part(1) for v in vectors for lam in v._terms)
-    d = data.draw(st.integers(lowest + 1, 5))
-    assert_ket_step_matches(c, vectors, c - 1 + d, t)
+    assume(any(vectors))  # a group of zero vectors gives the steps nothing to do
+    # each step's level from its domain: for the bra, d the first part of
+    # some state; for the ket, d above the first part of some state
+    parts = sorted({lam.part(1) for v in vectors for lam in v._terms})
+    assert_bra_step_matches(c, vectors, c - 1 + data.draw(st.sampled_from(parts)), t)
+    assert_ket_step_matches(c, vectors, c - 1 + data.draw(st.integers(parts[0] + 1, 5)), t)
 
 
 def test_fused_steps_drop_cancelled_terms_and_reach_the_sea():
     # e^{H(t1)} (|1> - t1 |0> + |2>): |0> cancels, and |2> brings it back last;
     # without |2>, |0> cancels for good (the ket step at m = 1 keeps |1> - t1 |0>)
     v = FockVector({MayaState(0, (1,)): 1, MayaState(0, ()): -t1, MayaState(0, (2,)): 1})
-    for m in range(-4, 4):
+    for m in range(-1, 2):  # d = 0, 1, 2: the first parts of v's states
         assert_bra_step_matches(0, [v, v.scale(t1)], m, t1)
     for m in range(4):
         assert_ket_step_matches(0, [v, v.scale(t1)], m, t1)
     one = FockVector({MayaState(0, (1,)): 1})
     assert fock._ket_step(t1, 1, one + vacuum_ket(0).scale(-t1)) == apply_fermion(PSI, 1, one)
-    # after psi*_m on |1,1> + t1 |1>, the vertical strips cancel at m = 0 and
-    # at every m <= -3, where psi*_m takes a level of the sea
+    # after psi*_0 on |1,1> + t1 |1>, the vertical strips cancel; at m = -1,
+    # d = 0, psi*_m takes the top level of the sea from the empty state
     u = FockVector({MayaState(0, (1, 1)): 1, MayaState(0, (1,)): t1})
-    for m in range(-5, 3):
+    for m in range(-1, 2):
         assert_bra_step_matches(0, [u, v, u + v], m, t1)
     for m in range(4):
         assert_ket_step_matches(0, [u, v, u + v], m, t1)
-    assert fock._bra_step(0, 0, fock._powers(-t1), {0: u._terms}) == {0: {Partition((1,)): Scalar.one()}}
+    assert fock._bra_step(1, fock._powers(-t1), {0: u._terms}) == {0: {Partition((1,)): Scalar.one()}}
+    assert apply_fermion(PSI_STAR, -1, vacuum_ket(0)) == vacuum_ket(-1)
+    assert fock._bra_step(0, fock._powers(-t1), {0: vacuum_ket(0)._terms}) == {0: vacuum_ket(-1)._terms}
     # the zero letter: the fermion alone
-    assert_bra_step_matches(0, [u, v], 0, Scalar.zero())
+    for m in range(-1, 2):
+        assert_bra_step_matches(0, [u, v], m, Scalar.zero())
     assert_ket_step_matches(0, [u, v], 0, Scalar.zero())
 
 
