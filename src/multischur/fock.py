@@ -47,14 +47,14 @@ summing loop `_step` multiplies each coefficient by the cached signed
 power of the letter.  A zero letter's step is the fermion alone.
 
 The refined bra <mu| pairs with a charge-0 vector by applying
-psi*_{mu_1 - 1}, e^{-H(t_1)}, psi*_{mu_2 - 2}, ... and reading one
-coefficient.  bra_refined_table pairs many bras with many kets in one
-depth-first walk at one row count, where the bras that agree on
-mu_1..mu_i share their first i steps; bra_refined_pair is its entry for
-one bra and one ket.  Row i steps only the states whose first part is
-mu_i, since no other state reaches the vacuum: psi*_{mu_i - i} kills a
-lower first part, and it raises a higher one by 1, which a vertical strip
-lowers by at most 1, so it stays above every later mu_j.
+psi*_{mu_1 - 1}, e^{-H(t_1)}, psi*_{mu_2 - 2}, ... and reading the
+vacuum's coefficient.  bra_refined_table pairs many bras with many kets
+in one depth-first walk, where the bras that agree on mu_1..mu_i share
+their first i steps, and reads a bra's pairs once its parts run out, so
+it never steps a row with mu_i = 0.  Row i steps only the states of
+first part mu_i: psi*_{mu_i - i} kills a lower first part and raises a
+higher one by 1, which a vertical strip lowers by at most 1, so it
+stays above every later mu_j and never reaches the vacuum.
 
 Everything is linear over exact Scalars and charge-homogeneous.  No
 operator here evaluates a determinant, and the module reads nothing from
@@ -256,8 +256,8 @@ def apply_heisenberg(m: int, v: FockVector) -> FockVector:
 
 
 # Move tables kept by `_moves`.  One cold fermion suite at its cap fills at
-# most 177 of them (`orthonormality` at maxWeight 8: 67 bra, 66 ket and 44
-# bare tables, about 0.05 MB), each of at most 14 moves.
+# most 176 (`orthonormality` at maxWeight 8: 66 bra, 66 ket, 44 bare, about
+# 0.05 MB, hit by 85% of its 1,213 lookups), each of at most 14 moves.
 MOVE_CACHE_SIZE = 1024
 
 
@@ -272,8 +272,8 @@ def _moves(lam: Partition, d: int | None, vertical: bool) -> tuple[int, tuple[tu
         i = 2 |lam/nu|; the vertical strips are the conjugates of the
         horizontal strips of lam', in that order;
       * vertical, d an offset m - c + 1: psi*_m on a state of first part
-        d (the empty state at d = 0), as in `bra_refined_table`, pops that
-        part with sign +, then the vertical strips: the bare table of lam[1:];
+        d >= 1, as in `bra_refined_table`, pops that part with sign +,
+        then the vertical strips: the bare table of lam[1:];
       * horizontal, d an offset: the horizontal strips, then psi_m on a
         state of first part below d, as in `ket_refined`: the part d - 1
         prepended to each nu, with sign + (nothing at d = 1, the vacuum).
@@ -403,9 +403,9 @@ def _ket_step(t: Scalar, m: int, v: FockVector) -> FockVector:
 
 def bra_refined_pair(mu: Sequence[int], t: Sequence, v: FockVector) -> Scalar:
     """Pair the refined bra for mu against a charge-0 vector: apply
-    psi*_{mu_1 - 1}, e^{-H(t_1)}, ..., psi*_{mu_r - r}, e^{-H(t_r)} and
-    read off the coefficient of |-r>, the same for every r past len(mu)
-    and the length of v's longest state (see bra_refined_table)."""
+    psi*_{mu_1 - 1}, e^{-H(t_1)}, ..., psi*_{mu_l - l}, e^{-H(t_l)} for
+    l = len(mu) and read off the coefficient of the vacuum |-l>, which
+    every further row keeps (see bra_refined_table)."""
     mu = Partition(mu)
     return bra_refined_table([mu], t, [v])[0][mu]
 
@@ -414,24 +414,24 @@ def bra_refined_table(
     mus: Iterable[Sequence[int]], t: Sequence, kets: Iterable[FockVector]
 ) -> list[dict[Partition, Scalar]]:
     """[{mu: bra_refined_pair(mu, t, v) for mu in mus} for v in kets], each
-    row keyed by Partition in the order given, from one depth-first walk at
-    one row count r = max(longest mu, longest ket state) + 1.  The walk
-    steps every ket at once, as one vector: a dict from ket index to that
-    ket's terms.  At depth i the bras are grouped by mu_i = p, so each step
-    runs once per distinct prefix mu_1..mu_i.  The step is psi*_{p-i} at
-    charge 1 - i, of offset d = p, and it takes only the terms |lam> whose
-    first part is p (lam = () when p = 0), whose first part it pops with
-    sign + before the vertical strips; the others never reach |-r>:
+    row keyed by Partition in the order given, from one depth-first walk.
+    The walk steps every ket at once, as one vector: a dict from ket index
+    to that ket's terms.  At depth i the bras are grouped by mu_i = p, so
+    each step runs once per distinct prefix mu_1..mu_i.  The step is
+    psi*_{p-i} at charge 1 - i, of offset d = p >= 1, and it takes only
+    the terms |lam> whose first part is p, which it pops with sign +
+    before the vertical strips; the others never reach the vacuum:
       * if lam_1 < p, psi*_{p-i} kills |lam>;
       * if lam_1 > p, it removes a lower row or a level of the sea and
         raises lam_1 by 1, and a vertical strip lowers it by at most 1, so
-        the first part stays above p >= mu_{i+1} >= ... >= mu_r >= 0.
+        the first part stays above p >= mu_{i+1} >= ... >= 0.
     A branch with no such term stops there (no step makes a ket's terms
-    vanish); past depth r each ket's coefficient of |-r> is read.  That r
-    serves every pair: one more row has p = 0, so it steps only the empty
-    state, and psi*_{-r-1} then e^{-H(t_{r+1})} send |-r> to +|-r-1>.  A
-    ket of nonzero charge (ChargeError) or a t shorter than r (ValueError)
-    is refused before any step."""
+    vanish).  The one bra of a prefix with len(mu) < i is read there: its
+    pair with each ket is the coefficient of the vacuum |1-i>, since a row
+    with p = 0 sends |1-i> to +|-i> (psi*_{-i}, then e^{-H(t_i)} fixes it)
+    and drops every other state, so no step has p = 0.  A ket of nonzero
+    charge (ChargeError) or a t shorter than r = max(longest mu, longest
+    ket state) + 1 (ValueError) is refused before any step."""
     row = dict.fromkeys(map(Partition, mus), _ZERO)
     table, w, longest = [], {}, 0
     for k, v in enumerate(kets):
@@ -450,18 +450,18 @@ def bra_refined_table(
     stack = [(list(row), 1, w)] if r and w else []  # the bras that share steps 1..i-1, and w after them
     while stack:
         bras, i, w = stack.pop()
-        if i > r:  # w has charge -r, and bras is the one mu of its prefix
-            for k, terms in w.items():
-                table[k][bras[0]] = terms.get(_EMPTY, _ZERO)
-            continue
         branches: dict[int, list[Partition]] = {}
         for mu in bras:
-            branches.setdefault(mu[i - 1] if i <= len(mu) else 0, []).append(mu)
-        # each branch steps only its bucket: the terms whose first part is mu_i
+            if len(mu) < i:  # the one mu of this prefix with no part left: read its pairs
+                for k, terms in w.items():
+                    table[k][mu] = terms.get(_EMPTY, _ZERO)
+            else:
+                branches.setdefault(mu[i - 1], []).append(mu)
+        # each branch steps only its bucket: the terms whose first part is mu_i >= 1
         buckets: dict[int, dict] = {part: {} for part in branches}
         for k, terms in w.items():
             for lam, coeff in terms.items():
-                bucket = buckets.get(lam[0] if lam else 0)
+                bucket = buckets.get(lam[0]) if lam else None
                 if bucket is not None:
                     bucket.setdefault(k, {})[lam] = coeff
         for part, group in branches.items():
@@ -474,9 +474,9 @@ def _bra_step(d: int, powers: list[Scalar] | None, w: dict) -> dict:
     """psi*_m then the vertical strip step of powers = `_powers(-t)` on
     each ket's terms in the walk's vector w, one `_step` per ket; powers is
     None when t = 0, whose strip step is the identity.  Every state has
-    first part d = m - c + 1 (or is empty at d = 0), so psi*_m pops that
-    part with sign +, and no ket's terms vanish: the pop is injective and
-    e^{-H(t)} unitriangular."""
+    first part d = m - c + 1 >= 1, so psi*_m pops that part with sign +,
+    and no ket's terms vanish: the pop is injective and e^{-H(t)}
+    unitriangular."""
     out = {}
     for k, terms in w.items():
         out[k] = _step(terms, d, True, powers) if powers else {Partition._trusted(lam[1:]): x for lam, x in terms.items()}
