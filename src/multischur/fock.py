@@ -46,9 +46,11 @@ builds each list once, the fermion kinds from the bare ones; the one
 summing loop `_step` multiplies each coefficient by the cached signed
 power of the letter.  A zero letter's step is the fermion alone.
 
-The refined bra <mu| pairs with a charge-0 vector by applying
-psi*_{mu_1 - 1}, e^{-H(t_1)}, psi*_{mu_2 - 2}, ... and reading the
-vacuum's coefficient.  bra_refined_table pairs many bras with many kets
+A basis ket for lam applies one fermion per part to |-len(lam)>, the
+refined one reading t_1..t_{len(lam)}.  The refined bra <mu| pairs with
+a charge-0 vector by applying psi*_{mu_1 - 1}, e^{-H(t_1)}, ...,
+psi*_{mu_l - l}, e^{-H(t_l)}, l = len(mu), and reading the vacuum's
+coefficient.  bra_refined_table pairs many bras with many kets
 in one depth-first walk, where the bras that agree on mu_1..mu_i share
 their first i steps, and reads a bra's pairs once its parts run out, so
 it never steps a row with mu_i = 0.  Row i steps only the states of
@@ -275,8 +277,8 @@ def _moves(lam: Partition, d: int | None, vertical: bool) -> tuple[int, tuple[tu
         d >= 1, as in `bra_refined_table`, pops that part with sign +,
         then the vertical strips: the bare table of lam[1:];
       * horizontal, d an offset: the horizontal strips, then psi_m on a
-        state of first part below d, as in `ket_refined`: the part d - 1
-        prepended to each nu, with sign + (nothing at d = 1, the vacuum).
+        state of first part below d >= 2, as in `ket_refined`: the part
+        d - 1 prepended to each nu, with sign +.
 
     The fermion steps read the bare tables and are injective, so each
     keeps its strips' order and sums nothing."""
@@ -291,9 +293,7 @@ def _moves(lam: Partition, d: int | None, vertical: bool) -> tuple[int, tuple[tu
     if vertical:
         return _moves(Partition._trusted(lam[1:]), None, True)
     top, moves = _moves(lam, None, False)
-    if d > 1:  # at d = 1, the vacuum row, the new part is 0
-        moves = tuple((Partition._trusted((d - 1, *nu)), i) for nu, i in moves)
-    return top, moves
+    return top, tuple((Partition._trusted((d - 1, *nu)), i) for nu, i in moves)
 
 
 def _powers(s: Scalar) -> list[Scalar]:
@@ -361,36 +361,33 @@ def apply_dressed_fermion(mode: str, m: int, x: Iterable, y: Iterable, v: FockVe
 # -- basis kets and bras ----------------------------------------------
 
 
-def _ket(lam: Sequence[int], r: int, step) -> FockVector:
-    """step(i, lam_i - i, v) on v = |-r>, for i = r, r - 1, ..., 1."""
-    lam = Partition(lam)
-    if r < len(lam):
-        raise ValueError(f"need r >= {len(lam)} for {lam}, got {r}")
-    v = vacuum_ket(-r)
-    for i in range(r, 0, -1):
-        v = step(i, lam.part(i) - i, v)
+def _ket(lam: Partition, step) -> FockVector:
+    """step(i, lam_i - i, v) on v = |-len(lam)>, for i = len(lam), ..., 1."""
+    v = vacuum_ket(-len(lam))
+    for i in range(len(lam), 0, -1):
+        v = step(i, lam[i - 1] - i, v)
     return v
 
 
-def ket_partition(lam: Sequence[int], r: int) -> FockVector:
-    """psi_{lam_1 - 1} ... psi_{lam_r - r} |-r>."""
-    return _ket(lam, r, lambda i, m, v: apply_fermion(PSI, m, v))
+def ket_partition(lam: Sequence[int]) -> FockVector:
+    """psi_{lam_1 - 1} ... psi_{lam_l - l} |-l>, l = len(lam)."""
+    return _ket(Partition(lam), lambda i, m, v: apply_fermion(PSI, m, v))
 
 
-def ket_general(lam: Sequence[int], bx, by, r: int) -> FockVector:
-    """Dressed basis ket: the i-th fermion is conjugated by
-    e^{H(x^(i)/y^(i))}; independent of r >= len(lam)."""
-    return _ket(lam, r, lambda i, m, v: apply_dressed_fermion(PSI, m, bx.alphabet(i), by.alphabet(i), v))
+def ket_general(lam: Sequence[int], bx, by) -> FockVector:
+    """Dressed basis ket: the i-th fermion conjugated by e^{H(x^(i)/y^(i))}."""
+    return _ket(Partition(lam), lambda i, m, v: apply_dressed_fermion(PSI, m, bx.alphabet(i), by.alphabet(i), v))
 
 
-def ket_refined(lam: Sequence[int], t: Sequence, r: int) -> FockVector:
-    """psi_{lam_1-1} e^{H(t_1)} psi_{lam_2-2} e^{H(t_2)} ... |-r>.  Row i
-    steps states mu that rows i+1..r built by strip removals, so mu_1 <=
-    lam_{i+1} <= lam_i and psi_{lam_i-i} prepends lam_i with sign +."""
-    t = as_alphabet(t)
-    if len(t) < r:
-        raise ValueError(f"refined sequence needs {r} letters, got {len(t)}")
-    return _ket(lam, r, lambda i, m, v: _ket_step(t[i - 1], m, v))
+def ket_refined(lam: Sequence[int], t: Sequence) -> FockVector:
+    """psi_{lam_1-1} e^{H(t_1)} ... psi_{lam_l-l} e^{H(t_l)} |-l>, l =
+    len(lam).  Row i steps states mu that rows i+1..l built by strip
+    removals, so mu_1 <= lam_{i+1} <= lam_i and psi_{lam_i-i} prepends
+    lam_i with sign +."""
+    lam, t = Partition(lam), as_alphabet(t)
+    if len(t) < len(lam):
+        raise ValueError(f"refined sequence needs {len(lam)} letters, got {len(t)}")
+    return _ket(lam, lambda i, m, v: _ket_step(t[i - 1], m, v))
 
 
 def _ket_step(t: Scalar, m: int, v: FockVector) -> FockVector:
@@ -405,7 +402,7 @@ def bra_refined_pair(mu: Sequence[int], t: Sequence, v: FockVector) -> Scalar:
     """Pair the refined bra for mu against a charge-0 vector: apply
     psi*_{mu_1 - 1}, e^{-H(t_1)}, ..., psi*_{mu_l - l}, e^{-H(t_l)} for
     l = len(mu) and read off the coefficient of the vacuum |-l>, which
-    every further row keeps (see bra_refined_table)."""
+    every further row keeps (see bra_refined_table).  Needs l letters."""
     mu = Partition(mu)
     return bra_refined_table([mu], t, [v])[0][mu]
 
@@ -429,25 +426,24 @@ def bra_refined_table(
     vanish).  The one bra of a prefix with len(mu) < i is read there: its
     pair with each ket is the coefficient of the vacuum |1-i>, since a row
     with p = 0 sends |1-i> to +|-i> (psi*_{-i}, then e^{-H(t_i)} fixes it)
-    and drops every other state, so no step has p = 0.  A ket of nonzero
-    charge (ChargeError) or a t shorter than r = max(longest mu, longest
-    ket state) + 1 (ValueError) is refused before any step."""
+    and drops every other state, so no step has p = 0.  The walk reads
+    t_1..t_l for the longest mu, of l parts.  A ket of nonzero charge
+    (ChargeError) or, when there are kets, a t shorter than l (ValueError)
+    is refused before any step."""
     row = dict.fromkeys(map(Partition, mus), _ZERO)
-    table, w, longest = [], {}, 0
+    table, w = [], {}
     for k, v in enumerate(kets):
         if v.charge not in (None, 0):
             raise ChargeError(f"refined bras pair with charge 0, got {v.charge}")
         if v._terms:
             w[k] = v._terms
-            longest = max(longest, *map(len, v._terms))
         table.append(row.copy())
-    r = max(longest, *map(len, row)) + 1 if row and table else 0
-    t = as_alphabet(t)
-    if len(t) < r:
-        raise ValueError(f"refined sequence needs {r} letters, got {len(t)}")
+    t, depth = as_alphabet(t), max(map(len, row), default=0)
+    if table and len(t) < depth:
+        raise ValueError(f"refined sequence needs {depth} letters, got {len(t)}")
     # the powers of -t_i, built once per table; None for t_i = 0
-    powers = [_powers(-x) if x else None for x in t[:r]]
-    stack = [(list(row), 1, w)] if r and w else []  # the bras that share steps 1..i-1, and w after them
+    powers = [_powers(-x) if x else None for x in t[:depth]]
+    stack = [(list(row), 1, w)] if w else []  # the bras that share steps 1..i-1, and w after them
     while stack:
         bras, i, w = stack.pop()
         branches: dict[int, list[Partition]] = {}

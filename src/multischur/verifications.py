@@ -172,10 +172,10 @@ def _cauchy_sides(t, D, n, m) -> tuple[Scalar, Scalar]:
 
 def orthonormality(max_weight: int) -> dict:
     """Refined bras against refined kets: delta on all pairs."""
-    t = _vars("t", max_weight + 3)
+    t = _vars("t", max_weight)
     tally = _Tally()
     shapes = partitions_up_to_weight(max_weight)
-    table = bra_refined_table(shapes, t, [ket_refined(lam, t, len(lam)) for lam in shapes])
+    table = bra_refined_table(shapes, t, [ket_refined(lam, t) for lam in shapes])
     for lam, pairs in zip(shapes, table):
         for mu, val in pairs.items():
             tally.check(val, _ONE if mu == lam else _ZERO, "pair %s | %s", mu, lam)
@@ -186,10 +186,10 @@ def dual_engine(max_weight: int) -> dict:
     """Determinant coefficients equal fermion-engine pairings, with
     one-letter symbolic row alphabets and symbolic t."""
     bx, by = _one_letter_rows(max_weight)
-    t = _vars("t", max_weight + 3)
+    t = _vars("t", max_weight)
     tally = _Tally()
     shapes = partitions_up_to_weight(max_weight)
-    table = bra_refined_table(shapes, t, [ket_general(lam, bx, by, len(lam)) for lam in shapes])
+    table = bra_refined_table(shapes, t, [ket_general(lam, bx, by) for lam in shapes])
     for lam, pairs in zip(shapes, table):
         coeffs = expand_in_refined_basis(lam, bx, by, t)
         for mu in subpartitions(lam):
@@ -257,7 +257,7 @@ def beta_chain(max_weight: int, max_dual_weight: int) -> dict:
     tally = _Tally()
     for lam in partitions_up_to_weight(max_weight):
         lhs = eval_symfunc(refined_dual_grothendieck(lam, tb), xs)
-        ket = ket_refined(lam, tb, len(lam))
+        ket = ket_refined(lam, tb)
         tally.check(lhs, apply_exp_H(xs, (), +1, ket).coefficient(vac), "fermion evaluation of %s", lam)
     powers = [beta**k for k in range(max_dual_weight + 1)]
     binomials = [[powers[k] * comb(i, k) for k in range(i + 1)] for i in range(max_dual_weight)]
@@ -277,8 +277,8 @@ def _test_vectors() -> list[FockVector]:
     half = Scalar.from_rational(Fraction(1, 2))
     return [
         vacuum_ket(0),
-        ket_partition((2, 1), 2),
-        ket_partition((1, 1), 2) + ket_partition((3,), 1).scale(c) + vacuum_ket(0).scale(half),
+        ket_partition((2, 1)),
+        ket_partition((1, 1)) + ket_partition((3,)).scale(c) + vacuum_ket(0).scale(half),
         FockVector({MayaState(-1, Partition((2,))): _ONE, MayaState(-1, Partition((1, 1))): c}),
         FockVector({MayaState(2, Partition((2, 2, 1))): _ONE}),
     ]

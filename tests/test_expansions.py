@@ -155,7 +155,7 @@ def test_expand_in_refined_basis_matches_fock_pairing():
     bx = prefix_sequence((x1,), (x2,), (a,))
     by = prefix_sequence((b,))
     coeffs = expand_in_refined_basis(lam, bx, by, t)
-    v = ket_general(lam, bx, by, len(lam))
+    v = ket_general(lam, bx, by)
     for mu in subpartitions(lam):
         assert coeffs.get(mu, Scalar.zero()) == bra_refined_pair(mu, t, v)
 

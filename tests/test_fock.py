@@ -184,7 +184,7 @@ def test_exp_H_fixes_shifted_vacua():
 
 
 def test_exp_H_empty_is_identity():
-    v = ket_partition(Partition((2, 1)), 2)
+    v = ket_partition(Partition((2, 1)))
     assert apply_exp_H((), (), +1, v) == v
     assert apply_exp_H((), (), -1, v) == v
 
@@ -273,18 +273,15 @@ def test_exp_H_sign_validation():
 
 
 def test_ket_partition_examples():
-    assert ket_partition(Partition(()), 0) == vacuum_ket(0)
-    got = ket_partition(Partition((2, 1)), 2)
+    assert ket_partition(Partition(())) == vacuum_ket(0)
+    got = ket_partition(Partition((2, 1)))
     assert got == FockVector({MayaState(0, Partition((2, 1))): Scalar.one()})
-    assert ket_partition(Partition((1,)), 2) == ket_partition(Partition((1,)), 1)
-    with pytest.raises(ValueError):
-        ket_partition(Partition((2, 1)), 1)
 
 
 def test_dressed_psi_inverse_by_one_letter():
     # e^{-H(t1)} psi_m e^{H(t1)} = psi_m - t1 psi_{m-1}
     for m in (-1, 0, 2):
-        for v in (vacuum_ket(0), ket_partition(Partition((2, 1)), 2)):
+        for v in (vacuum_ket(0), ket_partition(Partition((2, 1)))):
             got = apply_dressed_fermion(PSI, m, (), (t1,), v)
             want = apply_fermion(PSI, m, v) - apply_fermion(PSI, m - 1, v).scale(t1)
             assert got == want
@@ -304,7 +301,7 @@ def test_dressed_psi_star_inverse_by_one_letter():
 
 
 def test_dressed_trivial_is_plain_fermion():
-    v = ket_partition(Partition((1, 1)), 2)
+    v = ket_partition(Partition((1, 1)))
     assert apply_dressed_fermion(PSI, 1, (), (), v) == apply_fermion(PSI, 1, v)
 
 
@@ -330,22 +327,14 @@ def test_dressing_consistency(v, m, mode):
 
 def test_ket_general_reduces_to_ket_partition():
     lam = Partition((2, 1))
-    assert ket_general(lam, empty_sequence(), empty_sequence(), 2) == ket_partition(lam, 2)
-    assert ket_general(Partition(()), refined_sequence((t1, t2)), empty_sequence(), 3) == vacuum_ket(0)
-
-
-def test_ket_general_r_independence():
-    lam = Partition((2, 1))
-    bx = prefix_sequence((x1,), (x2, t1), (x1, x2))
-    by = prefix_sequence((y1,))
-    assert ket_general(lam, bx, by, 2) == ket_general(lam, bx, by, 3)
-    assert ket_general(lam, bx, by, 2) == ket_general(lam, bx, by, 5)
+    assert ket_general(lam, empty_sequence(), empty_sequence()) == ket_partition(lam)
+    assert ket_general(Partition(()), refined_sequence((t1, t2)), empty_sequence()) == vacuum_ket(0)
 
 
 def test_ket_general_unitriangular():
     lam = Partition((2, 1))
     bx = prefix_sequence((x1,), (x2,))
-    v = ket_general(lam, bx, empty_sequence(), 2)
+    v = ket_general(lam, bx, empty_sequence())
     assert v.coefficient(MayaState(0, lam)) == Scalar.one()
     for state, _ in v.items():
         assert state.energy <= lam.weight
@@ -356,53 +345,56 @@ def test_ket_general_unitriangular():
 def test_ket_refined_examples():
     lam = Partition((2, 1))
     zeros = (Scalar.zero(),) * 3
-    assert ket_refined(lam, zeros, 2) == ket_partition(lam, 2)
-    got = ket_refined(Partition((1,)), (t1,), 1)
-    assert got == ket_partition(Partition((1,)), 1)
+    assert ket_refined(lam, zeros) == ket_partition(lam)
+    got = ket_refined(Partition((1,)), (t1,))
+    assert got == ket_partition(Partition((1,)))
     assert got.coefficient(MayaState(0, Partition((1,)))) == Scalar.one()
     ts = (t1, t2, t3, t4)
-    assert ket_refined(lam, ts, 2) == ket_general(lam, refined_sequence(ts), empty_sequence(), 2)
-    assert ket_refined(lam, ts, 2) == ket_refined(lam, ts, 3)
-    # every lam of weight <= 5, at r = len(lam) and one row more (the vacuum
-    # row), with a zero letter in row 2: row by row, the fused step is the
-    # unfused composition, and every key is a canonical Partition
+    assert ket_refined(lam, ts) == ket_general(lam, refined_sequence(ts), empty_sequence())
+    # every lam of weight <= 5, with a zero letter in row 2: row by row, the
+    # fused step is the unfused composition, and every key is a canonical
+    # Partition
     ts = (t1, Scalar.zero(), t2, t3, t4, t5)
     for lam in partitions_up_to_weight(5):
-        for r in (len(lam), len(lam) + 1):
-            v = want = vacuum_ket(-r)
-            for i in range(r, 0, -1):
-                m, t = lam.part(i) - i, ts[i - 1]
-                v, want = fock._ket_step(t, m, v), apply_fermion(PSI, m, fock._exp_letter(t, False, want))
-                assert v == want and v.items() == want.items(), (lam, r, i)
-                assert all(type(mu) is Partition and mu == Partition(tuple(mu)) for mu in v._terms), (lam, r, i)
-            assert ket_refined(lam, ts, r) == v, (lam, r)
+        v = want = vacuum_ket(-len(lam))
+        for i in range(len(lam), 0, -1):
+            m, t = lam.part(i) - i, ts[i - 1]
+            v, want = fock._ket_step(t, m, v), apply_fermion(PSI, m, fock._exp_letter(t, False, want))
+            assert v == want and v.items() == want.items(), (lam, i)
+            assert all(type(mu) is Partition and mu == Partition(tuple(mu)) for mu in v._terms), (lam, i)
+        assert ket_refined(lam, ts) == v, lam
+    # len(lam) letters are enough, and fewer are refused
+    lam = Partition((1,) * 5)
+    assert ket_refined(lam, ts[:5]) == ket_refined(lam, ts)
+    with pytest.raises(ValueError, match="refined sequence needs 5 letters, got 4"):
+        ket_refined(lam, ts[:4])
 
 
 def test_bra_refined_pair_orthonormality():
     ts = (t1, t2, t3, t4)
     shapes = [Partition(p) for p in [(), (1,), (2,), (1, 1), (2, 1), (3,)]]
     for lam in shapes:
-        v = ket_refined(lam, ts, max(1, len(lam)))
+        v = ket_refined(lam, ts)
         for mu in shapes:
             assert bra_refined_pair(mu, ts, v) == (Scalar.one() if mu == lam else Scalar.zero())
 
 
 def test_bra_refined_table_is_r_stable():
-    """A longer bra in the same table, which needs one or two more letters
-    than a pair alone, changes no pair: each bra is read once its own
-    parts run out."""
+    """A bra one or two parts longer than mu and than every ket state, in
+    the same table, changes no pair of mu: each bra is read once its own
+    parts run out, whatever the other bras read."""
     ts = (t1, t2, t3, t4, t5, t6)
     bx, by = prefix_sequence((x1,), (x2, t1)), prefix_sequence((y1,), ())
     shapes = partitions_up_to_weight(3)
     for lam in shapes:
-        refined, general = ket_refined(lam, ts, len(lam)), ket_general(lam, bx, by, len(lam))
+        refined, general = ket_refined(lam, ts), ket_general(lam, bx, by)
         for v in (refined, general, refined + general):
             longest = max(len(s.parts) for s, _ in v.items())
             for mu in shapes:
                 alone = bra_refined_pair(mu, ts, v)
                 r = max(len(mu), longest) + 1
                 for extra in (1, 2):
-                    longer = Partition((1,) * (r + extra - 1))  # the common row count is r + extra
+                    longer = Partition((1,) * (r + extra - 1))  # extra parts past mu and every ket state
                     assert bra_refined_table([mu, longer], ts, [v])[0][mu] == alone, (lam, mu, extra)
 
 
@@ -437,7 +429,7 @@ def test_bra_refined_pairs_match_per_mu_oracle():
     bx, by = prefix_sequence((x1,), (x2, t1)), prefix_sequence((y1,), ())
     kets = {"vacuum": vacuum_ket(0), "zero": ZERO_VECTOR}
     for lam in partitions_up_to_weight(3):
-        refined, general = ket_refined(lam, ts, len(lam)), ket_general(lam, bx, by, len(lam))
+        refined, general = ket_refined(lam, ts), ket_general(lam, bx, by)
         kets.update({("refined", lam): refined, ("general", lam): general, ("sum", lam): refined + general})
     for name, v in kets.items():
         (got,) = bra_refined_table(mus, ts, [v])
@@ -448,7 +440,7 @@ def test_bra_refined_pairs_match_per_mu_oracle():
     assert bra_refined_table([], ts, [kets["refined", (2, 1)]]) == [{}]
     assert bra_refined_table([(1,), [1, 0]], ts, [vacuum_ket(0)]) == [{Partition((1,)): Scalar.zero()}]
     # a repeated bra reaches the last row once, and its pair is read there
-    assert bra_refined_table([(1,), [1, 0]], ts, [ket_refined((1,), ts, 1)]) == [{Partition((1,)): Scalar.one()}]
+    assert bra_refined_table([(1,), [1, 0]], ts, [ket_refined((1,), ts)]) == [{Partition((1,)): Scalar.one()}]
 
 
 def test_bra_refined_table_steps_only_first_parts_is_exact():
@@ -517,7 +509,7 @@ def test_bra_walk_steps_no_row_past_the_parts_of_a_bra(monkeypatch):
 def test_bra_refined_pairs_share_prefixes_and_stop_at_zero(monkeypatch):
     ts = (t1, t2, t3, t4, t5, t6)
     mus = partitions_up_to_weight(4)
-    v = ket_refined(Partition((2, 1)), ts, 2)
+    v = ket_refined(Partition((2, 1)), ts)
     steps = []
 
     def counting(d, powers, w, step=fock._bra_step):
@@ -542,35 +534,38 @@ def test_bra_refined_pairs_errors_match_single_pairs(monkeypatch):
     def no_step(*args):
         raise AssertionError("a step ran before the arguments were checked")
 
-    short = (t1,)
-    v = ket_refined(Partition((1,)), (t1, t2, t3), 1)
+    short, ts = (t1,), (t1, t2, t3)
+    v = ket_refined(Partition((1,)), ts)
     charged = [vacuum_ket(1), apply_fermion(PSI_STAR, -1, vacuum_ket(0))]
     monkeypatch.setattr(fock, "_bra_step", no_step)
-    for mu in [Partition(()), Partition((2,)), Partition((1, 1))]:
-        with pytest.raises(ValueError) as single:
-            bra_refined_pair(mu, short, v)
-        with pytest.raises(ValueError) as walk:
-            bra_refined_table([Partition(()), mu], short, [v])
-        assert str(walk.value) == str(single.value)
-        assert "refined sequence needs" in str(walk.value)
+    mu = Partition((1, 1))
+    with pytest.raises(ValueError) as single:
+        bra_refined_pair(mu, short, v)
+    with pytest.raises(ValueError) as walk:
+        bra_refined_table([Partition(()), mu], short, [v])
+    assert str(walk.value) == str(single.value) == "refined sequence needs 2 letters, got 1"
     for w in charged:
         with pytest.raises(ChargeError) as single:
             bra_refined_pair(Partition(()), (t1,), w)
         with pytest.raises(ChargeError) as walk:
             bra_refined_table([Partition(())], (t1,), [w])
         assert str(walk.value) == str(single.value)
+    monkeypatch.undo()
+    # one letter serves every bra of at most one part
+    for mu in [Partition(()), Partition((2,))]:
+        assert bra_refined_pair(mu, short, v) == bra_refined_pair(mu, ts, v)
+        assert bra_refined_table([Partition(()), mu], short, [v]) == bra_refined_table([Partition(()), mu], ts, [v])
 
 
 def test_bra_refined_table_matches_one_ket_pairs():
-    """Kets whose longest states differ in length share one walk at the
-    row count of the longest, and each row is the ket's table alone; the
-    zero vector and no bras give zeros and empty rows, and no kets give no
-    rows, whatever the letters."""
+    """Kets whose longest states differ in length share one walk, and each
+    row is the ket's table alone; the zero vector and no bras give zeros
+    and empty rows, and no kets give no rows, whatever the letters."""
     ts = (t1, t2, t3, t4, t5, t6)
     bx, by = prefix_sequence((x1,), (x2, t1)), prefix_sequence((y1,), ())
     kets = [ZERO_VECTOR, vacuum_ket(0)]
     for lam in partitions_up_to_weight(3):
-        kets += [ket_refined(lam, ts, len(lam)), ket_general(lam, bx, by, len(lam))]
+        kets += [ket_refined(lam, ts), ket_general(lam, bx, by)]
     kets.append(kets[-1] + kets[3])
     assert len({max((len(s.parts) for s, _ in v.items()), default=0) for v in kets}) == 4
     mus = partitions_up_to_weight(4)
@@ -592,18 +587,40 @@ def test_bra_refined_table_refuses_any_bad_ket_before_any_step(monkeypatch):
         raise AssertionError("a step ran before the arguments were checked")
 
     ts = (t1, t2, t3)
-    good = [vacuum_ket(0), ket_refined(Partition((1,)), ts, 1)]
+    good = [vacuum_ket(0), ket_refined(Partition((1,)), ts)]
     monkeypatch.setattr(fock, "_bra_step", no_step)
     for bad in (vacuum_ket(1), apply_fermion(PSI_STAR, -1, vacuum_ket(0))):
         with pytest.raises(ChargeError):
             bra_refined_table([Partition((1,))], ts, [*good, bad, *good])
-    # two letters serve every bra against the first two kets, not against (2, 1)
+    # the letters count the bras' parts, not the kets': a bra of three parts
+    # is refused with two letters, and bras of at most one part pair with
+    # the ket of (2, 1) as they do with a longer t
     mus = [Partition(()), Partition((1,))]
-    longer = ket_refined(Partition((2, 1)), (t1, t2), 2)
+    kets = [*good, ket_refined(Partition((2, 1)), (t1, t2))]
     with pytest.raises(ValueError, match="refined sequence needs 3 letters, got 2"):
-        bra_refined_table(mus, (t1, t2), [*good, longer])
+        bra_refined_table([*mus, Partition((1, 1, 1))], (t1, t2), kets)
     monkeypatch.undo()
+    assert bra_refined_table(mus, (t1, t2), kets) == bra_refined_table(mus, ts, kets)
+    assert bra_refined_table(mus, (t1,), kets) == bra_refined_table(mus, ts, kets)
     assert bra_refined_table(mus, (t1, t2), good) == [bra_refined_table(mus, (t1, t2), [v])[0] for v in good]
+
+
+def test_bra_refined_table_reads_the_letters_of_the_longest_bra():
+    """The walk reads t_1..t_l for the longest bra, of l parts, whatever the
+    kets' states: exactly l letters give the table of a longer t, and l - 1
+    letters are refused."""
+    assert bra_refined_pair((1,), (t1,), ket_refined((1,), (t1,))) == Scalar.one()
+    ts = (t1, t2, t3, t4, t5, t6)
+    bx, by = prefix_sequence((x1,), (x2, t1)), prefix_sequence((y1,), ())
+    kets = [ket_refined(lam, ts) + ket_general(lam, bx, by) for lam in partitions_up_to_weight(4)]
+    for l in range(5):
+        mus = partitions_up_to_weight(l)  # the longest is (1^l)
+        table = bra_refined_table(mus, ts[:l], kets)
+        assert table == bra_refined_table(mus, ts, kets), l
+        assert any(x for row in table for x in row.values()), l
+        if l:
+            with pytest.raises(ValueError, match=f"refined sequence needs {l} letters, got {l - 1}"):
+                bra_refined_table(mus, ts[: l - 1], kets)
 
 
 def test_dressed_fermion_pairs_to_h_super():
@@ -620,13 +637,13 @@ def test_exp_H_vacuum_pairing_is_supersym_schur():
     # <0| e^{H(x/y)} |lam> is the supersymmetric Schur function s_lam(x/y)
     vac = MayaState(0, Partition(()))
     for lam in partitions_up_to_weight(4):
-        got = apply_exp_H((x1, x2), (y1,), 1, ket_partition(lam, len(lam))).coefficient(vac)
+        got = apply_exp_H((x1, x2), (y1,), 1, ket_partition(lam)).coefficient(vac)
         assert got == supersym_schur(lam, (x1, x2), (y1,)), lam
 
 
 def test_boson_fermion_extraction():
     for lam in [Partition(()), Partition((1,)), Partition((2, 1)), Partition((3, 2))]:
-        v = ket_partition(lam, max(1, len(lam)))
+        v = ket_partition(lam)
         w = apply_exp_H((x1, x2), (y1,), +1, v)
         got = w.coefficient(MayaState(0, Partition(())))
         assert got == supersym_schur(lam, (x1, x2), (y1,))
@@ -656,12 +673,12 @@ def test_fermion_route_calls_no_determinant(monkeypatch):
     with pytest.raises(AssertionError):
         supersym_schur((1,), (x1,), ())
     lam, t = Partition((2, 1)), (t1, t2, t3)
-    ket = ket_refined(lam, t, 2)
+    ket = ket_refined(lam, t)
     assert bra_refined_pair(lam, t, ket) == Scalar.one()
     shapes = partitions_up_to_weight(3)
     pairs = bra_refined_table(shapes, t + (t1,), [ket])
     assert pairs == [{mu: Scalar.one() if mu == lam else Scalar.zero() for mu in shapes}]
-    general = ket_general(lam, prefix_sequence((x1,), (x2,)), prefix_sequence((y1,)), 2)
+    general = ket_general(lam, prefix_sequence((x1,), (x2,)), prefix_sequence((y1,)))
     assert apply_exp_H((x1, x2), (y1,), +1, general)
     assert apply_exp_H((x1, x2), (y1,), -1, general)
     assert apply_dressed_fermion(PSI, 1, (x1,), (y1,), ket)
@@ -718,7 +735,7 @@ def _random_cross_check(trials: int, seed: int) -> tuple[int, int]:
         )
         t = [_random_letter(rng) for _ in range(len(lam) + 3)]
         coeffs = expand_in_refined_basis(lam, bx, by, t)
-        (row,) = bra_refined_table(subpartitions(lam), t, [ket_general(lam, bx, by, len(lam))])
+        (row,) = bra_refined_table(subpartitions(lam), t, [ket_general(lam, bx, by)])
         for mu, pair in row.items():
             pairs += 1
             mismatches += coeffs.get(mu, Scalar.zero()) != pair
@@ -752,7 +769,7 @@ def test_fermion_steps_build_valid_shapes():
     constructor; every one must equal its checked copy, with no trailing
     zero, including the steps that fill the sea up to a new vacuum."""
     vectors = verifications._test_vectors()
-    vectors.append(ket_partition((1, 1, 1), 3))
+    vectors.append(ket_partition((1, 1, 1)))
     seen = 0
     for v in vectors:
         results = [apply_fermion(mode, m, v) for mode in (PSI, PSI_STAR) for m in range(-6, 7)]
@@ -766,7 +783,7 @@ def test_fermion_steps_build_valid_shapes():
                 seen += 1
     assert seen > 100
     # psi_{-2} on the state (1,1) of charge 0 fills the sea: the vacuum of charge 1
-    assert apply_fermion(PSI, -2, ket_partition((1, 1), 2)) == vacuum_ket(1)
+    assert apply_fermion(PSI, -2, ket_partition((1, 1))) == vacuum_ket(1)
 
 
 def test_maya_state_normalizes_parts():
@@ -1072,11 +1089,13 @@ def step_groups(draw):
 
 
 def assert_ket_step_matches(c, vectors, m, t):
-    """On its domain, the states whose first part is below d = m - c + 1,
-    the ket step is psi_m after e^{H(t)}: the same terms in the same
-    order, each keyed by a canonical Partition.  `ket_refined` hands it
-    no other state, and some vector must have one in the domain."""
+    """On its domain, the states whose first part is below d = m - c + 1
+    >= 2, the ket step is psi_m after e^{H(t)}: the same terms in the same
+    order, each keyed by a canonical Partition.  `ket_refined` steps row i
+    at d = lam_i + 1 and hands it no other state, and some vector must
+    have one in the domain."""
     d = m - c + 1
+    assert d >= 2, (c, m)
     vectors = [FockVector._trusted(c, {lam: x for lam, x in v._terms.items() if lam.part(1) < d}) for v in vectors]
     assert any(vectors), (c, m)
     for v in vectors:
@@ -1111,10 +1130,10 @@ def test_fused_steps_match_fermion_and_strip_steps(group, t, data):
     c, vectors = group
     assume(any(vectors))  # a group of zero vectors gives the steps nothing to do
     # each step's level from its domain: for the bra, d the first part of
-    # some state; for the ket, d above the first part of some state
+    # some state; for the ket, d >= 2 above the first part of some state
     parts = sorted({lam.part(1) for v in vectors for lam in v._terms})
     assert_bra_step_matches(c, vectors, c - 1 + data.draw(st.sampled_from(parts)), t)
-    assert_ket_step_matches(c, vectors, c - 1 + data.draw(st.integers(parts[0] + 1, 5)), t)
+    assert_ket_step_matches(c, vectors, c - 1 + data.draw(st.integers(max(parts[0], 1) + 1, 5)), t)
 
 
 def test_fused_steps_drop_cancelled_terms_and_reach_the_sea():
@@ -1123,7 +1142,7 @@ def test_fused_steps_drop_cancelled_terms_and_reach_the_sea():
     v = FockVector({MayaState(0, (1,)): 1, MayaState(0, ()): -t1, MayaState(0, (2,)): 1})
     for m in range(-1, 2):  # d = 0, 1, 2: the first parts of v's states
         assert_bra_step_matches(0, [v, v.scale(t1)], m, t1)
-    for m in range(4):
+    for m in range(1, 4):  # d = 2, 3, 4
         assert_ket_step_matches(0, [v, v.scale(t1)], m, t1)
     one = FockVector({MayaState(0, (1,)): 1})
     assert fock._ket_step(t1, 1, one + vacuum_ket(0).scale(-t1)) == apply_fermion(PSI, 1, one)
@@ -1132,7 +1151,7 @@ def test_fused_steps_drop_cancelled_terms_and_reach_the_sea():
     u = FockVector({MayaState(0, (1, 1)): 1, MayaState(0, (1,)): t1})
     for m in range(-1, 2):
         assert_bra_step_matches(0, [u, v, u + v], m, t1)
-    for m in range(4):
+    for m in range(1, 4):
         assert_ket_step_matches(0, [u, v, u + v], m, t1)
     assert fock._bra_step(1, fock._powers(-t1), {0: u._terms}) == {0: {Partition((1,)): Scalar.one()}}
     assert apply_fermion(PSI_STAR, -1, vacuum_ket(0)) == vacuum_ket(-1)
@@ -1140,7 +1159,7 @@ def test_fused_steps_drop_cancelled_terms_and_reach_the_sea():
     # the zero letter: the fermion alone
     for m in range(-1, 2):
         assert_bra_step_matches(0, [u, v], m, Scalar.zero())
-    assert_ket_step_matches(0, [u, v], 0, Scalar.zero())
+    assert_ket_step_matches(0, [u, v], 1, Scalar.zero())
 
 
 def test_summing_operators_drop_cancelled_terms():
