@@ -23,7 +23,7 @@ _EXPORTS = {
         sym_schur symfunc_from_json symfunc_to_json truncated_dual_expansion""",
     "fock": """PSI PSI_STAR FockVector MayaState apply_dressed_fermion apply_exp_H
         apply_fermion apply_heisenberg bra_refined_pair bra_refined_table ket_general ket_partition
-        ket_refined vacuum_ket""",
+        ket_refined ket_refined_table vacuum_ket""",
     "shapes": """AlphabetSequence ChargeError Partition empty_sequence horizontal_strips
         partitions_up_to_weight prefix_sequence refined_alphabet refined_sequence subpartitions
         superpartitions""",

@@ -47,7 +47,10 @@ summing loop `_step` multiplies each coefficient by the cached signed
 power of the letter.  A zero letter's step is the fermion alone.
 
 A basis ket for lam applies one fermion per part to |-len(lam)>, the
-refined one reading t_1..t_{len(lam)}.  The refined bra <mu| pairs with
+refined one reading t_1..t_{len(lam)}.  ket_refined_table builds many
+refined kets as one table: it coerces t and builds each letter's powers
+once, and kets of one length that agree on lam_i..lam_l share rows
+i..l.  The refined bra <mu| pairs with
 a charge-0 vector by applying psi*_{mu_1 - 1}, e^{-H(t_1)}, ...,
 psi*_{mu_l - l}, e^{-H(t_l)}, l = len(mu), and reading the vacuum's
 coefficient.  bra_refined_table pairs many bras with many kets
@@ -277,7 +280,7 @@ def _moves(lam: Partition, d: int | None, vertical: bool) -> tuple[int, tuple[tu
         d >= 1, as in `bra_refined_table`, pops that part with sign +,
         then the vertical strips: the bare table of lam[1:];
       * horizontal, d an offset: the horizontal strips, then psi_m on a
-        state of first part below d >= 2, as in `ket_refined`: the part
+        state of first part below d >= 2, as in `ket_refined_table`: the part
         d - 1 prepended to each nu, with sign +.
 
     The fermion steps read the bare tables and are injective, so each
@@ -381,21 +384,47 @@ def ket_general(lam: Sequence[int], bx, by) -> FockVector:
 
 def ket_refined(lam: Sequence[int], t: Sequence) -> FockVector:
     """psi_{lam_1-1} e^{H(t_1)} ... psi_{lam_l-l} e^{H(t_l)} |-l>, l =
-    len(lam).  Row i steps states mu that rows i+1..l built by strip
-    removals, so mu_1 <= lam_{i+1} <= lam_i and psi_{lam_i-i} prepends
-    lam_i with sign +."""
-    lam, t = Partition(lam), as_alphabet(t)
-    if len(t) < len(lam):
-        raise ValueError(f"refined sequence needs {len(lam)} letters, got {len(t)}")
-    return _ket(lam, lambda i, m, v: _ket_step(t[i - 1], m, v))
+    len(lam): the one-ket form of ket_refined_table.  Needs l letters."""
+    return ket_refined_table([lam], t)[0]
 
 
-def _ket_step(t: Scalar, m: int, v: FockVector) -> FockVector:
-    """psi_m e^{H(t)} v as one `_step` of the ket kind; psi_m alone for t = 0."""
-    c = v._charge
-    if not t or c is None:
-        return apply_fermion(PSI, m, v)
-    return FockVector._trusted(c + 1, _step(v._terms, m - c + 1, False, _powers(t)))
+def ket_refined_table(lams: Iterable[Sequence[int]], t: Sequence) -> list[FockVector]:
+    """[ket_refined(lam, t) for lam in lams], in the order given, as one
+    table.  A ket of l parts steps rows i = l, ..., 1, row i at charge -i
+    of offset d = lam_i + 1; it steps states mu that rows i+1..l built by
+    strip removals, so mu_1 <= lam_{i+1} <= lam_i and psi_{lam_i-i}
+    prepends lam_i with sign +.  The rows i..l depend only on l and
+    lam_i..lam_l, which fix the letters t_i..t_l, so one memo keyed on
+    both shares them across the kets of the table.  A t shorter than the
+    longest lam (ValueError) is refused before any step."""
+    lams = [Partition(lam) for lam in lams]
+    t, depth = as_alphabet(t), max(map(len, lams), default=0)
+    if len(t) < depth:
+        raise ValueError(f"refined sequence needs {depth} letters, got {len(t)}")
+    # the powers of t_i, built once per table; None for t_i = 0
+    powers = [_powers(x) if x else None for x in t[:depth]]
+    rows: dict[tuple[int, tuple[int, ...]], dict[Partition, Scalar]] = {}
+    kets = []
+    for lam in lams:
+        l, terms = len(lam), {_EMPTY: _ONE}
+        for i in range(l, 0, -1):
+            key = (l, lam[i - 1 :])
+            done = rows.get(key)
+            if done is None:
+                done = rows[key] = _ket_step(lam[i - 1] + 1, powers[i - 1], terms)
+            terms = done
+        kets.append(FockVector._trusted(0, terms))
+    return kets
+
+
+def _ket_step(d: int, powers: list[Scalar] | None, terms: dict) -> dict:
+    """The horizontal strip step of powers = `_powers(t)` on a ket's terms,
+    then psi_m: one `_step` of the ket kind; powers is None when t = 0,
+    whose strip step is the identity.  Every state has first part below
+    d = m - c + 1 >= 2, so psi_m prepends d - 1 with sign +."""
+    if powers:
+        return _step(terms, d, False, powers)
+    return {Partition._trusted((d - 1, *lam)): x for lam, x in terms.items()}
 
 
 def bra_refined_pair(mu: Sequence[int], t: Sequence, v: FockVector) -> Scalar:

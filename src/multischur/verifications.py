@@ -38,7 +38,7 @@ from .fock import (
     bra_refined_table,
     ket_general,
     ket_partition,
-    ket_refined,
+    ket_refined_table,
     vacuum_ket,
 )
 from .shapes import (
@@ -92,9 +92,26 @@ class _Tally:
         """One case; `label % args` is formatted only if got != want."""
         self.cases += 1
         if got != want:
-            args = tuple(list(a) if isinstance(a, Partition) else a for a in args)
-            got, want = _cut(repr(got)), _cut(repr(want))
-            self.failures.append(f"{label % args}: got {got}, want {want}")
+            self._fail(got, want, label, args)
+
+    def check_row(self, got: dict, want: dict, label: str, *args) -> None:
+        """One case per key of want, got[key] against want[key] and named
+        `label % (key, *args)`.  The rows are compared as dicts, and only
+        rows that differ are compared pair by pair, in want's order; a key
+        that only one row has fails, with None for its missing side."""
+        if got == want:
+            self.cases += len(want)
+            return
+        for key, value in want.items():
+            self.check(got.get(key), value, label, key, *args)
+        for key, value in got.items():
+            if key not in want:
+                self._fail(value, None, label, (key, *args))
+
+    def _fail(self, got, want, label: str, args: tuple) -> None:
+        args = tuple(list(a) if isinstance(a, Partition) else a for a in args)
+        got, want = _cut(repr(got)), _cut(repr(want))
+        self.failures.append(f"{label % args}: got {got}, want {want}")
 
     def summary(self, theorem: str, *sizes: int, **extras) -> dict:
         """The answer, whose parameters are `sizes` named as in SIZES[theorem], then `extras`."""
@@ -137,22 +154,18 @@ def _branching_sides(lam, t, n, m, bx, by) -> tuple[Scalar, Scalar]:
     return lhs, rhs
 
 
-def _truncate_in(p: Scalar, names: frozenset[str], D: int) -> Scalar:
-    """The terms of p of degree at most D in the letters `names`."""
-    return Scalar({mono: c for mono, c in p.terms() if sum(e for x, e in mono if x in names) <= D})
-
-
 def _cauchy_sides(t, D, n, m) -> tuple[Scalar, Scalar]:
     """The sum over |lam| <= D of (dual element in X) times (stable
-    element in Y), and the product of geometric series, each cut to the
-    monomials of Y-degree <= D."""
+    element in Y), and the product of geometric series up to Y-degree D.
+    Neither side has a monomial of higher Y-degree, so neither is cut:
+    the stable element at D holds only s_mu with |mu| <= D, and s_mu(Y)
+    is homogeneous of Y-degree |mu|; the dual element has no Y."""
     if D > 6:
         raise TractabilityError(f"degree bound is capped at 6: got {D}")
     if n > 3 or m > 3:
         raise TractabilityError(f"variable counts are capped at 3: got {n}, {m}")
     xs = _vars("X", n)
     ys = _vars("Y", m)
-    ynames = frozenset(f"Y{j}" for j in range(1, m + 1))
     lhs = _ZERO
     for lam in partitions_up_to_weight(D):
         a = eval_symfunc(refined_dual_grothendieck(lam, t), xs)
@@ -167,7 +180,7 @@ def _cauchy_sides(t, D, n, m) -> tuple[Scalar, Scalar]:
     for d in range(D + 1):
         for chosen in combinations_with_replacement(cells, d):
             counts[tuple(sorted(Counter(chain.from_iterable(chosen)).items()))] += 1
-    return _truncate_in(lhs, ynames, D), Scalar(counts)
+    return lhs, Scalar(counts)
 
 
 def orthonormality(max_weight: int) -> dict:
@@ -175,10 +188,11 @@ def orthonormality(max_weight: int) -> dict:
     t = _vars("t", max_weight)
     tally = _Tally()
     shapes = partitions_up_to_weight(max_weight)
-    table = bra_refined_table(shapes, t, [ket_refined(lam, t) for lam in shapes])
-    for lam, pairs in zip(shapes, table):
-        for mu, val in pairs.items():
-            tally.check(val, _ONE if mu == lam else _ZERO, "pair %s | %s", mu, lam)
+    zeros = dict.fromkeys(shapes, _ZERO)
+    for lam, pairs in zip(shapes, bra_refined_table(shapes, t, ket_refined_table(shapes, t))):
+        delta = zeros.copy()
+        delta[lam] = _ONE
+        tally.check_row(pairs, delta, "pair %s | %s", lam)
     return tally.summary("orthonormality", max_weight)
 
 
@@ -255,13 +269,13 @@ def beta_chain(max_weight: int, max_dual_weight: int) -> dict:
     xs = _vars("x", 2)
     vac = MayaState(0, Partition())
     tally = _Tally()
-    for lam in partitions_up_to_weight(max_weight):
+    shapes = partitions_up_to_weight(max_weight)
+    for lam, ket in zip(shapes, ket_refined_table(shapes, tb)):
         lhs = eval_symfunc(refined_dual_grothendieck(lam, tb), xs)
-        ket = ket_refined(lam, tb)
         tally.check(lhs, apply_exp_H(xs, (), +1, ket).coefficient(vac), "fermion evaluation of %s", lam)
     powers = [beta**k for k in range(max_dual_weight + 1)]
     binomials = [[powers[k] * comb(i, k) for k in range(i + 1)] for i in range(max_dual_weight)]
-    for lam in partitions_up_to_weight(max_weight):
+    for lam in shapes:
         G = stable_grothendieck_schur(lam, tb, max_dual_weight)
         for mu in superpartitions(lam, max_dual_weight):
             # entry (i, j), counted from 0, is C(i, k) beta^k at k = mu_j - lam_i + i - j

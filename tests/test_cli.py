@@ -1142,7 +1142,7 @@ EXPORTS = """AlphabetSequence ChargeError DimensionError FockVector MayaState PS
     SUITES Scalar SymFunc TractabilityError TruncationError apply_dressed_fermion apply_exp_H
     apply_fermion apply_heisenberg bra_refined_pair bra_refined_table det_over_ring empty_sequence
     eval_symfunc expand_in_refined_basis flagged_schur h_series hall_inner horizontal_strips
-    ket_general ket_partition ket_refined multi_schur partitions_up_to_weight prefix_sequence
+    ket_general ket_partition ket_refined ket_refined_table multi_schur partitions_up_to_weight prefix_sequence
     refined_alphabet refined_dual_grothendieck refined_sequence scalar_from_json scalar_to_json
     schur_expand_multischur schur_tableau_oracle skew_function skew_multi_schur stable_dual_in_G
     stable_grothendieck_schur subpartitions superpartitions supersym_schur sym_schur symfunc_from_json
@@ -1200,7 +1200,7 @@ print(json.dumps([ask({MULTISCHUR_REQ!r}), ask({{"command": "verify", "theorem":
 
 
 def test_package_names_each_export_once(monkeypatch):
-    assert len(EXPORTS) == 52
+    assert len(EXPORTS) == 53
     assert multischur.__all__ == sorted(EXPORTS)
     for name in EXPORTS:
         module = importlib.import_module(f"multischur.{multischur._MODULE_OF[name]}")

@@ -23,6 +23,7 @@ from multischur.fock import (
     ket_general,
     ket_partition,
     ket_refined,
+    ket_refined_table,
     vacuum_ket,
 )
 from multischur.shapes import (
@@ -342,6 +343,15 @@ def test_ket_general_unitriangular():
             assert state == MayaState(0, lam)
 
 
+def ket_step(t, m, v):
+    """One row of `ket_refined_table` on v: psi_m e^{H(t)} through
+    `fock._ket_step` at the offset d = m - c + 1 of v's charge c."""
+    c = v.charge
+    if c is None:
+        return v
+    return FockVector._trusted(c + 1, fock._ket_step(m - c + 1, fock._powers(t) if t else None, v._terms))
+
+
 def test_ket_refined_examples():
     lam = Partition((2, 1))
     zeros = (Scalar.zero(),) * 3
@@ -359,7 +369,7 @@ def test_ket_refined_examples():
         v = want = vacuum_ket(-len(lam))
         for i in range(len(lam), 0, -1):
             m, t = lam.part(i) - i, ts[i - 1]
-            v, want = fock._ket_step(t, m, v), apply_fermion(PSI, m, fock._exp_letter(t, False, want))
+            v, want = ket_step(t, m, v), apply_fermion(PSI, m, fock._exp_letter(t, False, want))
             assert v == want and v.items() == want.items(), (lam, i)
             assert all(type(mu) is Partition and mu == Partition(tuple(mu)) for mu in v._terms), (lam, i)
         assert ket_refined(lam, ts) == v, lam
@@ -368,6 +378,87 @@ def test_ket_refined_examples():
     assert ket_refined(lam, ts[:5]) == ket_refined(lam, ts)
     with pytest.raises(ValueError, match="refined sequence needs 5 letters, got 4"):
         ket_refined(lam, ts[:4])
+
+
+def per_row_ket(lam, ts):
+    """The refined ket of lam from the operators, row by row: psi_{lam_i - i}
+    after e^{H(t_i)}, for i = len(lam), ..., 1."""
+    v = vacuum_ket(-len(lam))
+    for i in range(len(lam), 0, -1):
+        v = apply_fermion(PSI, lam.part(i) - i, fock._exp_letter(ts[i - 1], False, v))
+    return v
+
+
+@pytest.mark.parametrize(
+    "ts",
+    [
+        (t1, t2, t3, t4, t5),
+        (t1, Scalar.zero(), t2, Scalar.zero(), t3),
+        tuple(Scalar.from_rational(Fraction(k, 3)) for k in (2, -1, 5, 0, -4)),
+    ],
+    ids=["symbolic", "zeros", "rational"],
+)
+def test_ket_refined_table_matches_per_row_operators(ts):
+    """Every ket of weight <= 5 equals the per-row operator oracle, in the
+    same term order, whether it shares rows with other kets of the table
+    or stands alone."""
+    shapes = partitions_up_to_weight(5)
+    table = ket_refined_table(shapes, ts)
+    assert len(table) == len(shapes)
+    for lam, got in zip(shapes, table):
+        want = per_row_ket(lam, ts)
+        assert got == want and got.charge == 0 and got.items() == want.items(), lam
+        assert ket_refined(lam, ts) == ket_refined_table([lam], ts)[0] == got, lam
+
+
+def test_ket_refined_table_keeps_order_and_repeats(monkeypatch):
+    ts = (t1, t2, t3)
+    lams = [(2, 1), (), [1, 0], (2, 1), (1, 1), (2,), (1,)]
+    table = ket_refined_table(lams, ts)
+    assert table == [ket_refined(lam, ts) for lam in lams]
+    assert table[0] == table[3] and table[2] == table[6] and table[1] == vacuum_ket(0)
+    assert ket_refined_table([], ()) == []
+    # a t shorter than the longest lam is refused before any step
+    steps = []
+
+    def spy(*args, real=fock._step):
+        steps.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(fock, "_step", spy)
+    assert ket_refined_table([(1,), (2,)], (t1,)) == [ket_refined((1,), ts), ket_refined((2,), ts)]
+    assert steps
+    steps.clear()
+    with pytest.raises(ValueError, match="refined sequence needs 3 letters, got 2"):
+        ket_refined_table([(1,), (1, 1, 1), (2,)], (t1, t2))
+    assert steps == []
+
+
+def test_orthonormality_catches_a_ket_memo_without_the_length(monkeypatch):
+    """A ket table whose memo forgets the ket's length l shares rows
+    lam_i..lam_l between kets of different lengths, whose letters differ,
+    and the orthonormality suite fails at its default.  beta-chain cannot
+    catch it: all its letters are -beta."""
+
+    def forgetful(lams, t):
+        lams, t = [Partition(lam) for lam in lams], as_alphabet(t)
+        rows, kets = {}, []
+        for lam in lams:
+            terms = {Partition(): Scalar.one()}
+            for i in range(len(lam), 0, -1):
+                key = lam[i - 1 :]
+                if key not in rows:
+                    rows[key] = fock._ket_step(lam[i - 1] + 1, fock._powers(t[i - 1]), terms)
+                terms = rows[key]
+            kets.append(FockVector._trusted(0, terms))
+        return kets
+
+    (default,) = [field.default for field in SIZES["orthonormality"]]
+    assert verifications.orthonormality(default)["passed"]
+    monkeypatch.setattr(verifications, "ket_refined_table", forgetful)
+    summary = verifications.orthonormality(default)
+    assert summary["passed"] is False and summary["cases"] == 361
+    assert "pair [1, 1] | [1, 1, 1]: got t1 - t2, want 0" in summary["failures"]
 
 
 def test_bra_refined_pair_orthonormality():
@@ -960,7 +1051,7 @@ def test_move_tables_are_built_once_per_state_offset_and_kind(monkeypatch):
         info = memo.cache_info()
         # every distinct key missed once and was kept: none was built twice
         assert len(set(keys)) == info.misses == info.currsize == 32
-        assert info.hits == len(keys) - info.misses == 56
+        assert info.hits == len(keys) - info.misses == 52
         bare = {key for key in keys if key[1] is None}
         assert len(calls) == len(bare) == 10
         built = len(calls)
@@ -1032,7 +1123,7 @@ def test_move_memo_stays_bounded():
         misses = memo.cache_info().misses
         for vertical in (False, True):
             assert fock._exp_letter(t1, vertical, v) == oracle_exp_letter(t1, vertical, v)
-        assert fock._ket_step(t1, 3, v) == oracle_fermion(PSI, 3, oracle_exp_letter(t1, False, v))
+        assert ket_step(t1, 3, v) == oracle_fermion(PSI, 3, oracle_exp_letter(t1, False, v))
         assert memo.cache_info().misses > misses
         assert memo.cache_info().currsize <= fock.MOVE_CACHE_SIZE
     finally:
@@ -1091,7 +1182,7 @@ def step_groups(draw):
 def assert_ket_step_matches(c, vectors, m, t):
     """On its domain, the states whose first part is below d = m - c + 1
     >= 2, the ket step is psi_m after e^{H(t)}: the same terms in the same
-    order, each keyed by a canonical Partition.  `ket_refined` steps row i
+    order, each keyed by a canonical Partition.  `ket_refined_table` steps row i
     at d = lam_i + 1 and hands it no other state, and some vector must
     have one in the domain."""
     d = m - c + 1
@@ -1099,7 +1190,7 @@ def assert_ket_step_matches(c, vectors, m, t):
     vectors = [FockVector._trusted(c, {lam: x for lam, x in v._terms.items() if lam.part(1) < d}) for v in vectors]
     assert any(vectors), (c, m)
     for v in vectors:
-        got, want = fock._ket_step(t, m, v), apply_fermion(PSI, m, fock._exp_letter(t, False, v))
+        got, want = ket_step(t, m, v), apply_fermion(PSI, m, fock._exp_letter(t, False, v))
         assert got == want and got.charge == want.charge, (v, m, t)
         assert got.items() == want.items(), (v, m, t)
         assert all(type(mu) is Partition and mu == Partition(tuple(mu)) for mu in got._terms), (v, m, t)
@@ -1145,7 +1236,7 @@ def test_fused_steps_drop_cancelled_terms_and_reach_the_sea():
     for m in range(1, 4):  # d = 2, 3, 4
         assert_ket_step_matches(0, [v, v.scale(t1)], m, t1)
     one = FockVector({MayaState(0, (1,)): 1})
-    assert fock._ket_step(t1, 1, one + vacuum_ket(0).scale(-t1)) == apply_fermion(PSI, 1, one)
+    assert ket_step(t1, 1, one + vacuum_ket(0).scale(-t1)) == apply_fermion(PSI, 1, one)
     # after psi*_0 on |1,1> + t1 |1>, the vertical strips cancel; at m = -1,
     # d = 0, psi*_m takes the top level of the sea from the empty state
     u = FockVector({MayaState(0, (1, 1)): 1, MayaState(0, (1,)): t1})

@@ -8,6 +8,7 @@ import pytest
 from multischur import verifications
 from multischur.exactalg import _CUT, Scalar
 from multischur.expansions import SymFunc
+from multischur.shapes import Partition
 from multischur.suite_sizes import SIZES
 from multischur.verifications import (
     SUITES,
@@ -99,6 +100,22 @@ def test_cauchy_suite():
     assert summary["cases"] == 2
 
 
+def _y_degree(p):
+    return max((sum(e for x, e in mono if x.startswith("Y")) for mono, _ in p.terms()), default=0)
+
+
+def test_cauchy_sides_stop_at_y_degree_D():
+    """Neither side has a monomial of Y-degree above D, so the suite cuts
+    neither: a side that leaked higher degrees would fail it."""
+    for t in (verifications._vars("t", 7), (0,) * 7):
+        for D in range(7):
+            for n in range(1, 4):
+                for m in range(1, 4):
+                    lhs, rhs = verifications._cauchy_sides(t, D, n, m)
+                    assert _y_degree(lhs) <= D and _y_degree(rhs) <= D, (t[0], D, n, m)
+                    assert lhs == rhs, (t[0], D, n, m)
+
+
 def test_branching_small():
     summary = branching(max_weight=3, general_max_weight=2)
     _check_shape(summary, "branching")
@@ -161,6 +178,40 @@ BROKEN = {
     "beta-chain": ({"max_weight": 1, "max_dual_weight": 2}, "det_over_ring", _plus_wrong, "binomial coefficient ["),
     "classical": ({"max_weight": 2, "window": 1, "pairing_rows": 1}, "eval_symfunc", _plus_wrong, "tableau sum of ["),
 }
+
+
+def _per_pair(got, want, label, *args):
+    """The tally of checking got against want one pair at a time, over want's keys."""
+    tally = verifications._Tally()
+    for key, value in want.items():
+        tally.check(got.get(key), value, label, key, *args)
+    return tally.cases, tally.failures
+
+
+def test_check_row_counts_and_names_as_pair_checks():
+    shapes = [Partition(p) for p in [(), (1,), (2,), (1, 1)]]
+    t1 = Scalar.variable("t1")
+    want = dict.fromkeys(shapes, Scalar.zero())
+    want[Partition((1,))] = Scalar.one()
+    wrong = dict(want)
+    wrong[Partition((2,))] = t1  # one wrong pair
+    missing = {mu: v for mu, v in want.items() if mu != Partition((1, 1))}
+    reordered = dict(reversed(list(wrong.items())))
+    for got in (want, dict(want), wrong, missing, reordered):
+        tally = verifications._Tally()
+        tally.check_row(got, want, "pair %s | %s", Partition((1,)))
+        assert (tally.cases, tally.failures) == _per_pair(got, want, "pair %s | %s", Partition((1,)))
+        assert tally.cases == 4
+    tally = verifications._Tally()
+    tally.check_row(wrong, want, "pair %s | %s", Partition((1,)))
+    assert tally.failures == ["pair [2] | [1]: got t1, want 0"]
+    tally = verifications._Tally()
+    tally.check_row(missing, want, "pair %s | %s", Partition((1,)))
+    assert tally.failures == ["pair [1, 1] | [1]: got None, want 0"]
+    # a key that only got has fails too, even when its value is zero
+    tally = verifications._Tally()
+    tally.check_row(want | {Partition((3,)): Scalar.zero()}, want, "pair %s | %s", Partition((1,)))
+    assert tally.cases == 4 and tally.failures == ["pair [3] | [1]: got 0, want None"]
 
 
 @pytest.mark.parametrize("theorem", sorted(SUITES))
