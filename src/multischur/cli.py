@@ -343,7 +343,7 @@ def _degree_bound(req: Mapping, lam: Partition) -> int:
 
 def _letter_count(alphabet: Sequence[Scalar]) -> int:
     """The letters of an alphabet as the budgets count them: each entry counts its terms, at least 1."""
-    return sum(max(1, len(list(x.terms()))) for x in alphabet)
+    return sum(max(1, len(x._terms)) for x in alphabet)
 
 
 def _letters(req: Mapping, rows: int) -> tuple[Scalar, ...]:
@@ -492,8 +492,11 @@ _ERROR_TYPES = [
 ]
 
 
+_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+
+
 def _emit(payload: object) -> None:
-    sys.stdout.write(json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n")
+    sys.stdout.write(_ENCODER.encode(payload) + "\n")
 
 
 def main(argv: Sequence[str] | None = None) -> int:

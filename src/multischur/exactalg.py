@@ -139,7 +139,8 @@ class Scalar:
     # -- ring structure -----------------------------------------------
 
     def __add__(self, other: ScalarLike) -> "Scalar":
-        other = coerce_scalar(other)
+        if type(other) is not Scalar:
+            other = coerce_scalar(other)
         terms = dict(self._terms)
         for mono, coeff in other._terms.items():
             acc = terms.get(mono)
@@ -162,7 +163,8 @@ class Scalar:
         return self + (-coerce_scalar(other))
 
     def __mul__(self, other: ScalarLike) -> "Scalar":
-        other = coerce_scalar(other)
+        if type(other) is not Scalar:
+            other = coerce_scalar(other)
         one, rest = (other._terms, self._terms) if len(other._terms) == 1 else (self._terms, other._terms)
         if len(one) == 1:
             # times one term: m -> m0 m is injective, and a product of nonzero

@@ -42,9 +42,10 @@ bare strips of e^{+-H(t)}.  On its domain, a refined step's fermion
 changes only the first part, with sign +: the bra pops it before the
 vertical strips, and the ket prepends d - 1 after the horizontal strips.
 The memo `_moves` (keyed on (lam, d, kind), bounded by MOVE_CACHE_SIZE)
-builds each list once, the fermion kinds from the bare ones; the one
-summing loop `_step` multiplies each coefficient by the cached signed
-power of the letter.  A zero letter's step is the fermion alone.
+builds each list once, the fermion kinds from the bare ones; a bra list
+is grouped by the first part of each nu.  The summing loop `_step`
+multiplies each coefficient by the cached signed power of the letter.  A
+zero letter's step is the fermion alone.
 
 A basis ket for lam applies one fermion per part to |-len(lam)>, the
 refined one reading t_1..t_{len(lam)}.  ket_refined_table builds many
@@ -59,7 +60,12 @@ their first i steps, and reads a bra's pairs once its parts run out, so
 it never steps a row with mu_i = 0.  Row i steps only the states of
 first part mu_i: psi*_{mu_i - i} kills a lower first part and raises a
 higher one by 1, which a vertical strip lowers by at most 1, so it
-stays above every later mu_j and never reaches the vacuum.
+stays above every later mu_j and never reaches the vacuum.  The walk's
+vector is keyed on states and filed by first part, {first part: {state:
+{ket index: coefficient}}}, so a branch takes its states as they stand
+and each state is stepped once for all the kets that hold it: the bra
+step `_bra_step` sums each ket's row in place and files its output by
+first part as it goes.
 
 Everything is linear over exact Scalars and charge-homogeneous.  No
 operator here evaluates a determinant, and the module reads nothing from
@@ -262,12 +268,12 @@ def apply_heisenberg(m: int, v: FockVector) -> FockVector:
 
 # Move tables kept by `_moves`.  One cold fermion suite at its cap fills at
 # most 176 (`orthonormality` at maxWeight 8: 66 bra, 66 ket, 44 bare, about
-# 0.05 MB, hit by 85% of its 1,213 lookups), each of at most 14 moves.
+# 0.09 MB, hit by 71% of its 617 lookups), each of at most 14 moves.
 MOVE_CACHE_SIZE = 1024
 
 
 @lru_cache(maxsize=MOVE_CACHE_SIZE)
-def _moves(lam: Partition, d: int | None, vertical: bool) -> tuple[int, tuple[tuple[Partition, int], ...]]:
+def _moves(lam: Partition, d: int | None, vertical: bool) -> tuple[int, tuple]:
     """The moves of one step on the basis state |lam>, built once: (top,
     ((nu, i), ...)), where the step sends |lam> to the sum over the moves
     of (-1)^i s^(i // 2) |nu>, s is the letter t for horizontal strips and
@@ -278,13 +284,17 @@ def _moves(lam: Partition, d: int | None, vertical: bool) -> tuple[int, tuple[tu
         horizontal strips of lam', in that order;
       * vertical, d an offset m - c + 1: psi*_m on a state of first part
         d >= 1, as in `bra_refined_table`, pops that part with sign +,
-        then the vertical strips: the bare table of lam[1:];
+        then the vertical strips: the bare table of lam[1:], its moves
+        grouped by nu's first part as (top, ((p, ((nu, i), ...)), ...)).
+        A vertical strip lowers lam_2 by at most 1, so there are at most
+        two groups, p = lam_2 and p = lam_2 - 1 (0 for nu = (), the only
+        state of first part 0);
       * horizontal, d an offset: the horizontal strips, then psi_m on a
         state of first part below d >= 2, as in `ket_refined_table`: the part
         d - 1 prepended to each nu, with sign +.
 
     The fermion steps read the bare tables and are injective, so each
-    keeps its strips' order and sums nothing."""
+    keeps its strips' order (within each group) and sums nothing."""
     if d is None:
         n = lam.weight
         if vertical:
@@ -294,7 +304,11 @@ def _moves(lam: Partition, d: int | None, vertical: bool) -> tuple[int, tuple[tu
         # the largest strip takes one box from each row, or from each column
         return 2 * (len(lam) if vertical else lam[0] if lam else 0), moves
     if vertical:
-        return _moves(Partition._trusted(lam[1:]), None, True)
+        top, moves = _moves(Partition._trusted(lam[1:]), None, True)
+        groups: dict[int, list] = {}
+        for nu, i in moves:
+            groups.setdefault(nu[0] if nu else 0, []).append((nu, i))
+        return top, tuple((p, tuple(group)) for p, group in groups.items())
     top, moves = _moves(lam, None, False)
     return top, tuple((Partition._trusted((d - 1, *nu)), i) for nu, i in moves)
 
@@ -307,7 +321,8 @@ def _powers(s: Scalar) -> list[Scalar]:
 
 
 def _step(terms: dict[Partition, Scalar], d: int | None, vertical: bool, powers: list[Scalar]) -> dict:
-    """One step of kind (d, vertical) of `_moves` on a vector's terms:
+    """One bare or ket step of `_moves` on a vector's terms (the bra kind,
+    grouped by first part, is summed by `_bra_step`):
     each coefficient times powers[i] summed into its move's nu, where
     powers comes from `_powers`.  A sum that cancels is dropped, as
     `collect` drops it, and taken up again at the end if a later move
@@ -441,19 +456,22 @@ def bra_refined_table(
 ) -> list[dict[Partition, Scalar]]:
     """[{mu: bra_refined_pair(mu, t, v) for mu in mus} for v in kets], each
     row keyed by Partition in the order given, from one depth-first walk.
-    The walk steps every ket at once, as one vector: a dict from ket index
-    to that ket's terms.  At depth i the bras are grouped by mu_i = p, so
-    each step runs once per distinct prefix mu_1..mu_i.  The step is
-    psi*_{p-i} at charge 1 - i, of offset d = p >= 1, and it takes only
-    the terms |lam> whose first part is p, which it pops with sign +
-    before the vertical strips; the others never reach the vacuum:
+    The walk steps every ket at once, as one vector keyed on states and
+    filed by first part: {first part: {state: {ket index: coefficient}}},
+    built once from the kets' terms, with part 0 holding only the empty
+    state.  At depth i the bras are grouped by mu_i = p, so each step runs
+    once per distinct prefix mu_1..mu_i.  The step is psi*_{p-i} at charge
+    1 - i, of offset d = p >= 1, and it takes only the states |lam> of
+    first part p, filed under p, which it pops with sign + before the
+    vertical strips; the others never reach the vacuum:
       * if lam_1 < p, psi*_{p-i} kills |lam>;
       * if lam_1 > p, it removes a lower row or a level of the sea and
         raises lam_1 by 1, and a vertical strip lowers it by at most 1, so
         the first part stays above p >= mu_{i+1} >= ... >= 0.
-    A branch with no such term stops there (no step makes a ket's terms
+    A branch with no such state stops there (no step makes a ket's terms
     vanish).  The one bra of a prefix with len(mu) < i is read there: its
-    pair with each ket is the coefficient of the vacuum |1-i>, since a row
+    pair with each ket is the coefficient of the vacuum |1-i>, the ket's
+    entry in the row of the empty state under part 0, since a row
     with p = 0 sends |1-i> to +|-i> (psi*_{-i}, then e^{-H(t_i)} fixes it)
     and drops every other state, so no step has p = 0.  The walk reads
     t_1..t_l for the longest mu, of l parts.  A ket of nonzero charge
@@ -464,8 +482,8 @@ def bra_refined_table(
     for k, v in enumerate(kets):
         if v.charge not in (None, 0):
             raise ChargeError(f"refined bras pair with charge 0, got {v.charge}")
-        if v._terms:
-            w[k] = v._terms
+        for lam, coeff in v._terms.items():
+            w.setdefault(lam[0] if lam else 0, {}).setdefault(lam, {})[k] = coeff
         table.append(row.copy())
     t, depth = as_alphabet(t), max(map(len, row), default=0)
     if table and len(t) < depth:
@@ -478,31 +496,63 @@ def bra_refined_table(
         branches: dict[int, list[Partition]] = {}
         for mu in bras:
             if len(mu) < i:  # the one mu of this prefix with no part left: read its pairs
-                for k, terms in w.items():
-                    table[k][mu] = terms.get(_EMPTY, _ZERO)
+                vacuum = w.get(0)
+                if vacuum:
+                    for k, coeff in vacuum[_EMPTY].items():
+                        table[k][mu] = coeff
             else:
                 branches.setdefault(mu[i - 1], []).append(mu)
-        # each branch steps only its bucket: the terms whose first part is mu_i >= 1
-        buckets: dict[int, dict] = {part: {} for part in branches}
-        for k, terms in w.items():
-            for lam, coeff in terms.items():
-                bucket = buckets.get(lam[0]) if lam else None
-                if bucket is not None:
-                    bucket.setdefault(k, {})[lam] = coeff
+        # each branch steps only the states whose first part is mu_i >= 1
         for part, group in branches.items():
-            if buckets[part]:
-                stack.append((group, i + 1, _bra_step(part, powers[i - 1], buckets[part])))
+            states = w.get(part)
+            if states:
+                stack.append((group, i + 1, _bra_step(part, powers[i - 1], states)))
     return table
 
 
-def _bra_step(d: int, powers: list[Scalar] | None, w: dict) -> dict:
-    """psi*_m then the vertical strip step of powers = `_powers(-t)` on
-    each ket's terms in the walk's vector w, one `_step` per ket; powers is
-    None when t = 0, whose strip step is the identity.  Every state has
-    first part d = m - c + 1 >= 1, so psi*_m pops that part with sign +,
-    and no ket's terms vanish: the pop is injective and e^{-H(t)}
-    unitriangular."""
-    out = {}
-    for k, terms in w.items():
-        out[k] = _step(terms, d, True, powers) if powers else {Partition._trusted(lam[1:]): x for lam, x in terms.items()}
+def _bra_step(d: int, powers: list[Scalar] | None, states: dict) -> dict:
+    """psi*_m then the vertical strip step of powers = `_powers(-t)` on the
+    walk's states of first part d = m - c + 1 >= 1, each a dict {state:
+    {ket index: coefficient}}; powers is None when t = 0, whose strip step
+    is the identity.  psi*_m pops the first part with sign +, and the
+    result is filed as the walk's vector {first part: {state: {ket index:
+    coefficient}}}.  Each state takes one lookup of its bra table of
+    `_moves`, whose groups name the first part of each move's nu; each
+    ket's coefficient times powers[i] is summed into nu's row in place.  A
+    (nu, ket) entry whose sum cancels is dropped, then a nu whose row is
+    left empty, and a later move may bring either back.  No ket's terms
+    vanish: the pop is injective and e^{-H(t)} unitriangular."""
+    out: dict[int, dict[Partition, dict[int, Scalar]]] = {}
+    if not powers:
+        for lam, row in states.items():
+            nu = Partition._trusted(lam[1:])
+            out.setdefault(nu[0] if nu else 0, {})[nu] = row
+        return out
+    for lam, row in states.items():
+        top, groups = _moves(lam, d, True)
+        while len(powers) <= top:
+            powers.append(-powers[-1] if len(powers) & 1 else powers[-2] * powers[2])
+        for p, moves in groups:
+            dest = out.get(p)
+            if dest is None:
+                dest = out[p] = {}
+            for nu, i in moves:
+                x, acc = powers[i], dest.get(nu)
+                if acc is None:
+                    dest[nu] = {k: c * x for k, c in row.items()} if i else row.copy()
+                    continue
+                get = acc.get
+                for k, c in row.items():
+                    # nonzero: a product of nonzero Scalars, so only a sum is tested
+                    if i:
+                        c = c * x
+                    a = get(k)
+                    if a is None:
+                        acc[k] = c
+                    elif a := a + c:
+                        acc[k] = a
+                    else:
+                        del acc[k]
+                if not acc:
+                    del dest[nu]
     return out

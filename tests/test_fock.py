@@ -560,21 +560,21 @@ def test_bra_refined_table_steps_only_first_parts_is_exact():
 
 
 def test_bra_steps_take_only_states_of_first_part_d(monkeypatch):
-    """Every term that the suites' walks hand to `_bra_step` has first
+    """Every state that the suites' walks hand to `_bra_step` has first
     part d = m - c + 1, so psi*_m removes its first row with sign +: the
     bra step's domain holds every state that a request reaches."""
-    inputs = []
+    inputs, entries = [], []
 
-    def spying(d, powers, w, step=fock._bra_step):
-        for terms in w.values():
-            for lam in terms:
-                inputs.append((lam, d))
-        return step(d, powers, w)
+    def spying(d, powers, states, step=fock._bra_step):
+        assert all(states.values()), d  # no state is handed an empty row
+        inputs.extend((lam, d) for lam in states)
+        entries.extend((lam, k) for lam, row in states.items() for k in row)
+        return step(d, powers, states)
 
     monkeypatch.setattr(fock, "_bra_step", spying)
     assert verifications.orthonormality(4)["passed"]
     assert verifications.dual_engine(4)["passed"]
-    assert len(inputs) > 100
+    assert len(entries) > 100 and len(inputs) == 44  # (state, ket) entries, and the states stepped once each
     for lam, d in inputs:
         assert lam.part(1) == d >= 1, (lam, d)
         assert fock._annihilate(lam, d) == (0, Partition(lam[1:])), (lam, d)
@@ -1051,7 +1051,7 @@ def test_move_tables_are_built_once_per_state_offset_and_kind(monkeypatch):
         info = memo.cache_info()
         # every distinct key missed once and was kept: none was built twice
         assert len(set(keys)) == info.misses == info.currsize == 32
-        assert info.hits == len(keys) - info.misses == 52
+        assert info.hits == len(keys) - info.misses == 35
         bare = {key for key in keys if key[1] is None}
         assert len(calls) == len(bare) == 10
         built = len(calls)
@@ -1079,13 +1079,40 @@ def test_move_memo_holds_each_fermion_suite_at_its_cap():
     assert fills == {"orthonormality": 176, "dual-engine": 134, "beta-chain": 89}
 
 
-@pytest.mark.parametrize("kind, fault", [("ket", "sign"), ("ket", "part"), ("bra", "sign"), ("bra", "keep")])
+def by_first_part(moves):
+    """Moves ((nu, i), ...) grouped as the bra tables of `_moves` group
+    them: ((p, ((nu, i), ...)), ...) by nu's first part p, in order."""
+    groups = {}
+    for nu, i in moves:
+        groups.setdefault(nu.part(1), []).append((nu, i))
+    return tuple((p, tuple(group)) for p, group in groups.items())
+
+
+def test_bra_tables_group_the_popped_strips_by_first_part():
+    """A bra table of `_moves` is the bare vertical table of lam[1:],
+    grouped by the first part of each nu: at most two groups, lam_2 and
+    lam_2 - 1, each in the bare table's order."""
+    for lam in partitions_up_to_weight(7):
+        if not lam:
+            continue
+        top, groups = fock._moves(lam, lam.part(1), True)
+        bare_top, bare = fock._moves(Partition(lam[1:]), None, True)
+        assert top == bare_top and groups == by_first_part(bare), lam
+        assert [p for p, _ in groups] == [lam.part(2), lam.part(2) - 1][: len(groups)], lam
+
+
+@pytest.mark.parametrize(
+    "kind, fault", [("ket", "sign"), ("ket", "part"), ("bra", "sign"), ("bra", "keep"), ("bra", "file")]
+)
 def test_suites_catch_a_fault_in_the_move_tables(monkeypatch, kind, fault):
     """A fermion table of `_moves` that flips the sign of its first move
     fails each suite that steps through its kind, at its defaults, and so
     does a ket table that prepends lam_i + 1 where the step prepends
-    lam_i, or a bra table that keeps the first part psi* pops (the bare
-    table of lam).  orthonormality and beta-chain build refined kets;
+    lam_i, a bra table that keeps the first part psi* pops (the bare
+    table of lam, grouped by first part), or a bra table that files every
+    nu under the first part of its first group, lam_2, so that the nu of
+    first part lam_2 - 1 are stepped by the wrong bras and read as no
+    pair.  orthonormality and beta-chain build refined kets;
     orthonormality and dual-engine pair refined bras."""
     real = fock._moves
 
@@ -1093,12 +1120,18 @@ def test_suites_catch_a_fault_in_the_move_tables(monkeypatch, kind, fault):
         top, moves = real(lam, d, vertical)
         if d is None or vertical != (kind == "bra"):
             return top, moves
-        if fault == "sign":
+        if (kind, fault) == ("ket", "sign"):
             (nu, i), *rest = moves
             return top + 1, ((nu, i + 1), *rest)
         if fault == "part":
             return top, tuple((Partition._trusted((d, *nu)), i) for nu, i in real(lam, None, False)[1])
-        return real(lam, None, True)
+        if fault == "sign":
+            (p, ((nu, i), *rest)), *others = moves
+            return top + 1, ((p, ((nu, i + 1), *rest)), *others)
+        if fault == "keep":
+            top, bare = real(lam, None, True)
+            return top, by_first_part(bare)
+        return top, ((moves[0][0], tuple(move for _, group in moves for move in group)),)
 
     failing = {"ket": {"orthonormality", "beta-chain"}, "bra": {"orthonormality", "dual-engine"}}[kind]
     suites = ("orthonormality", "dual-engine", "beta-chain")
@@ -1196,23 +1229,49 @@ def assert_ket_step_matches(c, vectors, m, t):
         assert all(type(mu) is Partition and mu == Partition(tuple(mu)) for mu in got._terms), (v, m, t)
 
 
+def bra_states(vectors, d):
+    """The walk's input to `fock._bra_step` for the vectors' states of
+    first part d: {state: {ket index: coefficient}}, keyed in the order
+    the walk files them."""
+    states = {}
+    for k, v in enumerate(vectors):
+        for lam, x in v._terms.items():
+            if lam.part(1) == d:
+                states.setdefault(lam, {})[k] = x
+    return states
+
+
+def per_ket(filed):
+    """The walk's vector {first part: {state: {ket index: coefficient}}}
+    as {ket index: {state: coefficient}}, after checking how it is filed:
+    each state under its own first part (0 only for the empty state), and
+    every row nonempty with nonzero coefficients."""
+    kets = {}
+    for p, states in filed.items():
+        for nu, row in states.items():
+            assert nu.part(1) == p and row and all(row.values()), (p, nu, row)
+            assert type(nu) is Partition and nu == Partition(tuple(nu)), nu
+            for k, x in row.items():
+                kets.setdefault(k, {})[nu] = x
+    return kets
+
+
 def assert_bra_step_matches(c, vectors, m, t):
     """On the states whose first part is d = m - c + 1 (the empty state at
-    d = 0), the bra step is e^{-H(t)} after psi*_m: the same terms in the
-    same order, each keyed by a canonical Partition, and no vector's terms
-    vanish.  `bra_refined_table` hands it only such states with d >= 1,
-    and some vector must have one in the domain."""
+    d = 0), the bra step is e^{-H(t)} after psi*_m on each vector: the same
+    terms, each filed under its first part and keyed by a canonical
+    Partition, and no vector's terms vanish.  `bra_refined_table` hands it
+    only such states with d >= 1, and some vector must have one in the
+    domain."""
     d = m - c + 1
-    vectors = [FockVector._trusted(c, {lam: x for lam, x in v._terms.items() if lam.part(1) == d}) for v in vectors]
-    assert any(vectors), (c, m)
-    w = {k: v._terms for k, v in enumerate(vectors) if v}
-    got = fock._bra_step(d, fock._powers(-t) if t else None, w)
-    assert list(got) == list(w), (c, m, t)
+    states = bra_states(vectors, d)
+    assert states, (c, m)
+    got = per_ket(fock._bra_step(d, fock._powers(-t) if t else None, states))
+    assert sorted(got) == sorted({k for row in states.values() for k in row}), (c, m, t)
     for k, v in enumerate(vectors):
+        v = FockVector._trusted(c, {lam: x for lam, x in v._terms.items() if lam.part(1) == d})
         want = fock._exp_letter(t, True, apply_fermion(PSI_STAR, m, v))
-        assert list(got.get(k, {}).items()) == list(want._terms.items()), (v, m, t)
-    assert all(terms and all(terms.values()) for terms in got.values())
-    assert all(type(mu) is Partition and mu == Partition(tuple(mu)) for terms in got.values() for mu in terms)
+        assert got.get(k, {}) == want._terms, (v, m, t)
 
 
 @given(step_groups(), st.sampled_from(ORACLE_LETTERS), st.data())
@@ -1225,6 +1284,35 @@ def test_fused_steps_match_fermion_and_strip_steps(group, t, data):
     parts = sorted({lam.part(1) for v in vectors for lam in v._terms})
     assert_bra_step_matches(c, vectors, c - 1 + data.draw(st.sampled_from(parts)), t)
     assert_ket_step_matches(c, vectors, c - 1 + data.draw(st.integers(max(parts[0], 1) + 1, 5)), t)
+
+
+@given(st.integers(1, 3), st.data(), st.sampled_from([x for x in ORACLE_LETTERS if x]))
+@settings(max_examples=150, deadline=None)
+def test_bra_step_on_shared_states_matches_per_ket_steps(d, data, t):
+    """Kets that share states, stepped once per state by `_bra_step`, give
+    each ket the per-ket pop then the bare vertical `_step`.  Ket 0 is
+    |lam> + t |lam'>, where lam'[1:] is lam[1:] less one box: its nu =
+    lam'[1:] cancels (-t from lam, +t from lam').  Ket 1 is ket 0 plus
+    |lam'>, which keeps that nu; the other kets share these states and
+    more, with drawn coefficients."""
+    rest = data.draw(st.lists(st.integers(1, d), min_size=1, max_size=3).map(lambda p: sorted(p, reverse=True)))
+    j = data.draw(st.sampled_from([j for j in range(len(rest)) if j + 1 == len(rest) or rest[j] > rest[j + 1]]))
+    lam = Partition((d, *rest))
+    shorter = Partition((d, *rest[:j], rest[j] - 1, *rest[j + 1 :]))
+    extra = data.draw(st.lists(st.lists(st.integers(1, d), max_size=3), max_size=3))
+    pool = [lam, shorter, *(Partition((d, *sorted(p, reverse=True))) for p in extra)]
+    kets = [FockVector._trusted(0, {lam: Scalar.one(), shorter: t})]
+    kets.append(FockVector._trusted(0, {lam: Scalar.one(), shorter: t + 1}))
+    for _ in range(data.draw(st.integers(0, 2))):
+        kets.append(FockVector({MayaState(0, nu): data.draw(st.sampled_from(STEP_COEFFS)) for nu in pool}))
+    states = bra_states(kets, d)
+    assert len(states[lam]) == len(states[shorter]) == len(kets)  # every ket has both states
+    got = per_ket(fock._bra_step(d, fock._powers(-t), states))
+    cancelled = Partition(shorter[1:])
+    for k, v in enumerate(kets):
+        popped = {Partition(nu[1:]): x for nu, x in v._terms.items()}
+        assert got.get(k, {}) == fock._step(popped, None, True, fock._powers(-t)), (k, v, t)
+    assert cancelled not in got[0] and got[1][cancelled] == Scalar.one()
 
 
 def test_fused_steps_drop_cancelled_terms_and_reach_the_sea():
@@ -1244,9 +1332,9 @@ def test_fused_steps_drop_cancelled_terms_and_reach_the_sea():
         assert_bra_step_matches(0, [u, v, u + v], m, t1)
     for m in range(1, 4):
         assert_ket_step_matches(0, [u, v, u + v], m, t1)
-    assert fock._bra_step(1, fock._powers(-t1), {0: u._terms}) == {0: {Partition((1,)): Scalar.one()}}
+    assert per_ket(fock._bra_step(1, fock._powers(-t1), bra_states([u], 1))) == {0: {Partition((1,)): Scalar.one()}}
     assert apply_fermion(PSI_STAR, -1, vacuum_ket(0)) == vacuum_ket(-1)
-    assert fock._bra_step(0, fock._powers(-t1), {0: vacuum_ket(0)._terms}) == {0: vacuum_ket(-1)._terms}
+    assert fock._bra_step(0, fock._powers(-t1), bra_states([vacuum_ket(0)], 0)) == {0: {Partition(): {0: Scalar.one()}}}
     # the zero letter: the fermion alone
     for m in range(-1, 2):
         assert_bra_step_matches(0, [u, v], m, Scalar.zero())
