@@ -166,7 +166,7 @@ def _budget(name: str, got: int) -> None:
 
 def _field(req: Mapping, name: str, default=_MISSING):
     """The value of field `name`, a usage error when it is missing and has no `default`."""
-    if not isinstance(req, Mapping):
+    if type(req) is not dict and not isinstance(req, Mapping):  # a parsed request is a dict: skip the ABC check
         raise UsageError(f"expected an object with field {name!r}, got {_cut(repr(req))}")
     value = req.get(name, default)
     if value is _MISSING:
@@ -439,6 +439,12 @@ def _cmd_eval(req: Mapping, form: str) -> object:
     return scalar_to_json(eval_symfunc(f, vars_))
 
 
+# The suites' module, loaded by the first verify request: only verify loads
+# the suites and the fermion engine.  Each request reads SUITES from it, so
+# an entry patched there is the one that runs.
+_verifications = None
+
+
 def _cmd_verify(req: Mapping, form: str) -> object:
     theorem = form.removeprefix("verify ")
     seed = {"seed": _int_field(req, "seed")} if "seed" in req else {}
@@ -452,9 +458,11 @@ def _cmd_verify(req: Mapping, form: str) -> object:
         low, high = ORDER[theorem]
         if sizes[low] > sizes[high]:
             raise UsageError(f"{theorem} needs {high!r} >= {low!r} (a missing field takes its default): got {sizes[high]} < {sizes[low]}")
-    from .verifications import SUITES  # only verify loads the suites and the fermion engine
+    global _verifications
+    if _verifications is None:
+        from . import verifications as _verifications
 
-    result = SUITES[theorem](**{field.keyword: sizes[field.name] for field in SIZES[theorem]})
+    result = _verifications.SUITES[theorem](**{field.keyword: sizes[field.name] for field in SIZES[theorem]})
     result["parameters"].update(seed)
     return result
 
@@ -474,7 +482,7 @@ def run(request: Mapping) -> object:
     not read, then dispatch, all before any work.  A malformed request
     raises UsageError, a failed computation one of the other errors that
     `main` reports by type."""
-    if not isinstance(request, Mapping):
+    if type(request) is not dict and not isinstance(request, Mapping):
         raise UsageError("request must be a JSON object")
     form = _form(request)
     _check(request, form)
@@ -492,7 +500,8 @@ _ERROR_TYPES = [
 ]
 
 
-_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+# Every answer is a fresh tree of dicts and lists, never circular: no marker check.
+_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"), check_circular=False)
 
 
 def _emit(payload: object) -> None:

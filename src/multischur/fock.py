@@ -412,7 +412,7 @@ def ket_refined_table(lams: Iterable[Sequence[int]], t: Sequence) -> list[FockVe
     lam_i..lam_l, which fix the letters t_i..t_l, so one memo keyed on
     both shares them across the kets of the table.  A t shorter than the
     longest lam (ValueError) is refused before any step."""
-    lams = [Partition(lam) for lam in lams]
+    lams = [lam if type(lam) is Partition else Partition(lam) for lam in lams]
     t, depth = as_alphabet(t), max(map(len, lams), default=0)
     if len(t) < depth:
         raise ValueError(f"refined sequence needs {depth} letters, got {len(t)}")
@@ -477,13 +477,21 @@ def bra_refined_table(
     t_1..t_l for the longest mu, of l parts.  A ket of nonzero charge
     (ChargeError) or, when there are kets, a t shorter than l (ValueError)
     is refused before any step."""
-    row = dict.fromkeys(map(Partition, mus), _ZERO)
+    row = dict.fromkeys((mu if type(mu) is Partition else Partition(mu) for mu in mus), _ZERO)
     table, w = [], {}
     for k, v in enumerate(kets):
-        if v.charge not in (None, 0):
-            raise ChargeError(f"refined bras pair with charge 0, got {v.charge}")
+        if v._charge not in (None, 0):
+            raise ChargeError(f"refined bras pair with charge 0, got {v._charge}")
         for lam, coeff in v._terms.items():
-            w.setdefault(lam[0] if lam else 0, {}).setdefault(lam, {})[k] = coeff
+            p = lam[0] if lam else 0
+            states = w.get(p)
+            if states is None:
+                states = w[p] = {}
+            kets_of = states.get(lam)
+            if kets_of is None:
+                states[lam] = {k: coeff}
+            else:
+                kets_of[k] = coeff
         table.append(row.copy())
     t, depth = as_alphabet(t), max(map(len, row), default=0)
     if table and len(t) < depth:
@@ -539,7 +547,12 @@ def _bra_step(d: int, powers: list[Scalar] | None, states: dict) -> dict:
             for nu, i in moves:
                 x, acc = powers[i], dest.get(nu)
                 if acc is None:
-                    dest[nu] = {k: c * x for k, c in row.items()} if i else row.copy()
+                    if i:
+                        dest[nu] = acc = {}
+                        for k, c in row.items():
+                            acc[k] = c * x
+                    else:
+                        dest[nu] = row.copy()
                     continue
                 get = acc.get
                 for k, c in row.items():

@@ -188,11 +188,11 @@ def orthonormality(max_weight: int) -> dict:
     t = _vars("t", max_weight)
     tally = _Tally()
     shapes = partitions_up_to_weight(max_weight)
-    zeros = dict.fromkeys(shapes, _ZERO)
+    delta = dict.fromkeys(shapes, _ZERO)
     for lam, pairs in zip(shapes, bra_refined_table(shapes, t, ket_refined_table(shapes, t))):
-        delta = zeros.copy()
         delta[lam] = _ONE
         tally.check_row(pairs, delta, "pair %s | %s", lam)
+        delta[lam] = _ZERO
     return tally.summary("orthonormality", max_weight)
 
 

@@ -948,6 +948,22 @@ def test_verify_sizes_out_of_order_rejected(monkeypatch, capsys):
         ran.clear()
 
 
+def test_verify_reads_each_patched_suite(monkeypatch, capsys):
+    """The suites' module is loaded by the first verify request, and every
+    request reads SUITES from it: after one verify, an entry patched in
+    SUITES, or a SUITES replaced on the module, is the one the next
+    request runs."""
+    request = {"command": "verify", "theorem": "cauchy"}
+    code, out = _invoke(monkeypatch, capsys, request)
+    assert code == 0 and json.loads(out)["passed"] is True
+    monkeypatch.setitem(verifications.SUITES, "cauchy", lambda: {"parameters": {}, "passed": False, "cases": -1})
+    code, out = _invoke(monkeypatch, capsys, request)
+    assert code == 0 and json.loads(out) == {"parameters": {}, "passed": False, "cases": -1}
+    monkeypatch.setattr(verifications, "SUITES", {**verifications.SUITES, "cauchy": lambda: {"parameters": {}, "cases": -2}})
+    code, out = _invoke(monkeypatch, capsys, request)
+    assert code == 0 and json.loads(out) == {"parameters": {}, "cases": -2}
+
+
 def test_skew_letter_budget(monkeypatch, capsys):
     """skew with bp caps the bx, by and bp letters summed over the rows of
     its determinant; the first size past the cap is refused at once."""

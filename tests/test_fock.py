@@ -1,4 +1,5 @@
 import random
+import re
 import sys
 from fractions import Fraction
 
@@ -432,6 +433,29 @@ def test_ket_refined_table_keeps_order_and_repeats(monkeypatch):
     with pytest.raises(ValueError, match="refined sequence needs 3 letters, got 2"):
         ket_refined_table([(1,), (1, 1, 1), (2,)], (t1, t2))
     assert steps == []
+
+
+def test_refined_tables_take_plain_shapes_and_refuse_non_partitions():
+    """Both tables pass a Partition through as it is, and give the same
+    tables for the same shapes spelled as tuples, as lists or with
+    trailing zeros; a non-partition is refused with the error that
+    Partition raises for it."""
+    ts = (t1, t2, t3)
+    shapes = partitions_up_to_weight(3)
+    kets = ket_refined_table(shapes, ts)
+    rows = bra_refined_table(shapes, ts, kets)
+    assert all(got is given for got, given in zip(rows[0], shapes))
+    for plain in ([tuple(lam) for lam in shapes], [list(lam) for lam in shapes], [(*lam, 0) for lam in shapes]):
+        assert ket_refined_table(plain, ts) == kets
+        plain_rows = bra_refined_table(plain, ts, kets)
+        assert plain_rows == rows
+        assert all(type(mu) is Partition for mu in plain_rows[0])
+    for bad in [(1, 2), (-1,), [2, 3, 1], (1.0,), (True,), "21", {1: 1}]:
+        with pytest.raises((TypeError, ValueError)) as want:
+            Partition(bad)
+        for table in (lambda: ket_refined_table([(1,), bad], ts), lambda: bra_refined_table([(1,), bad], ts, kets)):
+            with pytest.raises(want.type, match=f"^{re.escape(str(want.value))}$"):
+                table()
 
 
 def test_orthonormality_catches_a_ket_memo_without_the_length(monkeypatch):
