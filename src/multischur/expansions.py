@@ -10,12 +10,9 @@ The expansion operations all reduce to Jacobi-Trudi style determinants
 whose entries are supersymmetric h or e polynomials in row- and
 column-dependent alphabets, built by the one kernel `supersym._jt` from
 an entry function; the determinants of one call share their minors.
-Each call builds one `supersym.h_series` per row (or per cell, where the
-alphabet also depends on the column, and the columns are then keyed on
-(mu_j - j, j) instead of mu_j - j), up to the largest index its matrices
-read.  The skew expansion has entries sum_n c_n h_n(X); it holds each
-entry and each minor as a SymFunc, and its ring's dot (`_pieri_dot`)
-sums all the signed Pieri products of one minor in one `_pieri`, so its
+The skew expansion has entries sum_n c_n h_n(X); it holds each entry
+and each minor as a SymFunc, and its ring's dot (`_pieri_dot`) sums all
+the signed Pieri products of one minor in one `_pieri`, so its
 determinant lands in the Schur basis with no second ring.
 """
 
@@ -61,8 +58,8 @@ class TruncationError(ValueError):
 
 # The largest degree bound D of the series-valued expansions (truncated,
 # stable, stable-dual).  Their cost grows with the number of partitions of
-# weight <= D: the truncated expansion of lambda = (1) takes about half a
-# second at D = 30.  The stable ones also grow with the number of letters.
+# weight <= D: the truncated expansion of lambda = (1) in r = 8 rows takes
+# about 0.2 s at D = 30.  The stable ones also grow with the number of letters.
 MAX_DEGREE_BOUND = 30
 
 
@@ -184,14 +181,50 @@ def flagged_schur(lam: Sequence[int], flag: Sequence[int], vars: Sequence) -> Sc
     return multi_schur(lam, prefix_sequence(*(xs[:f] for f in flag[: len(lam)])), empty_sequence())
 
 
+def _expand(lam: Partition, shapes: Sequence[Partition], rows, cols=None, e: bool = False) -> dict:
+    """{mu: det} for the mu of `shapes` with a nonzero det( h_k(X / Y) ),
+    k = lam_i - mu_j - i + j, or det( h_{-k}(X / Y) ) in an e-form (e set;
+    h_m(() / Y) = e_m(-Y)), for (X, Y) = rows(i) joined with cols(j) if
+    given.  A matrix has n rows, the most of lam and the shapes, or len(mu)
+    in an e-form, whose shapes contain lam.  Each row (or cell, keyed on
+    (mu_j - j, j)) builds one `h_series`, as far as its matrices read:
+
+      * an empty X gives h(() / Y), a polynomial of degree len Y;
+      * an h-form reads k <= lam_i - i + j, as mu_j >= 0; a row, j = n;
+      * an e-form reads -k <= c_j - lam_i + i, c_j the largest mu_j - j of
+        the shapes; a row, j = 1, as mu_j - j falls with j.  Only this case
+        scans the shapes.
+
+    Padding past m = max(len(lam), len(mu)) rows keeps a determinant.  In
+    an e-form the index mu_j - j - lam_i + i is i - j - lam_i < 0 for
+    i <= m < j, a zero upper-right block, and i - j for i, j > m, a unit
+    lower-triangular block; in an h-form the zero block is lower-left."""
+    n = max(len(lam), max(map(len, shapes)))
+    span = range(1, n + 1)
+    joins = [(j, *cols(j)) for j in span] if cols else [(1 if e else n, (), ())]
+    tops, table = None, []
+    for i, (x, y) in enumerate(map(rows, span), 1):
+        row = []
+        for j, cx, cy in joins:
+            X, Y = x + cx, y + cy
+            if X and e and tops is None:
+                tops = [max(mu.part(c) for mu in shapes) - c for c in span]
+            last = len(Y) if e and not X else tops[j - 1] - lam.part(i) + i if e else lam.part(i) - i + j
+            row.append(h_series(last if X else min(last, len(Y)), X, Y))
+        table.append(row if cols else row[0])
+    if cols:
+        at = (lambda k, i, j: _at(table[i - 1][j - 1], -k)) if e else (lambda k, i, j: _at(table[i - 1][j - 1], k))
+        det = _jt(lam, at, _cells)
+    else:
+        det = _jt(lam, (lambda k, i: _at(table[i - 1], -k)) if e else (lambda k, i: _at(table[i - 1], k)))
+    return {mu: c for mu in shapes if (c := det(mu, len(mu) if e else n))}
+
+
 def schur_expand_multischur(lam: Sequence[int], bx: AlphabetSequence, by: AlphabetSequence) -> SymFunc:
     """Expansion over mu inside lam with coefficient
     det( h_{lam_i - mu_j - i + j}(x^(i)/y^(i)) )."""
     lam = Partition(lam)
-    r = len(lam)
-    rows = [h_series(lam.part(i) - i + r, bx.alphabet(i), by.alphabet(i)) for i in range(1, r + 1)]
-    det = _jt(lam, lambda k, i: _at(rows[i - 1], k))
-    return SymFunc({mu: c for mu in subpartitions(lam) if (c := det(mu, r))})
+    return SymFunc(_expand(lam, subpartitions(lam), lambda i: (bx.alphabet(i), by.alphabet(i))))
 
 
 def refined_dual_grothendieck(lam: Sequence[int], t: Sequence) -> SymFunc:
@@ -208,79 +241,45 @@ def expand_in_refined_basis(
     """Coefficients on the refined dual basis indexed by mu inside lam:
     det( h_{lam_i - mu_j - i + j}(x^(i) / (y^(i) u (t_1..t_{j-1}))) )."""
     lam = Partition(lam)
-    r = len(lam)
-    ts = [refined_alphabet(t, j) for j in range(1, r + 1)]
-    cells = [
-        [h_series(lam.part(i) - i + j, bx.alphabet(i), by.alphabet(i) + tj) for j, tj in enumerate(ts, 1)]
-        for i in range(1, r + 1)
-    ]
-    det = _jt(lam, lambda k, i, j: _at(cells[i - 1][j - 1], k), _cells)
-    return {mu: c for mu in subpartitions(lam) if (c := det(mu, r))}
+    rows = lambda i: (bx.alphabet(i), by.alphabet(i))
+    return _expand(lam, subpartitions(lam), rows, lambda j: ((), refined_alphabet(t, j)))
 
 
 def truncated_dual_expansion(lam: Sequence[int], bx: AlphabetSequence, r: int, D: int) -> SymFunc:
     """Expansion over mu containing lam with at most r rows:
-    det( e_{-lam_i + mu_j + i - j}(-x^(i)) ), size r, truncated at D."""
+    det( e_{-lam_i + mu_j + i - j}(-x^(i)) ), size len(mu), truncated at D."""
     lam = Partition(lam)
     if r < len(lam):
         raise ValueError(f"need r >= {len(lam)} for {lam}, got {r}")
     check_degree_bound(lam, D)
     shapes = superpartitions(lam, D, max_length=r)
-    # e_m(-x) = h_m(()/x), a polynomial of degree len(x); the largest m
-    # a row reads is max mu_1 - 1 - lam_i + i
-    top = max(mu.part(1) for mu in shapes) - 1
-    xs = [bx.alphabet(i) for i in range(1, r + 1)]
-    rows = [h_series(min(len(x), top - lam.part(i) + i), (), x) for i, x in enumerate(xs, 1)]
-    det = _jt(lam, lambda k, i: _at(rows[i - 1], -k))
-    return SymFunc({mu: c for mu in shapes if (c := det(mu, r))}, D)
+    return SymFunc(_expand(lam, shapes, lambda i: ((), bx.alphabet(i)), e=True), D)
 
 
-def stable_dual_in_G(
-    lam: Sequence[int], bx: AlphabetSequence, t: Sequence, D: int
-) -> dict[Partition, Scalar]:
+def stable_dual_in_G(lam: Sequence[int], bx: AlphabetSequence, t: Sequence, D: int) -> dict[Partition, Scalar]:
     """Coefficients on the stable basis indexed by mu containing lam:
     det( h_{-lam_i + mu_j + i - j}((t_1..t_{j-1}) / x^(i)) ), size
     len(mu), for any bx."""
     lam = Partition(lam)
     check_degree_bound(lam, D)
-    shapes = superpartitions(lam, D)
-    # no padding past len(mu) rows: more rows add a unit triangular block
-    n = max(map(len, shapes))
-    ts = [refined_alphabet(t, j) for j in range(1, n + 1)]
-    xs = [bx.alphabet(i) for i in range(1, n + 1)]
-    # the largest mu_j of a shape whose matrix has row i and column j
-    reach = lambda i, j: max(mu.part(j) for mu in shapes if len(mu) >= max(i, j))
-    cells = [
-        [h_series(reach(i, j) - j - lam.part(i) + i, ts[j - 1], x) for j in range(1, n + 1)]
-        for i, x in enumerate(xs, 1)
-    ]
-    det = _jt(lam, lambda k, i, j: _at(cells[i - 1][j - 1], -k), _cells)
-    return {mu: c for mu in shapes if (c := det(mu, len(mu)))}
+    rows = lambda i: ((), bx.alphabet(i))
+    return _expand(lam, superpartitions(lam, D), rows, lambda j: (refined_alphabet(t, j), ()), e=True)
 
 
 def stable_grothendieck_schur(lam: Sequence[int], t: Sequence, D: int) -> SymFunc:
     """Schur expansion of the stable series up to degree D: coefficient of
     s_mu is det( e_{-lam_i + mu_j + i - j}(-(t_1..t_{i-1})) ), size
-    max(len(mu), len(lam))."""
+    len(mu)."""
     lam = Partition(lam)
     check_degree_bound(lam, D)
-    shapes = superpartitions(lam, D)
-    # e_m(-(t_1..t_{i-1})) = h_m(()/(t_1..t_{i-1})), a polynomial of degree i - 1
-    rows = [h_series(i - 1, (), refined_alphabet(t, i)) for i in range(1, max(map(len, shapes)) + 1)]
-    det = _jt(lam, lambda k, i: _at(rows[i - 1], -k))
-    return SymFunc({mu: c for mu in shapes if (c := det(mu, max(len(mu), len(lam))))}, D)
+    return SymFunc(_expand(lam, superpartitions(lam, D), lambda i: ((), refined_alphabet(t, i)), e=True), D)
 
 
-def skew_multi_schur(
-    lam: Sequence[int], mu: Sequence[int], bx: AlphabetSequence, by: AlphabetSequence
-) -> Scalar:
+def skew_multi_schur(lam: Sequence[int], mu: Sequence[int], bx: AlphabetSequence, by: AlphabetSequence) -> Scalar:
     """det( h_{lam_i - mu_j - i + j}(x^(i)/y^(i)) ), size max of lengths;
     vanishes unless mu fits inside lam."""
     lam, mu = Partition(lam), Partition(mu)
-    r = max(len(lam), len(mu))
-    low = min((mu.part(j) - j for j in range(1, r + 1)), default=0)  # smallest column value
-    rows = [h_series(lam.part(i) - i - low, bx.alphabet(i), by.alphabet(i)) for i in range(1, r + 1)]
-    return _jt(lam, lambda k, i: _at(rows[i - 1], k))(mu, r)
+    return _expand(lam, (mu,), lambda i: (bx.alphabet(i), by.alphabet(i))).get(mu, _ZERO)
 
 
 def skew_function(

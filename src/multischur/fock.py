@@ -34,7 +34,7 @@ The operators:
     psi_{m-i}, whose h_i are the Jacobi-Trudi entries it is checked against.
 
 Every strip step is one table lookup per basis state.  A step sends
-|lam> to a fixed list of moves (nu, strip size n, sign) that depends on
+|lam> to a fixed list of moves (nu, strip size n) that depends on
 lam, on the level offset d = m - c + 1 of its fermion and on its kind:
 the refined bra step psi*_m then the vertical strips of e^{-H(t)}, the
 refined ket step the horizontal strips of e^{H(t)} then psi_m, and the
@@ -44,7 +44,7 @@ vertical strips, and the ket prepends d - 1 after the horizontal strips.
 The memo `_moves` (keyed on (lam, d, kind), bounded by MOVE_CACHE_SIZE)
 builds each list once, the fermion kinds from the bare ones; a bra list
 is grouped by the first part of each nu.  The summing loop `_step`
-multiplies each coefficient by the cached signed power of the letter.  A
+multiplies each coefficient by the cached power of the letter.  A
 zero letter's step is the fermion alone.
 
 A basis ket for lam applies one fermion per part to |-len(lam)>, the
@@ -86,7 +86,6 @@ PSI = "psi"
 PSI_STAR = "psi_star"
 
 _ONE = Scalar.one()
-_MINUS_ONE = -_ONE
 _ZERO = Scalar.zero()
 _EMPTY = Partition()
 
@@ -275,17 +274,17 @@ MOVE_CACHE_SIZE = 1024
 @lru_cache(maxsize=MOVE_CACHE_SIZE)
 def _moves(lam: Partition, d: int | None, vertical: bool) -> tuple[int, tuple]:
     """The moves of one step on the basis state |lam>, built once: (top,
-    ((nu, i), ...)), where the step sends |lam> to the sum over the moves
-    of (-1)^i s^(i // 2) |nu>, s is the letter t for horizontal strips and
-    -t for vertical ones, and top is the largest i.  The kinds:
+    ((nu, n), ...)), where the step sends |lam> to the sum over the moves
+    of s^n |nu>, s is the letter t for horizontal strips and -t for
+    vertical ones, and top is the largest n.  The kinds:
 
       * d None: the bare strip step, every strip lam/nu of its kind, with
-        i = 2 |lam/nu|; the vertical strips are the conjugates of the
+        n = |lam/nu|; the vertical strips are the conjugates of the
         horizontal strips of lam', in that order;
       * vertical, d an offset m - c + 1: psi*_m on a state of first part
         d >= 1, as in `bra_refined_table`, pops that part with sign +,
         then the vertical strips: the bare table of lam[1:], its moves
-        grouped by nu's first part as (top, ((p, ((nu, i), ...)), ...)).
+        grouped by nu's first part as (top, ((p, ((nu, n), ...)), ...)).
         A vertical strip lowers lam_2 by at most 1, so there are at most
         two groups, p = lam_2 and p = lam_2 - 1 (0 for nu = (), the only
         state of first part 0);
@@ -296,34 +295,33 @@ def _moves(lam: Partition, d: int | None, vertical: bool) -> tuple[int, tuple]:
     The fermion steps read the bare tables and are injective, so each
     keeps its strips' order (within each group) and sums nothing."""
     if d is None:
-        n = lam.weight
+        w = lam.weight
         if vertical:
-            moves = tuple((mu.transpose(), 2 * (n - mu.weight)) for mu in horizontal_strips(lam.transpose()))
+            moves = tuple((mu.transpose(), w - mu.weight) for mu in horizontal_strips(lam.transpose()))
         else:
-            moves = tuple((mu, 2 * (n - mu.weight)) for mu in horizontal_strips(lam))
+            moves = tuple((mu, w - mu.weight) for mu in horizontal_strips(lam))
         # the largest strip takes one box from each row, or from each column
-        return 2 * (len(lam) if vertical else lam[0] if lam else 0), moves
+        return len(lam) if vertical else lam[0] if lam else 0, moves
     if vertical:
         top, moves = _moves(Partition._trusted(lam[1:]), None, True)
         groups: dict[int, list] = {}
-        for nu, i in moves:
-            groups.setdefault(nu[0] if nu else 0, []).append((nu, i))
+        for nu, n in moves:
+            groups.setdefault(nu[0] if nu else 0, []).append((nu, n))
         return top, tuple((p, tuple(group)) for p, group in groups.items())
     top, moves = _moves(lam, None, False)
-    return top, tuple((Partition._trusted((d - 1, *nu)), i) for nu, i in moves)
+    return top, tuple((Partition._trusted((d - 1, *nu)), n) for nu, n in moves)
 
 
 def _powers(s: Scalar) -> list[Scalar]:
-    """[1, -1, s], which `_step` extends one entry at a time as far as its
-    moves need: entry i is (-1)^i s^(i // 2), an odd one the negation of
-    the entry before it."""
-    return [_ONE, _MINUS_ONE, s]
+    """[1, s], which `_step` extends one entry at a time as far as its
+    moves need: entry n is s^n."""
+    return [_ONE, s]
 
 
 def _step(terms: dict[Partition, Scalar], d: int | None, vertical: bool, powers: list[Scalar]) -> dict:
     """One bare or ket step of `_moves` on a vector's terms (the bra kind,
     grouped by first part, is summed by `_bra_step`):
-    each coefficient times powers[i] summed into its move's nu, where
+    each coefficient times powers[n] summed into its move's nu, where
     powers comes from `_powers`.  A sum that cancels is dropped, as
     `collect` drops it, and taken up again at the end if a later move
     brings it back."""
@@ -332,10 +330,10 @@ def _step(terms: dict[Partition, Scalar], d: int | None, vertical: bool, powers:
     for lam, coeff in terms.items():
         top, moves = _moves(lam, d, vertical)
         while len(powers) <= top:
-            powers.append(-powers[-1] if len(powers) & 1 else powers[-2] * powers[2])
-        for nu, i in moves:
+            powers.append(powers[-1] * powers[1])
+        for nu, n in moves:
             # nonzero: a product of nonzero Scalars, so only a sum is tested
-            c = coeff * powers[i] if i else coeff
+            c = coeff * powers[n] if n else coeff
             acc = get(nu)
             if acc is None:
                 out[nu] = c
@@ -526,7 +524,7 @@ def _bra_step(d: int, powers: list[Scalar] | None, states: dict) -> dict:
     result is filed as the walk's vector {first part: {state: {ket index:
     coefficient}}}.  Each state takes one lookup of its bra table of
     `_moves`, whose groups name the first part of each move's nu; each
-    ket's coefficient times powers[i] is summed into nu's row in place.  A
+    ket's coefficient times powers[n] is summed into nu's row in place.  A
     (nu, ket) entry whose sum cancels is dropped, then a nu whose row is
     left empty, and a later move may bring either back.  No ket's terms
     vanish: the pop is injective and e^{-H(t)} unitriangular."""
@@ -539,15 +537,15 @@ def _bra_step(d: int, powers: list[Scalar] | None, states: dict) -> dict:
     for lam, row in states.items():
         top, groups = _moves(lam, d, True)
         while len(powers) <= top:
-            powers.append(-powers[-1] if len(powers) & 1 else powers[-2] * powers[2])
+            powers.append(powers[-1] * powers[1])
         for p, moves in groups:
             dest = out.get(p)
             if dest is None:
                 dest = out[p] = {}
-            for nu, i in moves:
-                x, acc = powers[i], dest.get(nu)
+            for nu, n in moves:
+                x, acc = powers[n], dest.get(nu)
                 if acc is None:
-                    if i:
+                    if n:
                         dest[nu] = acc = {}
                         for k, c in row.items():
                             acc[k] = c * x
@@ -557,7 +555,7 @@ def _bra_step(d: int, powers: list[Scalar] | None, states: dict) -> dict:
                 get = acc.get
                 for k, c in row.items():
                     # nonzero: a product of nonzero Scalars, so only a sum is tested
-                    if i:
+                    if n:
                         c = c * x
                     a = get(k)
                     if a is None:

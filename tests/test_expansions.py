@@ -591,6 +591,12 @@ def test_per_mu_expansions_match_per_entry_oracle():
                 assert truncated_dual_expansion(lam, bx, r, D) == want, (lam, bx, r)
             want = PerEntryJT.stable_dual(lam, bx, SWEEP_T, D)
             assert stable_dual_in_G(lam, bx, SWEEP_T, D) == want, (lam, bx)
+            for by in SWEEP_BY:
+                # mu of every shape up to weight 3, so mu may be longer than lam or not fit inside it
+                for mu in partitions_up_to_weight(3):
+                    want = PerEntryJT.skew(lam, mu, bx, by, EMPTY, ())
+                    assert skew_multi_schur(lam, mu, bx, by) == want, (lam, mu, bx, by)
+                assert multi_schur(lam, bx, by) == PerEntryJT.skew(lam, Partition(), bx, by, EMPTY, ()), (lam, bx, by)
         # |lam| variables tell apart the Schur functions of degree <= |lam|
         X = variables(" ".join(f"X{n}" for n in range(1, lam.weight + 1)))
         for mu in subpartitions(lam):

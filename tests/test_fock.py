@@ -1031,11 +1031,11 @@ def test_exp_letter_matches_collect_oracle(v, t, vertical):
 
 
 def strip_table(lam, vertical):
-    """The bare strip table of `_moves` as (mu, |lam/mu|) pairs; a bare
-    step carries no sign, so every i is even."""
+    """The bare strip table of `_moves` as a list of its (mu, n) moves,
+    whose top is the largest n."""
     top, moves = fock._moves(lam, None, vertical)
-    assert all(i % 2 == 0 for _, i in moves) and top == max(i for _, i in moves)
-    return [(mu, i // 2) for mu, i in moves]
+    assert top == max(n for _, n in moves)
+    return list(moves)
 
 
 def test_vertical_strip_tables_match_brute_force():
@@ -1125,43 +1125,67 @@ def test_bra_tables_group_the_popped_strips_by_first_part():
         assert [p for p, _ in groups] == [lam.part(2), lam.part(2) - 1][: len(groups)], lam
 
 
+def add_into(acc, key, c):
+    """acc[key] += c, dropping a sum that cancels, as the steps do."""
+    total = acc.get(key, Scalar.zero()) + c
+    if total:
+        acc[key] = total
+    else:
+        acc.pop(key, None)
+
+
 @pytest.mark.parametrize(
     "kind, fault", [("ket", "sign"), ("ket", "part"), ("bra", "sign"), ("bra", "keep"), ("bra", "file")]
 )
 def test_suites_catch_a_fault_in_the_move_tables(monkeypatch, kind, fault):
-    """A fermion table of `_moves` that flips the sign of its first move
-    fails each suite that steps through its kind, at its defaults, and so
-    does a ket table that prepends lam_i + 1 where the step prepends
-    lam_i, a bra table that keeps the first part psi* pops (the bare
-    table of lam, grouped by first part), or a bra table that files every
-    nu under the first part of its first group, lam_2, so that the nu of
-    first part lam_2 - 1 are stepped by the wrong bras and read as no
-    pair.  orthonormality and beta-chain build refined kets;
-    orthonormality and dual-engine pair refined bras."""
+    """A fermion step that negates the term of the first move of each
+    state's table (the strip of size 0) fails each suite that steps
+    through its kind, at its defaults, and so does a ket table that
+    prepends lam_i + 1 where the step prepends lam_i, a bra table that
+    keeps the first part psi* pops (the bare table of lam, grouped by first
+    part), or a bra table that files every nu under the first part of its
+    first group, lam_2, so that the nu of first part lam_2 - 1 are stepped
+    by the wrong bras and read as no pair.  orthonormality and beta-chain
+    build refined kets; orthonormality and dual-engine pair refined bras."""
     real = fock._moves
 
     def faulty(lam, d, vertical):
         top, moves = real(lam, d, vertical)
         if d is None or vertical != (kind == "bra"):
             return top, moves
-        if (kind, fault) == ("ket", "sign"):
-            (nu, i), *rest = moves
-            return top + 1, ((nu, i + 1), *rest)
         if fault == "part":
-            return top, tuple((Partition._trusted((d, *nu)), i) for nu, i in real(lam, None, False)[1])
-        if fault == "sign":
-            (p, ((nu, i), *rest)), *others = moves
-            return top + 1, ((p, ((nu, i + 1), *rest)), *others)
+            return top, tuple((Partition._trusted((d, *nu)), n) for nu, n in real(lam, None, False)[1])
         if fault == "keep":
             top, bare = real(lam, None, True)
             return top, by_first_part(bare)
         return top, ((moves[0][0], tuple(move for _, group in moves for move in group)),)
 
+    def ket_flip(terms, d, vertical, powers, step=fock._step):
+        out = step(terms, d, vertical, powers)
+        if d is not None:  # a ket step; the bare steps of e^{H} pass no offset
+            for lam, coeff in terms.items():
+                nu, n = real(lam, d, False)[1][0]
+                add_into(out, nu, coeff * powers[n] * -2)
+        return out
+
+    def bra_flip(d, powers, states, step=fock._bra_step):
+        out = step(d, powers, states)
+        for lam, row in states.items() if powers else ():
+            p, ((nu, n), *_) = real(lam, d, True)[1][0]
+            for k, c in row.items():
+                add_into(out.setdefault(p, {}).setdefault(nu, {}), k, c * powers[n] * -2)
+        return out
+
     failing = {"ket": {"orthonormality", "beta-chain"}, "bra": {"orthonormality", "dual-engine"}}[kind]
     suites = ("orthonormality", "dual-engine", "beta-chain")
     defaults = {theorem: [field.default for field in SIZES[theorem]] for theorem in suites}
     assert all(verifications.SUITES[theorem](*defaults[theorem])["passed"] for theorem in suites)
-    monkeypatch.setattr(fock, "_moves", faulty)
+    if fault != "sign":
+        monkeypatch.setattr(fock, "_moves", faulty)
+    elif kind == "ket":
+        monkeypatch.setattr(fock, "_step", ket_flip)
+    else:
+        monkeypatch.setattr(fock, "_bra_step", bra_flip)
     for theorem in suites:
         assert verifications.SUITES[theorem](*defaults[theorem])["passed"] is (theorem not in failing), theorem
 
