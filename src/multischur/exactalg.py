@@ -309,17 +309,27 @@ def _laplace(cols: tuple, entry, memo: dict, dot):
     """The minor over rows 1..k = len(cols) and the columns keyed `cols`,
     expanded along row k: the ring's signed sum of products `dot` of the
     triples (entry(k, cols[p]), the minor without column p, negate when
-    k - p is even) over the p of nonzero entries, its zero for none.
-    `memo` maps key tuples to minors and holds the ring's one at ()."""
-    if cols in memo:
-        return memo[cols]
+    k - p is even) over the p where both are nonzero, its zero for none.
+    The minors over rows 1..k - 1 are what determinants of one `memo`
+    share, and the caller picks which of its rows is row k, the one each
+    determinant is expanded along (`supersym._jt`).  `memo` maps key tuples
+    to minors and holds the ring's one at (); it is read before each
+    recursion."""
+    minor = memo.get(cols)
+    if minor is not None:
+        return minor
     if len(cols) == 1:  # the entry itself, not a product with one
         return entry(1, cols[0])
     k, triples = len(cols), []
     for p, key in enumerate(cols):
         e = entry(k, key)
         if e:
-            triples.append((e, _laplace(cols[:p] + cols[p + 1 :], entry, memo, dot), not (k - p) % 2))
+            rest = cols[:p] + cols[p + 1 :]
+            minor = memo.get(rest)
+            if minor is None:
+                minor = _laplace(rest, entry, memo, dot)
+            if minor:
+                triples.append((e, minor, not (k - p) % 2))
     memo[cols] = minor = dot(triples)
     return minor
 

@@ -9,7 +9,11 @@ ring).
 The expansion operations all reduce to Jacobi-Trudi style determinants
 whose entries are supersymmetric h or e polynomials in row- and
 column-dependent alphabets, built by the one kernel `supersym._jt` from
-an entry function; the determinants of one call share their minors.
+an entry function and a row order; the determinants of one call share
+their minors.  `_expand` reads the h-forms, n x n matrices, top-down, so
+that each is expanded along row 1, the row with the fewest letters; the
+e-forms, of len(mu) rows, keep the bottom-up order, whose minors serve
+every size, and skip a mu whose first row is zero on its columns.
 The skew expansion has entries sum_n c_n h_n(X); it holds each entry
 and each minor as a SymFunc, and its ring's dot (`_pieri_dot`) sums all
 the signed Pieri products of one minor in one `_pieri`, so its
@@ -46,7 +50,7 @@ from .shapes import (
     subpartitions,
     superpartitions,
 )
-from .supersym import _at, _cells, _jt, h_series, supersym_schur
+from .supersym import _h_series, _jt, supersym_schur
 
 _ZERO = Scalar.zero()
 _ONE = Scalar.one()
@@ -185,15 +189,24 @@ def _expand(lam: Partition, shapes: Sequence[Partition], rows, cols=None, e: boo
     """{mu: det} for the mu of `shapes` with a nonzero det( h_k(X / Y) ),
     k = lam_i - mu_j - i + j, or det( h_{-k}(X / Y) ) in an e-form (e set;
     h_m(() / Y) = e_m(-Y)), for (X, Y) = rows(i) joined with cols(j) if
-    given.  A matrix has n rows, the most of lam and the shapes, or len(mu)
-    in an e-form, whose shapes contain lam.  Each row (or cell, keyed on
-    (mu_j - j, j)) builds one `h_series`, as far as its matrices read:
+    given, alphabets of Scalars.  A matrix has n rows, the most of lam and
+    the shapes, or len(mu) in an e-form, whose shapes contain lam.  Each row
+    (or cell, keyed on (mu_j - j, j)) builds one series, as far as its
+    matrices read:
 
       * an empty X gives h(() / Y), a polynomial of degree len Y;
       * an h-form reads k <= lam_i - i + j, as mu_j >= 0; a row, j = n;
       * an e-form reads -k <= c_j - lam_i + i, c_j the largest mu_j - j of
         the shapes; a row, j = 1, as mu_j - j falls with j.  Only this case
         scans the shapes.
+
+    The row order (`supersym._jt`) follows the form.  An h-form reads its
+    n x n matrices top-down, so each is expanded along lam's row 1: the
+    row with the fewest letters in the refined and flagged families, the
+    empty row h(() / ()) = 1 in a refined one, whose zero entries prune
+    whole minors.  An e-form keeps the bottom-up order, whose minors serve
+    every size len(mu); there a mu whose first row is zero on its columns
+    has a zero det and is skipped before the expansion.
 
     Padding past m = max(len(lam), len(mu)) rows keeps a determinant.  In
     an e-form the index mu_j - j - lam_i + i is i - j - lam_i < 0 for
@@ -202,22 +215,35 @@ def _expand(lam: Partition, shapes: Sequence[Partition], rows, cols=None, e: boo
     n = max(len(lam), max(map(len, shapes)))
     span = range(1, n + 1)
     joins = [(j, *cols(j)) for j in span] if cols else [(1 if e else n, (), ())]
-    tops, table = None, []
+    tops, table = None, [None]
     for i, (x, y) in enumerate(map(rows, span), 1):
-        row = []
+        row = [None]
         for j, cx, cy in joins:
             X, Y = x + cx, y + cy
             if X and e and tops is None:
                 tops = [max(mu.part(c) for mu in shapes) - c for c in span]
             last = len(Y) if e and not X else tops[j - 1] - lam.part(i) + i if e else lam.part(i) - i + j
-            row.append(h_series(last if X else min(last, len(Y)), X, Y))
-        table.append(row if cols else row[0])
-    if cols:
-        at = (lambda k, i, j: _at(table[i - 1][j - 1], -k)) if e else (lambda k, i, j: _at(table[i - 1][j - 1], k))
-        det = _jt(lam, at, _cells)
+            row.append(_h_series(last if X else min(last, len(Y)), X, Y))
+        table.append(row if cols else row[1])
+    if cols:  # entry(i, k, j), the series of cell (i, j) at k, or at -k in an e-form
+        if e:
+            entry = lambda i, k, j: s[-k] if -len(s := table[i][j]) < k <= 0 else _ZERO
+        else:
+            entry = lambda i, k, j: s[k] if 0 <= k < len(s := table[i][j]) else _ZERO
+    elif e:
+        entry = lambda i, k: s[-k] if -len(s := table[i]) < k <= 0 else _ZERO
     else:
-        det = _jt(lam, (lambda k, i: _at(table[i - 1], -k)) if e else (lambda k, i: _at(table[i - 1], k)))
-    return {mu: c for mu in shapes if (c := det(mu, len(mu) if e else n))}
+        entry = lambda i, k: s[k] if 0 <= k < len(s := table[i]) else _ZERO
+    if not e:
+        det = _jt(lam, entry, range(n, 0, -1), bool(cols))
+        return {mu: c for mu in shapes if (c := det(mu, n))}
+    det = _jt(lam, entry, span, bool(cols))
+    offset = lam.part(1) - 1  # row 1 reads k = offset - mu_j + j at column j
+    if cols:
+        first = lambda mu: any(entry(1, offset - p + j, j) for j, p in enumerate(mu, 1))
+    else:
+        first = lambda mu: any(entry(1, offset - p + j) for j, p in enumerate(mu, 1))
+    return {mu: c for mu in shapes if (not mu or first(mu)) and (c := det(mu, len(mu)))}
 
 
 def schur_expand_multischur(lam: Sequence[int], bx: AlphabetSequence, by: AlphabetSequence) -> SymFunc:
@@ -296,11 +322,11 @@ def skew_function(
     r = max(len(lam), len(mu))
 
     @cache  # each cell's series is built once, though minors read it again
-    def entry(k: int, i: int, j: int) -> SymFunc:
-        s = h_series(k, bx.alphabet(i), by.alphabet(i) + bp.alphabet(j))
+    def entry(i: int, k: int, j: int) -> SymFunc:
+        s = _h_series(k, bx.alphabet(i), by.alphabet(i) + bp.alphabet(j))
         return SymFunc({(n,): s[k - n] for n in range(k + 1)})
 
-    return _jt(lam, entry, _cells, _pieri_dot, sym_schur(()))(mu, r)
+    return _jt(lam, entry, range(1, r + 1), True, _pieri_dot, sym_schur(()))(mu, r)
 
 
 # -- Schur-basis arithmetic -------------------------------------------

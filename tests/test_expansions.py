@@ -1,6 +1,7 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from multischur.exactalg import Scalar, det_over_ring
 from multischur import expansions
@@ -619,3 +620,64 @@ def test_stable_expansions_share_minors_across_sizes():
             for bx in SWEEP_BX:
                 want = PerEntryJT.stable_dual(lam, bx, SWEEP_T, D)
                 assert stable_dual_in_G(lam, bx, SWEEP_T, D) == want, (lam, bx, D)
+
+
+# -- every _expand form against its explicit matrix -------------------
+
+
+def _explicit_expand(lam, shapes, bx, by, cols, e):
+    """{mu: det} of `expansions._expand`'s contract, each matrix built entry
+    by entry, in its natural row and column order, and handed to
+    det_over_ring: h_k(X / Y), or h_{-k} in an e-form, k = lam_i - mu_j - i + j,
+    (X, Y) = (bx(i), by(i)) joined with the alphabets of `cols` at j; n rows,
+    the most of lam and the shapes, or len(mu) in an e-form."""
+    n = max(len(lam), max(map(len, shapes)))
+
+    def entry(mu, i, j):
+        k = lam.part(i) - i - mu.part(j) + j
+        cx, cy = (cols[0].alphabet(j), cols[1].alphabet(j)) if cols else ((), ())
+        m = -k if e else k
+        return _at(h_series(m, bx.alphabet(i) + cx, by.alphabet(i) + cy), m)
+
+    out = {}
+    for mu in shapes:
+        span = range(1, (len(mu) if e else n) + 1)
+        if c := det_over_ring([[entry(mu, i, j) for j in span] for i in span]):
+            out[mu] = c
+    return out
+
+
+# letters: repeated, zero, rational, and a two-term polynomial
+EXPAND_LETTERS = (x1, x2, ZERO, HALF, MINUS_ONE, x1 + x2)
+expand_alphabets = st.lists(st.sampled_from(EXPAND_LETTERS), max_size=3).map(tuple)
+expand_sequences = st.lists(expand_alphabets, max_size=4).map(AlphabetSequence)
+DENSE = AlphabetSequence([(x1, x1 + x2, HALF), (x2,)])  # a first row of three letters
+
+
+@st.composite
+def expand_forms(draw):
+    """(lam, shapes, bx, by, cols, e): an h-form over any small shapes, or
+    an e-form over shapes that contain lam, with or without column alphabets."""
+    e = draw(st.booleans())
+    lam = draw(st.sampled_from(partitions_up_to_weight(3)))
+    pool = superpartitions(lam, lam.weight + 3) if e else partitions_up_to_weight(4)
+    shapes = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=6, unique=True))
+    cols = draw(st.none() | st.tuples(expand_sequences, expand_sequences))
+    return lam, shapes, draw(expand_sequences), draw(expand_sequences), cols, e
+
+
+@given(expand_forms())
+@example((Partition(), [Partition()], EMPTY, EMPTY, None, False))  # n = 0
+@example((Partition(), [Partition()], EMPTY, EMPTY, None, True))
+@example((Partition(), [Partition(), Partition((1,))], EMPTY, DENSE, (DENSE, EMPTY), True))
+@example((Partition((1,)), superpartitions((1,), 5), EMPTY, DENSE, None, True))  # a dense e-form first row
+@example((Partition((2, 1)), superpartitions((2, 1), 6), DENSE, DENSE, (EMPTY, DENSE), True))
+@example((Partition((2, 1)), subpartitions((2, 1)), EMPTY, EMPTY, (EMPTY, refined_sequence(t)), False))
+@settings(max_examples=150, deadline=None)
+def test_expand_forms_match_explicit_matrices(form):
+    """Each form of `_expand`, in whatever row order it reads, against
+    det_over_ring of the matrix written out."""
+    lam, shapes, bx, by, cols, e = form
+    rows = lambda i: (bx.alphabet(i), by.alphabet(i))
+    col = (lambda j: (cols[0].alphabet(j), cols[1].alphabet(j))) if cols else None
+    assert expansions._expand(lam, shapes, rows, col, e) == _explicit_expand(lam, shapes, bx, by, cols, e)
