@@ -17,13 +17,15 @@ every size, and skip a mu whose first row is zero on its columns.
 The skew expansion has entries sum_n c_n h_n(X); it holds each entry
 and each minor as a SymFunc, and its ring's dot (`_pieri_dot`) sums all
 the signed Pieri products of one minor in one `_pieri`, so its
-determinant lands in the Schur basis with no second ring.
+determinant lands in the Schur basis with no second ring.  Evaluation
+reads no determinant: `eval_symfunc` sums over the same horizontal
+strips by the branching rule, and the module keeps no cache.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable, Iterator, Mapping, Sequence
-from functools import cache, lru_cache
+from functools import cache
 from itertools import chain
 
 from .exactalg import (
@@ -31,6 +33,7 @@ from .exactalg import (
     ScalarLike,
     TractabilityError,
     _add_product,
+    _dot,
     _json_object,
     coerce_scalar,
     collect,
@@ -50,7 +53,7 @@ from .shapes import (
     subpartitions,
     superpartitions,
 )
-from .supersym import _h_series, _jt, supersym_schur
+from .supersym import _h_series, _jt
 
 _ZERO = Scalar.zero()
 _ONE = Scalar.one()
@@ -75,24 +78,12 @@ def check_degree_bound(lam: Partition, D: int) -> None:
         raise TractabilityError(f"degree bound is capped at {MAX_DEGREE_BOUND}: got {D}")
 
 
-# Entries kept by `_jacobi_trudi`, the one memo cache of this module.  A
-# round of varied requests (the cli-requests benchmark) reads about 50
-# Jacobi-Trudi values, and the truncation-stability suite at its caps about
-# 120, so a long-lived process stays at a fixed size without refilling the
-# cache inside one round.
-CACHE_SIZE = 256
-
-
 def _mu_key(mu: Partition) -> tuple:
     return (sum(mu), tuple(-p for p in mu))
 
 
 def _min_trunc(a: int | None, b: int | None) -> int | None:
-    if a is None:
-        return b
-    if b is None:
-        return a
-    return min(a, b)
+    return b if a is None else a if b is None else min(a, b)
 
 
 class SymFunc:
@@ -351,16 +342,12 @@ def _pieri_dot(triples: Iterable[tuple[SymFunc, SymFunc, bool]]) -> SymFunc:
 def hall_inner(f: SymFunc, g: SymFunc) -> Scalar:
     """Pair Schur coefficients diagonally; errors when a truncation hides
     needed coefficients of the other operand."""
-    if f.truncation is not None and g.max_degree() > f.truncation:
-        raise TruncationError(
-            f"left operand is only known up to degree {f.truncation}, "
-            f"right has support in degree {g.max_degree()}"
-        )
-    if g.truncation is not None and f.max_degree() > g.truncation:
-        raise TruncationError(
-            f"right operand is only known up to degree {g.truncation}, "
-            f"left has support in degree {f.max_degree()}"
-        )
+    for a, b, a_side, b_side in ((f, g, "left", "right"), (g, f, "right", "left")):
+        if a.truncation is not None and b.max_degree() > a.truncation:
+            raise TruncationError(
+                f"{a_side} operand is only known up to degree {a.truncation}, "
+                f"{b_side} has support in degree {b.max_degree()}"
+            )
     terms = {}
     for mu, c in f._coeffs.items():
         other = g._coeffs.get(mu)
@@ -369,20 +356,32 @@ def hall_inner(f: SymFunc, g: SymFunc) -> Scalar:
     return Scalar._trusted(terms)
 
 
-@lru_cache(maxsize=CACHE_SIZE)
-def _jacobi_trudi(mu: Partition, vals: Alphabet) -> Scalar:
-    return supersym_schur(mu, vals, ())
-
-
 def eval_symfunc(f: SymFunc, vals: Sequence) -> Scalar:
-    """Specialize to finitely many variables; s_mu vanishes when mu has
-    more rows than there are variables."""
+    """Specialize to finitely many variables by the branching rule
+    (Macdonald I.5.11): s_mu(x_1..x_k) sums x_k^|mu/nu| s_nu(x_1..x_{k-1})
+    over the horizontal strips mu/nu with len(nu) < k, and vanishes when
+    len(mu) > k.  One memo per call is keyed on (nu, k); each letter's
+    powers are built once, up to the largest strip that reads them."""
     xs = as_alphabet(vals)
-    terms = {}
-    for mu, c in f._coeffs.items():
-        if len(mu) <= len(xs):
-            _add_product(terms, c._terms, _jacobi_trudi(mu, xs)._terms)
-    return Scalar._trusted(terms)
+    powers = [[_ONE._terms, x._terms] for x in xs]  # term dicts, as the memo's values
+    memo = {((), k): _ONE._terms for k in range(len(xs) + 1)}
+
+    def schur(mu: Partition, k: int) -> dict:  # the terms of s_mu(x_1..x_k), len(mu) <= k
+        terms = memo.get((mu, k))
+        if terms is None:
+            p = powers[k - 1]
+            while len(p) <= mu[0]:  # a strip of mu has at most mu_1 cells
+                p.append(_add_product({}, p[-1], p[1]))
+            if k == 1:
+                return p[mu[0]]
+            terms, w = {}, sum(mu)
+            for nu in horizontal_strips(mu):
+                if len(nu) < k and (a := p[w - sum(nu)]):
+                    _add_product(terms, a, schur(nu, k - 1))
+            memo[mu, k] = terms
+        return terms
+
+    return _dot((c, Scalar._trusted(schur(mu, len(xs))), False) for mu, c in f._coeffs.items() if len(mu) <= len(xs))
 
 
 # -- brute-force oracles ----------------------------------------------

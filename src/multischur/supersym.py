@@ -16,10 +16,11 @@ determinant is a minor of that matrix (Fulton, Young Tableaux, ch. 9):
 the determinants of one `_jt` share their minors.  The row order picks
 which: bottom-up, the minors over rows 1..k, shared across sizes too;
 top-down, those over rows k..n of matrices of one size n, each expanded
-along row 1.  `expansions._expand` reads its h-forms
-top-down, since row 1 has the fewest letters in the refined and flagged
-families, and its e-forms, whose sizes vary, bottom-up; `supersym_schur`
-and `skew_function` read bottom-up.
+along row 1.  `expansions._expand` reads its h-forms top-down, since row
+1 has the fewest letters in the refined and flagged families, and its
+e-forms, whose sizes vary, bottom-up; `supersym_schur` and
+`skew_function` read bottom-up.  `expansions.eval_symfunc` evaluates
+by the branching rule, without `supersym_schur` or any determinant.
 
 `h_series` computes the series truncated after z^n, one letter at a
 time (Macdonald, Symmetric Functions and Hall Polynomials, I.2), through

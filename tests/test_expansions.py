@@ -355,9 +355,20 @@ def test_eval_symfunc_examples():
 
 
 def test_eval_matches_tableau_oracle():
-    for vals in [(a,), (a, b), (a, b, x1)]:
-        for mu in [Partition((2,)), Partition((2, 1)), Partition((2, 2)), Partition((3, 1))]:
-            assert eval_symfunc(sym_schur(mu), vals) == schur_tableau_oracle(mu, vals)
+    """Every shape of weight <= 4 and (3, 2, 1), in no variables, in fewer
+    variables than its rows, and in letters that repeat, vanish, are
+    rational or have two terms; and an element with several terms and
+    polynomial coefficients, against the sum of c times the oracle."""
+    half = Scalar.from_rational(Fraction(1, 2))
+    alphabets = [(), (a,), (a, b), (a, b, x1), (a, a, b), (a, 0, b), (half, a + b), (a - 2 * b, x1, a, 3)]
+    shapes = partitions_up_to_weight(4) + [Partition((3, 2, 1))]
+    coeffs = [t1 - 2, t2 * t1 + half, Scalar.one(), -3 * t2, t1**2 - t2]
+    f = SymFunc({mu: coeffs[k % len(coeffs)] * (k + 1) for k, mu in enumerate(shapes)})
+    for vals in alphabets:
+        want = {mu: schur_tableau_oracle(mu, vals) for mu in shapes}
+        for mu in shapes:
+            assert eval_symfunc(sym_schur(mu), vals) == want[mu], (mu, vals)
+        assert eval_symfunc(f, vals) == sum((c * want[mu] for mu, c in f.terms()), Scalar.zero()), vals
 
 
 def test_tableau_oracle_examples():

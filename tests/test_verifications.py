@@ -5,7 +5,7 @@ import re
 
 import pytest
 
-from multischur import verifications
+from multischur import exactalg, expansions, fock, shapes, supersym, verifications
 from multischur.exactalg import _CUT, Scalar
 from multischur.expansions import SymFunc
 from multischur.shapes import Partition
@@ -232,3 +232,68 @@ def test_every_suite_fails_naming_both_sides(monkeypatch, theorem):
     assert all(len(side) <= _CUT for side in sides)
     # WRONG's repr is longer than the cut, so some side was cut to it
     assert any(len(side) == _CUT and side.endswith("...") for side in sides)
+
+
+STRIPS, LAPLACE = shapes.horizontal_strips, exactalg._laplace
+
+
+def _drop_last_strip(lam, grow=None):
+    return list(STRIPS(lam, grow))[:-1]
+
+
+def _repeat_first_strip(lam, grow=None):
+    strips = list(STRIPS(lam, grow))
+    return strips[:1] + strips
+
+
+def _unsigned_2x2_minors(cols, entry, memo, dot):
+    """`_laplace` with every 2 x 2 minor summed without its sign."""
+    if len(cols) != 2:
+        return LAPLACE(cols, entry, memo, dot)
+    if cols not in memo:
+        memo[cols] = dot([(entry(2, cols[1]), entry(1, cols[0]), False), (entry(2, cols[0]), entry(1, cols[1]), False)])
+    return memo[cols]
+
+# fault -> (the modules it is planted in, the name it replaces, the fault,
+# the suites that fail under it at their defaults, at the least)
+FAULTS = {
+    "strips drop the last": (
+        (shapes, expansions, fock),
+        "horizontal_strips",
+        _drop_last_strip,
+        {"orthonormality", "dual-engine", "cauchy", "branching", "beta-chain", "classical"},
+    ),
+    "strips repeat the first": (
+        (shapes, expansions, fock),
+        "horizontal_strips",
+        _repeat_first_strip,
+        {"orthonormality", "dual-engine", "cauchy", "branching", "beta-chain", "classical"},
+    ),
+    "unsigned 2 x 2 minors": (
+        (exactalg, supersym),
+        "_laplace",
+        _unsigned_2x2_minors,
+        {"dual-engine", "hall-duality", "branching", "beta-chain", "classical"},
+    ),
+}
+
+
+@pytest.mark.parametrize("fault", sorted(FAULTS))
+def test_suites_catch_faults_in_strips_and_laplace(monkeypatch, fault):
+    """A fault planted in `horizontal_strips`, which the evaluator, the
+    Pieri rule and the fermion strip steps read, or in `_laplace`, which
+    every determinant reads, fails the suites that read it at their
+    defaults.  The move tables of `fock._moves` are built from the strips,
+    so they are dropped before and after each fault."""
+    modules, name, planted, catchers = FAULTS[fault]
+    defaults = {theorem: [field.default for field in SIZES[theorem]] for theorem in SUITES}
+    assert all(SUITES[theorem](*defaults[theorem])["passed"] for theorem in SUITES)
+    fock._moves.cache_clear()
+    try:
+        for module in modules:
+            monkeypatch.setattr(module, name, planted)
+        failing = {theorem for theorem in SUITES if not SUITES[theorem](*defaults[theorem])["passed"]}
+        assert catchers <= failing, fault
+    finally:
+        monkeypatch.undo()
+        fock._moves.cache_clear()
