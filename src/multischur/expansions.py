@@ -13,7 +13,7 @@ an entry function and a row order; the determinants of one call share
 their minors.  `_expand` reads the h-forms, n x n matrices, top-down, so
 that each is expanded along row 1, the row with the fewest letters; the
 e-forms, of len(mu) rows, keep the bottom-up order, whose minors serve
-every size, and skip a mu whose first row is zero on its columns.
+every size.
 The skew expansion has entries sum_n c_n h_n(X); it holds each entry
 and each minor as a SymFunc, and its ring's dot (`_pieri_dot`) sums all
 the signed Pieri products of one minor in one `_pieri`, so its
@@ -53,7 +53,7 @@ from .shapes import (
     subpartitions,
     superpartitions,
 )
-from .supersym import _h_series, _jt
+from .supersym import _at, _h_series, _jt
 
 _ZERO = Scalar.zero()
 _ONE = Scalar.one()
@@ -196,8 +196,7 @@ def _expand(lam: Partition, shapes: Sequence[Partition], rows, cols=None, e: boo
     row with the fewest letters in the refined and flagged families, the
     empty row h(() / ()) = 1 in a refined one, whose zero entries prune
     whole minors.  An e-form keeps the bottom-up order, whose minors serve
-    every size len(mu); there a mu whose first row is zero on its columns
-    has a zero det and is skipped before the expansion.
+    every size len(mu).
 
     Padding past m = max(len(lam), len(mu)) rows keeps a determinant.  In
     an e-form the index mu_j - j - lam_i + i is i - j - lam_i < 0 for
@@ -216,25 +215,13 @@ def _expand(lam: Partition, shapes: Sequence[Partition], rows, cols=None, e: boo
             last = len(Y) if e and not X else tops[j - 1] - lam.part(i) + i if e else lam.part(i) - i + j
             row.append(_h_series(last if X else min(last, len(Y)), X, Y))
         table.append(row if cols else row[1])
-    if cols:  # entry(i, k, j), the series of cell (i, j) at k, or at -k in an e-form
-        if e:
-            entry = lambda i, k, j: s[-k] if -len(s := table[i][j]) < k <= 0 else _ZERO
-        else:
-            entry = lambda i, k, j: s[k] if 0 <= k < len(s := table[i][j]) else _ZERO
-    elif e:
-        entry = lambda i, k: s[-k] if -len(s := table[i]) < k <= 0 else _ZERO
-    else:
-        entry = lambda i, k: s[k] if 0 <= k < len(s := table[i]) else _ZERO
-    if not e:
-        det = _jt(lam, entry, range(n, 0, -1), bool(cols))
-        return {mu: c for mu in shapes if (c := det(mu, n))}
-    det = _jt(lam, entry, span, bool(cols))
-    offset = lam.part(1) - 1  # row 1 reads k = offset - mu_j + j at column j
+    d = -1 if e else 1  # an e-form reads its series at -k
     if cols:
-        first = lambda mu: any(entry(1, offset - p + j, j) for j, p in enumerate(mu, 1))
+        entry = lambda i, k, j: _at(table[i][j], d * k)
     else:
-        first = lambda mu: any(entry(1, offset - p + j) for j, p in enumerate(mu, 1))
-    return {mu: c for mu in shapes if (not mu or first(mu)) and (c := det(mu, len(mu)))}
+        entry = lambda i, k: _at(table[i], d * k)
+    det = _jt(lam, entry, span if e else range(n, 0, -1), bool(cols))
+    return {mu: c for mu in shapes if (c := det(mu, len(mu) if e else n))}
 
 
 def schur_expand_multischur(lam: Sequence[int], bx: AlphabetSequence, by: AlphabetSequence) -> SymFunc:
@@ -310,14 +297,20 @@ def skew_function(
     h_m(x^(i) / (y^(i) u p^(j))) h_n(X) ) in the Schur basis, for any
     bp: each minor is a SymFunc, and each entry multiplies one by Pieri."""
     lam, mu = Partition(lam), Partition(mu)
-    r = max(len(lam), len(mu))
+    return _skew(lam, bx, by, bp, max(len(lam), len(mu)))(mu)
+
+
+def _skew(lam: Partition, bx: AlphabetSequence, by: AlphabetSequence, bp: AlphabetSequence, r: int):
+    """mu -> skew_function(lam, mu, bx, by, bp) for every mu of at most r
+    rows, with r >= len(lam): the r x r determinants share one `_jt`."""
 
     @cache  # each cell's series is built once, though minors read it again
     def entry(i: int, k: int, j: int) -> SymFunc:
         s = _h_series(k, bx.alphabet(i), by.alphabet(i) + bp.alphabet(j))
         return SymFunc({(n,): s[k - n] for n in range(k + 1)})
 
-    return _jt(lam, entry, range(1, r + 1), True, _pieri_dot, sym_schur(()))(mu, r)
+    det = _jt(lam, entry, range(1, r + 1), True, _pieri_dot, sym_schur(()))
+    return lambda mu: det(mu, r)
 
 
 # -- Schur-basis arithmetic -------------------------------------------

@@ -54,14 +54,15 @@ from .shapes import (
 from .supersym import supersym_schur
 from .suite_sizes import _BRANCHING_MAX_WEIGHT, SIZES
 from .expansions import (
+    SymFunc,
     TractabilityError,
+    _skew,
     eval_symfunc,
     expand_in_refined_basis,
     hall_inner,
     refined_dual_grothendieck,
     schur_expand_multischur,
     schur_tableau_oracle,
-    skew_function,
     stable_grothendieck_schur,
     sym_schur,
     truncated_dual_expansion,
@@ -130,27 +131,17 @@ class _Tally:
 def _branching_sides(lam, t, n, m, bx, by) -> tuple[Scalar, Scalar]:
     """Split the variable set: the expansion in n + m variables, and the
     sum over inner shapes of (skew part in the first n) times (refined dual
-    part in the last m); bx defaults to the refined sequence of t and by to
-    empty rows."""
+    part in the last m)."""
     lam = Partition(lam)
-    if n > 4 or m > 4:
-        raise TractabilityError(f"variable counts are capped at 4: got {n}, {m}")
     if lam.weight > _BRANCHING_MAX_WEIGHT:
         raise TractabilityError(f"weight is capped at {_BRANCHING_MAX_WEIGHT}: got {lam.weight}")
-    if bx is None:
-        bx = refined_sequence(t)
-    if by is None:
-        by = empty_sequence()
     xs = _vars("X", n)
     ys = _vars("Y", m)
     lhs = eval_symfunc(schur_expand_multischur(lam, bx, by), xs + ys)
-    bp = refined_sequence(t)
+    skew = _skew(lam, bx, by, refined_sequence(t), len(lam))
     rhs = _ZERO
     for mu in subpartitions(lam):
-        left = eval_symfunc(skew_function(lam, mu, bx, by, bp), xs)
-        if not left:
-            continue
-        rhs = rhs + left * eval_symfunc(refined_dual_grothendieck(mu, t), ys)
+        rhs = rhs + eval_symfunc(skew(mu), xs) * eval_symfunc(refined_dual_grothendieck(mu, t), ys)
     return lhs, rhs
 
 
@@ -160,10 +151,6 @@ def _cauchy_sides(t, D, n, m) -> tuple[Scalar, Scalar]:
     Neither side has a monomial of higher Y-degree, so neither is cut:
     the stable element at D holds only s_mu with |mu| <= D, and s_mu(Y)
     is homogeneous of Y-degree |mu|; the dual element has no Y."""
-    if D > 6:
-        raise TractabilityError(f"degree bound is capped at 6: got {D}")
-    if n > 3 or m > 3:
-        raise TractabilityError(f"variable counts are capped at 3: got {n}, {m}")
     xs = _vars("X", n)
     ys = _vars("Y", m)
     lhs = _ZERO
@@ -238,7 +225,7 @@ def branching(max_weight: int, general_max_weight: int) -> dict:
     t = _vars("t", max_weight + 2)
     tally = _Tally()
     for lam in partitions_up_to_weight(max_weight):
-        tally.check(*_branching_sides(lam, t, 2, 2, None, None), "refined split of %s", lam)
+        tally.check(*_branching_sides(lam, t, 2, 2, refined_sequence(t), empty_sequence()), "refined split of %s", lam)
     bx, by = _one_letter_rows(general_max_weight)
     for lam in partitions_up_to_weight(general_max_weight):
         tally.check(*_branching_sides(lam, t, 2, 2, bx, by), "general split of %s", lam)
@@ -251,10 +238,11 @@ def truncation_stability(max_weight: int, max_rows: int, max_truncation: int) ->
     t = _vars("t", max_truncation + 2)
     vs = _vars("v", max_rows)
     tally = _Tally()
-    for lam in partitions_up_to_weight(max_weight):
+    for lam in superpartitions((), min(max_weight, max_truncation), max_rows):  # the shapes with a case
+        G = stable_grothendieck_schur(lam, t, max_truncation)
         for r in range(max(1, len(lam)), max_rows + 1):
             for D in range(lam.weight, max_truncation + 1):
-                lhs = eval_symfunc(stable_grothendieck_schur(lam, t, D), vs[:r])
+                lhs = eval_symfunc(SymFunc(G.terms(), D), vs[:r])
                 rhs = eval_symfunc(truncated_dual_expansion(lam, refined_sequence(t), r, D), vs[:r])
                 tally.check(lhs, rhs, "shape %s, r=%s, D=%s", lam, r, D)
     return tally.summary("truncation-stability", max_weight, max_rows, max_truncation)

@@ -40,7 +40,7 @@ from multischur.shapes import (
     superpartitions,
 )
 from multischur.supersym import _at, h_series, supersym_schur
-from multischur.verifications import _branching_sides, _cauchy_sides
+from multischur.verifications import _branching_sides, _cauchy_sides, _one_letter_rows
 from oracles import flagged_tableau_oracle, variables
 
 t = variables("t1 t2 t3 t4 t5")
@@ -470,10 +470,11 @@ def _sides_agree(sides):
 
 
 def test_verify_branching_cases():
-    assert _sides_agree(_branching_sides(Partition((1,)), t, 2, 2, None, None))
-    assert _sides_agree(_branching_sides(Partition((2, 1)), t, 2, 2, None, None))
+    refined = refined_sequence(t)
+    assert _sides_agree(_branching_sides(Partition((1,)), t, 2, 2, refined, EMPTY))
+    assert _sides_agree(_branching_sides(Partition((2, 1)), t, 2, 2, refined, EMPTY))
     zeros = (Scalar.zero(),) * 5
-    assert _sides_agree(_branching_sides(Partition((2, 2)), zeros, 2, 2, None, None))
+    assert _sides_agree(_branching_sides(Partition((2, 2)), zeros, 2, 2, refined_sequence(zeros), EMPTY))
 
 
 def test_verify_branching_general_alphabets():
@@ -483,9 +484,7 @@ def test_verify_branching_general_alphabets():
 
 def test_verify_branching_caps():
     with pytest.raises(TractabilityError):
-        _branching_sides(Partition((1,)), t, 5, 2, None, None)
-    with pytest.raises(TractabilityError):
-        _branching_sides(Partition((4, 3)), t, 2, 2, None, None)
+        _branching_sides(Partition((4, 3)), t, 2, 2, refined_sequence(t), EMPTY)
 
 
 def test_verify_cauchy_cases():
@@ -495,11 +494,16 @@ def test_verify_cauchy_cases():
     assert _sides_agree(_cauchy_sides(t, 2, 2, 1))
 
 
-def test_verify_cauchy_caps():
-    with pytest.raises(TractabilityError):
-        _cauchy_sides(t, 7, 2, 2)
-    with pytest.raises(TractabilityError):
-        _cauchy_sides(t, 3, 4, 2)
+def test_one_skew_builder_serves_every_inner_shape():
+    """One `_skew` per lam, whose determinants share their minors, read
+    for every mu inside lam, equals a fresh `skew_function` per mu, with
+    refined rows and with one-letter rows."""
+    bp = refined_sequence(t)
+    for bx, by in ((bp, EMPTY), _one_letter_rows(5)):
+        for lam in partitions_up_to_weight(5):
+            skew = expansions._skew(lam, bx, by, bp, len(lam))
+            for mu in subpartitions(lam):
+                assert skew(mu) == skew_function(lam, mu, bx, by, bp), (lam, mu, bx)
 
 
 def test_degree_bound_budget():

@@ -234,7 +234,7 @@ def test_every_suite_fails_naming_both_sides(monkeypatch, theorem):
     assert any(len(side) == _CUT and side.endswith("...") for side in sides)
 
 
-STRIPS, LAPLACE = shapes.horizontal_strips, exactalg._laplace
+STRIPS, LAPLACE, AT = shapes.horizontal_strips, exactalg._laplace, supersym._at
 
 
 def _drop_last_strip(lam, grow=None):
@@ -253,6 +253,12 @@ def _unsigned_2x2_minors(cols, entry, memo, dot):
     if cols not in memo:
         memo[cols] = dot([(entry(2, cols[1]), entry(1, cols[0]), False), (entry(2, cols[0]), entry(1, cols[1]), False)])
     return memo[cols]
+
+
+def _at_drops_the_last(series, k):
+    """`_at` reading a series as if its last entry were never computed."""
+    return AT(series[:-1], k)
+
 
 # fault -> (the modules it is planted in, the name it replaces, the fault,
 # the suites that fail under it at their defaults, at the least)
@@ -275,14 +281,21 @@ FAULTS = {
         _unsigned_2x2_minors,
         {"dual-engine", "hall-duality", "branching", "beta-chain", "classical"},
     ),
+    "series entries drop the last": (
+        (expansions,),
+        "_at",
+        _at_drops_the_last,
+        {"dual-engine", "hall-duality", "cauchy", "branching", "beta-chain"},
+    ),
 }
 
 
 @pytest.mark.parametrize("fault", sorted(FAULTS))
 def test_suites_catch_faults_in_strips_and_laplace(monkeypatch, fault):
     """A fault planted in `horizontal_strips`, which the evaluator, the
-    Pieri rule and the fermion strip steps read, or in `_laplace`, which
-    every determinant reads, fails the suites that read it at their
+    Pieri rule and the fermion strip steps read, in `_laplace`, which
+    every determinant reads, or in `_at`, which reads every entry of
+    `expansions._expand`, fails the suites that read it at their
     defaults.  The move tables of `fock._moves` are built from the strips,
     so they are dropped before and after each fault."""
     modules, name, planted, catchers = FAULTS[fault]
