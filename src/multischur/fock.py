@@ -43,9 +43,9 @@ changes only the first part, with sign +: the bra pops it before the
 vertical strips, and the ket prepends d - 1 after the horizontal strips.
 The memo `_moves` (keyed on (lam, d, kind), bounded by MOVE_CACHE_SIZE)
 builds each list once, the fermion kinds from the bare ones; a bra list
-is grouped by the first part of each nu.  The summing loop `_step`
-multiplies each coefficient by the cached power of the letter.  A
-zero letter's step is the fermion alone.
+is grouped by the first part of each nu.  The summing loops, `_step`
+and the bra walk's `_bra_step`, multiply each coefficient by the cached
+power of the letter.  A zero letter's step is the fermion alone.
 
 A basis ket for lam applies one fermion per part to |-len(lam)>, the
 refined one reading t_1..t_{len(lam)}.  ket_refined_table builds many
@@ -319,12 +319,12 @@ def _powers(s: Scalar) -> list[Scalar]:
 
 
 def _step(terms: dict[Partition, Scalar], d: int | None, vertical: bool, powers: list[Scalar]) -> dict:
-    """One bare or ket step of `_moves` on a vector's terms (the bra kind,
-    grouped by first part, is summed by `_bra_step`):
-    each coefficient times powers[n] summed into its move's nu, where
-    powers comes from `_powers`.  A sum that cancels is dropped, as
-    `collect` drops it, and taken up again at the end if a later move
-    brings it back."""
+    """One bare step, or one row of `ket_refined_table`, of `_moves` on a
+    vector's terms (the bra kind, grouped by first part, is summed by
+    `_bra_step`): each coefficient times powers[n] summed into its move's
+    nu, where powers comes from `_powers` of a nonzero letter.  A sum
+    that cancels is dropped, as `collect` drops it, and taken up again at
+    the end if a later move brings it back."""
     out: dict[Partition, Scalar] = {}
     get = out.get
     for lam, coeff in terms.items():
@@ -408,8 +408,9 @@ def ket_refined_table(lams: Iterable[Sequence[int]], t: Sequence) -> list[FockVe
     strip removals, so mu_1 <= lam_{i+1} <= lam_i and psi_{lam_i-i}
     prepends lam_i with sign +.  The rows i..l depend only on l and
     lam_i..lam_l, which fix the letters t_i..t_l, so one memo keyed on
-    both shares them across the kets of the table.  A t shorter than the
-    longest lam (ValueError) is refused before any step."""
+    both shares them across the kets of the table.  Row i is one `_step`,
+    or the prepending alone for t_i = 0.  A t shorter than the longest lam
+    (ValueError) is refused before any step."""
     lams = [lam if type(lam) is Partition else Partition(lam) for lam in lams]
     t, depth = as_alphabet(t), max(map(len, lams), default=0)
     if len(t) < depth:
@@ -424,20 +425,14 @@ def ket_refined_table(lams: Iterable[Sequence[int]], t: Sequence) -> list[FockVe
             key = (l, lam[i - 1 :])
             done = rows.get(key)
             if done is None:
-                done = rows[key] = _ket_step(lam[i - 1] + 1, powers[i - 1], terms)
+                p, s = lam[i - 1], powers[i - 1]
+                if s:
+                    done = rows[key] = _step(terms, p + 1, False, s)
+                else:
+                    done = rows[key] = {Partition._trusted((p, *mu)): x for mu, x in terms.items()}
             terms = done
         kets.append(FockVector._trusted(0, terms))
     return kets
-
-
-def _ket_step(d: int, powers: list[Scalar] | None, terms: dict) -> dict:
-    """The horizontal strip step of powers = `_powers(t)` on a ket's terms,
-    then psi_m: one `_step` of the ket kind; powers is None when t = 0,
-    whose strip step is the identity.  Every state has first part below
-    d = m - c + 1 >= 2, so psi_m prepends d - 1 with sign +."""
-    if powers:
-        return _step(terms, d, False, powers)
-    return {Partition._trusted((d - 1, *lam)): x for lam, x in terms.items()}
 
 
 def bra_refined_pair(mu: Sequence[int], t: Sequence, v: FockVector) -> Scalar:
@@ -545,13 +540,10 @@ def _bra_step(d: int, powers: list[Scalar] | None, states: dict) -> dict:
             for nu, n in moves:
                 x, acc = powers[n], dest.get(nu)
                 if acc is None:
-                    if n:
-                        dest[nu] = acc = {}
-                        for k, c in row.items():
-                            acc[k] = c * x
-                    else:
+                    if not n:
                         dest[nu] = row.copy()
-                    continue
+                        continue
+                    dest[nu] = acc = {}
                 get = acc.get
                 for k, c in row.items():
                     # nonzero: a product of nonzero Scalars, so only a sum is tested

@@ -42,6 +42,8 @@ class Partition(tuple):
     are stripped on construction.  A Partition is returned as it is; a
     string, bytes or a mapping is refused, not read as its items."""
 
+    __slots__ = ()
+
     def __new__(cls, parts: Iterable[int] = ()):
         if type(parts) is cls:
             return parts

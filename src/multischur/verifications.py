@@ -234,12 +234,17 @@ def branching(max_weight: int, general_max_weight: int) -> dict:
 
 def truncation_stability(max_weight: int, max_rows: int, max_truncation: int) -> dict:
     """Stable expansion in r variables equals the r-row expansion in r
-    variables, for every permitted (r, D)."""
+    variables, for every permitted (r, D): the stable element from the
+    fermion route, G_lam = sum_nu <lam; t|nu> s_nu (the Hall dual of the
+    refined kets), against the r-row determinant."""
     t = _vars("t", max_truncation + 2)
     vs = _vars("v", max_rows)
     tally = _Tally()
-    for lam in superpartitions((), min(max_weight, max_truncation), max_rows):  # the shapes with a case
-        G = stable_grothendieck_schur(lam, t, max_truncation)
+    lams = superpartitions((), min(max_weight, max_truncation), max_rows)  # the shapes with a case
+    nus = partitions_up_to_weight(max_truncation)
+    table = bra_refined_table(lams, t, [ket_partition(nu) for nu in nus])
+    for lam in lams:
+        G = SymFunc(((nu, pairs[lam]) for nu, pairs in zip(nus, table)), max_truncation)
         for r in range(max(1, len(lam)), max_rows + 1):
             for D in range(lam.weight, max_truncation + 1):
                 lhs = eval_symfunc(SymFunc(G.terms(), D), vs[:r])

@@ -345,12 +345,16 @@ def test_ket_general_unitriangular():
 
 
 def ket_step(t, m, v):
-    """One row of `ket_refined_table` on v: psi_m e^{H(t)} through
-    `fock._ket_step` at the offset d = m - c + 1 of v's charge c."""
+    """One row of `ket_refined_table` on v: psi_m e^{H(t)} at the offset
+    d = m - c + 1 of v's charge c, through `fock._step` of the ket kind,
+    or for t = 0 by prepending d - 1 to each state."""
     c = v.charge
     if c is None:
         return v
-    return FockVector._trusted(c + 1, fock._ket_step(m - c + 1, fock._powers(t) if t else None, v._terms))
+    d = m - c + 1
+    if t:
+        return FockVector._trusted(c + 1, fock._step(v._terms, d, False, fock._powers(t)))
+    return FockVector._trusted(c + 1, {Partition((d - 1, *lam)): x for lam, x in v._terms.items()})
 
 
 def test_ket_refined_examples():
@@ -472,7 +476,7 @@ def test_orthonormality_catches_a_ket_memo_without_the_length(monkeypatch):
             for i in range(len(lam), 0, -1):
                 key = lam[i - 1 :]
                 if key not in rows:
-                    rows[key] = fock._ket_step(lam[i - 1] + 1, fock._powers(t[i - 1]), terms)
+                    rows[key] = fock._step(terms, lam[i - 1] + 1, False, fock._powers(t[i - 1]))
                 terms = rows[key]
             kets.append(FockVector._trusted(0, terms))
         return kets

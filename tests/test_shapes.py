@@ -1,3 +1,5 @@
+import copy
+import pickle
 from itertools import combinations_with_replacement
 
 import pytest
@@ -203,6 +205,16 @@ def test_partition_of_a_partition_is_itself():
     lam = Partition((3, 1))
     assert Partition(lam) is lam
     assert Partition([3, 1]) == lam and type(Partition((3, 1))) is Partition
+
+
+def test_partition_has_no_instance_dict():
+    """A Partition holds its parts alone, as the tuple it is: no attribute
+    can be set on it, and pickle and deepcopy rebuild an equal one."""
+    with pytest.raises(AttributeError):
+        Partition((1,)).x = 1
+    for lam in (Partition(), Partition((3, 1, 1))):
+        for copied in (pickle.loads(pickle.dumps(lam)), copy.deepcopy(lam)):
+            assert type(copied) is Partition and copied == lam
 
 
 def _checked(shape) -> Partition:

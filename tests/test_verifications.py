@@ -255,6 +255,11 @@ def _unsigned_2x2_minors(cols, entry, memo, dot):
     return memo[cols]
 
 
+def _unsigned_laplace(cols, entry, memo, dot):
+    """`_laplace` with every product of every minor summed without its sign."""
+    return LAPLACE(cols, entry, memo, lambda triples: dot([(e, minor, False) for e, minor, _ in triples]))
+
+
 def _at_drops_the_last(series, k):
     """`_at` reading a series as if its last entry were never computed."""
     return AT(series[:-1], k)
@@ -267,25 +272,33 @@ FAULTS = {
         (shapes, expansions, fock),
         "horizontal_strips",
         _drop_last_strip,
-        {"orthonormality", "dual-engine", "cauchy", "branching", "beta-chain", "classical"},
+        {"orthonormality", "dual-engine", "cauchy", "branching", "truncation-stability", "beta-chain", "classical"},
     ),
     "strips repeat the first": (
         (shapes, expansions, fock),
         "horizontal_strips",
         _repeat_first_strip,
-        {"orthonormality", "dual-engine", "cauchy", "branching", "beta-chain", "classical"},
+        {"orthonormality", "dual-engine", "cauchy", "branching", "truncation-stability", "beta-chain", "classical"},
     ),
+    # passes truncation-stability: in its one determinant side, a refined
+    # e-form, row 1 has one nonzero entry, so no 2 x 2 minor has a sign to lose
     "unsigned 2 x 2 minors": (
         (exactalg, supersym),
         "_laplace",
         _unsigned_2x2_minors,
         {"dual-engine", "hall-duality", "branching", "beta-chain", "classical"},
     ),
+    "_laplace drops every sign": (
+        (exactalg, supersym),
+        "_laplace",
+        _unsigned_laplace,
+        {"dual-engine", "hall-duality", "branching", "truncation-stability", "beta-chain", "classical"},
+    ),
     "series entries drop the last": (
         (expansions,),
         "_at",
         _at_drops_the_last,
-        {"dual-engine", "hall-duality", "cauchy", "branching", "beta-chain"},
+        {"dual-engine", "hall-duality", "cauchy", "branching", "truncation-stability", "beta-chain"},
     ),
 }
 
