@@ -201,7 +201,7 @@ def parse_scalar(value) -> Scalar:
     if isinstance(value, str):
         text = value.strip()
         name = text[1:] if text.startswith("-") else text
-        if _NAME.match(name) and not name.isdigit():
+        if _NAME.match(name):
             var = Scalar.variable(_check_name(name))
             return -var if text.startswith("-") else var
         check_number(text)

@@ -2,7 +2,8 @@
 
 Each helper is written from its definition, apart from the code it checks:
 rational evaluation of a Scalar, power sums, the row-flagged tableau sum,
-and the occupied levels of a Maya state.
+the occupied levels of a Maya state, and the grouping and summing of the
+fermion steps' move tables.
 """
 
 from __future__ import annotations
@@ -69,3 +70,21 @@ def excited_levels(state: MayaState) -> list[int]:
 
 def occupied(state: MayaState, m: int) -> bool:
     return m <= sea_top(state) or m in excited_levels(state)
+
+
+def by_first_part(moves):
+    """Moves ((nu, i), ...) grouped as the bra tables of `fock._moves` group
+    them: ((p, ((nu, i), ...)), ...) by nu's first part p, in order."""
+    groups = {}
+    for nu, i in moves:
+        groups.setdefault(nu.part(1), []).append((nu, i))
+    return tuple((p, tuple(group)) for p, group in groups.items())
+
+
+def add_into(acc, key, c):
+    """acc[key] += c, dropping a sum that cancels, as the fermion steps do."""
+    total = acc.get(key, Scalar.zero()) + c
+    if total:
+        acc[key] = total
+    else:
+        acc.pop(key, None)

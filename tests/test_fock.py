@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from multischur import expansions, fock, shapes, supersym, verifications
+from multischur import fock, shapes, verifications
 from multischur.exactalg import Scalar
 from multischur.expansions import expand_in_refined_basis
 from multischur.fock import (
@@ -38,7 +38,7 @@ from multischur.shapes import (
 )
 from multischur.suite_sizes import SIZES
 from multischur.supersym import h_series, supersym_schur
-from oracles import excited_levels, occupied, p_power, sea_top, variables
+from oracles import by_first_part, excited_levels, occupied, p_power, sea_top, variables
 
 t1, t2, t3, t4, t5, t6 = variables("t1 t2 t3 t4 t5 t6")
 x1, x2 = variables("x1 x2")
@@ -462,33 +462,6 @@ def test_refined_tables_take_plain_shapes_and_refuse_non_partitions():
                 table()
 
 
-def test_orthonormality_catches_a_ket_memo_without_the_length(monkeypatch):
-    """A ket table whose memo forgets the ket's length l shares rows
-    lam_i..lam_l between kets of different lengths, whose letters differ,
-    and the orthonormality suite fails at its default.  beta-chain cannot
-    catch it: all its letters are -beta."""
-
-    def forgetful(lams, t):
-        lams, t = [Partition(lam) for lam in lams], as_alphabet(t)
-        rows, kets = {}, []
-        for lam in lams:
-            terms = {Partition(): Scalar.one()}
-            for i in range(len(lam), 0, -1):
-                key = lam[i - 1 :]
-                if key not in rows:
-                    rows[key] = fock._step(terms, lam[i - 1] + 1, False, fock._powers(t[i - 1]))
-                terms = rows[key]
-            kets.append(FockVector._trusted(0, terms))
-        return kets
-
-    (default,) = [field.default for field in SIZES["orthonormality"]]
-    assert verifications.orthonormality(default)["passed"]
-    monkeypatch.setattr(verifications, "ket_refined_table", forgetful)
-    summary = verifications.orthonormality(default)
-    assert summary["passed"] is False and summary["cases"] == 361
-    assert "pair [1, 1] | [1, 1, 1]: got t1 - t2, want 0" in summary["failures"]
-
-
 def test_bra_refined_pair_orthonormality():
     ts = (t1, t2, t3, t4)
     shapes = [Partition(p) for p in [(), (1,), (2,), (1, 1), (2, 1), (3,)]]
@@ -804,25 +777,6 @@ def test_fermion_route_calls_no_determinant(monkeypatch):
     assert verifications.orthonormality(3)["passed"]
 
 
-def test_dual_engine_catches_a_fault_in_h_series(monkeypatch):
-    """The fermion route reads no complete functions, so a fault in
-    h_series shows up on the determinant side alone and the suite fails.
-    The fault is planted in `_h_series`, the builder behind h_series that
-    the expansions call with alphabets already coerced."""
-    real = supersym._h_series
-
-    def drops_last_x(n, x, y):
-        return real(n, x[:-1], y)
-
-    assert verifications.dual_engine(3)["passed"]
-    for name, module in list(sys.modules.items()):
-        if name.split(".")[0] == "multischur" and hasattr(module, "_h_series"):
-            monkeypatch.setattr(module, "_h_series", drops_last_x)
-    assert expansions._h_series(1, (x1, x2), ())[1] == x1  # the determinant route reads the patched series
-    assert h_series(1, (x1, x2))[1] == x1
-    assert not verifications.dual_engine(3)["passed"]
-
-
 LETTER_NAMES = variables("x1 x2 y1 y2 t1")
 
 
@@ -1110,15 +1064,6 @@ def test_move_memo_holds_each_fermion_suite_at_its_cap():
     assert fills == {"orthonormality": 176, "dual-engine": 134, "beta-chain": 89}
 
 
-def by_first_part(moves):
-    """Moves ((nu, i), ...) grouped as the bra tables of `_moves` group
-    them: ((p, ((nu, i), ...)), ...) by nu's first part p, in order."""
-    groups = {}
-    for nu, i in moves:
-        groups.setdefault(nu.part(1), []).append((nu, i))
-    return tuple((p, tuple(group)) for p, group in groups.items())
-
-
 def test_bra_tables_group_the_popped_strips_by_first_part():
     """A bra table of `_moves` is the bare vertical table of lam[1:],
     grouped by the first part of each nu: at most two groups, lam_2 and
@@ -1130,71 +1075,6 @@ def test_bra_tables_group_the_popped_strips_by_first_part():
         bare_top, bare = fock._moves(Partition(lam[1:]), None, True)
         assert top == bare_top and groups == by_first_part(bare), lam
         assert [p for p, _ in groups] == [lam.part(2), lam.part(2) - 1][: len(groups)], lam
-
-
-def add_into(acc, key, c):
-    """acc[key] += c, dropping a sum that cancels, as the steps do."""
-    total = acc.get(key, Scalar.zero()) + c
-    if total:
-        acc[key] = total
-    else:
-        acc.pop(key, None)
-
-
-@pytest.mark.parametrize(
-    "kind, fault", [("ket", "sign"), ("ket", "part"), ("bra", "sign"), ("bra", "keep"), ("bra", "file")]
-)
-def test_suites_catch_a_fault_in_the_move_tables(monkeypatch, kind, fault):
-    """A fermion step that negates the term of the first move of each
-    state's table (the strip of size 0) fails each suite that steps
-    through its kind, at its defaults, and so does a ket table that
-    prepends lam_i + 1 where the step prepends lam_i, a bra table that
-    keeps the first part psi* pops (the bare table of lam, grouped by first
-    part), or a bra table that files every nu under the first part of its
-    first group, lam_2, so that the nu of first part lam_2 - 1 are stepped
-    by the wrong bras and read as no pair.  orthonormality and beta-chain
-    build refined kets; orthonormality and dual-engine pair refined bras."""
-    real = fock._moves
-
-    def faulty(lam, d, vertical):
-        top, moves = real(lam, d, vertical)
-        if d is None or vertical != (kind == "bra"):
-            return top, moves
-        if fault == "part":
-            return top, tuple((Partition._trusted((d, *nu)), n) for nu, n in real(lam, None, False)[1])
-        if fault == "keep":
-            top, bare = real(lam, None, True)
-            return top, by_first_part(bare)
-        return top, ((moves[0][0], tuple(move for _, group in moves for move in group)),)
-
-    def ket_flip(terms, d, vertical, powers, step=fock._step):
-        out = step(terms, d, vertical, powers)
-        if d is not None:  # a ket step; the bare steps of e^{H} pass no offset
-            for lam, coeff in terms.items():
-                nu, n = real(lam, d, False)[1][0]
-                add_into(out, nu, coeff * powers[n] * -2)
-        return out
-
-    def bra_flip(d, powers, states, step=fock._bra_step):
-        out = step(d, powers, states)
-        for lam, row in states.items() if powers else ():
-            p, ((nu, n), *_) = real(lam, d, True)[1][0]
-            for k, c in row.items():
-                add_into(out.setdefault(p, {}).setdefault(nu, {}), k, c * powers[n] * -2)
-        return out
-
-    failing = {"ket": {"orthonormality", "beta-chain"}, "bra": {"orthonormality", "dual-engine"}}[kind]
-    suites = ("orthonormality", "dual-engine", "beta-chain")
-    defaults = {theorem: [field.default for field in SIZES[theorem]] for theorem in suites}
-    assert all(verifications.SUITES[theorem](*defaults[theorem])["passed"] for theorem in suites)
-    if fault != "sign":
-        monkeypatch.setattr(fock, "_moves", faulty)
-    elif kind == "ket":
-        monkeypatch.setattr(fock, "_step", ket_flip)
-    else:
-        monkeypatch.setattr(fock, "_bra_step", bra_flip)
-    for theorem in suites:
-        assert verifications.SUITES[theorem](*defaults[theorem])["passed"] is (theorem not in failing), theorem
 
 
 def test_move_memo_stays_bounded():

@@ -2,13 +2,15 @@
 report the documented summary shape."""
 
 import re
+import sys
 
 import pytest
 
 from multischur import exactalg, expansions, fock, shapes, supersym, verifications
 from multischur.exactalg import _CUT, Scalar
 from multischur.expansions import SymFunc
-from multischur.shapes import Partition
+from multischur.fock import FockVector
+from multischur.shapes import Partition, as_alphabet
 from multischur.suite_sizes import SIZES
 from multischur.verifications import (
     SUITES,
@@ -21,6 +23,7 @@ from multischur.verifications import (
     orthonormality,
     truncation_stability,
 )
+from oracles import add_into, by_first_part
 
 
 def _check_shape(summary, theorem):
@@ -234,7 +237,9 @@ def test_every_suite_fails_naming_both_sides(monkeypatch, theorem):
     assert any(len(side) == _CUT and side.endswith("...") for side in sides)
 
 
-STRIPS, LAPLACE, AT = shapes.horizontal_strips, exactalg._laplace, supersym._at
+STRIPS, LAPLACE, AT, H_SERIES = shapes.horizontal_strips, exactalg._laplace, supersym._at, supersym._h_series
+ADD_PRODUCT, MERGE, PIERI_DOT = exactalg._add_product, exactalg._merge_monomials, expansions._pieri_dot
+CREATE, ANNIHILATE, MOVES, STEP, BRA_STEP = fock._create, fock._annihilate, fock._moves, fock._step, fock._bra_step
 
 
 def _drop_last_strip(lam, grow=None):
@@ -265,61 +270,154 @@ def _at_drops_the_last(series, k):
     return AT(series[:-1], k)
 
 
-# fault -> (the modules it is planted in, the name it replaces, the fault,
-# the suites that fail under it at their defaults, at the least)
+def _h_series_drops_the_last_x(n, x, y):
+    return H_SERIES(n, x[:-1], y)
+
+
+def _add_product_ignores_negate(terms, a, b, negate=False):
+    return ADD_PRODUCT(terms, a, b)
+
+
+def _merge_swaps_sorted_runs(a, b):
+    """`_merge_monomials` that returns b + a when every name of a sorts first."""
+    return b + a if a[-1][0] < b[0][0] else MERGE(a, b)
+
+
+def _pieri_dot_drops_every_sign(triples):
+    return PIERI_DOT((e, f, False) for e, f, _ in triples)
+
+
+def _flips_every_sign(act):
+    """A fermion action, `_create` or `_annihilate`, with every hit's sign flipped."""
+    return lambda lam, d: (hit := act(lam, d)) and (hit[0] + 1, hit[1])
+
+
+def _ket_memo_without_the_length(lams, t):
+    """`ket_refined_table` whose memo forgets the ket's length l, so kets of
+    different lengths share rows lam_i..lam_l, whose letters differ."""
+    lams, t = [Partition(lam) for lam in lams], as_alphabet(t)
+    rows, kets = {}, []
+    for lam in lams:
+        terms = {Partition(): Scalar.one()}
+        for i in range(len(lam), 0, -1):
+            key = lam[i - 1 :]
+            if key not in rows:
+                rows[key] = STEP(terms, lam[i - 1] + 1, False, fock._powers(t[i - 1]))
+            terms = rows[key]
+        kets.append(FockVector._trusted(0, terms))
+    return kets
+
+
+def _ket_step_flips_the_first_move(terms, d, vertical, powers):
+    """`_step` that negates, in a ket row, the term of each state's first
+    move (its strip of size 0); the bare steps of e^{H} pass no offset."""
+    out = STEP(terms, d, vertical, powers)
+    if d is not None:
+        for lam, coeff in terms.items():
+            nu, n = MOVES(lam, d, False)[1][0]
+            add_into(out, nu, coeff * powers[n] * -2)
+    return out
+
+
+def _bra_step_flips_the_first_move(d, powers, states):
+    """`_bra_step` that negates the term of each state's first move."""
+    out = BRA_STEP(d, powers, states)
+    for lam, row in states.items() if powers else ():
+        p, ((nu, n), *_) = MOVES(lam, d, True)[1][0]
+        for k, c in row.items():
+            add_into(out.setdefault(p, {}).setdefault(nu, {}), k, c * powers[n] * -2)
+    return out
+
+
+def _ket_prepends_one_more(lam, d, vertical):
+    """`_moves` whose ket tables prepend lam_i + 1 where the step prepends lam_i."""
+    if d is None or vertical:
+        return MOVES(lam, d, vertical)
+    top, bare = MOVES(lam, None, False)
+    return top, tuple((Partition._trusted((d, *nu)), n) for nu, n in bare)
+
+
+def _bra_keeps_the_popped_part(lam, d, vertical):
+    """`_moves` whose bra tables group the bare table of lam, not of lam[1:]."""
+    if d is None or not vertical:
+        return MOVES(lam, d, vertical)
+    top, bare = MOVES(lam, None, True)
+    return top, by_first_part(bare)
+
+
+def _bra_files_under_one_part(lam, d, vertical):
+    """`_moves` whose bra tables file every nu under lam_2, so the nu of
+    first part lam_2 - 1 are stepped by the wrong bras and read as no pair."""
+    top, moves = MOVES(lam, d, vertical)
+    if d is None or not vertical:
+        return top, moves
+    return top, ((moves[0][0], tuple(move for _, group in moves for move in group)),)
+
+
+ALL = frozenset(SUITES)
+DETERMINANTS = {"beta-chain", "branching", "classical", "dual-engine", "hall-duality"}
+# orthonormality and beta-chain build refined kets; orthonormality,
+# dual-engine and truncation-stability pair refined bras
+KETS, BRAS = {"orthonormality", "beta-chain"}, {"orthonormality", "dual-engine", "truncation-stability"}
+# fault -> (the name it is planted under, the fault, exactly the suites that
+# fail under it at their defaults).  What no suite catches is listed in
+# ROADMAP item 2 with the tier-1 test that catches it.
 FAULTS = {
-    "strips drop the last": (
-        (shapes, expansions, fock),
-        "horizontal_strips",
-        _drop_last_strip,
-        {"orthonormality", "dual-engine", "cauchy", "branching", "truncation-stability", "beta-chain", "classical"},
-    ),
-    "strips repeat the first": (
-        (shapes, expansions, fock),
-        "horizontal_strips",
-        _repeat_first_strip,
-        {"orthonormality", "dual-engine", "cauchy", "branching", "truncation-stability", "beta-chain", "classical"},
-    ),
+    "strips drop the last": ("horizontal_strips", _drop_last_strip, ALL - {"hall-duality"}),
+    "strips repeat the first": ("horizontal_strips", _repeat_first_strip, ALL - {"hall-duality"}),
     # passes truncation-stability: in its one determinant side, a refined
     # e-form, row 1 has one nonzero entry, so no 2 x 2 minor has a sign to lose
-    "unsigned 2 x 2 minors": (
-        (exactalg, supersym),
-        "_laplace",
-        _unsigned_2x2_minors,
-        {"dual-engine", "hall-duality", "branching", "beta-chain", "classical"},
-    ),
-    "_laplace drops every sign": (
-        (exactalg, supersym),
-        "_laplace",
-        _unsigned_laplace,
-        {"dual-engine", "hall-duality", "branching", "truncation-stability", "beta-chain", "classical"},
-    ),
-    "series entries drop the last": (
-        (expansions,),
-        "_at",
-        _at_drops_the_last,
-        {"dual-engine", "hall-duality", "cauchy", "branching", "truncation-stability", "beta-chain"},
-    ),
+    "unsigned 2 x 2 minors": ("_laplace", _unsigned_2x2_minors, DETERMINANTS),
+    "_laplace drops every sign": ("_laplace", _unsigned_laplace, DETERMINANTS | {"truncation-stability"}),
+    "series entries drop the last": ("_at", _at_drops_the_last, ALL - {"orthonormality"}),
+    # not orthonormality: the fermion route reads no complete functions; not
+    # truncation-stability: the refined rows of its determinant side hold no x letter
+    "_h_series drops the last x letter": ("_h_series", _h_series_drops_the_last_x, DETERMINANTS | {"cauchy"}),
+    "_add_product ignores negate": ("_add_product", _add_product_ignores_negate, ALL - {"orthonormality"}),
+    "_merge_monomials swaps sorted runs": ("_merge_monomials", _merge_swaps_sorted_runs, ALL - {"truncation-stability"}),
+    "_pieri_dot drops every sign": ("_pieri_dot", _pieri_dot_drops_every_sign, {"branching"}),
+    "psi flips every sign": ("_create", _flips_every_sign(CREATE), {"classical", "dual-engine", "truncation-stability"}),
+    "psi* flips every sign": ("_annihilate", _flips_every_sign(ANNIHILATE), {"classical"}),
+    # beta-chain builds refined kets too, but all its letters are -beta
+    "ket memo forgets the length": ("ket_refined_table", _ket_memo_without_the_length, {"orthonormality"}),
+    "ket step flips the first move": ("_step", _ket_step_flips_the_first_move, KETS),
+    "ket prepends lam_i + 1": ("_moves", _ket_prepends_one_more, KETS),
+    "bra step flips the first move": ("_bra_step", _bra_step_flips_the_first_move, BRAS),
+    "bra keeps the popped part": ("_moves", _bra_keeps_the_popped_part, BRAS),
+    "bra files under one part": ("_moves", _bra_files_under_one_part, BRAS),
 }
 
 
+def _run_suites_at_defaults():
+    return {theorem: SUITES[theorem](*(field.default for field in SIZES[theorem])) for theorem in SUITES}
+
+
+@pytest.fixture(scope="module")
+def clean_runs():
+    fock._moves.cache_clear()
+    runs = _run_suites_at_defaults()
+    assert all(summary["passed"] for summary in runs.values())
+    return runs
+
+
 @pytest.mark.parametrize("fault", sorted(FAULTS))
-def test_suites_catch_faults_in_strips_and_laplace(monkeypatch, fault):
-    """A fault planted in `horizontal_strips`, which the evaluator, the
-    Pieri rule and the fermion strip steps read, in `_laplace`, which
-    every determinant reads, or in `_at`, which reads every entry of
-    `expansions._expand`, fails the suites that read it at their
-    defaults.  The move tables of `fock._moves` are built from the strips,
-    so they are dropped before and after each fault."""
-    modules, name, planted, catchers = FAULTS[fault]
-    defaults = {theorem: [field.default for field in SIZES[theorem]] for theorem in SUITES}
-    assert all(SUITES[theorem](*defaults[theorem])["passed"] for theorem in SUITES)
+def test_suites_catch_faults_in_strips_and_laplace(monkeypatch, clean_runs, fault):
+    """A fault planted under its name in every loaded `multischur.*`
+    submodule that holds it fails exactly the suites of its row at their
+    defaults, each on the cases of its clean run.  The package itself is
+    skipped: its lazy `__getattr__` would keep a real attribute after
+    the undo.  The move tables of `fock._moves` are built from the
+    strips, so they are dropped before and after each fault."""
+    name, planted, catchers = FAULTS[fault]
+    holders = [m for key, m in list(sys.modules.items()) if key.startswith("multischur.") and hasattr(m, name)]
+    assert holders, name
     fock._moves.cache_clear()
     try:
-        for module in modules:
+        for module in holders:
             monkeypatch.setattr(module, name, planted)
-        failing = {theorem for theorem in SUITES if not SUITES[theorem](*defaults[theorem])["passed"]}
-        assert catchers <= failing, fault
+        runs = _run_suites_at_defaults()
     finally:
         monkeypatch.undo()
         fock._moves.cache_clear()
+    assert {theorem for theorem, summary in runs.items() if not summary["passed"]} == catchers
+    assert {t: s["cases"] for t, s in runs.items()} == {t: s["cases"] for t, s in clean_runs.items()}
