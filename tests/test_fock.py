@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from multischur import fock, shapes, verifications
+from multischur import expansions, fock, shapes, supersym, verifications
 from multischur.exactalg import Scalar
 from multischur.expansions import expand_in_refined_basis
 from multischur.fock import (
@@ -775,6 +775,25 @@ def test_fermion_route_calls_no_determinant(monkeypatch):
     assert apply_exp_H((x1, x2), (y1,), -1, general)
     assert apply_dressed_fermion(PSI, 1, (x1,), (y1,), ket)
     assert verifications.orthonormality(3)["passed"]
+
+
+def test_dual_engine_catches_a_fault_in_h_series(monkeypatch):
+    """The fermion route reads no complete functions, so a fault in
+    h_series shows up on the determinant side alone and the suite fails.
+    The fault is planted in `_h_series`, the builder behind h_series that
+    the expansions call with alphabets already coerced."""
+    real = supersym._h_series
+
+    def drops_last_x(n, x, y):
+        return real(n, x[:-1], y)
+
+    assert verifications.dual_engine(3)["passed"]
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "multischur" and hasattr(module, "_h_series"):
+            monkeypatch.setattr(module, "_h_series", drops_last_x)
+    assert expansions._h_series(1, (x1, x2), ())[1] == x1  # the determinant route reads the patched series
+    assert h_series(1, (x1, x2))[1] == x1
+    assert not verifications.dual_engine(3)["passed"]
 
 
 LETTER_NAMES = variables("x1 x2 y1 y2 t1")
